@@ -33,18 +33,7 @@ def _draw_params(rng: np.random.Generator, n: int, real: bool = False) -> list[c
 
 def _random_states(tag: int, count: int) -> list[qstate.PureState4]:
     rng = _rng(tag)
-    out = []
-    for _ in range(count):
-        a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        out.append(qstate.normalize(qstate.PureState4(a)))
-    return out
-
-
-def _random_su(rng: np.random.Generator) -> qstate.Qubit2Unitary:
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return qstate.Qubit2Unitary(q / np.sqrt(np.linalg.det(q)), special=True)
+    return [qstate.random_state(rng) for _ in range(count)]
 
 
 def class_draws(draws: int = 50) -> list[list]:
@@ -214,7 +203,7 @@ def criterion_5(count: int = 500) -> dict:
 
         rotated = state
         for qubit in (1, 2, 3):
-            rotated = qstate.apply_local_unitary(rotated, qubit, _random_su(rng))
+            rotated = qstate.apply_local_unitary(rotated, qubit, qstate.random_special_unitary(rng))
         special = invariants.invariant_set_A4(rotated)
         if np.max(np.abs(special.as_array() - base.as_array())) > 1e-10 * scale:
             failures.append(f"state {idx}: special-unitary invariance broken")
@@ -222,7 +211,7 @@ def criterion_5(count: int = 500) -> dict:
         rotated = state
         for qubit in (1, 2, 3):
             phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            u = qstate.Qubit2Unitary(phase * _random_su(rng).u)
+            u = qstate.Qubit2Unitary(phase * qstate.random_special_unitary(rng).u)
             rotated = qstate.apply_local_unitary(rotated, qubit, u)
         general = invariants.invariant_set_A4(rotated)
         if np.max(np.abs(np.abs(general.as_array()) - np.abs(base.as_array()))) > 1e-10 * scale:
@@ -231,7 +220,7 @@ def criterion_5(count: int = 500) -> dict:
         rotated = state
         for qubit in (1, 2, 3, 4):
             phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            u = qstate.Qubit2Unitary(phase * _random_su(rng).u)
+            u = qstate.Qubit2Unitary(phase * qstate.random_special_unitary(rng).u)
             rotated = qstate.apply_local_unitary(rotated, qubit, u)
         n48_base, _ = invariants.n48_i48(base)
         n48_rot, _ = invariants.n48_i48(invariants.invariant_set_A4(rotated))

@@ -73,18 +73,19 @@ def _family_roots(coeffs, conjugate_back: bool) -> list[complex]:
     return [w.conjugate() if conjugate_back else w for w in ws]
 
 
-def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, complex]]:
-    """(value, x) pairs: 4 |complementary endpoint| at every root of both families."""
+def _endpoint_roots(inv: ThreeQubitInvariantSet):
+    """(|I04(x)|, x) at the roots x zeroing I40, and (|I40(x)|, x) at those zeroing I04."""
     c40 = (inv.i40, -4.0 * inv.i31, 6.0 * inv.i22, -4.0 * inv.i13, inv.i04)  # in w = conj(x)
     c04 = (inv.i04, 4.0 * inv.i13, 6.0 * inv.i22, 4.0 * inv.i31, inv.i40)    # in w = x
-    cands = []
-    for x in _family_roots(c40, conjugate_back=True):
-        _, i04x = transform_endpoints(inv, x)
-        cands.append((4.0 * abs(i04x), x))
-    for x in _family_roots(c04, conjugate_back=False):
-        i40x, _ = transform_endpoints(inv, x)
-        cands.append((4.0 * abs(i40x), x))
-    return cands
+    zero40 = [(abs(transform_endpoints(inv, x)[1]), x) for x in _family_roots(c40, True)]
+    zero04 = [(abs(transform_endpoints(inv, x)[0]), x) for x in _family_roots(c04, False)]
+    return zero40, zero04
+
+
+def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, complex]]:
+    """(value, x) pairs: 4 |complementary endpoint| at every root of both families."""
+    zero40, zero04 = _endpoint_roots(inv)
+    return [(4.0 * a, x) for a, x in zero40 + zero04]
 
 
 def bound_quartic_A4(inv: ThreeQubitInvariantSet) -> BoundWitness:
@@ -125,15 +126,6 @@ def branch_form_coefficients(inv: ThreeQubitInvariantSet, p0: float, p1: float) 
     )
 
 
-def _branch_endpoints(g: np.ndarray, y: complex) -> tuple[complex, complex]:
-    """Probability-weighted endpoint forms at rotation parameter y."""
-    yc = y.conjugate()
-    den = (1.0 + abs(y) ** 2) ** 2
-    f40 = (g[0] + 4.0 * y * g[1] + 6.0 * y ** 2 * g[2] + 4.0 * y ** 3 * g[3] + y ** 4 * g[4]) / den
-    f04 = (g[4] - 4.0 * yc * g[3] + 6.0 * yc ** 2 * g[2] - 4.0 * yc ** 3 * g[1] + yc ** 4 * g[0]) / den
-    return f40, f04
-
-
 def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> BoundWitness:
     """Endpoint-zeroing bound on the branch decomposition with probabilities p0, p1.
 
@@ -151,16 +143,12 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
         )
     if inv.scale() == 0.0:
         return BoundWitness("unitary_3q", 0.0, None, (), None)
+    # f40(y), f04(y) are the endpoint forms I04(y), I40(y) of the scaled set in
+    # reverse order; zeroing f40 leaves weight p0^2 on f04, zeroing f04 leaves p1^2 on f40
     g = branch_form_coefficients(inv, p0, p1)
-    cands = []
-    # family A zeroes f40 (quartic in y); candidate weight is p0^2
-    for y in _family_roots((g[0], 4.0 * g[1], 6.0 * g[2], 4.0 * g[3], g[4]), conjugate_back=False):
-        _, f04 = _branch_endpoints(g, y)
-        cands.append((4.0 * p0 ** 2 * abs(f04), y))
-    # family B zeroes f04 (quartic in conj(y)); candidate weight is p1^2
-    for y in _family_roots((g[4], -4.0 * g[3], 6.0 * g[2], -4.0 * g[1], g[0]), conjugate_back=True):
-        f40, _ = _branch_endpoints(g, y)
-        cands.append((4.0 * p1 ** 2 * abs(f40), y))
+    zero_f04, zero_f40 = _endpoint_roots(ThreeQubitInvariantSet(inv.traced, *g[::-1]))
+    cands = [(4.0 * p0 ** 2 * a, y) for a, y in zero_f40]
+    cands += [(4.0 * p1 ** 2 * a, y) for a, y in zero_f04]
     cands.sort(key=_candidate_key)
     value, y = cands[0]
     return BoundWitness("unitary_3q", value, y, tuple(y for _, y in cands), None)

@@ -8,10 +8,9 @@ All numeric output is JSON on stdout; diagnostics go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,14 +52,6 @@ def _emit(obj, output: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TANGLEBOUND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _cmd_invariants(args) -> int:
@@ -221,18 +212,14 @@ def _cmd_sweep(args) -> int:
         raise TangleboundError(f"no default triple for class {cid} vs {args.compare}")
     names = list(wanted)
     meshes = np.meshgrid(*[grids[n] for n in names], indexing="ij")
-    cells_in = []
+    cells = []
     for flat_index in range(meshes[0].size):
         values = [complex(m.flat[flat_index]) for m in meshes]
-        cells_in.append((flat_index, dict(zip(names, values))))
-
-    def work(item):
-        flat_index, params = item
-        spec = classes.spec_from_values(cid, *[params[n] for n in names])
+        spec = classes.spec_from_values(cid, *values)
         best = bounds.best_bound(classes.representative(spec), triple).best
         cell = {
             "index": flat_index,
-            "params": {k: v.real for k, v in params.items()},
+            "params": {n: v.real for n, v in zip(names, values)},
             "best": best,
         }
         try:
@@ -241,15 +228,7 @@ def _cmd_sweep(args) -> int:
             cell["delta"] = best - ref
         except TangleboundError:
             cell["compare"] = None
-        return cell
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(work, cells_in))
-    else:
-        cells = [work(item) for item in cells_in]
-    cells.sort(key=lambda c: c["index"])
+        cells.append(cell)
     _emit({"class": cid, "triple": triple, "compare": args.compare, "cells": cells},
           args.output)
     return 0
@@ -271,15 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tanglebound",
         description="Three-tangle bounds for reduced states of four-qubit pure states",
     )
-    parser.add_argument("--output", help="write JSON to this path instead of stdout")
+    output_help = "write JSON to this path instead of stdout"
+    parser.add_argument("--output", help=output_help)
+    # the same flag after the verb; SUPPRESS keeps a pre-verb value when absent
+    after_verb = argparse.ArgumentParser(add_help=False)
+    after_verb.add_argument("--output", default=argparse.SUPPRESS, help=output_help)
     sub = parser.add_subparsers(dest="verb", required=True)
+    add_verb = functools.partial(sub.add_parser, parents=[after_verb])
 
-    p = sub.add_parser("invariants", help="invariant set and correlation report")
+    p = add_verb("invariants", help="invariant set and correlation report")
     p.add_argument("--state", required=True, help="state JSON path")
     p.add_argument("--traced", required=True, choices=["A2", "A3", "A4"])
     p.set_defaults(fn=_cmd_invariants)
 
-    p = sub.add_parser("bound", help="bound report for one qubit triple")
+    p = add_verb("bound", help="bound report for one qubit triple")
     p.add_argument("--state", required=True)
     p.add_argument("--triple", required=True, choices=list(invariants.TRIPLES))
     p.add_argument("--n-theta", type=int, default=256, help="sphere grid rows")
@@ -289,26 +273,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative zero threshold for the pattern classifier")
     p.set_defaults(fn=_cmd_bound)
 
-    p = sub.add_parser("classes", help="class representative bounds and comparisons")
+    p = add_verb("classes", help="class representative bounds and comparisons")
     p.add_argument("--id", required=True, choices=list(classes.CLASS_IDS))
     for name in ("a", "b", "c", "d"):
         p.add_argument(f"--{name}", help=f"complex parameter {name}, e.g. 2+0i")
     p.add_argument("--triple", required=True, choices=list(classes.ALL_TRIPLES))
     p.set_defaults(fn=_cmd_classes)
 
-    p = sub.add_parser("ghzw", help="GHZ/W mixture reference values")
+    p = add_verb("ghzw", help="GHZ/W mixture reference values")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--theta-samples", type=int, default=24)
     p.add_argument("--grid", type=int, default=128)
     p.set_defaults(fn=_cmd_ghzw)
 
-    p = sub.add_parser("decompose", help="bound and decomposition for a rank-2 state")
+    p = add_verb("decompose", help="bound and decomposition for a rank-2 state")
     p.add_argument("--rho", required=True, help="density JSON path")
     p.add_argument("--theta-samples", type=int, default=24)
     p.add_argument("--grid", type=int, default=128)
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("sweep", help="parameter sweep against a literature bound")
+    p = add_verb("sweep", help="parameter sweep against a literature bound")
     p.add_argument("--class", dest="class_id", required=True,
                    choices=["II", "III", "IV", "V"])
     p.add_argument("--param-grid", required=True,
@@ -317,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple", choices=list(classes.SUPPORTED_TRIPLES))
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
+    p = add_verb("selftest", help="run the acceptance suite")
     p.set_defaults(fn=_cmd_selftest)
     return parser
 

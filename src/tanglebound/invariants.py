@@ -111,6 +111,22 @@ def _set_from_fonts(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
     return ThreeQubitInvariantSet(traced, i40, i31, i22, i13, i04)
 
 
+def _endpoint_forms(inv: ThreeQubitInvariantSet, x):
+    """Numerators of I^{4,0}(x), I^{0,4}(x) and their common denominator
+    (1+|x|^2)^2; x is a Python complex or a complex ndarray."""
+    xc = x.conjugate()
+    den = (1.0 + abs(x) ** 2) ** 2
+    f40 = (
+        inv.i40 - 4.0 * xc * inv.i31 + 6.0 * xc ** 2 * inv.i22
+        - 4.0 * xc ** 3 * inv.i13 + xc ** 4 * inv.i04
+    )
+    f04 = (
+        inv.i04 + 4.0 * x * inv.i13 + 6.0 * x ** 2 * inv.i22
+        + 4.0 * x ** 3 * inv.i31 + x ** 4 * inv.i40
+    )
+    return f40, f04, den
+
+
 def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[complex, complex]:
     """Endpoint invariants (I^{4,0}(x), I^{0,4}(x)) after the det-1 unitary u_of_x(x)
     acts on the traced qubit.
@@ -121,32 +137,13 @@ def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[comple
     x = complex(x)
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise NonFinite(f"x = {x!r}")
-    xc = x.conjugate()
-    den = (1.0 + abs(x) ** 2) ** 2
-    i40x = (
-        inv.i40 - 4.0 * xc * inv.i31 + 6.0 * xc ** 2 * inv.i22
-        - 4.0 * xc ** 3 * inv.i13 + xc ** 4 * inv.i04
-    ) / den
-    i04x = (
-        inv.i04 + 4.0 * x * inv.i13 + 6.0 * x ** 2 * inv.i22
-        + 4.0 * x ** 3 * inv.i31 + x ** 4 * inv.i40
-    ) / den
-    return i40x, i04x
+    f40, f04, den = _endpoint_forms(inv, x)
+    return f40 / den, f04 / den
 
 
 def endpoint_moduli(inv: ThreeQubitInvariantSet, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized |I^{4,0}(x)|, |I^{0,4}(x)| over an array of finite x values."""
-    xs = np.asarray(xs, dtype=complex)
-    xc = np.conj(xs)
-    den = (1.0 + np.abs(xs) ** 2) ** 2
-    f40 = (
-        inv.i40 - 4.0 * xc * inv.i31 + 6.0 * xc ** 2 * inv.i22
-        - 4.0 * xc ** 3 * inv.i13 + xc ** 4 * inv.i04
-    )
-    f04 = (
-        inv.i04 + 4.0 * xs * inv.i13 + 6.0 * xs ** 2 * inv.i22
-        + 4.0 * xs ** 3 * inv.i31 + xs ** 4 * inv.i40
-    )
+    f40, f04, den = _endpoint_forms(inv, np.asarray(xs, dtype=complex))
     return np.abs(f40) / den, np.abs(f04) / den
 
 

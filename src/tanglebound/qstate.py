@@ -34,10 +34,17 @@ RANK2_TOL = 1e-10        # third-largest eigenvalue below this counts as rank <=
 ZERO_NORM_TOL = 1e-28
 
 
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        k = int(np.flatnonzero(~np.isfinite(a))[0])
+        raise NonFinite(f"non-finite {what} {complex(a.flat[k])!r} at flat index {k}")
+
+
 def _as_amps(values, n: int) -> np.ndarray:
     a = np.asarray(values, dtype=complex).reshape(-1)
     if a.size != n:
         raise BadStateFormat(f"expected {n} amplitudes, got {a.size}")
+    _check_finite(a, "amplitude")
     a = a.copy()
     a.setflags(write=False)
     return a
@@ -85,6 +92,7 @@ class MixedState3:
         r = np.asarray(self.rho, dtype=complex)
         if r.shape != (8, 8):
             raise BadStateFormat(f"expected an 8x8 matrix, got shape {r.shape}")
+        _check_finite(r, "density matrix entry")
         if np.max(np.abs(r - r.conj().T)) > HERMITIAN_TOL:
             raise NotDensityMatrix("matrix is not Hermitian")
         if abs(np.trace(r).real - 1.0) > TRACE_TOL or abs(np.trace(r).imag) > TRACE_TOL:
@@ -199,23 +207,31 @@ def _phase_fix(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v
 
 
-def purify_rank2(rho: MixedState3, theta: float) -> PureState4:
-    """Four-qubit purification sqrt(p0)|v0>|0> + e^{i theta} sqrt(p1)|v1>|1>.
+def rank2_basis(rho: MixedState3) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(p0, p1, v0, v1): the two largest eigenvalues, descending, and their eigenvectors.
 
-    The eigenbranch with the larger eigenvalue is attached to |0> of the ancilla;
-    theta is the relative phase of the second branch. Eigenvector phases are fixed
-    by making the first nonzero component real positive. With p0 = p1 any
-    orthonormal eigenbasis is acceptable.
+    Eigenvector phases are fixed by making the first nonzero component real
+    positive. Raises RankTooHigh when the third-largest eigenvalue exceeds
+    RANK2_TOL.
     """
-    if not math.isfinite(theta):
-        raise NonFinite(f"theta = {theta!r}")
     evals, vecs = np.linalg.eigh(rho.rho)
     if evals[-3] > RANK2_TOL:
         raise RankTooHigh(f"third-largest eigenvalue {evals[-3]:.3e} exceeds {RANK2_TOL}")
     p0 = float(max(evals[-1], 0.0))
     p1 = float(max(evals[-2], 0.0))
-    v0 = _phase_fix(vecs[:, -1])
-    v1 = _phase_fix(vecs[:, -2])
+    return p0, p1, _phase_fix(vecs[:, -1]), _phase_fix(vecs[:, -2])
+
+
+def purify_rank2(rho: MixedState3, theta: float) -> PureState4:
+    """Four-qubit purification sqrt(p0)|v0>|0> + e^{i theta} sqrt(p1)|v1>|1>.
+
+    The eigenbranch with the larger eigenvalue is attached to |0> of the ancilla;
+    theta is the relative phase of the second branch. The eigenbasis is
+    ``rank2_basis(rho)``; with p0 = p1 any orthonormal eigenbasis is acceptable.
+    """
+    if not math.isfinite(theta):
+        raise NonFinite(f"theta = {theta!r}")
+    p0, p1, v0, v1 = rank2_basis(rho)
     t = np.zeros((8, 2), dtype=complex)   # flat (i1 i2 i3) x ancilla, C-order flattens correctly
     t[:, 0] = math.sqrt(p0) * v0
     if p1 > 0.0:

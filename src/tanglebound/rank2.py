@@ -30,17 +30,18 @@ from .bounds import (
     bound_unitary_3q,
     branch_form_coefficients,
 )
-from .errors import BranchMismatch, NotDensityMatrix, OutOfRange, RankTooHigh
+from .errors import BranchMismatch, NotDensityMatrix, OutOfRange
 from .invariants import invariant_set_A4, three_tangle_pure
 from .qstate import (
-    RANK2_TOL,
     MixedState3,
     PureState3,
     PureState4,
-    _phase_fix,
     check_normalized,
     normalize,
+    purify_rank2,
+    rank2_basis,
 )
+from .quartic import PolyDeg4, roots
 
 RECONSTRUCT_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-10
@@ -187,15 +188,6 @@ def ghzw_decomposition(p: float, branch: str) -> Decomposition:
 # general rank-2 workflow
 # ---------------------------------------------------------------------------
 
-def _range_basis(rho: MixedState3) -> tuple[float, float, np.ndarray, np.ndarray]:
-    evals, vecs = np.linalg.eigh(rho.rho)
-    if evals[-3] > RANK2_TOL:
-        raise RankTooHigh(f"third-largest eigenvalue {evals[-3]:.3e} exceeds {RANK2_TOL}")
-    p0 = float(max(evals[-1], 0.0))
-    p1 = float(max(evals[-2], 0.0))
-    return p0, p1, _phase_fix(vecs[:, -1]), _phase_fix(vecs[:, -2])
-
-
 def _zero_tangle_mixture(p0, p1, v0, v1, inv) -> Decomposition | None:
     """Mixture of the zero-tangle root states reconstructing rho, if one exists.
 
@@ -204,28 +196,19 @@ def _zero_tangle_mixture(p0, p1, v0, v1, inv) -> Decomposition | None:
     mixture of those root states. Feasibility is decided by enumerating root
     subsets and solving the 2x2 moment constraints.
     """
-    g = branch_form_coefficients(inv, p0, p1) if p1 >= PROB_FLOOR else None
-    if g is None:
+    if p1 < PROB_FLOOR:
         return None
-    scale = float(np.max(np.abs(g)))
-    if scale == 0.0:
+    g = branch_form_coefficients(inv, p0, p1)
+    if not np.any(g):
         # every range state has zero tangle
         return make_decomposition(
             [(p0, PureState3(v0))] + ([(p1, PureState3(v1))] if p1 > WEIGHT_DROP else [])
         )
     # projective roots of g0 + 4 g1 t + 6 g2 t^2 + 4 g3 t^3 + g4 t^4
-    coeffs = np.array([g[0], 4.0 * g[1], 6.0 * g[2], 4.0 * g[3], g[4]])
-    deg = 4
-    while deg > 0 and abs(coeffs[deg]) < 1e-12 * scale:
-        deg -= 1
-    directions = []
-    if deg == 0:
-        directions.append((0.0, 1.0))            # only the root at infinity: v1 itself
-    else:
-        for t in np.roots(coeffs[: deg + 1][::-1]):
-            directions.append((1.0, complex(t)))
-        if deg < 4:
-            directions.append((0.0, 1.0))        # root(s) at infinity
+    ts = roots(PolyDeg4(g[0], 4.0 * g[1], 6.0 * g[2], 4.0 * g[3], g[4]))
+    directions = [(1.0, t) for t in ts]
+    if len(ts) < 4:
+        directions.append((0.0, 1.0))            # root(s) at infinity: v1 itself
     states = []
     for u, t in directions:
         vec = u * v0 + t * v1
@@ -288,14 +271,6 @@ def _two_member_decomposition(state: PureState4, x: complex | None) -> Decomposi
     return make_decomposition(members)
 
 
-def _purification_from_basis(p0, p1, v0, v1, theta: float) -> PureState4:
-    """Ancilla purification over a fixed orthonormal eigenbasis."""
-    t = np.zeros((8, 2), dtype=complex)
-    t[:, 0] = math.sqrt(p0) * v0
-    t[:, 1] = cmath.exp(1j * theta) * math.sqrt(p1) * v1
-    return normalize(PureState4(t.reshape(16)))
-
-
 def decompose_rank2(
     rho: MixedState3,
     theta_samples: int = 24,
@@ -309,21 +284,19 @@ def decompose_rank2(
     decomposition comes from the best single rotation witness x (two members),
     or from the root mixture when that certifies zero.
     """
-    p0, p1, v0, v1 = _range_basis(rho)
+    p0, p1, v0, v1 = rank2_basis(rho)
     if p1 < PROB_FLOOR:
         member = PureState3(v0)
         value = three_tangle_pure(member)
         witness = BoundWitness("quartic_A4", value, 0j, (), None)
         return witness, make_decomposition([(1.0, member)])
 
-    zero_mixture = _zero_tangle_mixture(
-        p0, p1, v0, v1, invariant_set_A4(_purification_from_basis(p0, p1, v0, v1, 0.0))
-    )
+    zero_mixture = _zero_tangle_mixture(p0, p1, v0, v1, invariant_set_A4(purify_rank2(rho, 0.0)))
     best: BoundWitness | None = None
     best_x: tuple[float, float, complex] | None = None   # (value, theta, x)
     for k in range(theta_samples):
         theta = 2.0 * math.pi * k / theta_samples
-        inv = invariant_set_A4(_purification_from_basis(p0, p1, v0, v1, theta))
+        inv = invariant_set_A4(purify_rank2(rho, theta))
         witnesses = [
             bound_quartic_A4(inv),
             bound_unitary_3q(inv, p0, p1),
@@ -345,7 +318,5 @@ def decompose_rank2(
         if value <= best.value:
             return BoundWitness("root_mixture", value, None, (), None), zero_mixture
     _, theta_star, x_star = best_x
-    decomposition = _two_member_decomposition(
-        _purification_from_basis(p0, p1, v0, v1, theta_star), x_star
-    )
+    decomposition = _two_member_decomposition(purify_rank2(rho, theta_star), x_star)
     return best, decomposition

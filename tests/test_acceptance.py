@@ -10,6 +10,8 @@ pair realizes, 4 (sqrt|i40| + sqrt|i04|)^2 on the (sum w sqrt(tau))^2 roof,
 computed from the branches' own three-tangles.
 """
 
+import hashlib
+
 import pytest
 
 from tanglebound import acceptance, bounds
@@ -107,3 +109,25 @@ def test_criterion_7_quartic_solver(results):
 def test_criterion_8_endpoint_transform(results):
     """Endpoint transform matches rotate-then-recompute on 200 random pairs."""
     _assert_ok(results[8])
+
+
+def _sha256(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_random_state_draws_are_pinned():
+    """Criteria 5 and 6 draw their 500 states through qstate.random_state; the
+    amplitudes are pinned so that the acceptance draws cannot move."""
+    digest = _sha256(s.amps for s in acceptance._random_states(50, 500))
+    assert digest == "ffac0d3580ea7d7bea5e1fbdcaca50a6bdd01091be59b478d40a6133c291e0cb"
+
+
+def test_random_special_unitary_draws_are_pinned():
+    """Criterion 5 draws its SU(2) rotations from one generator through
+    qstate.random_special_unitary; 3000 draws from it are pinned."""
+    rng = acceptance._rng(5)
+    digest = _sha256(acceptance.qstate.random_special_unitary(rng).u for _ in range(3000))
+    assert digest == "703c5c6453ee7252589d131eeae2cfcd7784ee64d0c4d5c2e71e9ae6d693b09c"

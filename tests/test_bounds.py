@@ -14,6 +14,7 @@ from tanglebound.bounds import (
     bound_grid,
     bound_quartic_A4,
     bound_unitary_3q,
+    branch_form_coefficients,
     classify_group,
 )
 from tanglebound.classes import ClassSpec, literature_bound, representative, spec_from_values
@@ -107,6 +108,58 @@ class TestUnitary3q:
     def test_degenerate_probability_rejected(self):
         with pytest.raises(errors.DegenerateProbability):
             bound_unitary_3q(random_set(np.random.default_rng(1)), 1.0, 0.0)
+
+    def test_witness_zeroes_one_weighted_endpoint(self):
+        """The witness zeroes one branch form of reference_branch_endpoints, and
+        the value is the other, weighted p0^2 (f40 zeroed) or p1^2 (f04 zeroed)."""
+        rng = np.random.default_rng(23)
+        families = set()
+        for _ in range(60):
+            inv = random_set(rng)
+            p0 = float(rng.uniform(0.05, 0.95))
+            p1 = 1.0 - p0
+            wit = bound_unitary_3q(inv, p0, p1)
+            g = branch_form_coefficients(inv, p0, p1)
+            f40, f04 = reference_branch_endpoints(g, wit.witness_x)
+            scale = float(np.max(np.abs(g)))
+            if abs(f40) < abs(f04):
+                assert abs(f40) < 1e-11 * scale
+                expected = 4.0 * p0 ** 2 * abs(f04)
+            else:
+                assert abs(f04) < 1e-11 * scale
+                expected = 4.0 * p1 ** 2 * abs(f40)
+            families.add(abs(f40) < abs(f04))
+            assert wit.value == pytest.approx(expected, rel=1e-12)
+        assert families == {True, False}
+
+    def test_value_is_the_smallest_reference_candidate(self):
+        """Over every root the witness list reports, the value is the smallest
+        weighted complementary branch form."""
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            inv = random_set(rng)
+            p0 = float(rng.uniform(0.05, 0.95))
+            wit = bound_unitary_3q(inv, p0, 1.0 - p0)
+            g = branch_form_coefficients(inv, p0, 1.0 - p0)
+            cands = []
+            for y in wit.roots_used:
+                f40, f04 = reference_branch_endpoints(g, y)
+                if abs(f40) < abs(f04):
+                    cands.append(4.0 * p0 ** 2 * abs(f04))
+                else:
+                    cands.append(4.0 * (1.0 - p0) ** 2 * abs(f40))
+            assert len(cands) == 8
+            assert wit.value == pytest.approx(min(cands), rel=1e-12)
+
+
+def reference_branch_endpoints(g, y):
+    """Probability-weighted endpoint forms at rotation parameter y, written out
+    on the branch coefficients g (the formula bound_unitary_3q is checked against)."""
+    yc = y.conjugate()
+    den = (1.0 + abs(y) ** 2) ** 2
+    f40 = (g[0] + 4.0 * y * g[1] + 6.0 * y ** 2 * g[2] + 4.0 * y ** 3 * g[3] + y ** 4 * g[4]) / den
+    f04 = (g[4] - 4.0 * yc * g[3] + 6.0 * yc ** 2 * g[2] - 4.0 * yc ** 3 * g[1] + yc ** 4 * g[0]) / den
+    return f40, f04
 
 
 class TestGridBound:

@@ -61,6 +61,18 @@ class TestInvariantsVerb:
         assert "error" in err
 
 
+class TestNonFiniteState:
+    @pytest.mark.parametrize("bad,shown", [(float("nan"), "nan"), (float("inf"), "inf")])
+    def test_state_file_is_input_error(self, tmp_path, capsys, bad, shown):
+        amps = qstate.random_state(5).amps.copy()
+        amps[3] = complex(0.1, bad)
+        path = write_state_json(tmp_path, amps)
+        code, out, err = run_cli(capsys, "bound", "--state", path, "--triple", "A1A2A3")
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err and shown in err
+
+
 class TestBoundVerb:
     def test_report(self, tmp_path, capsys):
         s = qstate.random_state(6)
@@ -147,6 +159,16 @@ class TestDecomposeVerb:
             rebuilt += member["weight"] * np.outer(state.amps, state.amps.conj())
         np.testing.assert_allclose(rebuilt, ghzw_rho(0.5).rho, atol=1e-8)
 
+    def test_non_finite_entry_is_input_error(self, tmp_path, capsys):
+        obj = qstate.density_to_json(ghzw_rho(0.5))
+        obj["rho"][2][5] = [float("nan"), 0.0]
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "decompose", "--rho", str(path))
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err and "nan" in err
+
     def test_full_rank_rejected(self, tmp_path, capsys):
         rho = np.eye(8) / 8.0
         path = tmp_path / "rho.json"
@@ -171,15 +193,6 @@ class TestSweepVerb:
         assert [c["index"] for c in report["cells"]] == list(range(9))
         for cell in report["cells"]:
             assert cell["best"] <= cell["compare"] + 1e-8
-
-    def test_threaded_sweep_matches_serial(self, capsys, monkeypatch):
-        args = ["sweep", "--class", "V", "--param-grid", "a=0.4:1.2:4", "--compare", "regu"]
-        code, serial, _ = run_cli(capsys, *args)
-        assert code == 0
-        monkeypatch.setenv("TANGLEBOUND_THREADS", "4")
-        code, threaded, _ = run_cli(capsys, *args)
-        assert code == 0
-        assert serial == threaded
 
     def test_bad_grid_spec(self, capsys):
         code, _, _ = run_cli(
@@ -241,3 +254,12 @@ class TestMisc:
         assert out == ""
         report = json.loads(out_path.read_text())
         assert report["bound"] == 0.0
+
+    def test_output_before_and_after_the_verb(self, tmp_path, capsys):
+        args = ["sweep", "--class", "V", "--param-grid", "a=0.4:1.2:3", "--compare", "regu"]
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        assert main(["--output", str(before)] + args) == 0
+        assert main(args + ["--output", str(after)]) == 0
+        assert capsys.readouterr().out == ""
+        assert before.read_bytes() == after.read_bytes()
+        assert json.loads(before.read_text())["class"] == "V"

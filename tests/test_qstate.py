@@ -18,6 +18,7 @@ from tanglebound.qstate import (
     purify_rank2,
     random_special_unitary,
     random_state,
+    rank2_basis,
     u_of_x,
 )
 
@@ -234,11 +235,41 @@ class TestPurify:
         with pytest.raises(errors.RankTooHigh):
             purify_rank2(MixedState3(rho), 0.0)
 
+    def test_purification_is_built_on_rank2_basis(self):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        rho = MixedState3(a @ a.conj().T / np.sum(np.abs(a) ** 2))
+        p0, p1, v0, v1 = rank2_basis(rho)
+        assert p0 > p1 > 0.0
+        assert abs(v0[np.flatnonzero(np.abs(v0) > 1e-12)[0]].imag) < 1e-15
+        t = np.stack([math.sqrt(p0) * v0, np.exp(0.4j) * math.sqrt(p1) * v1], axis=1)
+        np.testing.assert_allclose(purify_rank2(rho, 0.4).amps, t.reshape(16), atol=1e-14)
+
     def test_not_density_matrix(self):
         bad = np.eye(8, dtype=complex)
         bad[0, 1] = 0.5  # not Hermitian
         with pytest.raises(errors.NotDensityMatrix):
             MixedState3(bad)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("cls,n", [(PureState3, 8), (PureState4, 16)])
+    def test_pure_state_rejects_nan_and_inf(self, cls, n):
+        for bad in (complex("nan"), complex(0.0, float("inf"))):
+            a = np.full(n, 0.25, dtype=complex)
+            a[n - 1] = bad
+            with pytest.raises(errors.NonFinite, match="non-finite"):
+                cls(a)
+
+    def test_density_checked_before_the_eigenvalues(self):
+        rho = np.eye(8, dtype=complex) / 8.0
+        rho[3, 3] = np.nan              # would pass the Hermitian and trace checks
+        with pytest.raises(errors.NonFinite, match="nan"):
+            MixedState3(rho)
+        rho = np.eye(8, dtype=complex) / 8.0
+        rho[1, 2] = rho[2, 1] = np.inf
+        with pytest.raises(errors.NonFinite, match="inf"):
+            MixedState3(rho)
 
 
 class TestRandomGenerators:
