@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbability, WrongCase
+from .errors import DegenerateProbability, OutOfRange, WrongCase
 from .invariants import (
     TRACE_PERMS,
     CorrelationSummary,
     ThreeQubitInvariantSet,
-    endpoint_moduli,
+    _endpoint_forms,
     invariant_set,
     n48_i48,
     traced_qubit_of,
@@ -73,10 +73,16 @@ def _family_roots(coeffs, conjugate_back: bool) -> list[complex]:
     return [w.conjugate() if conjugate_back else w for w in ws]
 
 
+def _endpoint_coefficients(inv: ThreeQubitInvariantSet):
+    """Ascending coefficients of the endpoint numerators: I40 in w = conj(x), I04 in w = x."""
+    c40 = (inv.i40, -4.0 * inv.i31, 6.0 * inv.i22, -4.0 * inv.i13, inv.i04)
+    c04 = (inv.i04, 4.0 * inv.i13, 6.0 * inv.i22, 4.0 * inv.i31, inv.i40)
+    return c40, c04
+
+
 def _endpoint_roots(inv: ThreeQubitInvariantSet):
     """(|I04(x)|, x) at the roots x zeroing I40, and (|I40(x)|, x) at those zeroing I04."""
-    c40 = (inv.i40, -4.0 * inv.i31, 6.0 * inv.i22, -4.0 * inv.i13, inv.i04)  # in w = conj(x)
-    c04 = (inv.i04, 4.0 * inv.i13, 6.0 * inv.i22, 4.0 * inv.i31, inv.i40)    # in w = x
+    c40, c04 = _endpoint_coefficients(inv)
     zero40 = [(abs(transform_endpoints(inv, x)[1]), x) for x in _family_roots(c40, True)]
     zero04 = [(abs(transform_endpoints(inv, x)[0]), x) for x in _family_roots(c04, False)]
     return zero40, zero04
@@ -158,8 +164,20 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
 # grid minimization over the Riemann sphere
 # ---------------------------------------------------------------------------
 
-def _sum_sqrt(inv: ThreeQubitInvariantSet, xs) -> np.ndarray:
-    a40, a04 = endpoint_moduli(inv, np.asarray(xs, dtype=complex))
+def _sphere_values(inv: ThreeQubitInvariantSet, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|) at x = tan(theta_j/2) e^{i phi_l}.
+
+    With r = tan(theta/2) the endpoint numerators are I04 = sum_k c_k r^k e^{ik phi}
+    and I40 = sum_k c'_k r^k e^{-ik phi}, so each is one (n_theta, 5) @ (5, n_phi)
+    product; the common denominator (1 + r^2)^2 depends on theta only.
+    """
+    r = np.tan(theta / 2.0)
+    powers = r[:, None] ** np.arange(5)
+    e = np.exp(1j * np.outer(np.arange(5), phi))
+    c40, c04 = _endpoint_coefficients(inv)
+    den = ((1.0 + r ** 2) ** 2)[:, None]
+    a40 = np.abs((powers * c40) @ e.conj()) / den
+    a04 = np.abs((powers * c04) @ e) / den
     return 2.0 * (np.sqrt(a40) + np.sqrt(a04))
 
 
@@ -173,22 +191,24 @@ def bound_grid(
 
     x = tan(theta/2) e^{i phi} covers theta in (0, pi); the pole x -> infinity
     swaps the endpoint roles and evaluates to the same f as x = 0, so both ends
-    are covered explicitly. The best grid point is refined by coordinate
-    descent with shrinking steps. Quartic endpoint roots are seeded into the
-    candidate set, which makes this a minimum over a superset of the
-    quartic-bound witnesses.
+    are covered explicitly. The grid is evaluated as a separable product in
+    theta and phi. The best grid point is refined by coordinate descent with
+    shrinking steps, one neighbour at a time in scalar arithmetic. Quartic
+    endpoint roots are seeded into the candidate set, which makes this a
+    minimum over a superset of the quartic-bound witnesses.
     """
+    for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if count < 1:
+            raise OutOfRange(f"{name} must be at least 1, got {count!r}")
     if inv.scale() == 0.0:
         return BoundWitness("grid", 0.0, None, (), None)
     theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
-    xs = np.tan(tg / 2.0) * np.exp(1j * pg)
-    vals = _sum_sqrt(inv, xs)
-    k = int(np.argmin(vals))
-    best_theta = float(tg.flat[k])
-    best_phi = float(pg.flat[k])
-    best = float(vals.flat[k])
+    vals = _sphere_values(inv, theta, phi)
+    j, l = divmod(int(np.argmin(vals)), n_phi)
+    best_theta = float(theta[j])
+    best_phi = float(phi[l])
+    best = float(vals[j, l])
 
     # endpoints of the theta range: x = 0 and the pole give the same f value
     pole = 2.0 * (math.sqrt(abs(inv.i04)) + math.sqrt(abs(inv.i40)))
@@ -214,8 +234,8 @@ def bound_grid(
             (best_theta, best_phi - dp),
         ):
             t2 = min(max(t2, 0.0), np.pi * (1.0 - 1e-12))
-            x2 = math.tan(t2 / 2.0) * cmath.exp(1j * p2)
-            v2 = float(_sum_sqrt(inv, [x2])[0])
+            f40, f04, den = _endpoint_forms(inv, math.tan(t2 / 2.0) * cmath.exp(1j * p2))
+            v2 = 2.0 * (math.sqrt(abs(f40) / den) + math.sqrt(abs(f04) / den))
             if v2 < best:
                 best, best_theta, best_phi = v2, t2, p2 % (2.0 * math.pi)
                 moved = True

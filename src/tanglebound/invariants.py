@@ -141,12 +141,6 @@ def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[comple
     return f40 / den, f04 / den
 
 
-def endpoint_moduli(inv: ThreeQubitInvariantSet, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized |I^{4,0}(x)|, |I^{0,4}(x)| over an array of finite x values."""
-    f40, f04, den = _endpoint_forms(inv, np.asarray(xs, dtype=complex))
-    return np.abs(f40) / den, np.abs(f04) / den
-
-
 def n48_i48(inv: ThreeQubitInvariantSet) -> tuple[float, complex]:
     """Degree-eight norm and the four-body invariant of one invariant set."""
     n48 = float(

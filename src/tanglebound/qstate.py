@@ -174,11 +174,7 @@ def permute_qubits(state: PureState4, perm) -> PureState4:
     perm = tuple(perm)
     if sorted(perm) != [1, 2, 3, 4]:
         raise BadPermutation(f"not a bijection of 1..4: {perm!r}")
-    t = state.tensor()
-    out = np.empty_like(t)
-    for idx in np.ndindex(2, 2, 2, 2):
-        out[tuple(idx[p - 1] for p in perm)] = t[idx]
-    return PureState4(out.reshape(-1))
+    return PureState4(state.tensor().transpose([p - 1 for p in perm]))
 
 
 def partial_trace_last(state: PureState4) -> tuple[MixedState3, float, float]:

@@ -284,6 +284,9 @@ def decompose_rank2(
     decomposition comes from the best single rotation witness x (two members),
     or from the root mixture when that certifies zero.
     """
+    for name, count in (("theta_samples", theta_samples), ("grid", grid)):
+        if count < 1:
+            raise OutOfRange(f"{name} must be at least 1, got {count!r}")
     p0, p1, v0, v1 = rank2_basis(rho)
     if p1 < PROB_FLOOR:
         member = PureState3(v0)

@@ -1,13 +1,15 @@
 """Bound constructions: quartic, branch pair, grid, classifier, closed forms, cap."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
-from tanglebound import errors
+from tanglebound import bounds, errors
 from tanglebound.acceptance import _random_states, branch_pair_value
 from tanglebound.bounds import (
+    BoundWitness,
     best_bound,
     bound_cap,
     bound_closed_form,
@@ -20,6 +22,7 @@ from tanglebound.bounds import (
 from tanglebound.classes import ClassSpec, literature_bound, representative, spec_from_values
 from tanglebound.invariants import (
     ThreeQubitInvariantSet,
+    _endpoint_forms,
     correlation_summary,
     invariant_set,
     n48_i48,
@@ -181,6 +184,156 @@ class TestGridBound:
         # with a single endpoint invariant the objective is flat: any x works
         inv = synthetic_set(i40=0.25)
         assert bound_grid(inv).value == pytest.approx(1.0, rel=1e-9)
+
+
+def reference_sum_sqrt(inv, xs):
+    """2 (sqrt|I40(x)| + sqrt|I04(x)|), evaluated pointwise on an array of x."""
+    f40, f04, den = _endpoint_forms(inv, np.asarray(xs, dtype=complex))
+    return 2.0 * (np.sqrt(np.abs(f40) / den) + np.sqrt(np.abs(f04) / den))
+
+
+def reference_bound_grid(inv, n_theta=256, n_phi=256, refine_iters=50):
+    """The pointwise grid search that bound_grid replaced: a meshgrid of x
+    values, one array evaluation, and one-point array evaluations in the descent."""
+    if inv.scale() == 0.0:
+        return BoundWitness("grid", 0.0, None, (), None)
+    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    tg, pg = np.meshgrid(theta, phi, indexing="ij")
+    xs = np.tan(tg / 2.0) * np.exp(1j * pg)
+    vals = reference_sum_sqrt(inv, xs)
+    k = int(np.argmin(vals))
+    best_theta = float(tg.flat[k])
+    best_phi = float(pg.flat[k])
+    best = float(vals.flat[k])
+
+    # endpoints of the theta range: x = 0 and the pole give the same f value
+    pole = 2.0 * (math.sqrt(abs(inv.i04)) + math.sqrt(abs(inv.i40)))
+    if pole < best:
+        best, best_theta, best_phi = pole, 0.0, 0.0
+
+    # exact quartic witnesses are feasible points; seed them in
+    for value, x in bounds.quartic_root_candidates(inv):
+        fx = 2.0 * math.sqrt(value / 4.0)
+        if fx < best:
+            best = fx
+            best_theta = 2.0 * math.atan(abs(x))
+            best_phi = cmath.phase(x) % (2.0 * math.pi)
+
+    dt = np.pi / n_theta
+    dp = 2.0 * np.pi / n_phi
+    for _ in range(refine_iters):
+        moved = False
+        for t2, p2 in (
+            (best_theta + dt, best_phi),
+            (best_theta - dt, best_phi),
+            (best_theta, best_phi + dp),
+            (best_theta, best_phi - dp),
+        ):
+            t2 = min(max(t2, 0.0), np.pi * (1.0 - 1e-12))
+            x2 = math.tan(t2 / 2.0) * cmath.exp(1j * p2)
+            v2 = float(reference_sum_sqrt(inv, [x2])[0])
+            if v2 < best:
+                best, best_theta, best_phi = v2, t2, p2 % (2.0 * math.pi)
+                moved = True
+        if not moved:
+            dt /= 2.0
+            dp /= 2.0
+    witness = math.tan(best_theta / 2.0) * cmath.exp(1j * best_phi)
+    return BoundWitness("grid", best ** 2, witness, (), None)
+
+
+def values_agree(a, b, rel=1e-12, abs_=1e-15):
+    return abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_)
+
+
+def antipodal(x, y):
+    """x and y are antipodes on the Riemann sphere: y = -1 / conj(x)."""
+    return abs(x * y.conjugate() + 1.0) < 1e-12
+
+
+CLASS_GRID_SPECS = [
+    ClassSpec("II", a=1.4 + 0.3j, d=0.6 - 0.5j, c=0.8 + 0.2j),
+    ClassSpec("II", a=2 + 0j, d=1 + 0j, c=1 + 0j),
+    ClassSpec("III", a=1.3 - 0.2j, b=0.4 + 0.7j),
+    ClassSpec("III", a=1 + 0j, b=1 + 0j),
+    ClassSpec("IV", a=1.2 + 0.1j, b=0.5 - 0.6j),
+    ClassSpec("IV", a=0.9 + 0j, b=0.4 + 0j),
+    ClassSpec("V", a=0.9 - 0.6j),
+    ClassSpec("V", a=1.1 + 0j),
+]
+
+
+def grid_comparison_sets():
+    """Random sets, invariant sets of random states, and class representatives
+    (II-V, every traced qubit), each tagged as generic or as a class set."""
+    rng = np.random.default_rng(404)
+    sets = [(random_set(rng), False) for _ in range(30)]
+    sets += [(invariant_set(random_state(700 + k), t), False)
+             for k in range(10) for t in ("A4", "A3", "A2")]
+    sets += [(invariant_set(representative(spec), t), True)
+             for spec in CLASS_GRID_SPECS for t in ("A4", "A3", "A2")]
+    return sets
+
+
+class TestGridMatchesReference:
+    """bound_grid against the pointwise search it replaced."""
+
+    def test_sphere_product_equals_pointwise_values(self):
+        rng = np.random.default_rng(17)
+        theta = np.pi * (np.arange(32) + 0.5) / 32
+        phi = 2.0 * np.pi * np.arange(48) / 48
+        tg, pg = np.meshgrid(theta, phi, indexing="ij")
+        xs = np.tan(tg / 2.0) * np.exp(1j * pg)
+        for _ in range(10):
+            inv = random_set(rng)
+            np.testing.assert_allclose(
+                bounds._sphere_values(inv, theta, phi), reference_sum_sqrt(inv, xs), rtol=1e-12
+            )
+
+    def test_objective_is_antipodally_symmetric(self):
+        # f(x) = f(-1/conj(x)): grid point (j, l) ties with (n-1-j, l+n/2), so
+        # every grid minimum is a tie that rounding breaks
+        inv = random_set(np.random.default_rng(18))
+        theta = np.pi * (np.arange(16) + 0.5) / 16
+        phi = 2.0 * np.pi * np.arange(16) / 16
+        vals = bounds._sphere_values(inv, theta, phi)
+        np.testing.assert_allclose(vals, np.roll(vals[::-1], 8, axis=1), rtol=1e-12)
+
+    def test_values_match_and_witnesses_move_only_on_flat_minima(self):
+        for inv, is_class in grid_comparison_sets():
+            new, old = bound_grid(inv), reference_bound_grid(inv)
+            assert values_agree(new.value, old.value), (inv, new.value, old.value)
+            if new.witness_x != old.witness_x:
+                # a witness may only move to another point of equal objective
+                assert is_class, inv
+                f_new = float(reference_sum_sqrt(inv, [new.witness_x])[0]) ** 2
+                assert values_agree(f_new, old.value), (inv, f_new, old.value)
+
+    def test_unseeded_search_matches_up_to_the_antipodal_tie(self, monkeypatch):
+        # without quartic seeds the sphere search and the descent decide the
+        # value. The descent stalls next to a zero of one endpoint, where
+        # f ~ sqrt|x - x0| turns a rounding-level change of the arithmetic or
+        # of the path into a change of up to ~sqrt(eps) in the value; the
+        # witness is the reference's or its antipodal twin
+        rng = np.random.default_rng(405)
+        sets = [random_set(rng) for _ in range(40)]
+        quartic = [bound_quartic_A4(inv).value for inv in sets]
+        monkeypatch.setattr(bounds, "quartic_root_candidates", lambda inv: [])
+        same = 0
+        for inv, q in zip(sets, quartic):
+            new, old = bound_grid(inv), reference_bound_grid(inv)
+            assert new.value >= q - 1e-8
+            assert values_agree(new.value, old.value, rel=1.5e-8), (inv, new.value, old.value)
+            assert new.witness_x == old.witness_x or antipodal(new.witness_x, old.witness_x)
+            same += new.witness_x == old.witness_x
+        assert same > len(sets) // 2
+
+    @pytest.mark.parametrize("n_theta,n_phi", [(0, 256), (256, 0), (-3, 4)])
+    def test_empty_grid_rejected(self, n_theta, n_phi):
+        inv = random_set(np.random.default_rng(19))
+        with pytest.raises(errors.OutOfRange, match="n_theta" if n_theta < 1 else "n_phi"):
+            bound_grid(inv, n_theta, n_phi)
 
 
 class TestClassifier:

@@ -141,6 +141,25 @@ class TestGhzwVerb:
         assert code == 1
 
 
+class TestEmptyGrids:
+    """Grid sizes below one are input errors that name the argument."""
+
+    @pytest.mark.parametrize("flag,name", [("--n-theta", "n_theta"), ("--n-phi", "n_phi")])
+    def test_bound_grid_size(self, tmp_path, capsys, flag, name):
+        path = write_state_json(tmp_path, qstate.random_state(6).amps)
+        code, out, err = run_cli(capsys, "bound", "--state", path, "--triple", "A1A2A3", flag, "0")
+        assert code == 1
+        assert out == ""
+        assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,name", [("--grid", "grid"), ("--theta-samples", "theta_samples")])
+    def test_ghzw_scan_size(self, capsys, flag, name):
+        code, out, err = run_cli(capsys, "ghzw", "--p", "0.8", flag, "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and name in err
+
+
 class TestDecomposeVerb:
     def test_rank2_file(self, tmp_path, capsys):
         rho = ghzw_rho(0.5)

@@ -1,5 +1,6 @@
 """State construction, local unitaries, permutation, partial trace, purification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -153,6 +154,15 @@ class TestPermutation:
     def test_bad_permutation(self):
         with pytest.raises(errors.BadPermutation):
             permute_qubits(random_state(0), (1, 1, 3, 4))
+
+    def test_all_permutations_match_the_index_loop(self):
+        s = random_state(6)
+        t = s.tensor()
+        for perm in itertools.permutations((1, 2, 3, 4)):
+            expected = np.empty_like(t)
+            for idx in np.ndindex(2, 2, 2, 2):
+                expected[tuple(idx[p - 1] for p in perm)] = t[idx]
+            assert np.array_equal(permute_qubits(s, perm).amps, expected.reshape(-1)), perm
 
 
 class TestPartialTrace:

@@ -165,6 +165,17 @@ class TestDecomposeRank2:
         assert len(deco.members) == 1
         assert deco.members[0][0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"theta_samples": 0}, "theta_samples"),
+        ({"grid": 0}, "grid"),
+    ])
+    def test_empty_scan_rejected(self, kwargs, name):
+        # also on the pure-state shortcut, which runs no scan at all
+        g = ghz_state().amps
+        for rho in (ghzw_rho(0.8), MixedState3(np.outer(g, g.conj()))):
+            with pytest.raises(errors.OutOfRange, match=name):
+                decompose_rank2(rho, **kwargs)
+
     def test_half_mixture_certified_zero(self):
         witness, deco = decompose_rank2(ghzw_rho(0.5))
         assert witness.value < 1e-6
