@@ -28,7 +28,7 @@ from .invariants import (
     ThreeQubitInvariantSet,
     _endpoint_forms,
     invariant_set,
-    n48_i48,
+    summary_from_set,
     traced_qubit_of,
     transform_endpoints,
 )
@@ -38,6 +38,8 @@ from .quartic import PolyDeg4, roots
 PROB_FLOOR = 1e-12
 EQUAL_PROB_TOL = 1e-9
 ZERO_PATTERN_TOL = 1e-10
+#: coordinate-descent steps after the grid search
+REFINE_ITERS = 50
 
 GROUP_CASES = ("i", "ii", "iii", "iv", "v", "vi", "generic")
 
@@ -181,21 +183,16 @@ def _sphere_values(inv: ThreeQubitInvariantSet, theta: np.ndarray, phi: np.ndarr
     return 2.0 * (np.sqrt(a40) + np.sqrt(a04))
 
 
-def bound_grid(
-    inv: ThreeQubitInvariantSet,
-    n_theta: int = 256,
-    n_phi: int = 256,
-    refine_iters: int = 50,
-) -> BoundWitness:
+def bound_grid(inv: ThreeQubitInvariantSet, n_theta: int = 256, n_phi: int = 256) -> BoundWitness:
     """Minimize f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|) over the sphere; value = min^2.
 
     x = tan(theta/2) e^{i phi} covers theta in (0, pi); the pole x -> infinity
     swaps the endpoint roles and evaluates to the same f as x = 0, so both ends
     are covered explicitly. The grid is evaluated as a separable product in
-    theta and phi. The best grid point is refined by coordinate descent with
-    shrinking steps, one neighbour at a time in scalar arithmetic. Quartic
-    endpoint roots are seeded into the candidate set, which makes this a
-    minimum over a superset of the quartic-bound witnesses.
+    theta and phi. The best grid point is refined by REFINE_ITERS rounds of
+    coordinate descent with shrinking steps, one neighbour at a time in scalar
+    arithmetic. Quartic endpoint roots are seeded into the candidate set, which
+    makes this a minimum over a superset of the quartic-bound witnesses.
     """
     for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
         if count < 1:
@@ -225,7 +222,7 @@ def bound_grid(
 
     dt = np.pi / n_theta
     dp = 2.0 * np.pi / n_phi
-    for _ in range(refine_iters):
+    for _ in range(REFINE_ITERS):
         moved = False
         for t2, p2 in (
             (best_theta + dt, best_phi),
@@ -250,21 +247,18 @@ def bound_grid(
 # zero-pattern classifier and closed forms
 # ---------------------------------------------------------------------------
 
-def classify_group(
-    inv: ThreeQubitInvariantSet,
-    three_way: float,
-    rel_tol: float = ZERO_PATTERN_TOL,
-) -> str:
+def classify_group(inv: ThreeQubitInvariantSet, three_way: float) -> str:
     """Assign one of the six sparse groups, or "generic".
 
-    An invariant counts as zero when its modulus is below rel_tol times the
-    largest modulus in the set (scale-free). Vanishing three-way correlation
+    An invariant counts as zero when its modulus is below ZERO_PATTERN_TOL times
+    the largest modulus in the set (scale-free), the tolerance that
+    bound_closed_form checks its case against. Vanishing three-way correlation
     short-circuits to case "i".
     """
     scale = inv.scale()
-    if scale == 0.0 or three_way < rel_tol * 16.0 * scale ** 2:
+    if scale == 0.0 or three_way < ZERO_PATTERN_TOL * 16.0 * scale ** 2:
         return "i"
-    nz = _nonzero_pattern(inv, rel_tol)
+    nz = _nonzero_pattern(inv)
     return {
         frozenset({"40"}): "ii",
         frozenset({"04"}): "iii",
@@ -274,11 +268,11 @@ def classify_group(
     }.get(nz, "generic")
 
 
-def _nonzero_pattern(inv: ThreeQubitInvariantSet, rel_tol: float) -> frozenset:
+def _nonzero_pattern(inv: ThreeQubitInvariantSet) -> frozenset:
     scale = inv.scale()
     labels = ("40", "31", "22", "13", "04")
     return frozenset(
-        lab for lab, z in zip(labels, inv.as_array()) if abs(z) >= rel_tol * scale
+        lab for lab, z in zip(labels, inv.as_array()) if abs(z) >= ZERO_PATTERN_TOL * scale
     )
 
 
@@ -303,10 +297,9 @@ def bound_closed_form(inv: ThreeQubitInvariantSet, case: str) -> BoundWitness:
     """
     if case not in _CASE_SUPPORT:
         raise WrongCase(f"unknown case {case!r}")
-    if case != "i" and not _nonzero_pattern(inv, ZERO_PATTERN_TOL) <= _CASE_SUPPORT[case]:
+    if case != "i" and not _nonzero_pattern(inv) <= _CASE_SUPPORT[case]:
         raise WrongCase(
-            f"case {case!r} incompatible with nonzero pattern "
-            f"{sorted(_nonzero_pattern(inv, ZERO_PATTERN_TOL))}"
+            f"case {case!r} incompatible with nonzero pattern {sorted(_nonzero_pattern(inv))}"
         )
     a40, a22, a13, a04 = abs(inv.i40), abs(6.0 * inv.i22), abs(4.0 * inv.i13), abs(inv.i04)
     if case == "i":
@@ -334,14 +327,7 @@ def bound_cap(summary: CorrelationSummary) -> BoundWitness:
 # combined report
 # ---------------------------------------------------------------------------
 
-def best_bound(
-    state: PureState4,
-    triple: str,
-    n_theta: int = 256,
-    n_phi: int = 256,
-    refine_iters: int = 50,
-    zero_tol: float = ZERO_PATTERN_TOL,
-) -> BoundReport:
+def best_bound(state: PureState4, triple: str) -> BoundReport:
     """Run every applicable method for one triple and report the minimum.
 
     Methods: cap, classifier + closed form (sparse patterns only), the quartic
@@ -354,12 +340,9 @@ def best_bound(
     """
     traced = traced_qubit_of(triple)
     inv = invariant_set(state, traced)
-    n48, i48 = n48_i48(inv)
-    summary = CorrelationSummary(
-        triple, n48, i48, 16.0 * abs(12.0 * i48), 16.0 * (n48 - 2.0 * abs(i48))
-    )
+    summary = summary_from_set(triple, inv)
     methods = [bound_cap(summary)]
-    case = classify_group(inv, summary.three_way, zero_tol)
+    case = classify_group(inv, summary.three_way)
     if case != "generic":
         methods.append(bound_closed_form(inv, case))
     methods.append(bound_quartic_A4(inv))
@@ -368,7 +351,7 @@ def best_bound(
     p1 = float(np.sum(np.abs(phi1) ** 2))
     if min(p0, p1) >= PROB_FLOOR and abs(p0 - p1) <= EQUAL_PROB_TOL:
         methods.append(bound_unitary_3q(inv, p0, p1))
-    methods.append(bound_grid(inv, n_theta, n_phi, refine_iters))
+    methods.append(bound_grid(inv))
     best = min(m.value for m in methods)
     cap = methods[0].value
     tightness = best / cap if cap > 0.0 else 0.0

@@ -69,12 +69,7 @@ def _cmd_bound(args) -> int:
     if not isinstance(state, qstate.PureState4):
         raise TangleboundError("bound needs a four-qubit state")
     state = qstate.normalize(state)
-    report = bounds.best_bound(
-        state, args.triple,
-        n_theta=args.n_theta, n_phi=args.n_phi,
-        refine_iters=args.refine_iters, zero_tol=args.zero_tol,
-    )
-    _emit(bounds.report_to_json(report), args.output)
+    _emit(bounds.report_to_json(bounds.best_bound(state, args.triple)), args.output)
     return 0
 
 
@@ -266,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_verb("bound", help="bound report for one qubit triple")
     p.add_argument("--state", required=True)
     p.add_argument("--triple", required=True, choices=list(invariants.TRIPLES))
-    p.add_argument("--n-theta", type=int, default=256, help="sphere grid rows")
-    p.add_argument("--n-phi", type=int, default=256, help="sphere grid columns")
-    p.add_argument("--refine-iters", type=int, default=50, help="descent refinement steps")
-    p.add_argument("--zero-tol", type=float, default=1e-10,
-                   help="relative zero threshold for the pattern classifier")
     p.set_defaults(fn=_cmd_bound)
 
     p = add_verb("classes", help="class representative bounds and comparisons")

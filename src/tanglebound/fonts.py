@@ -27,20 +27,17 @@ class FontSet3:
 
 @dataclass(frozen=True)
 class FontSet4:
-    """All font determinants of a four-qubit state, seven index families.
+    """The font determinants of a four-qubit state that the invariants read.
 
     Array layouts follow the subscript/superscript labels:
-      d2_A3A4[i3, i4], d2_A2A4[i2, i4], d2_A2A3[i2, i3]   (two-way)
-      d3_A4[i3, i4], d3_A3[i4, i3], d3_A2[i4, i2]         (three-way)
-      d4[i3, i4]                                           (four-way)
+      d2_A3A4[i3, i4]                 (two-way)
+      d3_A4[i3, i4], d3_A3[i4, i3]    (three-way)
+      d4[i3, i4]                      (four-way)
     """
 
     d2_A3A4: np.ndarray = field()
-    d2_A2A4: np.ndarray = field()
-    d2_A2A3: np.ndarray = field()
     d3_A4: np.ndarray = field()
     d3_A3: np.ndarray = field()
-    d3_A2: np.ndarray = field()
     d4: np.ndarray = field()
 
 
@@ -56,52 +53,19 @@ def compute_fonts3(state: PureState3) -> FontSet3:
 
 
 def compute_fonts4(state: PureState4) -> FontSet4:
-    """Fill the full determinant table of a four-qubit state."""
+    """Fill the two-, three- and four-way determinant families of a four-qubit state."""
     t = state.tensor()
     d2_a3a4 = np.empty((2, 2), dtype=complex)
-    d2_a2a4 = np.empty((2, 2), dtype=complex)
-    d2_a2a3 = np.empty((2, 2), dtype=complex)
     d3_a4 = np.empty((2, 2), dtype=complex)
     d3_a3 = np.empty((2, 2), dtype=complex)
-    d3_a2 = np.empty((2, 2), dtype=complex)
     d4 = np.empty((2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
             # two-way: both remaining indices fixed
             d2_a3a4[i, j] = t[0, 0, i, j] * t[1, 1, i, j] - t[1, 0, i, j] * t[0, 1, i, j]
-            d2_a2a4[i, j] = t[0, i, 0, j] * t[1, i, 1, j] - t[1, i, 0, j] * t[0, i, 1, j]
-            d2_a2a3[i, j] = t[0, i, j, 0] * t[1, i, j, 1] - t[1, i, j, 0] * t[0, i, j, 1]
             # three-way: superscript index flips, subscript qubit stays
             d3_a4[i, j] = t[0, 0, i, j] * t[1, 1, i ^ 1, j] - t[1, 0, i, j] * t[0, 1, i ^ 1, j]
             d3_a3[i, j] = t[0, 0, j, i] * t[1, 1, j, i ^ 1] - t[1, 0, j, i] * t[0, 1, j, i ^ 1]
-            d3_a2[i, j] = t[0, j, 0, i] * t[1, j, 1, i ^ 1] - t[1, j, 0, i] * t[0, j, 1, i ^ 1]
             # four-way: both trailing indices flip
             d4[i, j] = t[0, 0, i, j] * t[1, 1, i ^ 1, j ^ 1] - t[1, 0, i, j] * t[0, 1, i ^ 1, j ^ 1]
-    return FontSet4(d2_a3a4, d2_a2a4, d2_a2a3, d3_a4, d3_a3, d3_a2, d4)
-
-
-def fontset3_to_json(fonts: FontSet3) -> dict:
-    out = {}
-    for i3 in range(2):
-        out[f"D^{{00}}_{{(A3){i3}}}"] = _pair(fonts.d2way[i3])
-        out[f"D^{{00{i3}}}"] = _pair(fonts.d3way[i3])
-    return out
-
-
-def fontset4_to_json(fonts: FontSet4) -> dict:
-    """Debug dump keyed by the font determinant labels."""
-    out = {}
-    for i in range(2):
-        for j in range(2):
-            out[f"D^{{00}}_{{(A3){i}(A4){j}}}"] = _pair(fonts.d2_A3A4[i, j])
-            out[f"D^{{00}}_{{(A2){i}(A4){j}}}"] = _pair(fonts.d2_A2A4[i, j])
-            out[f"D^{{00}}_{{(A2){i}(A3){j}}}"] = _pair(fonts.d2_A2A3[i, j])
-            out[f"D^{{00{i}}}_{{(A4){j}}}"] = _pair(fonts.d3_A4[i, j])
-            out[f"D^{{00{i}}}_{{(A3){j}}}"] = _pair(fonts.d3_A3[i, j])
-            out[f"D^{{00{i}}}_{{(A2){j}}}"] = _pair(fonts.d3_A2[i, j])
-            out[f"D^{{00{i}{j}}}"] = _pair(fonts.d4[i, j])
-    return out
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+    return FontSet4(d2_a3a4, d3_a4, d3_a3, d4)

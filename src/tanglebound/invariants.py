@@ -163,19 +163,23 @@ def traced_qubit_of(triple: str) -> str:
     return TRIPLES[triple]
 
 
+def summary_from_set(triple: str, inv: ThreeQubitInvariantSet) -> CorrelationSummary:
+    """N48, I48, tau48 and the three-way correlation measure of one invariant set."""
+    n48, i48 = n48_i48(inv)
+    return CorrelationSummary(
+        triple, n48, i48, 16.0 * abs(12.0 * i48), 16.0 * (n48 - 2.0 * abs(i48))
+    )
+
+
 def correlation_summary(state: PureState4, triple: str) -> CorrelationSummary:
     """N48, I48, tau48 and the three-way correlation measure for one qubit triple."""
-    traced = traced_qubit_of(triple)
-    inv = invariant_set(state, traced)
-    n48, i48 = n48_i48(inv)
-    tau48 = 16.0 * abs(12.0 * i48)
-    three_way = 16.0 * (n48 - 2.0 * abs(i48))
-    return CorrelationSummary(triple, n48, i48, tau48, three_way)
+    return summary_from_set(triple, invariant_set(state, traced_qubit_of(triple)))
 
 
 def invariants_to_json(inv: ThreeQubitInvariantSet) -> dict:
     """Invariant report: set entries plus the derived degree-eight quantities."""
-    n48, i48 = n48_i48(inv)
+    triple = next(t for t, traced in TRIPLES.items() if traced == inv.traced)
+    summary = summary_from_set(triple, inv)
     return {
         "traced": inv.traced,
         "I": {
@@ -185,10 +189,10 @@ def invariants_to_json(inv: ThreeQubitInvariantSet) -> dict:
             "13": _pair(inv.i13),
             "04": _pair(inv.i04),
         },
-        "N48": n48,
-        "absI48": abs(i48),
-        "tau48": 16.0 * abs(12.0 * i48),
-        "three_way": 16.0 * (n48 - 2.0 * abs(i48)),
+        "N48": summary.n48,
+        "absI48": abs(summary.i48),
+        "tau48": summary.tau48,
+        "three_way": summary.three_way,
     }
 
 

@@ -242,13 +242,6 @@ def random_state(seed) -> PureState4:
     return normalize(PureState4(a))
 
 
-def random_state3(seed) -> PureState3:
-    """Normalized three-qubit state with i.i.d. complex Gaussian amplitudes."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    return normalize(PureState3(a))
-
-
 def random_special_unitary(seed) -> Qubit2Unitary:
     """Haar-ish det-1 unitary from QR orthonormalization of a complex Gaussian."""
     rng = np.random.default_rng(seed)

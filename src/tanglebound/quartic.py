@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DidNotConverge, ZeroPolynomial
 
 RESIDUAL_TOL = 1e-9
-DEFAULT_SCALE_TOL = 1e-12
+SCALE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,10 @@ class PolyDeg4:
         return c[0] + w * (c[1] + w * (c[2] + w * (c[3] + w * c[4])))
 
 
-def roots(p: PolyDeg4, scale_tol: float = DEFAULT_SCALE_TOL) -> list[complex]:
+def roots(p: PolyDeg4) -> list[complex]:
     """All roots of p, with multiplicity; length equals the effective degree.
 
-    Leading coefficients below scale_tol * max|c_i| are dropped (the lost roots
+    Leading coefficients below SCALE_TOL * max|c_i| are dropped (the lost roots
     sit at infinity). Raises ZeroPolynomial when every coefficient vanishes and
     DidNotConverge if a root fails the residual contract.
     """
@@ -48,7 +48,7 @@ def roots(p: PolyDeg4, scale_tol: float = DEFAULT_SCALE_TOL) -> list[complex]:
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients are zero")
     deg = 4
-    while deg > 0 and abs(c[deg]) < scale_tol * scale:
+    while deg > 0 and abs(c[deg]) < SCALE_TOL * scale:
         deg -= 1
     if deg == 0:
         return []

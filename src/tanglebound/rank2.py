@@ -313,13 +313,17 @@ def decompose_rank2(
                 if best_x is None or cand[0] < best_x[0]:
                     best_x = cand
 
-    assert best is not None and best_x is not None
+    assert best is not None
     if zero_mixture is not None:
         # report what the mixture actually certifies (tiny but not forced to 0
-        # when a root carries floating-point error)
+        # when a root carries floating-point error); an all-zero invariant set
+        # leaves no rotation witness, and the mixture is then the answer
         value = _realized_value(zero_mixture)
-        if value <= best.value:
+        if best_x is None or value <= best.value:
             return BoundWitness("root_mixture", value, None, (), None), zero_mixture
+    # the phase only rotates the invariants, so a set without a witness is all
+    # zero at every phase, and then the zero-tangle mixture exists
+    assert best_x is not None
     _, theta_star, x_star = best_x
     decomposition = _two_member_decomposition(purify_rank2(rho, theta_star), x_star)
     return best, decomposition

@@ -91,6 +91,14 @@ class TestBoundVerb:
         code, _, _ = run_cli(capsys, "bound", "--state", path, "--triple", "A2A3A4")
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--n-theta", "--n-phi", "--refine-iters", "--zero-tol"])
+    def test_tuning_flag_rejected(self, tmp_path, capsys, flag):
+        path = write_state_json(tmp_path, qstate.random_state(6).amps)
+        code, out, err = run_cli(capsys, "bound", "--state", path, "--triple", "A1A2A3", flag, "1")
+        assert code == 1
+        assert out == ""
+        assert flag in err and "Traceback" not in err
+
 
 class TestClassesVerb:
     def test_class_five_reference_point(self, capsys):
@@ -144,14 +152,6 @@ class TestGhzwVerb:
 class TestEmptyGrids:
     """Grid sizes below one are input errors that name the argument."""
 
-    @pytest.mark.parametrize("flag,name", [("--n-theta", "n_theta"), ("--n-phi", "n_phi")])
-    def test_bound_grid_size(self, tmp_path, capsys, flag, name):
-        path = write_state_json(tmp_path, qstate.random_state(6).amps)
-        code, out, err = run_cli(capsys, "bound", "--state", path, "--triple", "A1A2A3", flag, "0")
-        assert code == 1
-        assert out == ""
-        assert name in err and "Traceback" not in err
-
     @pytest.mark.parametrize("flag,name", [("--grid", "grid"), ("--theta-samples", "theta_samples")])
     def test_ghzw_scan_size(self, capsys, flag, name):
         code, out, err = run_cli(capsys, "ghzw", "--p", "0.8", flag, "0")
@@ -187,6 +187,22 @@ class TestDecomposeVerb:
         assert code == 1
         assert out == ""
         assert "non-finite" in err and "nan" in err
+
+    def test_all_zero_invariant_set_gives_the_root_mixture(self, tmp_path, capsys):
+        rho = np.diag([0.6, 0.4, 0, 0, 0, 0, 0, 0]).astype(complex)
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(qstate.density_to_json(qstate.MixedState3(rho))))
+        code, out, err = run_cli(
+            capsys, "decompose", "--rho", str(path), "--theta-samples", "4", "--grid", "16"
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["bound"] == {"method": "root_mixture", "value": 0.0, "x": None}
+        rebuilt = np.zeros((8, 8), dtype=complex)
+        for member in report["decomposition"]["members"]:
+            state = qstate.state_from_json(member["state"])
+            rebuilt += member["weight"] * np.outer(state.amps, state.amps.conj())
+        np.testing.assert_allclose(rebuilt, rho, atol=1e-8)
 
     def test_full_rank_rejected(self, tmp_path, capsys):
         rho = np.eye(8) / 8.0

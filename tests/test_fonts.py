@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tanglebound.fonts import compute_fonts3, compute_fonts4, fontset4_to_json
+from tanglebound.fonts import compute_fonts3, compute_fonts4
 from tanglebound.qstate import PureState3, PureState4, normalize
 
 # Independent oracle: each determinant family written as index-rule data.
@@ -13,11 +13,8 @@ from tanglebound.qstate import PureState3, PureState4, normalize
 # "i"/"j" are the family's two free bits, "I"/"J" their complements.
 FOUR_QUBIT_RULES = {
     "d2_A3A4": (("0", "0", "i", "j"), ("1", "1", "i", "j"), ("1", "0", "i", "j"), ("0", "1", "i", "j")),
-    "d2_A2A4": (("0", "i", "0", "j"), ("1", "i", "1", "j"), ("1", "i", "0", "j"), ("0", "i", "1", "j")),
-    "d2_A2A3": (("0", "i", "j", "0"), ("1", "i", "j", "1"), ("1", "i", "j", "0"), ("0", "i", "j", "1")),
     "d3_A4": (("0", "0", "i", "j"), ("1", "1", "I", "j"), ("1", "0", "i", "j"), ("0", "1", "I", "j")),
     "d3_A3": (("0", "0", "j", "i"), ("1", "1", "j", "I"), ("1", "0", "j", "i"), ("0", "1", "j", "I")),
-    "d3_A2": (("0", "j", "0", "i"), ("1", "j", "1", "I"), ("1", "j", "0", "i"), ("0", "j", "1", "I")),
     "d4": (("0", "0", "i", "j"), ("1", "1", "I", "J"), ("1", "0", "i", "j"), ("0", "1", "I", "J")),
 }
 
@@ -79,7 +76,7 @@ class TestFonts4:
         a = np.zeros(16, dtype=complex)
         a[0] = 1.0
         f = compute_fonts4(PureState4(a))
-        for field in (f.d2_A3A4, f.d2_A2A4, f.d2_A2A3, f.d3_A4, f.d3_A3, f.d3_A2, f.d4):
+        for field in (f.d2_A3A4, f.d3_A4, f.d3_A3, f.d4):
             np.testing.assert_array_equal(field, np.zeros((2, 2)))
 
     def test_ghz4(self):
@@ -88,7 +85,7 @@ class TestFonts4:
         f = compute_fonts4(PureState4(a))
         assert f.d4[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert f.d4[0, 1] == f.d4[1, 0] == f.d4[1, 1] == 0
-        for field in (f.d2_A3A4, f.d2_A2A4, f.d2_A2A3, f.d3_A4, f.d3_A3, f.d3_A2):
+        for field in (f.d2_A3A4, f.d3_A4, f.d3_A3):
             np.testing.assert_array_equal(field, np.zeros((2, 2)))
 
     def test_class_two_against_brute_force(self):
@@ -133,17 +130,3 @@ class TestFonts4:
             assert abs(f4.d2_A3A4[i3, 1]) < 1e-14
         np.testing.assert_allclose(f4.d4[:, 1], 0.0, atol=1e-14)
         np.testing.assert_allclose(f4.d3_A3, 0.0, atol=1e-14)
-
-    def test_json_dump_keys_and_recompute(self):
-        s = class_two_state(2.0, 1.0, 1.0)
-        dump = fontset4_to_json(compute_fonts4(s))
-        assert len(dump) == 28
-        assert dump["D^{00}_{(A3)0(A4)0}"] == pytest.approx([3.0 / 32.0, 0.0], abs=1e-14)
-        assert dump["D^{00}_{(A3)1(A4)0}"] == pytest.approx([-1.0 / 8.0, 0.0], abs=1e-14)
-
-    def test_json_dump_three_qubit(self):
-        from tanglebound.fonts import fontset3_to_json
-        ghz = PureState3((ket3("000") + ket3("111")) / math.sqrt(2))
-        dump = fontset3_to_json(compute_fonts3(ghz))
-        assert dump["D^{000}"] == pytest.approx([0.5, 0.0], abs=1e-15)
-        assert dump["D^{00}_{(A3)0}"] == [0.0, 0.0]

@@ -227,6 +227,15 @@ class TestDecomposeRank2:
         assert witness.value < 1e-9
         np.testing.assert_allclose(deco.reconstructed.rho, rho.rho, atol=1e-8)
 
+    def test_all_zero_invariant_set_gives_the_root_mixture(self):
+        # |000> and |001> differ on one qubit only: every purification phase
+        # has an all-zero invariant set and no rotation witness
+        rho = MixedState3(np.diag([0.6, 0.4, 0, 0, 0, 0, 0, 0]).astype(complex))
+        witness, deco = decompose_rank2(rho, theta_samples=4, grid=16)
+        assert witness.method == "root_mixture"
+        assert witness.value == 0.0
+        np.testing.assert_allclose(deco.reconstructed.rho, rho.rho, atol=1e-8)
+
     def test_nonorthogonal_product_mixture_certified_zero(self):
         # both members are product states (tangle 0) but not orthogonal; the
         # root states of the quartic form still contain them, so the mixture
