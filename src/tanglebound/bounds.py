@@ -91,22 +91,29 @@ def _endpoint_roots(inv: ThreeQubitInvariantSet):
 
 
 def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, complex]]:
-    """(value, x) pairs: 4 |complementary endpoint| at every root of both families."""
+    """(value, x) pairs: 4 |complementary endpoint| at every root of both families.
+
+    A set with no three- or four-way content has no roots and yields none.
+    """
+    if inv.scale() == 0.0:
+        return []
     zero40, zero04 = _endpoint_roots(inv)
     return [(4.0 * a, x) for a, x in zero40 + zero04]
 
 
-def bound_quartic_A4(inv: ThreeQubitInvariantSet) -> BoundWitness:
+def bound_quartic_A4(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     """Zero one endpoint invariant exactly, read off the other: 4 min over roots.
 
     Both root families are scanned (multiple roots exist even though a single
     witness suffices in principle). A set with no three- or four-way content
-    yields zero directly.
+    yields zero directly. ``candidates`` is ``quartic_root_candidates(inv)``
+    when the caller already has it; it is not modified.
     """
     if inv.scale() == 0.0:
         return BoundWitness("quartic_A4", 0.0, None, (), None)
-    cands = quartic_root_candidates(inv)
-    cands.sort(key=_candidate_key)
+    if candidates is None:
+        candidates = quartic_root_candidates(inv)
+    cands = sorted(candidates, key=_candidate_key)
     value, x = cands[0]
     return BoundWitness("quartic_A4", value, x, tuple(x for _, x in cands), None)
 
@@ -183,16 +190,21 @@ def _sphere_values(inv: ThreeQubitInvariantSet, theta: np.ndarray, phi: np.ndarr
     return 2.0 * (np.sqrt(a40) + np.sqrt(a04))
 
 
-def bound_grid(inv: ThreeQubitInvariantSet, n_theta: int = 256, n_phi: int = 256) -> BoundWitness:
+def bound_grid(
+    inv: ThreeQubitInvariantSet, n_theta: int = 256, n_phi: int = 256, *, candidates=None
+) -> BoundWitness:
     """Minimize f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|) over the sphere; value = min^2.
 
     x = tan(theta/2) e^{i phi} covers theta in (0, pi); the pole x -> infinity
     swaps the endpoint roles and evaluates to the same f as x = 0, so both ends
     are covered explicitly. The grid is evaluated as a separable product in
-    theta and phi. The best grid point is refined by REFINE_ITERS rounds of
-    coordinate descent with shrinking steps, one neighbour at a time in scalar
-    arithmetic. Quartic endpoint roots are seeded into the candidate set, which
-    makes this a minimum over a superset of the quartic-bound witnesses.
+    theta and phi. Since f(x) = f(-1/conj(x)), grid point (j, l) has the value
+    of (n_theta-1-j, l+n_phi/2); with n_phi even only the rows j < ceil(n_theta/2)
+    are evaluated. The best grid point is refined by REFINE_ITERS rounds of
+    coordinate descent with shrinking steps, one neighbour at a time in Python
+    complex arithmetic. Quartic endpoint roots (``candidates``, solved here when
+    not given) are seeded into the candidate set, which makes this a minimum
+    over a superset of the quartic-bound witnesses.
     """
     for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
         if count < 1:
@@ -201,7 +213,8 @@ def bound_grid(inv: ThreeQubitInvariantSet, n_theta: int = 256, n_phi: int = 256
         return BoundWitness("grid", 0.0, None, (), None)
     theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    vals = _sphere_values(inv, theta, phi)
+    rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
+    vals = _sphere_values(inv, theta[:rows], phi)
     j, l = divmod(int(np.argmin(vals)), n_phi)
     best_theta = float(theta[j])
     best_phi = float(phi[l])
@@ -213,13 +226,16 @@ def bound_grid(inv: ThreeQubitInvariantSet, n_theta: int = 256, n_phi: int = 256
         best, best_theta, best_phi = pole, 0.0, 0.0
 
     # exact quartic witnesses are feasible points; seed them in
-    for value, x in quartic_root_candidates(inv):
+    if candidates is None:
+        candidates = quartic_root_candidates(inv)
+    for value, x in candidates:
         fx = 2.0 * math.sqrt(value / 4.0)
         if fx < best:
             best = fx
             best_theta = 2.0 * math.atan(abs(x))
             best_phi = cmath.phase(x) % (2.0 * math.pi)
 
+    scalar = ThreeQubitInvariantSet(inv.traced, *map(complex, inv.as_array()))
     dt = np.pi / n_theta
     dp = 2.0 * np.pi / n_phi
     for _ in range(REFINE_ITERS):
@@ -231,7 +247,7 @@ def bound_grid(inv: ThreeQubitInvariantSet, n_theta: int = 256, n_phi: int = 256
             (best_theta, best_phi - dp),
         ):
             t2 = min(max(t2, 0.0), np.pi * (1.0 - 1e-12))
-            f40, f04, den = _endpoint_forms(inv, math.tan(t2 / 2.0) * cmath.exp(1j * p2))
+            f40, f04, den = _endpoint_forms(scalar, math.tan(t2 / 2.0) * cmath.exp(1j * p2))
             v2 = 2.0 * (math.sqrt(abs(f40) / den) + math.sqrt(abs(f04) / den))
             if v2 < best:
                 best, best_theta, best_phi = v2, t2, p2 % (2.0 * math.pi)
@@ -345,13 +361,14 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
     case = classify_group(inv, summary.three_way)
     if case != "generic":
         methods.append(bound_closed_form(inv, case))
-    methods.append(bound_quartic_A4(inv))
+    candidates = quartic_root_candidates(inv)
+    methods.append(bound_quartic_A4(inv, candidates=candidates))
     phi0, phi1 = branch_vectors(permute_qubits(state, TRACE_PERMS[traced]))
     p0 = float(np.sum(np.abs(phi0) ** 2))
     p1 = float(np.sum(np.abs(phi1) ** 2))
     if min(p0, p1) >= PROB_FLOOR and abs(p0 - p1) <= EQUAL_PROB_TOL:
         methods.append(bound_unitary_3q(inv, p0, p1))
-    methods.append(bound_grid(inv))
+    methods.append(bound_grid(inv, candidates=candidates))
     best = min(m.value for m in methods)
     cap = methods[0].value
     tightness = best / cap if cap > 0.0 else 0.0

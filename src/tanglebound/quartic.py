@@ -52,28 +52,60 @@ def roots(p: PolyDeg4) -> list[complex]:
         deg -= 1
     if deg == 0:
         return []
-    found = np.roots(c[: deg + 1][::-1])
+    found = _companion_roots(c[: deg + 1])
 
-    # guarded Newton polish on the full polynomial
-    dc = c[1:] * np.arange(1, 5)
+    # guarded Newton polish on the full polynomial, in Python complex: products
+    # and sums round as numpy's do, and _divide rounds as numpy's division, so
+    # the roots are bit for bit those of a numpy-scalar polish
+    c0, c1, c2, c3, c4 = (complex(z) for z in c)
+    d0, d1, d2, d3 = c1 * 1, c2 * 2, c3 * 3, c4 * 4
     out = []
     for w in found:
-        r = abs(p(w))
+        w = complex(w)
+        r = abs(c0 + w * (c1 + w * (c2 + w * (c3 + w * c4))))
         for _ in range(3):
-            d = dc[0] + w * (dc[1] + w * (dc[2] + w * dc[3]))
+            d = d0 + w * (d1 + w * (d2 + w * d3))
             if d == 0:
                 break
-            w2 = w - p(w) / d
-            r2 = abs(p(w2))
+            w2 = w - _divide(c0 + w * (c1 + w * (c2 + w * (c3 + w * c4))), d)
+            r2 = abs(c0 + w2 * (c1 + w2 * (c2 + w2 * (c3 + w2 * c4))))
             if r2 < r:
                 w, r = w2, r2
             else:
                 break
         if r > RESIDUAL_TOL * scale * max(1.0, abs(w)) ** 4:
             raise DidNotConverge(f"residual {r:.3e} at root {w!r}")
-        out.append(complex(w))
+        out.append(w)
     out.sort(key=lambda z: (z.real, z.imag))
     return out
+
+
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """Roots of the ascending coefficients c with c[-1] != 0, as np.roots finds them:
+    exact zeros among the lowest coefficients are roots at 0, and the rest are
+    the eigenvalues of the companion matrix of the remaining coefficients."""
+    low = 0
+    while c[low] == 0:
+        low += 1
+    desc = c[low:][::-1]
+    n = len(desc) - 1
+    if n == 0:
+        return np.zeros(low)
+    a = np.diag(np.ones(n - 1, dtype=complex), -1)
+    a[0, :] = -desc[1:] / desc[0]
+    return np.concatenate((np.linalg.eigvals(a), np.zeros(low, dtype=complex)))
+
+
+def _divide(a: complex, b: complex) -> complex:
+    """a / b in the rounding of numpy's complex division (Smith's method scaled by
+    a reciprocal), which differs from Python's by an ulp on about 40% of inputs."""
+    if abs(b.real) >= abs(b.imag):
+        rat = b.imag / b.real
+        scl = 1.0 / (b.real + b.imag * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = b.real / b.imag
+    scl = 1.0 / (b.imag + b.real * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
 
 
 def reconstruct_monic(root_list) -> np.ndarray:

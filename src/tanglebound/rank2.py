@@ -29,6 +29,7 @@ from .bounds import (
     bound_quartic_A4,
     bound_unitary_3q,
     branch_form_coefficients,
+    quartic_root_candidates,
 )
 from .errors import BranchMismatch, NotDensityMatrix, OutOfRange
 from .invariants import invariant_set_A4, three_tangle_pure
@@ -46,6 +47,10 @@ from .quartic import PolyDeg4, roots
 RECONSTRUCT_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-10
 WEIGHT_DROP = 1e-12
+#: a root mixture realizing at most this much is returned without the phase
+#: scan: every scan value is >= 0, so the scan could undercut it by no more
+#: (tangles are <= 1; zero-tangle mixtures of GHZ/W states realize <= 2.3e-16)
+ROOT_MIXTURE_TOL = 1e-14
 _CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
 
 
@@ -282,7 +287,8 @@ def decompose_rank2(
     run on the purification's invariant set; the reported value is the minimum,
     also taking the exact root-mixture test into account. The returned
     decomposition comes from the best single rotation witness x (two members),
-    or from the root mixture when that certifies zero.
+    or from the root mixture when that certifies zero. A root mixture that
+    realizes at most ROOT_MIXTURE_TOL is returned before the scan.
     """
     for name, count in (("theta_samples", theta_samples), ("grid", grid)):
         if count < 1:
@@ -295,15 +301,22 @@ def decompose_rank2(
         return witness, make_decomposition([(1.0, member)])
 
     zero_mixture = _zero_tangle_mixture(p0, p1, v0, v1, invariant_set_A4(purify_rank2(rho, 0.0)))
+    if zero_mixture is not None:
+        # report what the mixture actually certifies (tiny but not forced to 0
+        # when a root carries floating-point error)
+        mixture_value = _realized_value(zero_mixture)
+        if mixture_value <= ROOT_MIXTURE_TOL:
+            return BoundWitness("root_mixture", mixture_value, None, (), None), zero_mixture
     best: BoundWitness | None = None
     best_x: tuple[float, float, complex] | None = None   # (value, theta, x)
     for k in range(theta_samples):
         theta = 2.0 * math.pi * k / theta_samples
         inv = invariant_set_A4(purify_rank2(rho, theta))
+        candidates = quartic_root_candidates(inv)
         witnesses = [
-            bound_quartic_A4(inv),
+            bound_quartic_A4(inv, candidates=candidates),
             bound_unitary_3q(inv, p0, p1),
-            bound_grid(inv, grid, grid),
+            bound_grid(inv, grid, grid, candidates=candidates),
         ]
         for wit in witnesses:
             if best is None or wit.value < best.value - 1e-15:
@@ -314,13 +327,10 @@ def decompose_rank2(
                     best_x = cand
 
     assert best is not None
-    if zero_mixture is not None:
-        # report what the mixture actually certifies (tiny but not forced to 0
-        # when a root carries floating-point error); an all-zero invariant set
-        # leaves no rotation witness, and the mixture is then the answer
-        value = _realized_value(zero_mixture)
-        if best_x is None or value <= best.value:
-            return BoundWitness("root_mixture", value, None, (), None), zero_mixture
+    # an all-zero invariant set leaves no rotation witness, and the mixture is
+    # then the answer
+    if zero_mixture is not None and (best_x is None or mixture_value <= best.value):
+        return BoundWitness("root_mixture", mixture_value, None, (), None), zero_mixture
     # the phase only rotates the invariants, so a set without a witness is all
     # zero at every phase, and then the zero-tangle mixture exists
     assert best_x is not None

@@ -34,6 +34,7 @@ from tanglebound.qstate import (
     random_special_unitary,
     random_state,
 )
+from tanglebound.quartic import roots
 
 RNG = np.random.default_rng(101)
 
@@ -300,15 +301,32 @@ class TestGridMatchesReference:
         vals = bounds._sphere_values(inv, theta, phi)
         np.testing.assert_allclose(vals, np.roll(vals[::-1], 8, axis=1), rtol=1e-12)
 
-    def test_values_match_and_witnesses_move_only_on_flat_minima(self):
+    @pytest.mark.parametrize("n_theta,n_phi,rows", [
+        (8, 6, 4), (7, 9, 7), (16, 16, 8), (256, 256, 128),
+    ])
+    def test_values_match_and_witnesses_move_only_on_flat_minima(
+        self, n_theta, n_phi, rows, monkeypatch
+    ):
+        # with n_phi even the antipode of a grid point is on the grid and only
+        # the rows j < ceil(n_theta/2) are evaluated; an odd n_phi keeps all rows
+        sphere_rows = []
+        sphere_values = bounds._sphere_values
+
+        def recording(inv, theta, phi):
+            sphere_rows.append(len(theta))
+            return sphere_values(inv, theta, phi)
+
+        monkeypatch.setattr(bounds, "_sphere_values", recording)
         for inv, is_class in grid_comparison_sets():
-            new, old = bound_grid(inv), reference_bound_grid(inv)
+            new = bound_grid(inv, n_theta, n_phi)
+            old = reference_bound_grid(inv, n_theta, n_phi)
             assert values_agree(new.value, old.value), (inv, new.value, old.value)
             if new.witness_x != old.witness_x:
                 # a witness may only move to another point of equal objective
                 assert is_class, inv
                 f_new = float(reference_sum_sqrt(inv, [new.witness_x])[0]) ** 2
                 assert values_agree(f_new, old.value), (inv, f_new, old.value)
+        assert set(sphere_rows) == {rows}
 
     def test_unseeded_search_matches_up_to_the_antipodal_tie(self, monkeypatch):
         # without quartic seeds the sphere search and the descent decide the
@@ -456,6 +474,24 @@ class TestBestBound:
                 values = {m.method: m.value for m in report.methods}
                 assert values["grid"] <= values["quartic_A4"] + 1e-8
                 assert values["quartic_A4"] <= values["cap"] + 1e-8
+
+    @pytest.mark.parametrize("state,triple,solves", [
+        (random_state(78), "A1A2A4", 2),
+        (representative(ClassSpec("III", a=1.3 - 0.2j, b=0.4 + 0.7j)), "A1A2A3", 4),
+    ])
+    def test_endpoint_quartics_solved_once_per_report(self, state, triple, solves, monkeypatch):
+        # quartic_A4 and the grid share one solve of the two endpoint quartics;
+        # unitary_3q (equal branch probabilities, class III on A1A2A3) adds two
+        calls = []
+
+        def counting(poly):
+            calls.append(poly)
+            return roots(poly)
+
+        monkeypatch.setattr(bounds, "roots", counting)
+        report = best_bound(state, triple)
+        assert ("unitary_3q" in [m.method for m in report.methods]) == (solves == 4)
+        assert len(calls) == solves
 
     def test_invariance_under_special_unitaries(self):
         # every method value, not just the minimum, survives det-1 rotations

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from tanglebound.errors import ZeroPolynomial
-from tanglebound.quartic import PolyDeg4, reconstruct_monic, roots
+from tanglebound.bounds import _endpoint_coefficients
+from tanglebound.errors import DidNotConverge, ZeroPolynomial
+from tanglebound.invariants import invariant_set
+from tanglebound.qstate import random_state
+from tanglebound.quartic import RESIDUAL_TOL, SCALE_TOL, PolyDeg4, reconstruct_monic, roots
 
 
 class TestRoots:
@@ -70,3 +73,79 @@ class TestRoots:
     def test_deterministic_ordering(self):
         c = PolyDeg4(0.3 - 1j, 0.7, -0.2j, 1.1, 0.9 + 0.4j)
         assert roots(c) == roots(c)
+
+
+def reference_roots(p: PolyDeg4) -> list[complex]:
+    """The implementation roots replaced: np.roots, then a Newton polish in
+    numpy scalar arithmetic through PolyDeg4.__call__."""
+    c = p.coeffs()
+    scale = float(np.max(np.abs(c)))
+    deg = 4
+    while deg > 0 and abs(c[deg]) < SCALE_TOL * scale:
+        deg -= 1
+    if deg == 0:
+        return []
+    found = np.roots(c[: deg + 1][::-1])
+    dc = c[1:] * np.arange(1, 5)
+    out = []
+    for w in found:
+        r = abs(p(w))
+        for _ in range(3):
+            d = dc[0] + w * (dc[1] + w * (dc[2] + w * dc[3]))
+            if d == 0:
+                break
+            w2 = w - p(w) / d
+            r2 = abs(p(w2))
+            if r2 < r:
+                w, r = w2, r2
+            else:
+                break
+        if r > RESIDUAL_TOL * scale * max(1.0, abs(w)) ** 4:
+            raise DidNotConverge(f"residual {r:.3e} at root {w!r}")
+        out.append(complex(w))
+    out.sort(key=lambda z: (z.real, z.imag))
+    return out
+
+
+#: coefficients fixed in each drawn case: a degree drop (c4 below
+#: SCALE_TOL * max|c_i|), one root exactly at 0, a double root at 0
+FIXED_COEFFICIENTS = {
+    "random": {},
+    "degree_drop": {4: 1e-15},
+    "c0_zero": {0: 0.0},
+    "c0_c1_zero": {0: 0.0, 1: 0.0},
+}
+
+
+def reference_cases(kind: str) -> list[PolyDeg4]:
+    if kind == "fourfold":                # (w - 1)^4
+        return [PolyDeg4(1.0, -4.0, 6.0, -4.0, 1.0)]
+    if kind == "invariant_sets":          # both endpoint quartics of 60 sets
+        return [
+            PolyDeg4(*c)
+            for k in range(20)
+            for traced in ("A4", "A3", "A2")
+            for c in _endpoint_coefficients(invariant_set(random_state(900 + k), traced))
+        ]
+    rng = np.random.default_rng(80)
+    cases = []
+    for _ in range(100):
+        c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        for k, value in FIXED_COEFFICIENTS[kind].items():
+            c[k] = value
+        cases.append(PolyDeg4(*c))
+    return cases
+
+
+class TestRootsMatchReference:
+    """roots against the np.roots + PolyDeg4 polish it replaced, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "degree_drop", "c0_zero", "c0_c1_zero", "fourfold", "invariant_sets"]
+    )
+    def test_same_roots(self, kind):
+        for poly in reference_cases(kind):
+            new, old = roots(poly), reference_roots(poly)
+            assert new == old, poly
+            # == does not see the sign of a zero part; the repr does
+            assert repr(new) == repr(old), poly

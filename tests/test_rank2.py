@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tanglebound import errors
+from tanglebound import bounds, errors, rank2
 from tanglebound.bounds import bound_cap
 from tanglebound.invariants import (
     correlation_summary,
@@ -14,6 +14,7 @@ from tanglebound.invariants import (
 )
 from tanglebound.qstate import MixedState3, purify_rank2
 from tanglebound.rank2 import (
+    ROOT_MIXTURE_TOL,
     GhzWMixture,
     decompose_rank2,
     ghz_state,
@@ -182,6 +183,24 @@ class TestDecomposeRank2:
         np.testing.assert_allclose(deco.reconstructed.rho, ghzw_rho(0.5).rho, atol=1e-8)
         for _, member in deco.members:
             assert three_tangle_pure(member) < 1e-9
+
+    def test_rounding_level_root_mixture_skips_the_scan(self, monkeypatch):
+        # below the GHZ/W threshold the root mixture realizes ~1e-16 and is
+        # returned before any purification phase is scanned; above it the scan runs
+        solved = []
+
+        def counting(inv):
+            solved.append(inv)
+            return bounds.quartic_root_candidates(inv)
+
+        monkeypatch.setattr(rank2, "quartic_root_candidates", counting)
+        for p in (0.3, 0.5):
+            witness, _ = decompose_rank2(ghzw_rho(p))
+            assert witness.method == "root_mixture"
+            assert 0.0 <= witness.value <= ROOT_MIXTURE_TOL
+        assert solved == []
+        decompose_rank2(ghzw_rho(0.8), theta_samples=3, grid=16)
+        assert len(solved) == 3
 
     def test_point_eight_bounded_by_tabulated_value(self):
         witness, deco = decompose_rank2(ghzw_rho(0.8))
