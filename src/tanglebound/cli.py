@@ -177,6 +177,8 @@ def _parse_grid_spec(text: str) -> dict[str, np.ndarray]:
         pieces = rng.split(":")
         if name not in ("a", "b", "c", "d") or len(pieces) != 3:
             raise TangleboundError(f"bad grid spec { part!r}: want name=start:stop:count")
+        if name in grids:
+            raise TangleboundError(f"grid spec {text!r} names parameter {name!r} twice")
         start, stop, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
         if count < 1:
             raise TangleboundError(f"bad grid count in {part!r}")
@@ -296,10 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: building the tree costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

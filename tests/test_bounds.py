@@ -354,6 +354,140 @@ class TestGridMatchesReference:
             bound_grid(inv, n_theta, n_phi)
 
 
+def scalar_bound_grid(
+    inv: ThreeQubitInvariantSet, n_theta: int = 256, n_phi: int = 256, *, candidates=None
+) -> BoundWitness:
+    """bound_grid with its coordinate descent run one neighbour at a time in
+    Python complex arithmetic, as it was before the descent became one array batch."""
+    for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if count < 1:
+            raise errors.OutOfRange(f"{name} must be at least 1, got {count!r}")
+    if inv.scale() == 0.0:
+        return BoundWitness("grid", 0.0, None, (), None)
+    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
+    vals = bounds._sphere_values(inv, theta[:rows], phi)
+    j, l = divmod(int(np.argmin(vals)), n_phi)
+    best_theta = float(theta[j])
+    best_phi = float(phi[l])
+    best = float(vals[j, l])
+
+    # endpoints of the theta range: x = 0 and the pole give the same f value
+    pole = 2.0 * (math.sqrt(abs(inv.i04)) + math.sqrt(abs(inv.i40)))
+    if pole < best:
+        best, best_theta, best_phi = pole, 0.0, 0.0
+
+    # exact quartic witnesses are feasible points; seed them in
+    if candidates is None:
+        candidates = bounds.quartic_root_candidates(inv)
+    for value, x in candidates:
+        fx = 2.0 * math.sqrt(value / 4.0)
+        if fx < best:
+            best = fx
+            best_theta = 2.0 * math.atan(abs(x))
+            best_phi = cmath.phase(x) % (2.0 * math.pi)
+
+    scalar = ThreeQubitInvariantSet(inv.traced, *map(complex, inv.as_array()))
+    dt = np.pi / n_theta
+    dp = 2.0 * np.pi / n_phi
+    for _ in range(bounds.REFINE_ITERS):
+        moved = False
+        for t2, p2 in (
+            (best_theta + dt, best_phi),
+            (best_theta - dt, best_phi),
+            (best_theta, best_phi + dp),
+            (best_theta, best_phi - dp),
+        ):
+            t2 = min(max(t2, 0.0), np.pi * (1.0 - 1e-12))
+            f40, f04, den = _endpoint_forms(scalar, math.tan(t2 / 2.0) * cmath.exp(1j * p2))
+            v2 = 2.0 * (math.sqrt(abs(f40) / den) + math.sqrt(abs(f04) / den))
+            if v2 < best:
+                best, best_theta, best_phi = v2, t2, p2 % (2.0 * math.pi)
+                moved = True
+        if not moved:
+            dt /= 2.0
+            dp /= 2.0
+    witness = math.tan(best_theta / 2.0) * cmath.exp(1j * best_phi)
+    return BoundWitness("grid", best ** 2, witness, (), None)
+
+
+def scalar_descent_values(inv, best_theta, best_phi, dt, dp):
+    """The descent loop of scalar_bound_grid from a start value nothing beats:
+    every point the descent evaluates when no neighbour improves."""
+    values = []
+    for _ in range(bounds.REFINE_ITERS):
+        for t2, p2 in (
+            (best_theta + dt, best_phi),
+            (best_theta - dt, best_phi),
+            (best_theta, best_phi + dp),
+            (best_theta, best_phi - dp),
+        ):
+            t2 = min(max(t2, 0.0), np.pi * (1.0 - 1e-12))
+            f40, f04, den = _endpoint_forms(inv, math.tan(t2 / 2.0) * cmath.exp(1j * p2))
+            values.append(2.0 * (math.sqrt(abs(f40) / den) + math.sqrt(abs(f04) / den)))
+        dt /= 2.0
+        dp /= 2.0
+    return values
+
+
+class TestBatchedDescent:
+    """bound_grid evaluates the descent as one array batch and replays the
+    scalar rounds only from the first move; the result is bit-identical."""
+
+    @pytest.fixture
+    def scalar_calls(self, monkeypatch):
+        calls = []
+        endpoint_forms = bounds._endpoint_forms
+
+        def counting(inv, x):
+            calls.append(x)
+            return endpoint_forms(inv, x)
+
+        monkeypatch.setattr(bounds, "_endpoint_forms", counting)
+        return calls
+
+    def test_batch_values_equal_the_scalar_values(self):
+        # every point, not just the first hit: a rounding difference anywhere
+        # could hide or invent a move on some other set
+        rng = np.random.default_rng(406)
+        for inv, _ in grid_comparison_sets():
+            scalar = ThreeQubitInvariantSet(inv.traced, *map(complex, inv.as_array()))
+            starts = [(0.0, 0.0), (math.pi, 1.0)]
+            starts += [(2.0 * math.atan(abs(x)), cmath.phase(x) % (2.0 * math.pi))
+                       for _, x in bounds.quartic_root_candidates(inv)]
+            starts += [tuple(rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi)))
+                       for _ in range(2)]
+            for k, (theta, phi) in enumerate(starts):
+                n_theta, n_phi = ((256, 256), (7, 9))[k % 2]
+                steps = (math.pi / n_theta, 2.0 * math.pi / n_phi)
+                batch = bounds._descent_values(scalar, theta, phi, *steps)
+                assert batch.tolist() == scalar_descent_values(scalar, theta, phi, *steps), inv
+
+    @pytest.mark.parametrize("n_theta,n_phi", [
+        (7, 9), (8, 6), (16, 16), (128, 128), (256, 256),
+    ])
+    def test_repr_equal_to_the_scalar_descent(self, n_theta, n_phi):
+        for inv, _ in grid_comparison_sets():
+            new = bound_grid(inv, n_theta, n_phi)
+            assert repr(new) == repr(scalar_bound_grid(inv, n_theta, n_phi)), inv
+
+    @pytest.mark.parametrize("n_theta,n_phi", [(7, 9), (16, 16), (256, 256)])
+    def test_unseeded_search_replays_and_stays_repr_equal(self, n_theta, n_phi, scalar_calls):
+        # without quartic seeds the descent starts at a grid point and moves,
+        # so the scalar replay runs
+        for inv, _ in grid_comparison_sets():
+            new = bound_grid(inv, n_theta, n_phi, candidates=[])
+            old = scalar_bound_grid(inv, n_theta, n_phi, candidates=[])
+            assert repr(new) == repr(old), inv
+        assert scalar_calls
+
+    def test_seeded_report_runs_no_scalar_round(self, scalar_calls):
+        for triple in ("A1A2A3", "A1A2A4", "A1A3A4"):
+            best_bound(random_state(71), triple)
+        assert scalar_calls == []
+
+
 class TestClassifier:
     def test_class_one_is_case_i(self):
         spec = spec_from_values("I", *[complex(v) for v in RNG.uniform(0.2, 2, 4)])

@@ -1,10 +1,15 @@
 """Command-line interface: parsing, verbs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tanglebound
 from tanglebound import acceptance, invariants, qstate
 from tanglebound.cli import main, parse_complex
 from tanglebound.rank2 import ghzw_rho
@@ -235,6 +240,14 @@ class TestSweepVerb:
         )
         assert code == 1
 
+    def test_duplicated_grid_name_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--class", "V", "--param-grid", "a=0.3:1.7:2,a=1:1.1:1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "'a' twice" in err
+
 
 class TestSelftestVerb:
     def test_subset_runs_and_reports(self, capsys, monkeypatch):
@@ -298,3 +311,36 @@ class TestMisc:
         assert capsys.readouterr().out == ""
         assert before.read_bytes() == after.read_bytes()
         assert json.loads(before.read_text())["class"] == "V"
+
+    def test_successive_calls_match_separate_runs(self, tmp_path, capsys):
+        # main builds its parser once per process; reusing it must not carry
+        # anything from one call into the next, a rejected call included
+        state = write_state_json(tmp_path, qstate.random_state(5).amps)
+
+        def calls(out_dir):
+            out_dir.mkdir()
+            return [
+                ["bound", "--state", state, "--triple", "A1A2A4"],
+                ["--output", str(out_dir / "classes.json"),
+                 "classes", "--id", "V", "--a", "0.9-0.6i", "--triple", "A1A3A4"],
+                ["ghzw", "--p", "0.5", "--frob", "1"],
+                ["sweep", "--class", "V", "--param-grid", "a=0.4:1.2:3",
+                 "--output", str(out_dir / "sweep.json")],
+                ["invariants", "--state", state, "--traced", "A3"],
+            ]
+
+        in_process = []
+        for argv in calls(tmp_path / "one"):
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        env = dict(os.environ, PYTHONPATH=str(Path(tanglebound.__file__).parents[1]))
+        separate = []
+        for argv in calls(tmp_path / "each"):
+            run = subprocess.run([sys.executable, "-m", "tanglebound.cli", *argv],
+                                 capture_output=True, text=True, env=env)
+            separate.append((run.returncode, run.stdout))
+        assert in_process == separate
+        assert [code for code, _ in in_process] == [0, 0, 1, 0, 0]
+        assert in_process[2][1] == ""
+        for name in ("classes.json", "sweep.json"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "each" / name).read_bytes()
