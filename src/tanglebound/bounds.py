@@ -173,21 +173,50 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
 # grid minimization over the Riemann sphere
 # ---------------------------------------------------------------------------
 
-def _sphere_values(inv: ThreeQubitInvariantSet, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|) at x = tan(theta_j/2) e^{i phi_l}.
+#: sphere rows evaluated per block: the largest temporary, a (16, 256) complex
+#: product, is 64 KiB, half of glibc's default mmap threshold, so a freed block
+#: stays in malloc's free lists instead of being returned to the OS and faulted in
+#: again on the next call
+SPHERE_BLOCK_ROWS = 16
+
+
+def _sphere_min(
+    inv: ThreeQubitInvariantSet, theta: np.ndarray, phi: np.ndarray
+) -> tuple[int, float]:
+    """First minimum, in row-major order, of f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|)
+    at x = tan(theta_j/2) e^{i phi_l}: (flat index j n_phi + l, value).
 
     With r = tan(theta/2) the endpoint numerators are I04 = sum_k c_k r^k e^{ik phi}
-    and I40 = sum_k c'_k r^k e^{-ik phi}, so each is one (n_theta, 5) @ (5, n_phi)
-    product; the common denominator (1 + r^2)^2 depends on theta only.
+    and I40 = sum_k c'_k r^k e^{-ik phi}, so each is an (n_theta, 5) @ (5, n_phi)
+    product; the common denominator (1 + r^2)^2 depends on theta only. The
+    products run on blocks of SPHERE_BLOCK_ROWS rows and the full grid is never
+    built; a later block replaces the best only when strictly below it, as
+    np.argmin keeps the first occurrence. A 1-row product takes BLAS's
+    matrix-vector path, which rounds differently, so a trailing single row joins
+    the block before it; every value then equals the full-grid product's.
     """
     r = np.tan(theta / 2.0)
     powers = r[:, None] ** np.arange(5)
     e = np.exp(1j * np.outer(np.arange(5), phi))
+    ec = e.conj()
     c40, c04 = _endpoint_coefficients(inv)
     den = ((1.0 + r ** 2) ** 2)[:, None]
-    a40 = np.abs((powers * c40) @ e.conj()) / den
-    a04 = np.abs((powers * c04) @ e) / den
-    return 2.0 * (np.sqrt(a40) + np.sqrt(a04))
+    p40 = powers * c40
+    p04 = powers * c04
+    stops = list(range(SPHERE_BLOCK_ROWS, len(theta), SPHERE_BLOCK_ROWS)) + [len(theta)]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    best_k, best = 0, math.inf
+    start = 0
+    for stop in stops:
+        a40 = np.abs(p40[start:stop] @ ec) / den[start:stop]
+        a04 = np.abs(p04[start:stop] @ e) / den[start:stop]
+        vals = 2.0 * (np.sqrt(a40) + np.sqrt(a04))
+        k = int(np.argmin(vals))
+        if start == 0 or vals.flat[k] < best:
+            best_k, best = start * len(phi) + k, float(vals.flat[k])
+        start = stop
+    return best_k, best
 
 
 def bound_grid(
@@ -198,17 +227,19 @@ def bound_grid(
     x = tan(theta/2) e^{i phi} covers theta in (0, pi); the pole x -> infinity
     swaps the endpoint roles and evaluates to the same f as x = 0, so both ends
     are covered explicitly. The grid is evaluated as a separable product in
-    theta and phi. Since f(x) = f(-1/conj(x)), grid point (j, l) has the value
-    of (n_theta-1-j, l+n_phi/2); with n_phi even only the rows j < ceil(n_theta/2)
-    are evaluated. The best grid point is refined by REFINE_ITERS rounds of
-    coordinate descent with shrinking steps (_descend, one neighbour at a time
-    in Python complex arithmetic). The descent's points as they would be if it
-    never moved are evaluated first in one array batch that rounds exactly as
-    the scalar rounds; only from the round of the first improvement, if any,
-    are the scalar rounds run, so the result is bit-identical to running them
-    all. Quartic endpoint roots (``candidates``, solved here when not given)
-    are seeded into the candidate set, which makes this a minimum over a
-    superset of the quartic-bound witnesses.
+    theta and phi, in blocks of SPHERE_BLOCK_ROWS rows that keep only the first
+    minimum (_sphere_min); its values and the point it picks are bit-identical
+    to evaluating the whole grid at once. Since f(x) = f(-1/conj(x)), grid point
+    (j, l) has the value of (n_theta-1-j, l+n_phi/2); with n_phi even only the
+    rows j < ceil(n_theta/2) are evaluated. The best grid point is refined by
+    REFINE_ITERS rounds of coordinate descent with shrinking steps (_descend,
+    one neighbour at a time in Python complex arithmetic). The descent's points
+    as they would be if it never moved are evaluated first in one array batch
+    that rounds exactly as the scalar rounds; only from the round of the first
+    improvement, if any, are the scalar rounds run, so the result is
+    bit-identical to running them all. Quartic endpoint roots (``candidates``,
+    solved here when not given) are seeded into the candidate set, which makes
+    this a minimum over a superset of the quartic-bound witnesses.
     """
     for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
         if count < 1:
@@ -218,11 +249,10 @@ def bound_grid(
     theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
-    vals = _sphere_values(inv, theta[:rows], phi)
-    j, l = divmod(int(np.argmin(vals)), n_phi)
+    k, best = _sphere_min(inv, theta[:rows], phi)
+    j, l = divmod(k, n_phi)
     best_theta = float(theta[j])
     best_phi = float(phi[l])
-    best = float(vals[j, l])
 
     # endpoints of the theta range: x = 0 and the pole give the same f value
     pole = 2.0 * (math.sqrt(abs(inv.i04)) + math.sqrt(abs(inv.i40)))

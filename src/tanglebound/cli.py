@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -176,10 +177,17 @@ def _parse_grid_spec(text: str) -> dict[str, np.ndarray]:
         name = name.strip()
         pieces = rng.split(":")
         if name not in ("a", "b", "c", "d") or len(pieces) != 3:
-            raise TangleboundError(f"bad grid spec { part!r}: want name=start:stop:count")
+            raise TangleboundError(f"bad grid spec {part!r}: want name=start:stop:count")
         if name in grids:
             raise TangleboundError(f"grid spec {text!r} names parameter {name!r} twice")
-        start, stop, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+        try:
+            start, stop, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+        except ValueError:
+            raise TangleboundError(
+                f"bad grid spec {part!r}: want real start and stop and an integer count"
+            ) from None
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise TangleboundError(f"bad grid spec {part!r}: start and stop must be finite")
         if count < 1:
             raise TangleboundError(f"bad grid count in {part!r}")
         grids[name] = np.linspace(start, stop, count)

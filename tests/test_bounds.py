@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,24 @@ def grid_comparison_sets():
     return sets
 
 
+def sphere_values(inv: ThreeQubitInvariantSet, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|) at x = tan(theta_j/2) e^{i phi_l}.
+
+    With r = tan(theta/2) the endpoint numerators are I04 = sum_k c_k r^k e^{ik phi}
+    and I40 = sum_k c'_k r^k e^{-ik phi}, so each is one (n_theta, 5) @ (5, n_phi)
+    product; the common denominator (1 + r^2)^2 depends on theta only.
+    (bound_grid's sphere evaluation before it ran in row blocks.)
+    """
+    r = np.tan(theta / 2.0)
+    powers = r[:, None] ** np.arange(5)
+    e = np.exp(1j * np.outer(np.arange(5), phi))
+    c40, c04 = bounds._endpoint_coefficients(inv)
+    den = ((1.0 + r ** 2) ** 2)[:, None]
+    a40 = np.abs((powers * c40) @ e.conj()) / den
+    a04 = np.abs((powers * c04) @ e) / den
+    return 2.0 * (np.sqrt(a40) + np.sqrt(a04))
+
+
 class TestGridMatchesReference:
     """bound_grid against the pointwise search it replaced."""
 
@@ -289,7 +308,7 @@ class TestGridMatchesReference:
         for _ in range(10):
             inv = random_set(rng)
             np.testing.assert_allclose(
-                bounds._sphere_values(inv, theta, phi), reference_sum_sqrt(inv, xs), rtol=1e-12
+                sphere_values(inv, theta, phi), reference_sum_sqrt(inv, xs), rtol=1e-12
             )
 
     def test_objective_is_antipodally_symmetric(self):
@@ -298,7 +317,7 @@ class TestGridMatchesReference:
         inv = random_set(np.random.default_rng(18))
         theta = np.pi * (np.arange(16) + 0.5) / 16
         phi = 2.0 * np.pi * np.arange(16) / 16
-        vals = bounds._sphere_values(inv, theta, phi)
+        vals = sphere_values(inv, theta, phi)
         np.testing.assert_allclose(vals, np.roll(vals[::-1], 8, axis=1), rtol=1e-12)
 
     @pytest.mark.parametrize("n_theta,n_phi,rows", [
@@ -310,13 +329,13 @@ class TestGridMatchesReference:
         # with n_phi even the antipode of a grid point is on the grid and only
         # the rows j < ceil(n_theta/2) are evaluated; an odd n_phi keeps all rows
         sphere_rows = []
-        sphere_values = bounds._sphere_values
+        sphere_min = bounds._sphere_min
 
         def recording(inv, theta, phi):
             sphere_rows.append(len(theta))
-            return sphere_values(inv, theta, phi)
+            return sphere_min(inv, theta, phi)
 
-        monkeypatch.setattr(bounds, "_sphere_values", recording)
+        monkeypatch.setattr(bounds, "_sphere_min", recording)
         for inv, is_class in grid_comparison_sets():
             new = bound_grid(inv, n_theta, n_phi)
             old = reference_bound_grid(inv, n_theta, n_phi)
@@ -354,6 +373,37 @@ class TestGridMatchesReference:
             bound_grid(inv, n_theta, n_phi)
 
 
+class TestSphereMin:
+    """_sphere_min finds the full grid's first minimum block by block, bit for bit."""
+
+    @pytest.mark.parametrize("n_theta,n_phi", [
+        (256, 256), (128, 128), (66, 64), (34, 32), (130, 130), (97, 97),
+        (7, 9), (8, 6), (2, 4), (1, 3),
+    ])
+    def test_equals_the_full_grid_argmin(self, n_theta, n_phi):
+        # 128, 64, 33, 17, 65, 97, 7, 4, 1 and 1 rows: whole blocks, a trailing
+        # single row (which joins the block before it), fewer rows than one
+        # block, a one-row grid, and odd n_phi
+        theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
+        for inv, _ in grid_comparison_sets():
+            vals = sphere_values(inv, theta[:rows], phi)
+            k = int(np.argmin(vals))
+            assert bounds._sphere_min(inv, theta[:rows], phi) == (k, vals.flat[k]), inv
+
+    def test_default_grid_builds_no_full_grid_array(self):
+        # one (128, 256) complex product of the half sphere is 512 KiB
+        inv = invariant_set(random_state(71), "A4")
+        tracemalloc.start()
+        try:
+            bound_grid(inv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+
 def scalar_bound_grid(
     inv: ThreeQubitInvariantSet, n_theta: int = 256, n_phi: int = 256, *, candidates=None
 ) -> BoundWitness:
@@ -367,7 +417,7 @@ def scalar_bound_grid(
     theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
-    vals = bounds._sphere_values(inv, theta[:rows], phi)
+    vals = sphere_values(inv, theta[:rows], phi)
     j, l = divmod(int(np.argmin(vals)), n_phi)
     best_theta = float(theta[j])
     best_phi = float(phi[l])
@@ -465,7 +515,7 @@ class TestBatchedDescent:
                 assert batch.tolist() == scalar_descent_values(scalar, theta, phi, *steps), inv
 
     @pytest.mark.parametrize("n_theta,n_phi", [
-        (7, 9), (8, 6), (16, 16), (128, 128), (256, 256),
+        (7, 9), (8, 6), (16, 16), (66, 64), (97, 97), (128, 128), (256, 256),
     ])
     def test_repr_equal_to_the_scalar_descent(self, n_theta, n_phi):
         for inv, _ in grid_comparison_sets():

@@ -248,6 +248,17 @@ class TestSweepVerb:
         assert out == ""
         assert "'a' twice" in err
 
+    @pytest.mark.parametrize("spec", [
+        "a=1:inf:2", "a=nan:1:2", "a=-inf:1:2", "a=1:2:1e9", "a=1:2:2.5", "a=x:1:2",
+    ])
+    def test_non_finite_or_non_integer_grid_is_input_error(self, capsys, spec):
+        # an infinite bound made np.linspace warn (an error under pytest's
+        # warning filter) and build nan amplitudes
+        code, out, err = run_cli(capsys, "sweep", "--class", "V", "--param-grid", spec)
+        assert code == 1
+        assert out == ""
+        assert repr(spec) in err
+
 
 class TestSelftestVerb:
     def test_subset_runs_and_reports(self, capsys, monkeypatch):
