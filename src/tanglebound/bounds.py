@@ -26,7 +26,6 @@ from .invariants import (
     TRACE_PERMS,
     CorrelationSummary,
     ThreeQubitInvariantSet,
-    _endpoint_forms,
     invariant_set,
     summary_from_set,
     traced_qubit_of,
@@ -38,10 +37,6 @@ from .quartic import PolyDeg4, roots
 PROB_FLOOR = 1e-12
 EQUAL_PROB_TOL = 1e-9
 ZERO_PATTERN_TOL = 1e-10
-#: coordinate-descent steps after the grid search
-REFINE_ITERS = 50
-
-GROUP_CASES = ("i", "ii", "iii", "iv", "v", "vi", "generic")
 
 
 @dataclass(frozen=True)
@@ -231,15 +226,11 @@ def bound_grid(
     minimum (_sphere_min); its values and the point it picks are bit-identical
     to evaluating the whole grid at once. Since f(x) = f(-1/conj(x)), grid point
     (j, l) has the value of (n_theta-1-j, l+n_phi/2); with n_phi even only the
-    rows j < ceil(n_theta/2) are evaluated. The best grid point is refined by
-    REFINE_ITERS rounds of coordinate descent with shrinking steps (_descend,
-    one neighbour at a time in Python complex arithmetic). The descent's points
-    as they would be if it never moved are evaluated first in one array batch
-    that rounds exactly as the scalar rounds; only from the round of the first
-    improvement, if any, are the scalar rounds run, so the result is
-    bit-identical to running them all. Quartic endpoint roots (``candidates``,
-    solved here when not given) are seeded into the candidate set, which makes
-    this a minimum over a superset of the quartic-bound witnesses.
+    rows j < ceil(n_theta/2) are evaluated. Quartic endpoint roots
+    (``candidates``, solved here when not given) are seeded into the candidate
+    set, which makes this a minimum over a superset of the quartic-bound
+    witnesses: the value is min(grid minimum, pole, seeds)^2, and the witness is
+    tan(theta/2) e^{i phi} at the point that attains it.
     """
     for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
         if count < 1:
@@ -269,99 +260,8 @@ def bound_grid(
             best_theta = 2.0 * math.atan(abs(x))
             best_phi = cmath.phase(x) % (2.0 * math.pi)
 
-    scalar = ThreeQubitInvariantSet(inv.traced, *map(complex, inv.as_array()))
-    dt = np.pi / n_theta
-    dp = 2.0 * np.pi / n_phi
-    hits = np.flatnonzero(_descent_values(scalar, best_theta, best_phi, dt, dp) < best)
-    if hits.size:
-        # replay from the round of the first move; the rounds before it only halved the steps
-        start = int(hits[0]) // 4
-        best, best_theta, best_phi = _descend(
-            scalar, best, best_theta, best_phi, dt / 2 ** start, dp / 2 ** start,
-            REFINE_ITERS - start,
-        )
     witness = math.tan(best_theta / 2.0) * cmath.exp(1j * best_phi)
     return BoundWitness("grid", best ** 2, witness, (), None)
-
-
-#: largest theta the descent evaluates: tan(theta/2) stays finite
-_THETA_CAP = np.pi * (1.0 - 1e-12)
-#: round k of a descent that never moves steps by +-2^-k times the first step (exact)
-_STEP_FACTORS = np.outer(np.ldexp(1.0, -np.arange(REFINE_ITERS)), (1.0, -1.0))
-
-
-def _cmul(a, b):
-    """Python's complex product on (real, imag) pairs of floats or float arrays.
-
-    numpy's complex multiply fuses a multiply and an add on FMA hardware and
-    so rounds differently from Python's; separate real ufuncs round alike.
-    """
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _descent_values(inv, best_theta, best_phi, dt, dp) -> np.ndarray:
-    """The objective at every point _descend evaluates when no neighbour improves.
-
-    Round k then evaluates theta +- dt/2^k and phi +- dp/2^k around the start,
-    in _descend's order (entry 4k + m). All 4 REFINE_ITERS points are evaluated
-    in one array pass that rounds exactly as _endpoint_forms on Python complex:
-    complex products via _cmul, moduli via hypot, and tan, cos, sin and the
-    power in the denominator through Python's math and pow. The first entry
-    below the start value is thus where _descend would first move; with none,
-    _descend would not move at all.
-    """
-    theta_pm = np.clip(best_theta + dt * _STEP_FACTORS, 0.0, _THETA_CAP)
-    phi_pm = (best_phi + dp * _STEP_FACTORS).ravel().tolist()
-    r_pm, cos_pm, sin_pm = np.array(
-        list(map(math.tan, (theta_pm / 2.0).ravel().tolist()))
-        + list(map(math.cos, phi_pm)) + list(map(math.sin, phi_pm))
-    ).reshape(3, REFINE_ITERS, 2)
-    r0 = math.tan(min(max(best_theta, 0.0), _THETA_CAP) / 2.0)
-    # per round: (theta + step, phi), (theta - step, phi), (theta, phi + step), (theta, phi - step)
-    x = (np.hstack((r_pm * math.cos(best_phi), r0 * cos_pm)).ravel(),
-         np.hstack((r_pm * math.sin(best_phi), r0 * sin_pm)).ravel())
-    den = np.array([(1.0 + h ** 2) ** 2 for h in np.hypot(*x).tolist()])
-
-    # Python's x**2, x**3, x**4 are x*x, x*(x*x), (x*x)*(x*x)
-    x2 = _cmul(x, x)
-    x3 = _cmul(x, x2)
-    x4 = _cmul(x2, x2)
-    scale = np.array([[4.0], [6.0], [4.0], [1.0]])
-    pr = scale * np.array([x[0], x2[0], x3[0], x4[0]])
-    pi = scale * np.array([x[1], x2[1], x3[1], x4[1]])
-    # form 0 is I40, a quartic in conj(x), and conj(x)^k = conj(x^k) exactly; form 1 is
-    # I04. a - b c = a + b (-c) exactly, so the quartics' signs sit on the coefficients
-    coeffs = np.array([[-inv.i31, inv.i22, -inv.i13, inv.i04],
-                       [inv.i13, inv.i22, inv.i31, inv.i40]])[:, :, None]
-    t = np.array(_cmul((pr, np.array([-pi, pi])), (coeffs.real, coeffs.imag)))
-    const = np.array([inv.i40, inv.i04])
-    f = np.array([const.real, const.imag])[:, :, None]
-    for k in range(4):  # Python adds the terms left to right
-        f = f + t[:, :, k]
-    moduli = np.sqrt(np.hypot(f[0], f[1]) / den)
-    return 2.0 * (moduli[0] + moduli[1])
-
-
-def _descend(inv, best, best_theta, best_phi, dt, dp, rounds):
-    """Coordinate descent in Python complex arithmetic; returns (best, theta, phi)."""
-    for _ in range(rounds):
-        moved = False
-        for t2, p2 in (
-            (best_theta + dt, best_phi),
-            (best_theta - dt, best_phi),
-            (best_theta, best_phi + dp),
-            (best_theta, best_phi - dp),
-        ):
-            t2 = min(max(t2, 0.0), _THETA_CAP)
-            f40, f04, den = _endpoint_forms(inv, math.tan(t2 / 2.0) * cmath.exp(1j * p2))
-            v2 = 2.0 * (math.sqrt(abs(f40) / den) + math.sqrt(abs(f04) / den))
-            if v2 < best:
-                best, best_theta, best_phi = v2, t2, p2 % (2.0 * math.pi)
-                moved = True
-        if not moved:
-            dt /= 2.0
-            dp /= 2.0
-    return best, best_theta, best_phi
 
 
 # ---------------------------------------------------------------------------

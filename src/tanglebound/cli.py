@@ -121,9 +121,7 @@ def _cmd_classes(args) -> int:
 def _cmd_ghzw(args) -> int:
     p = args.p
     thr = rank2.ghzw_threshold()
-    witness, deco = rank2.decompose_rank2(
-        rank2.ghzw_rho(p), theta_samples=args.theta_samples, grid=args.grid
-    )
+    witness, deco = rank2.decompose_rank2(rank2.ghzw_rho(p))
     out = {
         "p": p,
         "threshold": thr,
@@ -138,9 +136,7 @@ def _cmd_ghzw(args) -> int:
 
 def _cmd_decompose(args) -> int:
     rho = qstate.density_from_json(_load_json(args.rho))
-    witness, deco = rank2.decompose_rank2(
-        rho, theta_samples=args.theta_samples, grid=args.grid
-    )
+    witness, deco = rank2.decompose_rank2(rho)
     out = {
         "bound": {
             "method": witness.method,
@@ -282,14 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_verb("ghzw", help="GHZ/W mixture reference values")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--theta-samples", type=int, default=24)
-    p.add_argument("--grid", type=int, default=128)
     p.set_defaults(fn=_cmd_ghzw)
 
     p = add_verb("decompose", help="bound and decomposition for a rank-2 state")
     p.add_argument("--rho", required=True, help="density JSON path")
-    p.add_argument("--theta-samples", type=int, default=24)
-    p.add_argument("--grid", type=int, default=128)
     p.set_defaults(fn=_cmd_decompose)
 
     p = add_verb("sweep", help="parameter sweep against a literature bound")

@@ -61,10 +61,6 @@ class WrongCase(TangleboundError, ValueError):
     """Invariant zero-pattern contradicts the requested classifier case."""
 
 
-class AllInvariantsZero(TangleboundError):
-    """Every invariant in the set vanishes (no three- or four-way content)."""
-
-
 class BadArity(TangleboundError, ValueError):
     """Class parameters missing or superfluous for the requested family."""
 

@@ -51,6 +51,10 @@ WEIGHT_DROP = 1e-12
 #: scan: every scan value is >= 0, so the scan could undercut it by no more
 #: (tangles are <= 1; zero-tangle mixtures of GHZ/W states realize <= 2.3e-16)
 ROOT_MIXTURE_TOL = 1e-14
+#: purification phases theta = 2 pi k / THETA_SAMPLES scanned by decompose_rank2
+THETA_SAMPLES = 24
+#: n_theta = n_phi of the grid bound at each scanned phase
+SCAN_GRID = 128
 _CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
 
 
@@ -276,23 +280,17 @@ def _two_member_decomposition(state: PureState4, x: complex | None) -> Decomposi
     return make_decomposition(members)
 
 
-def decompose_rank2(
-    rho: MixedState3,
-    theta_samples: int = 24,
-    grid: int = 128,
-) -> tuple[BoundWitness, Decomposition]:
+def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
     """Bound the tangle of a rank-2 state and return a realizing decomposition.
 
-    For each purification phase theta the quartic, branch-pair, and grid bounds
-    run on the purification's invariant set; the reported value is the minimum,
-    also taking the exact root-mixture test into account. The returned
+    For each of THETA_SAMPLES purification phases theta the quartic, branch-pair,
+    and SCAN_GRID x SCAN_GRID grid bounds run on the purification's invariant
+    set; the reported value is the minimum, also taking the exact root-mixture
+    test into account. The returned
     decomposition comes from the best single rotation witness x (two members),
     or from the root mixture when that certifies zero. A root mixture that
     realizes at most ROOT_MIXTURE_TOL is returned before the scan.
     """
-    for name, count in (("theta_samples", theta_samples), ("grid", grid)):
-        if count < 1:
-            raise OutOfRange(f"{name} must be at least 1, got {count!r}")
     p0, p1, v0, v1 = rank2_basis(rho)
     if p1 < PROB_FLOOR:
         member = PureState3(v0)
@@ -309,14 +307,14 @@ def decompose_rank2(
             return BoundWitness("root_mixture", mixture_value, None, (), None), zero_mixture
     best: BoundWitness | None = None
     best_x: tuple[float, float, complex] | None = None   # (value, theta, x)
-    for k in range(theta_samples):
-        theta = 2.0 * math.pi * k / theta_samples
+    for k in range(THETA_SAMPLES):
+        theta = 2.0 * math.pi * k / THETA_SAMPLES
         inv = invariant_set_A4(purify_rank2(rho, theta))
         candidates = quartic_root_candidates(inv)
         witnesses = [
             bound_quartic_A4(inv, candidates=candidates),
             bound_unitary_3q(inv, p0, p1),
-            bound_grid(inv, grid, grid, candidates=candidates),
+            bound_grid(inv, SCAN_GRID, SCAN_GRID, candidates=candidates),
         ]
         for wit in witnesses:
             if best is None or wit.value < best.value - 1e-15:

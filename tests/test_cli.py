@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 import tanglebound
 from tanglebound import acceptance, invariants, qstate
-from tanglebound.cli import main, parse_complex
+from tanglebound.cli import build_parser, main, parse_complex
 from tanglebound.rank2 import ghzw_rho
 
 
@@ -154,25 +156,12 @@ class TestGhzwVerb:
         assert code == 1
 
 
-class TestEmptyGrids:
-    """Grid sizes below one are input errors that name the argument."""
-
-    @pytest.mark.parametrize("flag,name", [("--grid", "grid"), ("--theta-samples", "theta_samples")])
-    def test_ghzw_scan_size(self, capsys, flag, name):
-        code, out, err = run_cli(capsys, "ghzw", "--p", "0.8", flag, "0")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and name in err
-
-
 class TestDecomposeVerb:
     def test_rank2_file(self, tmp_path, capsys):
         rho = ghzw_rho(0.5)
         path = tmp_path / "rho.json"
         path.write_text(json.dumps(qstate.density_to_json(rho)))
-        code, out, _ = run_cli(
-            capsys, "decompose", "--rho", str(path), "--theta-samples", "8", "--grid", "64"
-        )
+        code, out, _ = run_cli(capsys, "decompose", "--rho", str(path))
         assert code == 0
         report = json.loads(out)
         assert report["bound"]["value"] < 1e-6
@@ -197,9 +186,7 @@ class TestDecomposeVerb:
         rho = np.diag([0.6, 0.4, 0, 0, 0, 0, 0, 0]).astype(complex)
         path = tmp_path / "rho.json"
         path.write_text(json.dumps(qstate.density_to_json(qstate.MixedState3(rho))))
-        code, out, err = run_cli(
-            capsys, "decompose", "--rho", str(path), "--theta-samples", "4", "--grid", "16"
-        )
+        code, out, err = run_cli(capsys, "decompose", "--rho", str(path))
         assert code == 0, err
         report = json.loads(out)
         assert report["bound"] == {"method": "root_mixture", "value": 0.0, "x": None}
@@ -305,14 +292,27 @@ class TestMisc:
 
     def test_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
-        code, out, _ = run_cli(
-            capsys, "--output", str(out_path), "ghzw", "--p", "0.3",
-            "--theta-samples", "6", "--grid", "48",
-        )
+        code, out, _ = run_cli(capsys, "--output", str(out_path), "ghzw", "--p", "0.3")
         assert code == 0
         assert out == ""
         report = json.loads(out_path.read_text())
         assert report["bound"] == 0.0
+
+    def test_readme_commands_parse(self):
+        # every tanglebound line of README's sh blocks is a command the parser
+        # accepts, so a documented flag cannot outlive the option it names
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = [
+            line for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+            for line in block.splitlines() if line.startswith("tanglebound ")
+        ]
+        assert lines
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
 
     def test_output_before_and_after_the_verb(self, tmp_path, capsys):
         args = ["sweep", "--class", "V", "--param-grid", "a=0.4:1.2:3", "--compare", "regu"]

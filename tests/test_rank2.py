@@ -166,17 +166,6 @@ class TestDecomposeRank2:
         assert len(deco.members) == 1
         assert deco.members[0][0] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("kwargs,name", [
-        ({"theta_samples": 0}, "theta_samples"),
-        ({"grid": 0}, "grid"),
-    ])
-    def test_empty_scan_rejected(self, kwargs, name):
-        # also on the pure-state shortcut, which runs no scan at all
-        g = ghz_state().amps
-        for rho in (ghzw_rho(0.8), MixedState3(np.outer(g, g.conj()))):
-            with pytest.raises(errors.OutOfRange, match=name):
-                decompose_rank2(rho, **kwargs)
-
     def test_half_mixture_certified_zero(self):
         witness, deco = decompose_rank2(ghzw_rho(0.5))
         assert witness.value < 1e-6
@@ -199,8 +188,8 @@ class TestDecomposeRank2:
             assert witness.method == "root_mixture"
             assert 0.0 <= witness.value <= ROOT_MIXTURE_TOL
         assert solved == []
-        decompose_rank2(ghzw_rho(0.8), theta_samples=3, grid=16)
-        assert len(solved) == 3
+        decompose_rank2(ghzw_rho(0.8))
+        assert len(solved) == rank2.THETA_SAMPLES
 
     def test_point_eight_bounded_by_tabulated_value(self):
         witness, deco = decompose_rank2(ghzw_rho(0.8))
@@ -217,7 +206,7 @@ class TestDecomposeRank2:
             v1 /= np.linalg.norm(v1)
             lam = rng.uniform(0.1, 0.9)
             rho = MixedState3(lam * np.outer(v0, v0.conj()) + (1 - lam) * np.outer(v1, v1.conj()))
-            witness, deco = decompose_rank2(rho, theta_samples=8, grid=64)
+            witness, deco = decompose_rank2(rho)
             cap = bound_cap(correlation_summary(purify_rank2(rho, 0.0), "A1A2A3")).value
             assert 0.0 <= witness.value <= cap + 1e-8
             np.testing.assert_allclose(deco.reconstructed.rho, rho.rho, atol=1e-8)
@@ -242,7 +231,7 @@ class TestDecomposeRank2:
         e = np.zeros(8, dtype=complex)
         e[7] = 1.0
         rho = MixedState3(0.6 * np.outer(w, w.conj()) + 0.4 * np.outer(e, e.conj()))
-        witness, deco = decompose_rank2(rho, theta_samples=8, grid=64)
+        witness, deco = decompose_rank2(rho)
         assert witness.value < 1e-9
         np.testing.assert_allclose(deco.reconstructed.rho, rho.rho, atol=1e-8)
 
@@ -250,7 +239,7 @@ class TestDecomposeRank2:
         # |000> and |001> differ on one qubit only: every purification phase
         # has an all-zero invariant set and no rotation witness
         rho = MixedState3(np.diag([0.6, 0.4, 0, 0, 0, 0, 0, 0]).astype(complex))
-        witness, deco = decompose_rank2(rho, theta_samples=4, grid=16)
+        witness, deco = decompose_rank2(rho)
         assert witness.method == "root_mixture"
         assert witness.value == 0.0
         np.testing.assert_allclose(deco.reconstructed.rho, rho.rho, atol=1e-8)
@@ -271,7 +260,7 @@ class TestDecomposeRank2:
                 lam * np.outer(products[0], products[0].conj())
                 + (1 - lam) * np.outer(products[1], products[1].conj())
             )
-            witness, deco = decompose_rank2(rho, theta_samples=6, grid=48)
+            witness, deco = decompose_rank2(rho)
             assert witness.value < 1e-8
             np.testing.assert_allclose(deco.reconstructed.rho, rho.rho, atol=1e-8)
             for _, member in deco.members:
