@@ -410,6 +410,57 @@ class TestSphereMin:
         assert peak < 512 * 1024
 
 
+def full_grid_bound(inv, n_theta, n_phi, candidates=None) -> BoundWitness:
+    """bound_grid written out on the whole half-sphere array at once: first
+    argmin, then the pole, then the quartic seeds, value = min^2."""
+    if inv.scale() == 0.0:
+        return BoundWitness("grid", 0.0, None, (), None)
+    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
+    vals = sphere_values(inv, theta[:rows], phi)
+    j, l = divmod(int(np.argmin(vals)), n_phi)
+    best, best_theta, best_phi = float(vals[j, l]), float(theta[j]), float(phi[l])
+    pole = 2.0 * (math.sqrt(abs(inv.i04)) + math.sqrt(abs(inv.i40)))
+    if pole < best:
+        best, best_theta, best_phi = pole, 0.0, 0.0
+    if candidates is None:
+        candidates = bounds.quartic_root_candidates(inv)
+    for value, x in candidates:
+        fx = 2.0 * math.sqrt(value / 4.0)
+        if fx < best:
+            best = fx
+            best_theta = 2.0 * math.atan(abs(x))
+            best_phi = cmath.phase(x) % (2.0 * math.pi)
+    witness = math.tan(best_theta / 2.0) * cmath.exp(1j * best_phi)
+    return BoundWitness("grid", best ** 2, witness, (), None)
+
+
+class TestGridComposition:
+    """bound_grid is min(sphere minimum, pole, seeds)^2, bit for bit, with the
+    witness tan(theta/2) e^{i phi} at the point that attains it."""
+
+    @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
+    @pytest.mark.parametrize("n_theta,n_phi", [
+        (7, 9), (8, 6), (16, 16), (66, 64), (97, 97), (128, 128), (256, 256),
+    ])
+    def test_repr_equal_to_the_full_grid_search(self, n_theta, n_phi, seeded):
+        # unseeded, the sphere or the pole decides; seeded, mostly a quartic root
+        candidates = None if seeded else []
+        for inv, _ in grid_comparison_sets():
+            new = bound_grid(inv, n_theta, n_phi, candidates=candidates)
+            old = full_grid_bound(inv, n_theta, n_phi, candidates=candidates)
+            assert repr(new) == repr(old), inv
+
+    def test_seeded_search_equals_the_quartic_bound(self):
+        # the seeds put the grid at or below the quartic bound and the sphere
+        # never goes further below it, so best_bound's grid value is the
+        # quartic bound on class representatives and random states
+        for inv, _ in grid_comparison_sets():
+            q = bound_quartic_A4(inv).value
+            assert values_agree(bound_grid(inv).value, q), (inv, bound_grid(inv).value, q)
+
+
 class TestClassifier:
     def test_class_one_is_case_i(self):
         spec = spec_from_values("I", *[complex(v) for v in RNG.uniform(0.2, 2, 4)])
