@@ -16,6 +16,7 @@ formulas, and the universal cap 4 sqrt(N48 - 2|I48|) tops everything.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,15 +24,14 @@ import numpy as np
 
 from .errors import DegenerateProbability, OutOfRange, WrongCase
 from .invariants import (
-    TRACE_PERMS,
     CorrelationSummary,
     ThreeQubitInvariantSet,
-    invariant_set,
     summary_from_set,
     traced_qubit_of,
+    traced_state_and_set,
     transform_endpoints,
 )
-from .qstate import PureState4, branch_vectors, permute_qubits
+from .qstate import PureState4, branch_vectors
 from .quartic import PolyDeg4, roots
 
 PROB_FLOOR = 1e-12
@@ -168,50 +168,100 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
 # grid minimization over the Riemann sphere
 # ---------------------------------------------------------------------------
 
-#: sphere rows evaluated per block: the largest temporary, a (16, 256) complex
-#: product, is 64 KiB, half of glibc's default mmap threshold, so a freed block
-#: stays in malloc's free lists instead of being returned to the OS and faulted in
-#: again on the next call
-SPHERE_BLOCK_ROWS = 16
+#: sphere rows evaluated per block. One matrix product gives both endpoints of
+#: a block, so its largest temporary, the stacked (2 x 15, 256) complex product,
+#: is 120 KiB: below glibc's default 128 KiB mmap threshold, so blocks come from
+#: the heap and a freed one is reused instead of being returned to the OS and
+#: faulted in again. At 16 rows the product is exactly 128 KiB, and a fresh
+#: process re-faulted about 90 pages per call; 8 rows (64 KiB) saved no faults
+#: over 15 and took about 10% longer per call in per-block overhead.
+SPHERE_BLOCK_ROWS = 15
 
 
-def _sphere_min(
-    inv: ThreeQubitInvariantSet, theta: np.ndarray, phi: np.ndarray
-) -> tuple[int, float]:
-    """First minimum, in row-major order, of f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|)
-    at x = tan(theta_j/2) e^{i phi_l}: (flat index j n_phi + l, value).
+@dataclass(frozen=True)
+class _SphereGrid:
+    """Read-only tables of one (n_theta, n_phi) sphere grid, shared by every call.
 
-    With r = tan(theta/2) the endpoint numerators are I04 = sum_k c_k r^k e^{ik phi}
-    and I40 = sum_k c'_k r^k e^{-ik phi}, so each is an (n_theta, 5) @ (5, n_phi)
-    product; the common denominator (1 + r^2)^2 depends on theta only. The
-    products run on blocks of SPHERE_BLOCK_ROWS rows and the full grid is never
-    built; a later block replaces the best only when strictly below it, as
-    np.argmin keeps the first occurrence. A 1-row product takes BLAS's
-    matrix-vector path, which rounds differently, so a trailing single row joins
-    the block before it; every value then equals the full-grid product's.
+    With n_phi even only the first ``rows`` = ceil(n_theta/2) rows are
+    evaluated (bound_grid); ``order`` and ``den`` list the rows of the stacked
+    I40/I04 coefficient matrix block by block: rows [start, stop) of the I40
+    half, then the same rows of the I04 half.
     """
-    r = np.tan(theta / 2.0)
-    powers = r[:, None] ** np.arange(5)
-    e = np.exp(1j * np.outer(np.arange(5), phi))
-    ec = e.conj()
-    c40, c04 = _endpoint_coefficients(inv)
-    den = ((1.0 + r ** 2) ** 2)[:, None]
-    p40 = powers * c40
-    p04 = powers * c04
-    stops = list(range(SPHERE_BLOCK_ROWS, len(theta), SPHERE_BLOCK_ROWS)) + [len(theta)]
+
+    theta: np.ndarray       # (n_theta,) cell-centred polar angles
+    phi: np.ndarray         # (n_phi,) azimuths
+    powers: np.ndarray      # (rows, 5): r^k with r = tan(theta/2)
+    phase: np.ndarray       # (5, n_phi): e^{ik phi}
+    order: np.ndarray       # (2 rows,): stacked row -> row of concat(I40 half, I04 half)
+    den: np.ndarray         # (2 rows, 1): (1 + r^2)^2 of each stacked row
+    blocks: tuple[tuple[int, int], ...]   # [start, stop) rows of each block
+
+
+@functools.lru_cache(maxsize=8)
+def _sphere_grid(n_theta: int, n_phi: int) -> _SphereGrid:
+    """The tables of one grid size, built on its first use and then shared."""
+    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
+    r = np.tan(theta[:rows] / 2.0)
+    stops = list(range(SPHERE_BLOCK_ROWS, rows, SPHERE_BLOCK_ROWS)) + [rows]
     if len(stops) > 1 and stops[-1] - stops[-2] == 1:
         del stops[-2]
+    blocks = tuple(zip([0] + stops[:-1], stops))
+    order = np.concatenate([np.r_[a:b, rows + a:rows + b] for a, b in blocks])
+    den = (1.0 + r ** 2) ** 2
+    grid = _SphereGrid(
+        theta,
+        phi,
+        r[:, None] ** np.arange(5),
+        np.exp(1j * np.outer(np.arange(5), phi)),
+        order,
+        np.concatenate((den, den))[order][:, None],
+        blocks,
+    )
+    for table in (grid.theta, grid.phi, grid.powers, grid.phase, grid.order, grid.den):
+        table.setflags(write=False)
+    return grid
+
+
+def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid) -> tuple[int, float]:
+    """First minimum, in row-major order, of f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|)
+    at x = tan(theta_j/2) e^{i phi_l} over the grid's evaluated rows:
+    (flat index j n_phi + l, value).
+
+    With r = tan(theta/2) the endpoint numerators are I04 = sum_k c_k r^k e^{ik phi}
+    and I40 = sum_k c'_k r^k e^{-ik phi}; the common denominator (1 + r^2)^2
+    depends on theta only. Since |I40| = |sum_k conj(c'_k r^k) e^{ik phi}|, a
+    block's conj(c' r^k) rows stacked on its c r^k rows give both moduli in one
+    product with the phase table. Blocks have SPHERE_BLOCK_ROWS rows and the
+    full grid is never built; a later block replaces the best only when strictly
+    below it, as np.argmin keeps the first occurrence. The sums of square roots
+    are compared undoubled and only the chosen one is doubled (exactly). A
+    1-row product takes BLAS's matrix-vector path, which rounds differently, so
+    a trailing single row joins the block before it, and a one-row grid keeps
+    the two 1-row products; every value then equals the full-grid product's.
+    """
+    c40, c04 = _endpoint_coefficients(inv)
+    p40 = grid.powers * c40
+    p04 = grid.powers * c04
+    stacked = np.concatenate((p40.conj(), p04))[grid.order]
+    n_phi = grid.phase.shape[1]
     best_k, best = 0, math.inf
-    start = 0
-    for stop in stops:
-        a40 = np.abs(p40[start:stop] @ ec) / den[start:stop]
-        a04 = np.abs(p04[start:stop] @ e) / den[start:stop]
-        vals = 2.0 * (np.sqrt(a40) + np.sqrt(a04))
-        k = int(np.argmin(vals))
-        if start == 0 or vals.flat[k] < best:
-            best_k, best = start * len(phi) + k, float(vals.flat[k])
-        start = stop
-    return best_k, best
+    for start, stop in grid.blocks:
+        rows = stop - start
+        if rows > 1:
+            moduli = np.abs(stacked[2 * start:2 * stop] @ grid.phase)
+        else:
+            moduli = np.abs(np.concatenate(
+                (p40[start:stop] @ grid.phase.conj(), p04[start:stop] @ grid.phase)
+            ))
+        moduli /= grid.den[2 * start:2 * stop]
+        np.sqrt(moduli, out=moduli)
+        sums = moduli[:rows] + moduli[rows:]
+        k = int(sums.argmin())
+        if start == 0 or sums.item(k) < best:
+            best_k, best = start * n_phi + k, sums.item(k)
+    return best_k, 2.0 * best
 
 
 def bound_grid(
@@ -221,12 +271,16 @@ def bound_grid(
 
     x = tan(theta/2) e^{i phi} covers theta in (0, pi); the pole x -> infinity
     swaps the endpoint roles and evaluates to the same f as x = 0, so both ends
-    are covered explicitly. The grid is evaluated as a separable product in
-    theta and phi, in blocks of SPHERE_BLOCK_ROWS rows that keep only the first
+    are covered explicitly. The grid's tables (angles, powers of tan(theta/2),
+    phases, denominators, block bounds) are built once per (n_theta, n_phi)
+    and kept read-only in a small cache (_sphere_grid). The grid is evaluated
+    as a separable product in theta and phi, in blocks of SPHERE_BLOCK_ROWS
+    rows, each one matrix product for both endpoints, that keep only the first
     minimum (_sphere_min); its values and the point it picks are bit-identical
-    to evaluating the whole grid at once. Since f(x) = f(-1/conj(x)), grid point
-    (j, l) has the value of (n_theta-1-j, l+n_phi/2); with n_phi even only the
-    rows j < ceil(n_theta/2) are evaluated. Quartic endpoint roots
+    to evaluating the whole grid at once, one endpoint at a time. Since
+    f(x) = f(-1/conj(x)), grid point (j, l) has the value of
+    (n_theta-1-j, l+n_phi/2); with n_phi even only the rows j < ceil(n_theta/2)
+    are evaluated. Quartic endpoint roots
     (``candidates``, solved here when not given) are seeded into the candidate
     set, which makes this a minimum over a superset of the quartic-bound
     witnesses: the value is min(grid minimum, pole, seeds)^2, and the witness is
@@ -237,13 +291,11 @@ def bound_grid(
             raise OutOfRange(f"{name} must be at least 1, got {count!r}")
     if inv.scale() == 0.0:
         return BoundWitness("grid", 0.0, None, (), None)
-    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
-    k, best = _sphere_min(inv, theta[:rows], phi)
+    grid = _sphere_grid(n_theta, n_phi)
+    k, best = _sphere_min(inv, grid)
     j, l = divmod(k, n_phi)
-    best_theta = float(theta[j])
-    best_phi = float(phi[l])
+    best_theta = float(grid.theta[j])
+    best_phi = float(grid.phi[l])
 
     # endpoints of the theta range: x = 0 and the pole give the same f value
     pole = 2.0 * (math.sqrt(abs(inv.i04)) + math.sqrt(abs(inv.i40)))
@@ -359,8 +411,7 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
     probability-weighted value can drop below what any decomposition of the
     reduced state realizes.
     """
-    traced = traced_qubit_of(triple)
-    inv = invariant_set(state, traced)
+    moved, inv = traced_state_and_set(state, traced_qubit_of(triple))
     summary = summary_from_set(triple, inv)
     methods = [bound_cap(summary)]
     case = classify_group(inv, summary.three_way)
@@ -368,7 +419,7 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
         methods.append(bound_closed_form(inv, case))
     candidates = quartic_root_candidates(inv)
     methods.append(bound_quartic_A4(inv, candidates=candidates))
-    phi0, phi1 = branch_vectors(permute_qubits(state, TRACE_PERMS[traced]))
+    phi0, phi1 = branch_vectors(moved)
     p0 = float(np.sum(np.abs(phi0) ** 2))
     p1 = float(np.sum(np.abs(phi1) ** 2))
     if min(p0, p1) >= PROB_FLOOR and abs(p0 - p1) <= EQUAL_PROB_TOL:

@@ -41,8 +41,12 @@ class ThreeQubitInvariantSet:
         return np.array([self.i40, self.i31, self.i22, self.i13, self.i04])
 
     def scale(self) -> float:
-        """Largest modulus in the set."""
-        return float(np.max(np.abs(self.as_array())))
+        """Largest modulus in the set, computed on the first call only."""
+        scale = self.__dict__.get("_scale")
+        if scale is None:
+            # not a field: equality, hashing and repr are unchanged
+            scale = self.__dict__["_scale"] = float(np.max(np.abs(self.as_array())))
+        return scale
 
 
 @dataclass(frozen=True)
@@ -81,12 +85,28 @@ def invariant_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
     position 4 (A1 stays first, the rest keep ascending order) and evaluating
     the canonical A4 expressions on the permuted state.
     """
+    return _set_from_fonts(_traced_last(state, traced), traced)
+
+
+def traced_state_and_set(
+    state: PureState4, traced: str
+) -> tuple[PureState4, ThreeQubitInvariantSet]:
+    """The state with qubit ``traced`` in position 4, and its invariant set:
+    ``invariant_set(state, traced)`` and the state it was evaluated on, from
+    one permutation."""
+    moved = _traced_last(state, traced)
+    return moved, _set_from_fonts(moved, traced)
+
+
+def _traced_last(state: PureState4, traced: str) -> PureState4:
+    """The normalized state with qubit ``traced`` in position 4 (A1 stays first,
+    the rest keep ascending order); A4 is already last and is not permuted."""
     if traced not in TRACE_PERMS:
         raise BadQubitLabel(f"traced qubit must be A2, A3 or A4, got {traced!r}")
     check_normalized(state)
-    if traced != "A4":
-        state = permute_qubits(state, TRACE_PERMS[traced])
-    return _set_from_fonts(state, traced)
+    if traced == "A4":
+        return state
+    return permute_qubits(state, TRACE_PERMS[traced])
 
 
 def _set_from_fonts(state: PureState4, traced: str) -> ThreeQubitInvariantSet:

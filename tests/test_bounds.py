@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tanglebound import bounds, errors
+from tanglebound import bounds, errors, invariants, qstate
 from tanglebound.acceptance import _random_states, branch_pair_value
 from tanglebound.bounds import (
     BoundWitness,
@@ -331,9 +331,9 @@ class TestGridMatchesReference:
         sphere_rows = []
         sphere_min = bounds._sphere_min
 
-        def recording(inv, theta, phi):
-            sphere_rows.append(len(theta))
-            return sphere_min(inv, theta, phi)
+        def recording(inv, grid):
+            sphere_rows.append(len(grid.powers))
+            return sphere_min(inv, grid)
 
         monkeypatch.setattr(bounds, "_sphere_min", recording)
         for inv, is_class in grid_comparison_sets():
@@ -396,7 +396,8 @@ class TestSphereMin:
         for inv, _ in grid_comparison_sets():
             vals = sphere_values(inv, theta[:rows], phi)
             k = int(np.argmin(vals))
-            assert bounds._sphere_min(inv, theta[:rows], phi) == (k, vals.flat[k]), inv
+            grid = bounds._sphere_grid(n_theta, n_phi)
+            assert bounds._sphere_min(inv, grid) == (k, vals.flat[k]), inv
 
     def test_default_grid_builds_no_full_grid_array(self):
         # one (128, 256) complex product of the half sphere is 512 KiB
@@ -408,6 +409,23 @@ class TestSphereMin:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+
+    def test_cached_tables_are_read_only_and_shared_across_sizes(self):
+        grid = bounds._sphere_grid(256, 256)
+        for name in ("theta", "phi", "powers", "phase", "order", "den"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, name)[0] = 0
+        assert bounds._sphere_grid(256, 256) is grid
+        # sizes interleaved through the cache give the results of a cold cache
+        sizes = [(256, 256), (7, 9), (128, 128), (2, 4)] * 2
+        sets = [inv for inv, _ in grid_comparison_sets()][::6]
+        warm = [repr(bound_grid(inv, *size)) for size in sizes for inv in sets]
+        cold = []
+        for size in sizes:
+            for inv in sets:
+                bounds._sphere_grid.cache_clear()
+                cold.append(repr(bound_grid(inv, *size)))
+        assert warm == cold
 
 
 def full_grid_bound(inv, n_theta, n_phi, candidates=None) -> BoundWitness:
@@ -599,6 +617,35 @@ class TestBestBound:
         report = best_bound(state, triple)
         assert ("unitary_3q" in [m.method for m in report.methods]) == (solves == 4)
         assert len(calls) == solves
+
+    @pytest.mark.parametrize("triple,permutations", [
+        ("A1A2A3", 0), ("A1A2A4", 1), ("A1A3A4", 1),
+    ])
+    def test_state_permuted_at_most_once_per_report(self, triple, permutations, monkeypatch):
+        # the invariant set and the branch pair share one permutation of the
+        # state; A4 is already the last qubit
+        calls = []
+
+        def counting(state, perm):
+            calls.append(perm)
+            return qstate.permute_qubits(state, perm)
+
+        for module in (bounds, invariants):
+            if hasattr(module, "permute_qubits"):
+                monkeypatch.setattr(module, "permute_qubits", counting)
+        best_bound(random_state(79), triple)
+        assert len(calls) == permutations
+
+    def test_scale_is_the_largest_modulus_computed_once(self):
+        rng = np.random.default_rng(80)
+        sets = [random_set(rng) for _ in range(20)]
+        sets += [invariant_set(representative(spec), t)
+                 for spec in CLASS_GRID_SPECS for t in ("A4", "A3", "A2")]
+        sets.append(synthetic_set())
+        for inv in sets:
+            expected = float(np.max(np.abs(inv.as_array())))
+            assert inv.scale() == expected and type(inv.scale()) is float, inv
+            assert inv.scale() is inv.scale()
 
     def test_invariance_under_special_unitaries(self):
         # every method value, not just the minimum, survives det-1 rotations
