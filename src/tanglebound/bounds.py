@@ -32,7 +32,7 @@ from .invariants import (
     transform_endpoints,
 )
 from .qstate import PureState4, branch_vectors
-from .quartic import PolyDeg4, roots
+from .quartic import SCALE_TOL, PolyDeg4, roots
 
 PROB_FLOOR = 1e-12
 EQUAL_PROB_TOL = 1e-9
@@ -64,12 +64,6 @@ class BoundReport:
 # quartic bound on the traced qubit
 # ---------------------------------------------------------------------------
 
-def _family_roots(coeffs, conjugate_back: bool) -> list[complex]:
-    """Roots of one endpoint quartic, mapped back to the rotation parameter x."""
-    ws = roots(PolyDeg4(*coeffs))
-    return [w.conjugate() if conjugate_back else w for w in ws]
-
-
 def _endpoint_coefficients(inv: ThreeQubitInvariantSet):
     """Ascending coefficients of the endpoint numerators: I40 in w = conj(x), I04 in w = x."""
     c40 = (inv.i40, -4.0 * inv.i31, 6.0 * inv.i22, -4.0 * inv.i13, inv.i04)
@@ -78,39 +72,80 @@ def _endpoint_coefficients(inv: ThreeQubitInvariantSet):
 
 
 def _endpoint_roots(inv: ThreeQubitInvariantSet):
-    """(|I04(x)|, x) at the roots x zeroing I40, and (|I40(x)|, x) at those zeroing I04."""
+    """(|I04(x)|, x) at the roots x zeroing I40, and (|I40(x)|, x) at those zeroing I04.
+
+    The I04 quartic is solved. Its coefficients reversed are I40's with
+    alternating signs, P40(w) = w^4 P04(-1/w), so x zeroes I04 exactly when its
+    antipode -1/conj(x) zeroes I40, and |I40(-1/conj x)| = |I04(x)|: the I40
+    family is the I04 roots' antipodes with the values copied (_antipodes).
+    The I40 quartic is solved as well only where i40 is nonzero but below
+    SCALE_TOL * max|c|: the I04 quartic then drops a root at infinity whose
+    antipode lies near x = 0, not at it.
+    """
     c40, c04 = _endpoint_coefficients(inv)
-    zero40 = [(abs(transform_endpoints(inv, x)[1]), x) for x in _family_roots(c40, True)]
-    zero04 = [(abs(transform_endpoints(inv, x)[0]), x) for x in _family_roots(c04, False)]
+    zero04 = [(abs(transform_endpoints(inv, x)[0]), x) for x in roots(PolyDeg4(*c04))]
+    zero40 = _antipodes(zero04, c04)
+    if zero40 is None:
+        xs = [w.conjugate() for w in roots(PolyDeg4(*c40))]
+        zero40 = [(abs(transform_endpoints(inv, x)[1]), x) for x in xs]
     return zero40, zero04
 
 
-def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, complex]]:
-    """(value, x) pairs: 4 |complementary endpoint| at every root of both families.
+def _antipodes(zero04, c04):
+    """(value, -1/conj(x)) for the roots x in ``zero04`` of the I04 quartic with
+    ascending coefficients ``c04``: the I40 family, or None.
 
-    A set with no three- or four-way content has no roots and yields none.
+    I40's leading coefficients are c04's lowest ones. Those below
+    SCALE_TOL * max|c| drop I40 roots at infinity, as ``quartic.roots`` drops
+    them, so their antipodes, the smallest I04 roots (0 where a lowest
+    coefficient is 0), are left out. An I04 root dropped at infinity has the
+    antipode x = 0, where the value is |I04(0)| = |c04[0]|, when the dropped
+    coefficient is exactly 0; when it is not, the result is None.
+    """
+    degree = len(zero04)
+    if any(c04[degree + 1:]):
+        return None
+    tol = SCALE_TOL * max(abs(c) for c in c04)
+    low = 0
+    while abs(c04[low]) < tol:
+        low += 1
+    kept = sorted(zero04, key=lambda c: abs(c[1]))[low:] if low else zero04
+    at_zero = [(abs(c04[0]), 0j)] * (4 - degree)
+    return [(a, -1.0 / x.conjugate()) for a, x in kept] + at_zero
+
+
+def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, complex]]:
+    """(value, x) pairs: 4 |complementary endpoint| at every root of both families,
+    the I40 family being the I04 roots' antipodes (_endpoint_roots).
+
+    The pairs are in _candidate_key order: by value, then |x|, then phase. An
+    I04 root and its antipode, an I40 root, carry the same value, so the first
+    pair is the member with |x| <= 1 of the smallest pair, the one that
+    bound_quartic_A4 reports and bound_grid's seeds reach first. A set with no
+    three- or four-way content has no roots and yields none.
     """
     if inv.scale() == 0.0:
         return []
     zero40, zero04 = _endpoint_roots(inv)
-    return [(4.0 * a, x) for a, x in zero40 + zero04]
+    return sorted(((4.0 * a, x) for a, x in zero40 + zero04), key=_candidate_key)
 
 
 def bound_quartic_A4(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     """Zero one endpoint invariant exactly, read off the other: 4 min over roots.
 
-    Both root families are scanned (multiple roots exist even though a single
-    witness suffices in principle). A set with no three- or four-way content
-    yields zero directly. ``candidates`` is ``quartic_root_candidates(inv)``
-    when the caller already has it; it is not modified.
+    The roots of both families come from one quartic solve, the other family
+    being their antipodes (multiple roots exist even though a single witness
+    suffices in principle); the witness is the first of
+    quartic_root_candidates. A set with no three- or four-way content yields
+    zero directly. ``candidates`` is ``quartic_root_candidates(inv)`` when the
+    caller already has it; it is not modified.
     """
     if inv.scale() == 0.0:
         return BoundWitness("quartic_A4", 0.0, None, (), None)
     if candidates is None:
         candidates = quartic_root_candidates(inv)
-    cands = sorted(candidates, key=_candidate_key)
-    value, x = cands[0]
-    return BoundWitness("quartic_A4", value, x, tuple(x for _, x in cands), None)
+    value, x = candidates[0]
+    return BoundWitness("quartic_A4", value, x, tuple(x for _, x in candidates), None)
 
 
 def _candidate_key(cand):
@@ -140,8 +175,9 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
     """Endpoint-zeroing bound on the branch decomposition with probabilities p0, p1.
 
     The two endpoint forms carry coefficients i40/p0^2, 4 i31/sqrt(p0^3 p1),
-    6 i22/(p0 p1), 4 i13/sqrt(p0 p1^3), i04/p1^2. Each family is zeroed and the
-    complementary endpoint evaluated; the value is
+    6 i22/(p0 p1), 4 i13/sqrt(p0 p1^3), i04/p1^2. Each family is zeroed, one
+    by a quartic solve and the other by its roots' antipodes (_endpoint_roots),
+    and the complementary endpoint evaluated; the value is
     min(4 p0^2 |f04(y1)|, 4 p1^2 |f40(y2)|) over all roots. Requires both
     probabilities strictly positive; coincides with bound_quartic_A4 when
     p0 = p1.
@@ -284,7 +320,9 @@ def bound_grid(
     (``candidates``, solved here when not given) are seeded into the candidate
     set, which makes this a minimum over a superset of the quartic-bound
     witnesses: the value is min(grid minimum, pole, seeds)^2, and the witness is
-    tan(theta/2) e^{i phi} at the point that attains it.
+    tan(theta/2) e^{i phi} at the point that attains it. The seeds come in
+    quartic_root_candidates' order, so of tied seeds the first, quartic_A4's
+    witness, is kept.
     """
     for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
         if count < 1:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tanglebound import bounds, errors, invariants, qstate
-from tanglebound.acceptance import _random_states, branch_pair_value
+from tanglebound.acceptance import _random_states, branch_pair_value, class_draws
 from tanglebound.bounds import (
     BoundWitness,
     best_bound,
@@ -28,6 +28,7 @@ from tanglebound.invariants import (
     invariant_set,
     n48_i48,
     traced_qubit_of,
+    transform_endpoints,
 )
 from tanglebound.qstate import (
     PureState4,
@@ -35,7 +36,7 @@ from tanglebound.qstate import (
     random_special_unitary,
     random_state,
 )
-from tanglebound.quartic import roots
+from tanglebound.quartic import SCALE_TOL, PolyDeg4, roots
 
 RNG = np.random.default_rng(101)
 
@@ -165,6 +166,147 @@ def reference_branch_endpoints(g, y):
     f40 = (g[0] + 4.0 * y * g[1] + 6.0 * y ** 2 * g[2] + 4.0 * y ** 3 * g[3] + y ** 4 * g[4]) / den
     f04 = (g[4] - 4.0 * yc * g[3] + 6.0 * yc ** 2 * g[2] - 4.0 * yc ** 3 * g[1] + yc ** 4 * g[0]) / den
     return f40, f04
+
+
+def reference_family_roots(coeffs, conjugate_back: bool) -> list[complex]:
+    """Roots of one endpoint quartic, mapped back to the rotation parameter x."""
+    ws = roots(PolyDeg4(*coeffs))
+    return [w.conjugate() if conjugate_back else w for w in ws]
+
+
+def reference_endpoint_roots(inv: ThreeQubitInvariantSet):
+    """(|I04(x)|, x) at the roots x zeroing I40, and (|I40(x)|, x) at those zeroing I04.
+
+    (bounds._endpoint_roots before it solved one quartic and mapped the other
+    family's roots to antipodes: both quartics solved.)
+    """
+    c40, c04 = bounds._endpoint_coefficients(inv)
+    zero40 = [(abs(transform_endpoints(inv, x)[1]), x) for x in reference_family_roots(c40, True)]
+    zero04 = [(abs(transform_endpoints(inv, x)[0]), x) for x in reference_family_roots(c04, False)]
+    return zero40, zero04
+
+
+def degenerate_sets(rng, count):
+    """Random sets with i40 = 0, i04 = 0, both 0, and i40, i04 or both at 0.5x
+    and 2x the modulus below which quartic.roots drops a leading coefficient."""
+    sets = []
+    for _ in range(count):
+        z = random_set(rng).as_array()
+        sets += [ThreeQubitInvariantSet("A4", *np.where(mask, 0j, z))
+                 for mask in ([1, 0, 0, 0, 0], [0, 0, 0, 0, 1], [1, 0, 0, 0, 1])]
+        for slots in ((0,), (4,), (0, 4)):
+            zero = z.copy()
+            zero[list(slots)] = 0.0
+            c04 = bounds._endpoint_coefficients(ThreeQubitInvariantSet("A4", *zero))[1]
+            tol = SCALE_TOL * max(abs(c) for c in c04)
+            for factor in (0.5, 2.0):
+                near = zero.copy()
+                near[list(slots)] = factor * tol * z[list(slots)] / np.abs(z[list(slots)])
+                sets.append(ThreeQubitInvariantSet("A4", *near))
+    return sets
+
+
+def one_solve_sets():
+    """Random sets, random states' sets for A4, A3 and A2, the grid comparison
+    sets, class draws I-IX on every traced qubit and degenerate sets."""
+    rng = np.random.default_rng(406)
+    sets = [random_set(rng) for _ in range(40)]
+    sets += [invariant_set(random_state(720 + k), t) for k in range(15) for t in ("A4", "A3", "A2")]
+    sets += [inv for inv, _ in grid_comparison_sets()]
+    specs = [spec for draw in class_draws(3) for spec in draw]
+    specs += [ClassSpec(c) for c in ("VII", "VIII", "IX")]
+    sets += [invariant_set(representative(spec), t) for spec in specs for t in ("A4", "A3", "A2")]
+    return sets + degenerate_sets(rng, 10)
+
+
+def witness_problems(inv, value, x):
+    """perfbench's rule for a quartic witness: the zeroed endpoint is within
+    1e-8 * scale of zero and the other endpoint realizes the value."""
+    zeroed, other = sorted(abs(e) for e in transform_endpoints(inv, x))
+    return zeroed > 1e-8 * inv.scale() or abs(4.0 * other - value) > 1e-9 * max(1.0, value)
+
+
+class TestOneEndpointSolve:
+    """The I40 family is the I04 family's antipodes, values copied: the one-solve
+    candidates equal both families solved on their own."""
+
+    def test_candidates_match_the_two_solve_reference(self):
+        for inv in one_solve_sets():
+            if inv.scale() == 0.0:
+                continue
+            zero40, zero04 = reference_endpoint_roots(inv)
+            old = sorted(4.0 * a for a, _ in zero40 + zero04)
+            cands = bounds.quartic_root_candidates(inv)
+            assert len(cands) == len(old), inv
+            for a, b in zip(old, sorted(v for v, _ in cands)):
+                assert values_agree(a, b, abs_=0.0), (inv, a, b)
+            assert values_agree(bound_quartic_A4(inv).value, old[0], abs_=0.0), inv
+            assert not any(witness_problems(inv, v, x) for v, x in cands), inv
+
+    def test_families_are_antipodes_with_equal_values(self):
+        rng = np.random.default_rng(407)
+        for _ in range(20):
+            inv = random_set(rng)
+            zero40, zero04 = bounds._endpoint_roots(inv)
+            assert len(zero40) == len(zero04) == 4
+            for (a, x), (b, y) in zip(zero40, zero04):
+                assert a == b and antipodal(x, y)
+
+    def test_branch_pair_bound_matches_the_two_solve_reference(self):
+        rng = np.random.default_rng(408)
+        for inv in one_solve_sets():
+            if inv.scale() == 0.0:
+                continue
+            p0 = float(rng.uniform(0.05, 0.95))
+            p1 = 1.0 - p0
+            g = branch_form_coefficients(inv, p0, p1)
+            zero_f04, zero_f40 = reference_endpoint_roots(ThreeQubitInvariantSet(inv.traced, *g[::-1]))
+            old = [4.0 * p0 ** 2 * a for a, _ in zero_f40] + [4.0 * p1 ** 2 * a for a, _ in zero_f04]
+            wit = bound_unitary_3q(inv, p0, p1)
+            assert len(wit.roots_used) == len(old)
+            assert values_agree(wit.value, min(old), abs_=0.0), (inv, wit.value, min(old))
+
+    def test_quartic_bound_solves_one_quartic(self, monkeypatch):
+        calls = []
+
+        def counting(poly):
+            calls.append(poly)
+            return roots(poly)
+
+        monkeypatch.setattr(bounds, "roots", counting)
+        rng = np.random.default_rng(409)
+        sets = [random_set(rng) for _ in range(5)] + degenerate_sets(rng, 1)
+        near_zero = 0
+        for inv in sets:
+            calls.clear()
+            bound_quartic_A4(inv)
+            # with i40 nonzero below the drop modulus, the root the I04 quartic
+            # drops has its antipode near x = 0, not at it: I40's is solved too
+            tol = SCALE_TOL * max(abs(c) for c in bounds._endpoint_coefficients(inv)[1])
+            dropped = 0.0 < abs(inv.i40) < tol
+            assert len(calls) == (2 if dropped else 1), inv
+            near_zero += dropped
+        assert near_zero == 2
+
+    def test_grid_seed_and_quartic_witness_are_one_point(self):
+        # an antipodal pair ties exactly; the candidates list its member with
+        # |x| <= 1 first, and both the quartic bound and the grid's seeds take it
+        def grid_point(x):
+            theta = 2.0 * math.atan(abs(x))
+            return math.tan(theta / 2.0) * cmath.exp(1j * (cmath.phase(x) % (2.0 * math.pi)))
+
+        seeded = 0
+        sets = [inv for inv, _ in grid_comparison_sets()]
+        sets += [invariant_set(random_state(740 + k), t) for k in range(20) for t in ("A4", "A3", "A2")]
+        for inv in sets:
+            if inv.scale() == 0.0:
+                continue
+            quartic, grid = bound_quartic_A4(inv), bound_grid(inv)
+            assert abs(quartic.witness_x) <= 1.0, inv
+            if grid.value < bound_grid(inv, candidates=[]).value:
+                assert grid.witness_x == grid_point(quartic.witness_x), inv
+                seeded += 1
+        assert seeded > len(sets) // 2
 
 
 class TestGridBound:
@@ -601,12 +743,13 @@ class TestBestBound:
                 assert values["quartic_A4"] <= values["cap"] + 1e-8
 
     @pytest.mark.parametrize("state,triple,solves", [
-        (random_state(78), "A1A2A4", 2),
-        (representative(ClassSpec("III", a=1.3 - 0.2j, b=0.4 + 0.7j)), "A1A2A3", 4),
+        (random_state(78), "A1A2A4", 1),
+        (representative(ClassSpec("III", a=1.3 - 0.2j, b=0.4 + 0.7j)), "A1A2A3", 2),
     ])
     def test_endpoint_quartics_solved_once_per_report(self, state, triple, solves, monkeypatch):
-        # quartic_A4 and the grid share one solve of the two endpoint quartics;
-        # unitary_3q (equal branch probabilities, class III on A1A2A3) adds two
+        # quartic_A4 and the grid share one endpoint quartic solve, the other
+        # family being its roots' antipodes; unitary_3q (equal branch
+        # probabilities, class III on A1A2A3) adds one
         calls = []
 
         def counting(poly):
@@ -615,7 +758,7 @@ class TestBestBound:
 
         monkeypatch.setattr(bounds, "roots", counting)
         report = best_bound(state, triple)
-        assert ("unitary_3q" in [m.method for m in report.methods]) == (solves == 4)
+        assert ("unitary_3q" in [m.method for m in report.methods]) == (solves == 2)
         assert len(calls) == solves
 
     @pytest.mark.parametrize("triple,permutations", [

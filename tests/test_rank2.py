@@ -12,7 +12,7 @@ from tanglebound.invariants import (
     invariant_set_A4,
     three_tangle_pure,
 )
-from tanglebound.qstate import MixedState3, purify_rank2
+from tanglebound.qstate import MixedState3, partial_trace_last, purify_rank2, random_state
 from tanglebound.rank2 import (
     ROOT_MIXTURE_TOL,
     GhzWMixture,
@@ -190,6 +190,24 @@ class TestDecomposeRank2:
         assert solved == []
         decompose_rank2(ghzw_rho(0.8))
         assert len(solved) == rank2.THETA_SAMPLES
+
+    def test_one_endpoint_quartic_per_scanned_phase(self, monkeypatch):
+        # each phase solves one quartic for quartic_A4 and the grid's seeds and
+        # one for unitary_3q; the other families are those roots' antipodes
+        calls = []
+        solve = bounds.roots
+
+        def counting(poly):
+            calls.append(poly)
+            return solve(poly)
+
+        monkeypatch.setattr(bounds, "roots", counting)
+        rhos = [ghzw_rho(0.8), partial_trace_last(random_state(123))[0]]
+        for rho in rhos:
+            calls.clear()
+            witness, _ = decompose_rank2(rho)
+            assert witness.method != "root_mixture"
+            assert len(calls) == 2 * rank2.THETA_SAMPLES
 
     def test_point_eight_bounded_by_tabulated_value(self):
         witness, deco = decompose_rank2(ghzw_rho(0.8))
