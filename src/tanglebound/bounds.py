@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbability, OutOfRange, WrongCase
+from .errors import DegenerateProbability, WrongCase
 from .invariants import (
     CorrelationSummary,
     ThreeQubitInvariantSet,
@@ -204,45 +204,46 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
 # grid minimization over the Riemann sphere
 # ---------------------------------------------------------------------------
 
+#: polar angles and azimuths of the sphere grid: a GRID_POINTS x GRID_POINTS grid
+GRID_POINTS = 256
 #: sphere rows evaluated per block. One matrix product gives both endpoints of
 #: a block, so its largest temporary, the stacked (2 x 15, 256) complex product,
 #: is 120 KiB: below glibc's default 128 KiB mmap threshold, so blocks come from
 #: the heap and a freed one is reused instead of being returned to the OS and
 #: faulted in again. At 16 rows the product is exactly 128 KiB, and a fresh
 #: process re-faulted about 90 pages per call; 8 rows (64 KiB) saved no faults
-#: over 15 and took about 10% longer per call in per-block overhead.
+#: over 15 and took about 10% longer per call in per-block overhead. The 128
+#: evaluated rows make eight blocks of 15 and a last one of 8.
 SPHERE_BLOCK_ROWS = 15
 
 
 @dataclass(frozen=True)
 class _SphereGrid:
-    """Read-only tables of one (n_theta, n_phi) sphere grid, shared by every call.
+    """Read-only tables of the sphere grid, shared by every call.
 
-    With n_phi even only the first ``rows`` = ceil(n_theta/2) rows are
-    evaluated (bound_grid); ``order`` and ``den`` list the rows of the stacked
-    I40/I04 coefficient matrix block by block: rows [start, stop) of the I40
-    half, then the same rows of the I04 half.
+    Only the first ``rows`` = GRID_POINTS/2 polar rows are evaluated
+    (bound_grid); ``order`` and ``den`` list the rows of the stacked I40/I04
+    coefficient matrix block by block: rows [start, stop) of the I40 half,
+    then the same rows of the I04 half.
     """
 
-    theta: np.ndarray       # (n_theta,) cell-centred polar angles
-    phi: np.ndarray         # (n_phi,) azimuths
+    theta: np.ndarray       # (GRID_POINTS,) cell-centred polar angles
+    phi: np.ndarray         # (GRID_POINTS,) azimuths
     powers: np.ndarray      # (rows, 5): r^k with r = tan(theta/2)
-    phase: np.ndarray       # (5, n_phi): e^{ik phi}
+    phase: np.ndarray       # (5, GRID_POINTS): e^{ik phi}
     order: np.ndarray       # (2 rows,): stacked row -> row of concat(I40 half, I04 half)
     den: np.ndarray         # (2 rows, 1): (1 + r^2)^2 of each stacked row
     blocks: tuple[tuple[int, int], ...]   # [start, stop) rows of each block
 
 
-@functools.lru_cache(maxsize=8)
-def _sphere_grid(n_theta: int, n_phi: int) -> _SphereGrid:
-    """The tables of one grid size, built on its first use and then shared."""
-    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
+@functools.cache
+def _sphere_grid() -> _SphereGrid:
+    """The grid's tables, built on first use and then shared."""
+    theta = np.pi * (np.arange(GRID_POINTS) + 0.5) / GRID_POINTS
+    phi = 2.0 * np.pi * np.arange(GRID_POINTS) / GRID_POINTS
+    rows = GRID_POINTS // 2
     r = np.tan(theta[:rows] / 2.0)
     stops = list(range(SPHERE_BLOCK_ROWS, rows, SPHERE_BLOCK_ROWS)) + [rows]
-    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
-        del stops[-2]
     blocks = tuple(zip([0] + stops[:-1], stops))
     order = np.concatenate([np.r_[a:b, rows + a:rows + b] for a, b in blocks])
     den = (1.0 + r ** 2) ** 2
@@ -263,7 +264,7 @@ def _sphere_grid(n_theta: int, n_phi: int) -> _SphereGrid:
 def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid) -> tuple[int, float]:
     """First minimum, in row-major order, of f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|)
     at x = tan(theta_j/2) e^{i phi_l} over the grid's evaluated rows:
-    (flat index j n_phi + l, value).
+    (flat index j GRID_POINTS + l, value).
 
     With r = tan(theta/2) the endpoint numerators are I04 = sum_k c_k r^k e^{ik phi}
     and I40 = sum_k c'_k r^k e^{-ik phi}; the common denominator (1 + r^2)^2
@@ -272,51 +273,41 @@ def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid) -> tuple[int, fl
     product with the phase table. Blocks have SPHERE_BLOCK_ROWS rows and the
     full grid is never built; a later block replaces the best only when strictly
     below it, as np.argmin keeps the first occurrence. The sums of square roots
-    are compared undoubled and only the chosen one is doubled (exactly). A
-    1-row product takes BLAS's matrix-vector path, which rounds differently, so
-    a trailing single row joins the block before it, and a one-row grid keeps
-    the two 1-row products; every value then equals the full-grid product's.
+    are compared undoubled and only the chosen one is doubled (exactly). Every
+    block has several rows, so every value equals the full-grid product's (a
+    1-row product would take BLAS's matrix-vector path, which rounds
+    differently).
     """
     c40, c04 = _endpoint_coefficients(inv)
-    p40 = grid.powers * c40
-    p04 = grid.powers * c04
-    stacked = np.concatenate((p40.conj(), p04))[grid.order]
-    n_phi = grid.phase.shape[1]
+    stacked = np.concatenate(((grid.powers * c40).conj(), grid.powers * c04))[grid.order]
     best_k, best = 0, math.inf
     for start, stop in grid.blocks:
         rows = stop - start
-        if rows > 1:
-            moduli = np.abs(stacked[2 * start:2 * stop] @ grid.phase)
-        else:
-            moduli = np.abs(np.concatenate(
-                (p40[start:stop] @ grid.phase.conj(), p04[start:stop] @ grid.phase)
-            ))
+        moduli = np.abs(stacked[2 * start:2 * stop] @ grid.phase)
         moduli /= grid.den[2 * start:2 * stop]
         np.sqrt(moduli, out=moduli)
         sums = moduli[:rows] + moduli[rows:]
         k = int(sums.argmin())
         if start == 0 or sums.item(k) < best:
-            best_k, best = start * n_phi + k, sums.item(k)
+            best_k, best = start * GRID_POINTS + k, sums.item(k)
     return best_k, 2.0 * best
 
 
-def bound_grid(
-    inv: ThreeQubitInvariantSet, n_theta: int = 256, n_phi: int = 256, *, candidates=None
-) -> BoundWitness:
+def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     """Minimize f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|) over the sphere; value = min^2.
 
-    x = tan(theta/2) e^{i phi} covers theta in (0, pi); the pole x -> infinity
-    swaps the endpoint roles and evaluates to the same f as x = 0, so both ends
-    are covered explicitly. The grid's tables (angles, powers of tan(theta/2),
-    phases, denominators, block bounds) are built once per (n_theta, n_phi)
-    and kept read-only in a small cache (_sphere_grid). The grid is evaluated
-    as a separable product in theta and phi, in blocks of SPHERE_BLOCK_ROWS
-    rows, each one matrix product for both endpoints, that keep only the first
-    minimum (_sphere_min); its values and the point it picks are bit-identical
-    to evaluating the whole grid at once, one endpoint at a time. Since
-    f(x) = f(-1/conj(x)), grid point (j, l) has the value of
-    (n_theta-1-j, l+n_phi/2); with n_phi even only the rows j < ceil(n_theta/2)
-    are evaluated. Quartic endpoint roots
+    x = tan(theta/2) e^{i phi} covers theta in (0, pi) on a GRID_POINTS x
+    GRID_POINTS grid; the pole x -> infinity swaps the endpoint roles and
+    evaluates to the same f as x = 0, so both ends are covered explicitly. The
+    grid's tables (angles, powers of tan(theta/2), phases, denominators, block
+    bounds) are built on first use and kept read-only (_sphere_grid). The grid
+    is evaluated as a separable product in theta and phi, in blocks of
+    SPHERE_BLOCK_ROWS rows, each one matrix product for both endpoints, that
+    keep only the first minimum (_sphere_min); its values and the point it
+    picks are bit-identical to evaluating the whole grid at once, one endpoint
+    at a time. Since f(x) = f(-1/conj(x)), grid point (j, l) has the value of
+    (GRID_POINTS-1-j, l+GRID_POINTS/2), so only the rows j < GRID_POINTS/2 are
+    evaluated. Quartic endpoint roots
     (``candidates``, solved here when not given) are seeded into the candidate
     set, which makes this a minimum over a superset of the quartic-bound
     witnesses: the value is min(grid minimum, pole, seeds)^2, and the witness is
@@ -324,14 +315,11 @@ def bound_grid(
     quartic_root_candidates' order, so of tied seeds the first, quartic_A4's
     witness, is kept.
     """
-    for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
-        if count < 1:
-            raise OutOfRange(f"{name} must be at least 1, got {count!r}")
     if inv.scale() == 0.0:
         return BoundWitness("grid", 0.0, None, (), None)
-    grid = _sphere_grid(n_theta, n_phi)
+    grid = _sphere_grid()
     k, best = _sphere_min(inv, grid)
-    j, l = divmod(k, n_phi)
+    j, l = divmod(k, GRID_POINTS)
     best_theta = float(grid.theta[j])
     best_phi = float(grid.phi[l])
 

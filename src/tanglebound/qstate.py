@@ -180,9 +180,7 @@ def permute_qubits(state: PureState4, perm) -> PureState4:
 def partial_trace_last(state: PureState4) -> tuple[MixedState3, float, float]:
     """Trace out qubit A4; returns (rho3, p0, p1) with p_i the branch probabilities."""
     check_normalized(state)
-    t = state.tensor()
-    phi0 = t[:, :, :, 0].reshape(8)
-    phi1 = t[:, :, :, 1].reshape(8)
+    phi0, phi1 = branch_vectors(state)
     rho = np.outer(phi0, phi0.conj()) + np.outer(phi1, phi1.conj())
     p0 = float(np.sum(np.abs(phi0) ** 2))
     p1 = float(np.sum(np.abs(phi1) ** 2))

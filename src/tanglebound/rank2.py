@@ -5,12 +5,15 @@ the weight threshold where x0 leaves the unit disk, the printed bound formula,
 and the explicit optimal decompositions (three phase-rotated vectors plus a
 remainder below the threshold, three vectors at |x| = 1 above it).
 
-``decompose_rank2`` handles a general rank-2 state: it scans purification
-phases, runs the bound constructions on each, and additionally checks whether
-the state is a convex mixture of the (at most four) zero-tangle pure states in
-its range -- the roots of the binary quartic form. That root-mixture test is
-exact, basis independent, and reproduces the closed-form decompositions of the
-GHZ/W family.
+``decompose_rank2`` handles a general rank-2 state: it runs the bound
+constructions on the invariant set of one purification, and additionally
+checks whether the state is a convex mixture of the (at most four) zero-tangle
+pure states in its range -- the roots of the binary quartic form. That
+root-mixture test is exact, basis independent, and reproduces the closed-form
+decompositions of the GHZ/W family. One purification serves every phase: the
+relative phase theta of the second branch is a diagonal unitary on the traced
+qubit, which sends I^{4-m,m} to e^{i m theta} I^{4-m,m} and only
+reparametrizes the rotation x, so every phase gives the same bounds.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ import numpy as np
 from .bounds import (
     PROB_FLOOR,
     BoundWitness,
-    bound_grid,
     bound_quartic_A4,
     bound_unitary_3q,
     branch_form_coefficients,
-    quartic_root_candidates,
 )
 from .errors import BranchMismatch, NotDensityMatrix, OutOfRange
 from .invariants import invariant_set_A4, three_tangle_pure
@@ -37,6 +38,7 @@ from .qstate import (
     MixedState3,
     PureState3,
     PureState4,
+    branch_vectors,
     check_normalized,
     normalize,
     purify_rank2,
@@ -47,27 +49,11 @@ from .quartic import PolyDeg4, roots
 RECONSTRUCT_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-10
 WEIGHT_DROP = 1e-12
-#: a root mixture realizing at most this much is returned without the phase
-#: scan: every scan value is >= 0, so the scan could undercut it by no more
+#: a root mixture realizing at most this much is returned without the bounds:
+#: every bound value is >= 0, so a bound could undercut it by no more
 #: (tangles are <= 1; zero-tangle mixtures of GHZ/W states realize <= 2.3e-16)
 ROOT_MIXTURE_TOL = 1e-14
-#: purification phases theta = 2 pi k / THETA_SAMPLES scanned by decompose_rank2
-THETA_SAMPLES = 24
-#: n_theta = n_phi of the grid bound at each scanned phase
-SCAN_GRID = 128
 _CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class GhzWMixture:
-    """GHZ weight p and purification phase theta for p GHZ + (1-p) W."""
-
-    p: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise OutOfRange(f"p must lie in [0, 1], got {self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -266,9 +252,7 @@ def _realized_value(deco: Decomposition) -> float:
 
 def _two_member_decomposition(state: PureState4, x: complex | None) -> Decomposition:
     """Branch pair of the x-rotated purification, weights p0(x), p1(x)."""
-    t = state.tensor()
-    phi0 = t[:, :, :, 0].reshape(8)
-    phi1 = t[:, :, :, 1].reshape(8)
+    phi0, phi1 = branch_vectors(state)
     if x is not None and abs(x) > 0.0:
         d = math.sqrt(1.0 + abs(x) ** 2)
         phi0, phi1 = (phi0 - np.conj(x) * phi1) / d, (x * phi0 + phi1) / d
@@ -283,13 +267,13 @@ def _two_member_decomposition(state: PureState4, x: complex | None) -> Decomposi
 def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
     """Bound the tangle of a rank-2 state and return a realizing decomposition.
 
-    For each of THETA_SAMPLES purification phases theta the quartic, branch-pair,
-    and SCAN_GRID x SCAN_GRID grid bounds run on the purification's invariant
-    set; the reported value is the minimum, also taking the exact root-mixture
-    test into account. The returned
-    decomposition comes from the best single rotation witness x (two members),
-    or from the root mixture when that certifies zero. A root mixture that
-    realizes at most ROOT_MIXTURE_TOL is returned before the scan.
+    The theta = 0 purification and its invariant set are built once. The
+    quartic and branch-pair bounds run on that set; the reported value is
+    their minimum (the quartic bound on a tie within 1e-15), also taking the
+    exact root-mixture test into account. The returned decomposition is the
+    purification's branch pair rotated by the quartic witness x (two
+    members), or the root mixture when that certifies zero. A root mixture
+    that realizes at most ROOT_MIXTURE_TOL is returned before the bounds run.
     """
     p0, p1, v0, v1 = rank2_basis(rho)
     if p1 < PROB_FLOOR:
@@ -298,40 +282,20 @@ def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
         witness = BoundWitness("quartic_A4", value, 0j, (), None)
         return witness, make_decomposition([(1.0, member)])
 
-    zero_mixture = _zero_tangle_mixture(p0, p1, v0, v1, invariant_set_A4(purify_rank2(rho, 0.0)))
+    state = purify_rank2(rho, 0.0)
+    inv = invariant_set_A4(state)
+    zero_mixture = _zero_tangle_mixture(p0, p1, v0, v1, inv)
     if zero_mixture is not None:
         # report what the mixture actually certifies (tiny but not forced to 0
         # when a root carries floating-point error)
         mixture_value = _realized_value(zero_mixture)
         if mixture_value <= ROOT_MIXTURE_TOL:
             return BoundWitness("root_mixture", mixture_value, None, (), None), zero_mixture
-    best: BoundWitness | None = None
-    best_x: tuple[float, float, complex] | None = None   # (value, theta, x)
-    for k in range(THETA_SAMPLES):
-        theta = 2.0 * math.pi * k / THETA_SAMPLES
-        inv = invariant_set_A4(purify_rank2(rho, theta))
-        candidates = quartic_root_candidates(inv)
-        witnesses = [
-            bound_quartic_A4(inv, candidates=candidates),
-            bound_unitary_3q(inv, p0, p1),
-            bound_grid(inv, SCAN_GRID, SCAN_GRID, candidates=candidates),
-        ]
-        for wit in witnesses:
-            if best is None or wit.value < best.value - 1e-15:
-                best = wit
-            if wit.method in ("quartic_A4", "grid") and wit.witness_x is not None:
-                cand = (wit.value, theta, wit.witness_x)
-                if best_x is None or cand[0] < best_x[0]:
-                    best_x = cand
-
-    assert best is not None
-    # an all-zero invariant set leaves no rotation witness, and the mixture is
-    # then the answer
-    if zero_mixture is not None and (best_x is None or mixture_value <= best.value):
+    quartic = bound_quartic_A4(inv)
+    unitary = bound_unitary_3q(inv, p0, p1)
+    best = unitary if unitary.value < quartic.value - 1e-15 else quartic
+    # an all-zero invariant set leaves no rotation witness, and then every
+    # range state has zero tangle, so the mixture exists and is the answer
+    if zero_mixture is not None and (quartic.witness_x is None or mixture_value <= best.value):
         return BoundWitness("root_mixture", mixture_value, None, (), None), zero_mixture
-    # the phase only rotates the invariants, so a set without a witness is all
-    # zero at every phase, and then the zero-tangle mixture exists
-    assert best_x is not None
-    _, theta_star, x_star = best_x
-    decomposition = _two_member_decomposition(purify_rank2(rho, theta_star), x_star)
-    return best, decomposition
+    return best, _two_member_decomposition(state, quartic.witness_x)

@@ -462,14 +462,9 @@ class TestGridMatchesReference:
         vals = sphere_values(inv, theta, phi)
         np.testing.assert_allclose(vals, np.roll(vals[::-1], 8, axis=1), rtol=1e-12)
 
-    @pytest.mark.parametrize("n_theta,n_phi,rows", [
-        (8, 6, 4), (7, 9, 7), (16, 16, 8), (256, 256, 128),
-    ])
-    def test_values_match_and_witnesses_move_only_on_flat_minima(
-        self, n_theta, n_phi, rows, monkeypatch
-    ):
-        # with n_phi even the antipode of a grid point is on the grid and only
-        # the rows j < ceil(n_theta/2) are evaluated; an odd n_phi keeps all rows
+    def test_values_match_and_witnesses_move_only_on_flat_minima(self, monkeypatch):
+        # the antipode of a grid point is on the grid, so only the rows
+        # j < 128 of the 256 x 256 grid are evaluated
         sphere_rows = []
         sphere_min = bounds._sphere_min
 
@@ -479,15 +474,15 @@ class TestGridMatchesReference:
 
         monkeypatch.setattr(bounds, "_sphere_min", recording)
         for inv, is_class in grid_comparison_sets():
-            new = bound_grid(inv, n_theta, n_phi)
-            old = reference_bound_grid(inv, n_theta, n_phi, refine_iters=0)
+            new = bound_grid(inv)
+            old = reference_bound_grid(inv, 256, 256, refine_iters=0)
             assert values_agree(new.value, old.value), (inv, new.value, old.value)
             if new.witness_x != old.witness_x:
                 # a witness may only move to another point of equal objective
                 assert is_class, inv
                 f_new = float(reference_sum_sqrt(inv, [new.witness_x])[0]) ** 2
                 assert values_agree(f_new, old.value), (inv, f_new, old.value)
-        assert set(sphere_rows) == {rows}
+        assert set(sphere_rows) == {128}
 
     def test_unseeded_search_matches_up_to_the_antipodal_tie(self, monkeypatch):
         # without quartic seeds the sphere search and the pole decide the
@@ -514,31 +509,19 @@ class TestGridMatchesReference:
             q = bound_quartic_A4(inv).value
             assert bound_grid(inv, candidates=[]).value >= q - 1e-8, (inv, q)
 
-    @pytest.mark.parametrize("n_theta,n_phi", [(0, 256), (256, 0), (-3, 4)])
-    def test_empty_grid_rejected(self, n_theta, n_phi):
-        inv = random_set(np.random.default_rng(19))
-        with pytest.raises(errors.OutOfRange, match="n_theta" if n_theta < 1 else "n_phi"):
-            bound_grid(inv, n_theta, n_phi)
-
 
 class TestSphereMin:
     """_sphere_min finds the full grid's first minimum block by block, bit for bit."""
 
-    @pytest.mark.parametrize("n_theta,n_phi", [
-        (256, 256), (128, 128), (66, 64), (34, 32), (130, 130), (97, 97),
-        (7, 9), (8, 6), (2, 4), (1, 3),
-    ])
-    def test_equals_the_full_grid_argmin(self, n_theta, n_phi):
-        # 128, 64, 33, 17, 65, 97, 7, 4, 1 and 1 rows: whole blocks, a trailing
-        # single row (which joins the block before it), fewer rows than one
-        # block, a one-row grid, and odd n_phi
-        theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
+    def test_equals_the_full_grid_argmin(self):
+        # the 128 evaluated rows make eight blocks of 15 and one of 8
+        theta = np.pi * (np.arange(256) + 0.5) / 256
+        phi = 2.0 * np.pi * np.arange(256) / 256
+        grid = bounds._sphere_grid()
+        assert [stop - start for start, stop in grid.blocks] == [15] * 8 + [8]
         for inv, _ in grid_comparison_sets():
-            vals = sphere_values(inv, theta[:rows], phi)
+            vals = sphere_values(inv, theta[:128], phi)
             k = int(np.argmin(vals))
-            grid = bounds._sphere_grid(n_theta, n_phi)
             assert bounds._sphere_min(inv, grid) == (k, vals.flat[k]), inv
 
     def test_default_grid_builds_no_full_grid_array(self):
@@ -552,21 +535,19 @@ class TestSphereMin:
             tracemalloc.stop()
         assert peak < 512 * 1024
 
-    def test_cached_tables_are_read_only_and_shared_across_sizes(self):
-        grid = bounds._sphere_grid(256, 256)
+    def test_cached_tables_are_read_only_and_shared(self):
+        grid = bounds._sphere_grid()
         for name in ("theta", "phi", "powers", "phase", "order", "den"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(grid, name)[0] = 0
-        assert bounds._sphere_grid(256, 256) is grid
-        # sizes interleaved through the cache give the results of a cold cache
-        sizes = [(256, 256), (7, 9), (128, 128), (2, 4)] * 2
+        assert bounds._sphere_grid() is grid
+        # calls through the shared tables give the results of a cold cache
         sets = [inv for inv, _ in grid_comparison_sets()][::6]
-        warm = [repr(bound_grid(inv, *size)) for size in sizes for inv in sets]
+        warm = [repr(bound_grid(inv)) for inv in sets]
         cold = []
-        for size in sizes:
-            for inv in sets:
-                bounds._sphere_grid.cache_clear()
-                cold.append(repr(bound_grid(inv, *size)))
+        for inv in sets:
+            bounds._sphere_grid.cache_clear()
+            cold.append(repr(bound_grid(inv)))
         assert warm == cold
 
 
@@ -601,15 +582,12 @@ class TestGridComposition:
     witness tan(theta/2) e^{i phi} at the point that attains it."""
 
     @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
-    @pytest.mark.parametrize("n_theta,n_phi", [
-        (7, 9), (8, 6), (16, 16), (66, 64), (97, 97), (128, 128), (256, 256),
-    ])
-    def test_repr_equal_to_the_full_grid_search(self, n_theta, n_phi, seeded):
+    def test_repr_equal_to_the_full_grid_search(self, seeded):
         # unseeded, the sphere or the pole decides; seeded, mostly a quartic root
         candidates = None if seeded else []
         for inv, _ in grid_comparison_sets():
-            new = bound_grid(inv, n_theta, n_phi, candidates=candidates)
-            old = full_grid_bound(inv, n_theta, n_phi, candidates=candidates)
+            new = bound_grid(inv, candidates=candidates)
+            old = full_grid_bound(inv, 256, 256, candidates=candidates)
             assert repr(new) == repr(old), inv
 
     def test_seeded_search_equals_the_quartic_bound(self):

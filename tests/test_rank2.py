@@ -1,4 +1,4 @@
-"""GHZ/W closed forms, optimal decompositions, and the general rank-2 scan."""
+"""GHZ/W closed forms, optimal decompositions, and the general rank-2 workflow."""
 
 import math
 
@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 from tanglebound import bounds, errors, rank2
-from tanglebound.bounds import bound_cap
+from tanglebound.bounds import bound_cap, bound_quartic_A4, bound_unitary_3q
 from tanglebound.invariants import (
     correlation_summary,
     invariant_set_A4,
     three_tangle_pure,
 )
-from tanglebound.qstate import MixedState3, partial_trace_last, purify_rank2, random_state
+from tanglebound.qstate import (
+    MixedState3,
+    partial_trace_last,
+    purify_rank2,
+    random_state,
+    rank2_basis,
+)
 from tanglebound.rank2 import (
     ROOT_MIXTURE_TOL,
-    GhzWMixture,
     decompose_rank2,
     ghz_state,
     ghzw_bound,
@@ -27,16 +32,6 @@ from tanglebound.rank2 import (
     ghzw_x0,
     w_state,
 )
-
-
-class TestGhzWMixture:
-    def test_valid_range(self):
-        m = GhzWMixture(0.4, 1.3)
-        assert m.p == 0.4 and m.theta == 1.3
-
-    def test_out_of_range(self):
-        with pytest.raises(errors.OutOfRange):
-            GhzWMixture(1.2)
 
 
 class TestGhzwInvariants:
@@ -173,27 +168,29 @@ class TestDecomposeRank2:
         for _, member in deco.members:
             assert three_tangle_pure(member) < 1e-9
 
-    def test_rounding_level_root_mixture_skips_the_scan(self, monkeypatch):
+    def test_rounding_level_root_mixture_skips_the_bounds(self, monkeypatch):
         # below the GHZ/W threshold the root mixture realizes ~1e-16 and is
-        # returned before any purification phase is scanned; above it the scan runs
+        # returned before the bounds run; above it the quartic candidates are
+        # solved once
         solved = []
 
         def counting(inv):
             solved.append(inv)
-            return bounds.quartic_root_candidates(inv)
+            return quartic_root_candidates(inv)
 
-        monkeypatch.setattr(rank2, "quartic_root_candidates", counting)
+        quartic_root_candidates = bounds.quartic_root_candidates
+        monkeypatch.setattr(bounds, "quartic_root_candidates", counting)
         for p in (0.3, 0.5):
             witness, _ = decompose_rank2(ghzw_rho(p))
             assert witness.method == "root_mixture"
             assert 0.0 <= witness.value <= ROOT_MIXTURE_TOL
         assert solved == []
         decompose_rank2(ghzw_rho(0.8))
-        assert len(solved) == rank2.THETA_SAMPLES
+        assert len(solved) == 1
 
-    def test_one_endpoint_quartic_per_scanned_phase(self, monkeypatch):
-        # each phase solves one quartic for quartic_A4 and the grid's seeds and
-        # one for unitary_3q; the other families are those roots' antipodes
+    def test_one_endpoint_quartic_per_bound(self, monkeypatch):
+        # one quartic for quartic_A4 and one for unitary_3q; the other
+        # families are those roots' antipodes
         calls = []
         solve = bounds.roots
 
@@ -207,7 +204,24 @@ class TestDecomposeRank2:
             calls.clear()
             witness, _ = decompose_rank2(rho)
             assert witness.method != "root_mixture"
-            assert len(calls) == 2 * rank2.THETA_SAMPLES
+            assert len(calls) == 2
+
+    def test_one_invariant_set_per_call(self, monkeypatch):
+        # the theta = 0 purification's set serves the root-mixture test and
+        # both bounds, whether or not the mixture is returned early
+        calls = []
+        build = rank2.invariant_set_A4
+
+        def counting(state):
+            calls.append(state)
+            return build(state)
+
+        monkeypatch.setattr(rank2, "invariant_set_A4", counting)
+        rhos = [ghzw_rho(0.3), ghzw_rho(0.8), partial_trace_last(random_state(123))[0]]
+        for rho in rhos:
+            calls.clear()
+            decompose_rank2(rho)
+            assert len(calls) == 1
 
     def test_point_eight_bounded_by_tabulated_value(self):
         witness, deco = decompose_rank2(ghzw_rho(0.8))
@@ -229,22 +243,28 @@ class TestDecomposeRank2:
             assert 0.0 <= witness.value <= cap + 1e-8
             np.testing.assert_allclose(deco.reconstructed.rho, rho.rho, atol=1e-8)
 
-    def test_theta_periodicity_of_ghzw_scan(self):
-        # the scan objective is periodic in the purification phase with period 2*pi/3
-        from tanglebound.bounds import bound_quartic_A4
-        for theta in (0.2, 1.1):
-            a = bound_quartic_A4(invariant_set_A4(ghzw_purification(0.8, theta))).value
-            b = bound_quartic_A4(
-                invariant_set_A4(ghzw_purification(0.8, theta + 2 * math.pi / 3))
-            ).value
-            assert a == pytest.approx(b, abs=1e-9)
+    def test_bounds_do_not_depend_on_the_purification_phase(self):
+        # theta is a diagonal unitary on the traced qubit: it sends I^{4-m,m}
+        # to e^{i m theta} I^{4-m,m} and only reparametrizes x, so one
+        # purification gives every phase's bounds
+        rhos = [partial_trace_last(random_state(900 + k))[0] for k in range(10)]
+        rhos.append(ghzw_rho(0.8))
+        for rho in rhos:
+            p0, p1, _, _ = rank2_basis(rho)
+            values = []
+            for k in range(24):
+                inv = invariant_set_A4(purify_rank2(rho, 2.0 * math.pi * k / 24))
+                values.append((bound_quartic_A4(inv).value, bound_unitary_3q(inv, p0, p1).value))
+            for quartic, unitary in values[1:]:
+                assert quartic == pytest.approx(values[0][0], rel=1e-12, abs=0.0)
+                assert unitary == pytest.approx(values[0][1], rel=1e-12, abs=0.0)
 
     def test_rank_too_high(self):
         with pytest.raises(errors.RankTooHigh):
             decompose_rank2(MixedState3(np.eye(8) / 8.0))
 
     def test_w_plus_orthogonal_product_mixture(self):
-        # W mixed with |111>: both zero-tangle, so the scan certifies zero
+        # W mixed with |111>: both zero-tangle, so decompose_rank2 certifies zero
         w = w_state().amps
         e = np.zeros(8, dtype=complex)
         e[7] = 1.0
