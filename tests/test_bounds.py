@@ -408,16 +408,25 @@ CLASS_GRID_SPECS = [
 ]
 
 
-def grid_comparison_sets():
+GRID_FAMILIES = ("random", "state_A4", "state_A3", "state_A2", "class_A4", "class_A3", "class_A2")
+
+
+def grid_comparison_sets(family=None):
     """Random sets, invariant sets of random states, and class representatives
-    (II-V, every traced qubit), each tagged as generic or as a class set."""
+    (II-V, every traced qubit), each tagged as generic or as a class set.
+
+    ``family``, one of GRID_FAMILIES, keeps the sets of one origin and traced
+    qubit; None keeps all of them.
+    """
     rng = np.random.default_rng(404)
-    sets = [(random_set(rng), False) for _ in range(30)]
-    sets += [(invariant_set(random_state(700 + k), t), False)
+    sets = [("random", random_set(rng), False) for _ in range(30)]
+    sets += [("state_" + t, invariant_set(random_state(700 + k), t), False)
              for k in range(10) for t in ("A4", "A3", "A2")]
-    sets += [(invariant_set(representative(spec), t), True)
+    sets += [("class_" + t, invariant_set(representative(spec), t), True)
              for spec in CLASS_GRID_SPECS for t in ("A4", "A3", "A2")]
-    return sets
+    kept = [(inv, is_class) for name, inv, is_class in sets if family in (None, name)]
+    assert kept, family
+    return kept
 
 
 def sphere_values(inv: ThreeQubitInvariantSet, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -462,7 +471,8 @@ class TestGridMatchesReference:
         vals = sphere_values(inv, theta, phi)
         np.testing.assert_allclose(vals, np.roll(vals[::-1], 8, axis=1), rtol=1e-12)
 
-    def test_values_match_and_witnesses_move_only_on_flat_minima(self, monkeypatch):
+    @pytest.mark.parametrize("family", GRID_FAMILIES)
+    def test_values_match_and_witnesses_move_only_on_flat_minima(self, family, monkeypatch):
         # the antipode of a grid point is on the grid, so only the rows
         # j < 128 of the 256 x 256 grid are evaluated
         sphere_rows = []
@@ -473,7 +483,7 @@ class TestGridMatchesReference:
             return sphere_min(inv, grid)
 
         monkeypatch.setattr(bounds, "_sphere_min", recording)
-        for inv, is_class in grid_comparison_sets():
+        for inv, is_class in grid_comparison_sets(family):
             new = bound_grid(inv)
             old = reference_bound_grid(inv, 256, 256, refine_iters=0)
             assert values_agree(new.value, old.value), (inv, new.value, old.value)
@@ -513,13 +523,14 @@ class TestGridMatchesReference:
 class TestSphereMin:
     """_sphere_min finds the full grid's first minimum block by block, bit for bit."""
 
-    def test_equals_the_full_grid_argmin(self):
+    @pytest.mark.parametrize("family", GRID_FAMILIES)
+    def test_equals_the_full_grid_argmin(self, family):
         # the 128 evaluated rows make eight blocks of 15 and one of 8
         theta = np.pi * (np.arange(256) + 0.5) / 256
         phi = 2.0 * np.pi * np.arange(256) / 256
         grid = bounds._sphere_grid()
         assert [stop - start for start, stop in grid.blocks] == [15] * 8 + [8]
-        for inv, _ in grid_comparison_sets():
+        for inv, _ in grid_comparison_sets(family):
             vals = sphere_values(inv, theta[:128], phi)
             k = int(np.argmin(vals))
             assert bounds._sphere_min(inv, grid) == (k, vals.flat[k]), inv
@@ -582,10 +593,11 @@ class TestGridComposition:
     witness tan(theta/2) e^{i phi} at the point that attains it."""
 
     @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
-    def test_repr_equal_to_the_full_grid_search(self, seeded):
+    @pytest.mark.parametrize("family", GRID_FAMILIES)
+    def test_repr_equal_to_the_full_grid_search(self, family, seeded):
         # unseeded, the sphere or the pole decides; seeded, mostly a quartic root
         candidates = None if seeded else []
-        for inv, _ in grid_comparison_sets():
+        for inv, _ in grid_comparison_sets(family):
             new = bound_grid(inv, candidates=candidates)
             old = full_grid_bound(inv, 256, 256, candidates=candidates)
             assert repr(new) == repr(old), inv

@@ -243,21 +243,22 @@ class TestDecomposeRank2:
             assert 0.0 <= witness.value <= cap + 1e-8
             np.testing.assert_allclose(deco.reconstructed.rho, rho.rho, atol=1e-8)
 
-    def test_bounds_do_not_depend_on_the_purification_phase(self):
+    @pytest.mark.parametrize(
+        "seed", [*range(900, 910), None], ids=lambda s: "ghzw_0.8" if s is None else f"random_{s}"
+    )
+    def test_bounds_do_not_depend_on_the_purification_phase(self, seed):
         # theta is a diagonal unitary on the traced qubit: it sends I^{4-m,m}
         # to e^{i m theta} I^{4-m,m} and only reparametrizes x, so one
         # purification gives every phase's bounds
-        rhos = [partial_trace_last(random_state(900 + k))[0] for k in range(10)]
-        rhos.append(ghzw_rho(0.8))
-        for rho in rhos:
-            p0, p1, _, _ = rank2_basis(rho)
-            values = []
-            for k in range(24):
-                inv = invariant_set_A4(purify_rank2(rho, 2.0 * math.pi * k / 24))
-                values.append((bound_quartic_A4(inv).value, bound_unitary_3q(inv, p0, p1).value))
-            for quartic, unitary in values[1:]:
-                assert quartic == pytest.approx(values[0][0], rel=1e-12, abs=0.0)
-                assert unitary == pytest.approx(values[0][1], rel=1e-12, abs=0.0)
+        rho = ghzw_rho(0.8) if seed is None else partial_trace_last(random_state(seed))[0]
+        p0, p1, _, _ = rank2_basis(rho)
+        values = []
+        for k in range(24):
+            inv = invariant_set_A4(purify_rank2(rho, 2.0 * math.pi * k / 24))
+            values.append((bound_quartic_A4(inv).value, bound_unitary_3q(inv, p0, p1).value))
+        for quartic, unitary in values[1:]:
+            assert quartic == pytest.approx(values[0][0], rel=1e-12, abs=0.0)
+            assert unitary == pytest.approx(values[0][1], rel=1e-12, abs=0.0)
 
     def test_rank_too_high(self):
         with pytest.raises(errors.RankTooHigh):
