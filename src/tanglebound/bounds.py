@@ -171,6 +171,12 @@ def branch_form_coefficients(inv: ThreeQubitInvariantSet, p0: float, p1: float) 
     )
 
 
+def _branch_form_set(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> ThreeQubitInvariantSet:
+    """branch_form_coefficients in reverse order, as an invariant set: its
+    endpoint forms I04(y), I40(y) are the branch pair's f40(y), f04(y)."""
+    return ThreeQubitInvariantSet(inv.traced, *branch_form_coefficients(inv, p0, p1)[::-1])
+
+
 def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> BoundWitness:
     """Endpoint-zeroing bound on the branch decomposition with probabilities p0, p1.
 
@@ -189,10 +195,8 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
         )
     if inv.scale() == 0.0:
         return BoundWitness("unitary_3q", 0.0, None, (), None)
-    # f40(y), f04(y) are the endpoint forms I04(y), I40(y) of the scaled set in
-    # reverse order; zeroing f40 leaves weight p0^2 on f04, zeroing f04 leaves p1^2 on f40
-    g = branch_form_coefficients(inv, p0, p1)
-    zero_f04, zero_f40 = _endpoint_roots(ThreeQubitInvariantSet(inv.traced, *g[::-1]))
+    # zeroing f40 leaves weight p0^2 on f04, zeroing f04 leaves p1^2 on f40
+    zero_f04, zero_f40 = _endpoint_roots(_branch_form_set(inv, p0, p1))
     cands = [(4.0 * p0 ** 2 * a, y) for a, y in zero_f40]
     cands += [(4.0 * p1 ** 2 * a, y) for a, y in zero_f04]
     cands.sort(key=_candidate_key)
@@ -346,35 +350,6 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
 # zero-pattern classifier and closed forms
 # ---------------------------------------------------------------------------
 
-def classify_group(inv: ThreeQubitInvariantSet, three_way: float) -> str:
-    """Assign one of the six sparse groups, or "generic".
-
-    An invariant counts as zero when its modulus is below ZERO_PATTERN_TOL times
-    the largest modulus in the set (scale-free), the tolerance that
-    bound_closed_form checks its case against. Vanishing three-way correlation
-    short-circuits to case "i".
-    """
-    scale = inv.scale()
-    if scale == 0.0 or three_way < ZERO_PATTERN_TOL * 16.0 * scale ** 2:
-        return "i"
-    nz = _nonzero_pattern(inv)
-    return {
-        frozenset({"40"}): "ii",
-        frozenset({"04"}): "iii",
-        frozenset({"40", "22"}): "iv",
-        frozenset({"04", "22"}): "v",
-        frozenset({"04", "13"}): "vi",
-    }.get(nz, "generic")
-
-
-def _nonzero_pattern(inv: ThreeQubitInvariantSet) -> frozenset:
-    scale = inv.scale()
-    labels = ("40", "31", "22", "13", "04")
-    return frozenset(
-        lab for lab, z in zip(labels, inv.as_array()) if abs(z) >= ZERO_PATTERN_TOL * scale
-    )
-
-
 #: case -> invariants allowed to be nonzero
 _CASE_SUPPORT = {
     "i": frozenset({"40", "31", "22", "13", "04"}),
@@ -384,6 +359,32 @@ _CASE_SUPPORT = {
     "v": frozenset({"04", "22"}),
     "vi": frozenset({"04", "13"}),
 }
+
+#: nonzero pattern -> sparse case; case "i" is decided by the three-way correlation
+_CASE_OF_PATTERN = {support: case for case, support in _CASE_SUPPORT.items() if case != "i"}
+
+
+def classify_group(inv: ThreeQubitInvariantSet, three_way: float) -> str:
+    """Assign one of the six sparse groups, or "generic".
+
+    An invariant counts as zero when its modulus is below ZERO_PATTERN_TOL times
+    the largest modulus in the set (scale-free), the tolerance that
+    bound_closed_form checks its case against. Vanishing three-way correlation
+    short-circuits to case "i"; otherwise the nonzero pattern must be exactly
+    one of the sparse supports in _CASE_SUPPORT.
+    """
+    scale = inv.scale()
+    if scale == 0.0 or three_way < ZERO_PATTERN_TOL * 16.0 * scale ** 2:
+        return "i"
+    return _CASE_OF_PATTERN.get(_nonzero_pattern(inv), "generic")
+
+
+def _nonzero_pattern(inv: ThreeQubitInvariantSet) -> frozenset:
+    scale = inv.scale()
+    labels = ("40", "31", "22", "13", "04")
+    return frozenset(
+        lab for lab, z in zip(labels, inv.as_array()) if abs(z) >= ZERO_PATTERN_TOL * scale
+    )
 
 
 def bound_closed_form(inv: ThreeQubitInvariantSet, case: str) -> BoundWitness:

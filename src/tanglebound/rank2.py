@@ -28,9 +28,10 @@ import numpy as np
 from .bounds import (
     PROB_FLOOR,
     BoundWitness,
+    _branch_form_set,
+    _endpoint_coefficients,
     bound_quartic_A4,
     bound_unitary_3q,
-    branch_form_coefficients,
 )
 from .errors import BranchMismatch, NotDensityMatrix, OutOfRange
 from .invariants import invariant_set_A4, three_tangle_pure
@@ -40,8 +41,8 @@ from .qstate import (
     PureState4,
     branch_vectors,
     check_normalized,
+    _purification,
     normalize,
-    purify_rank2,
     rank2_basis,
 )
 from .quartic import PolyDeg4, roots
@@ -189,18 +190,17 @@ def _zero_tangle_mixture(p0, p1, v0, v1, inv) -> Decomposition | None:
     The tangle of u v0 + t u v1 vanishes on the <= 4 projective roots t of the
     binary quartic form; rho has zero tangle exactly when it is a convex
     mixture of those root states. Feasibility is decided by enumerating root
-    subsets and solving the 2x2 moment constraints.
+    subsets and solving the 2x2 moment constraints. Needs p1 >= PROB_FLOOR,
+    which decompose_rank2 has checked.
     """
-    if p1 < PROB_FLOOR:
-        return None
-    g = branch_form_coefficients(inv, p0, p1)
-    if not np.any(g):
+    g = _branch_form_set(inv, p0, p1)
+    if g.scale() == 0.0:
         # every range state has zero tangle
         return make_decomposition(
             [(p0, PureState3(v0))] + ([(p1, PureState3(v1))] if p1 > WEIGHT_DROP else [])
         )
-    # projective roots of g0 + 4 g1 t + 6 g2 t^2 + 4 g3 t^3 + g4 t^4
-    ts = roots(PolyDeg4(g[0], 4.0 * g[1], 6.0 * g[2], 4.0 * g[3], g[4]))
+    # projective roots t of the branch pair's f40 form, the reversed set's I04 numerator
+    ts = roots(PolyDeg4(*_endpoint_coefficients(g)[1]))
     directions = [(1.0, t) for t in ts]
     if len(ts) < 4:
         directions.append((0.0, 1.0))            # root(s) at infinity: v1 itself
@@ -282,7 +282,7 @@ def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
         witness = BoundWitness("quartic_A4", value, 0j, (), None)
         return witness, make_decomposition([(1.0, member)])
 
-    state = purify_rank2(rho, 0.0)
+    state = _purification(p0, p1, v0, v1, 0.0)
     inv = invariant_set_A4(state)
     zero_mixture = _zero_tangle_mixture(p0, p1, v0, v1, inv)
     if zero_mixture is not None:

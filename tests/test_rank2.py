@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tanglebound import bounds, errors, rank2
+from tanglebound import bounds, errors, qstate, rank2
 from tanglebound.bounds import bound_cap, bound_quartic_A4, bound_unitary_3q
 from tanglebound.invariants import (
     correlation_summary,
@@ -217,6 +217,23 @@ class TestDecomposeRank2:
             return build(state)
 
         monkeypatch.setattr(rank2, "invariant_set_A4", counting)
+        rhos = [ghzw_rho(0.3), ghzw_rho(0.8), partial_trace_last(random_state(123))[0]]
+        for rho in rhos:
+            calls.clear()
+            decompose_rank2(rho)
+            assert len(calls) == 1
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        # the theta = 0 purification is built from the eigenbasis that
+        # decompose_rank2 already holds, not from a second rank2_basis
+        calls = []
+
+        def counting(rho):
+            calls.append(rho)
+            return rank2_basis(rho)
+
+        monkeypatch.setattr(rank2, "rank2_basis", counting)
+        monkeypatch.setattr(qstate, "rank2_basis", counting)
         rhos = [ghzw_rho(0.3), ghzw_rho(0.8), partial_trace_last(random_state(123))[0]]
         for rho in rhos:
             calls.clear()
