@@ -26,6 +26,7 @@ from .errors import DegenerateProbability, WrongCase
 from .invariants import (
     CorrelationSummary,
     ThreeQubitInvariantSet,
+    _endpoint_coefficients,
     summary_from_set,
     traced_qubit_of,
     traced_state_and_set,
@@ -63,13 +64,6 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # quartic bound on the traced qubit
 # ---------------------------------------------------------------------------
-
-def _endpoint_coefficients(inv: ThreeQubitInvariantSet):
-    """Ascending coefficients of the endpoint numerators: I40 in w = conj(x), I04 in w = x."""
-    c40 = (inv.i40, -4.0 * inv.i31, 6.0 * inv.i22, -4.0 * inv.i13, inv.i04)
-    c04 = (inv.i04, 4.0 * inv.i13, 6.0 * inv.i22, 4.0 * inv.i31, inv.i40)
-    return c40, c04
-
 
 def _endpoint_roots(inv: ThreeQubitInvariantSet):
     """(|I04(x)|, x) at the roots x zeroing I40, and (|I40(x)|, x) at those zeroing I04.
@@ -172,8 +166,7 @@ def branch_form_coefficients(inv: ThreeQubitInvariantSet, p0: float, p1: float) 
 
 
 def _branch_form_set(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> ThreeQubitInvariantSet:
-    """branch_form_coefficients in reverse order, as an invariant set: its
-    endpoint forms I04(y), I40(y) are the branch pair's f40(y), f04(y)."""
+    """Reversed branch_form_coefficients: its I04(y), I40(y) are the pair's f40(y), f04(y)."""
     return ThreeQubitInvariantSet(inv.traced, *branch_form_coefficients(inv, p0, p1)[::-1])
 
 
@@ -370,8 +363,7 @@ def classify_group(inv: ThreeQubitInvariantSet, three_way: float) -> str:
     An invariant counts as zero when its modulus is below ZERO_PATTERN_TOL times
     the largest modulus in the set (scale-free), the tolerance that
     bound_closed_form checks its case against. Vanishing three-way correlation
-    short-circuits to case "i"; otherwise the nonzero pattern must be exactly
-    one of the sparse supports in _CASE_SUPPORT.
+    short-circuits to case "i"; the others are the supports in _CASE_SUPPORT.
     """
     scale = inv.scale()
     if scale == 0.0 or three_way < ZERO_PATTERN_TOL * 16.0 * scale ** 2:

@@ -1,7 +1,9 @@
 """Determinants of negativity fonts with A1 as the focus qubit.
 
 Every entry is a 2x2 determinant of selected state coefficients. Superscript
-indices that appear shifted by one are taken mod 2.
+indices that appear shifted by one are taken mod 2. Each family is one
+expression over tensor slices, a00 * a11' - a10 * a01' with a_{i1 i2} =
+t[i1, i2]; the prime reverses the shifted superscript axes.
 """
 
 from __future__ import annotations
@@ -42,30 +44,25 @@ class FontSet4:
 
 
 def compute_fonts3(state: PureState3) -> FontSet3:
-    """Fill the four determinants of a three-qubit state (normalization not required)."""
+    """The two- and three-way determinants of a three-qubit state (normalization not required)."""
     t = state.tensor()
-    d2 = np.empty(2, dtype=complex)
-    d3 = np.empty(2, dtype=complex)
-    for i3 in range(2):
-        d2[i3] = t[0, 0, i3] * t[1, 1, i3] - t[1, 0, i3] * t[0, 1, i3]
-        d3[i3] = t[0, 0, i3] * t[1, 1, i3 ^ 1] - t[1, 0, i3] * t[0, 1, i3 ^ 1]
+    a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
+    d2 = a00 * a11 - a10 * a01
+    # three-way: the superscript i3 flips
+    d3 = a00 * a11[::-1] - a10 * a01[::-1]
     return FontSet3(d2, d3)
 
 
 def compute_fonts4(state: PureState4) -> FontSet4:
-    """Fill the two-, three- and four-way determinant families of a four-qubit state."""
+    """The two-, three- and four-way determinant families of a four-qubit state."""
     t = state.tensor()
-    d2_a3a4 = np.empty((2, 2), dtype=complex)
-    d3_a4 = np.empty((2, 2), dtype=complex)
-    d3_a3 = np.empty((2, 2), dtype=complex)
-    d4 = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            # two-way: both remaining indices fixed
-            d2_a3a4[i, j] = t[0, 0, i, j] * t[1, 1, i, j] - t[1, 0, i, j] * t[0, 1, i, j]
-            # three-way: superscript index flips, subscript qubit stays
-            d3_a4[i, j] = t[0, 0, i, j] * t[1, 1, i ^ 1, j] - t[1, 0, i, j] * t[0, 1, i ^ 1, j]
-            d3_a3[i, j] = t[0, 0, j, i] * t[1, 1, j, i ^ 1] - t[1, 0, j, i] * t[0, 1, j, i ^ 1]
-            # four-way: both trailing indices flip
-            d4[i, j] = t[0, 0, i, j] * t[1, 1, i ^ 1, j ^ 1] - t[1, 0, i, j] * t[0, 1, i ^ 1, j ^ 1]
+    a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
+    # two-way: both remaining indices fixed
+    d2_a3a4 = a00 * a11 - a10 * a01
+    # three-way: the superscript flips, the subscript qubit stays; d3_A3 is
+    # indexed [i4, i3]
+    d3_a4 = a00 * a11[::-1] - a10 * a01[::-1]
+    d3_a3 = (a00 * a11[:, ::-1] - a10 * a01[:, ::-1]).T
+    # four-way: both trailing indices flip
+    d4 = a00 * a11[::-1, ::-1] - a10 * a01[::-1, ::-1]
     return FontSet4(d2_a3a4, d3_a4, d3_a3, d4)

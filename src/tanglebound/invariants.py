@@ -131,20 +131,15 @@ def _set_from_fonts(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
     return ThreeQubitInvariantSet(traced, i40, i31, i22, i13, i04)
 
 
-def _endpoint_forms(inv: ThreeQubitInvariantSet, x):
-    """Numerators of I^{4,0}(x), I^{0,4}(x) and their common denominator
-    (1+|x|^2)^2; x is a Python complex or a complex ndarray."""
-    xc = x.conjugate()
-    den = (1.0 + abs(x) ** 2) ** 2
-    f40 = (
-        inv.i40 - 4.0 * xc * inv.i31 + 6.0 * xc ** 2 * inv.i22
-        - 4.0 * xc ** 3 * inv.i13 + xc ** 4 * inv.i04
-    )
-    f04 = (
-        inv.i04 + 4.0 * x * inv.i13 + 6.0 * x ** 2 * inv.i22
-        + 4.0 * x ** 3 * inv.i31 + x ** 4 * inv.i40
-    )
-    return f40, f04, den
+def _endpoint_coefficients(inv: ThreeQubitInvariantSet):
+    """Ascending coefficients of the endpoint numerators: I40 in w = conj(x), I04 in w = x.
+
+    The only coding of the binary quartic form: it feeds the root solve and the
+    sphere grid in ``bounds``, rank2's root mixture and transform_endpoints.
+    """
+    c40 = (inv.i40, -4.0 * inv.i31, 6.0 * inv.i22, -4.0 * inv.i13, inv.i04)
+    c04 = (inv.i04, 4.0 * inv.i13, 6.0 * inv.i22, 4.0 * inv.i31, inv.i40)
+    return c40, c04
 
 
 def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[complex, complex]:
@@ -152,12 +147,17 @@ def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[comple
     acts on the traced qubit.
 
     I^{4,0}(x) is a quartic in conj(x), I^{0,4}(x) a quartic in x, both divided
-    by (1+|x|^2)^2.
+    by (1+|x|^2)^2: Horner's rule on _endpoint_coefficients, the table that
+    the root solve and the sphere grid read too.
     """
     x = complex(x)
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise NonFinite(f"x = {x!r}")
-    f40, f04, den = _endpoint_forms(inv, x)
+    c40, c04 = _endpoint_coefficients(inv)
+    w = x.conjugate()
+    f40 = (((c40[4] * w + c40[3]) * w + c40[2]) * w + c40[1]) * w + c40[0]
+    f04 = (((c04[4] * x + c04[3]) * x + c04[2]) * x + c04[1]) * x + c04[0]
+    den = (1.0 + abs(x) ** 2) ** 2
     return f40 / den, f04 / den
 
 

@@ -228,8 +228,8 @@ def purify_rank2(rho: MixedState3, theta: float) -> PureState4:
     return _purification(*rank2_basis(rho), theta)
 
 
-def _purification(p0: float, p1: float, v0: np.ndarray, v1: np.ndarray, theta: float) -> PureState4:
-    """purify_rank2 on an eigenbasis (p0, p1, v0, v1) that rank2_basis returned."""
+def _purification(p0, p1, v0, v1, theta: float) -> PureState4:
+    """purify_rank2 on the eigenbasis (p0, p1, v0, v1) that rank2_basis returned."""
     t = np.zeros((8, 2), dtype=complex)   # flat (i1 i2 i3) x ancilla, C-order flattens correctly
     t[:, 0] = math.sqrt(p0) * v0
     if p1 > 0.0:

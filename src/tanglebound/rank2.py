@@ -29,12 +29,11 @@ from .bounds import (
     PROB_FLOOR,
     BoundWitness,
     _branch_form_set,
-    _endpoint_coefficients,
     bound_quartic_A4,
     bound_unitary_3q,
 )
 from .errors import BranchMismatch, NotDensityMatrix, OutOfRange
-from .invariants import invariant_set_A4, three_tangle_pure
+from .invariants import _endpoint_coefficients, invariant_set_A4, three_tangle_pure
 from .qstate import (
     MixedState3,
     PureState3,
@@ -190,8 +189,7 @@ def _zero_tangle_mixture(p0, p1, v0, v1, inv) -> Decomposition | None:
     The tangle of u v0 + t u v1 vanishes on the <= 4 projective roots t of the
     binary quartic form; rho has zero tangle exactly when it is a convex
     mixture of those root states. Feasibility is decided by enumerating root
-    subsets and solving the 2x2 moment constraints. Needs p1 >= PROB_FLOOR,
-    which decompose_rank2 has checked.
+    subsets and solving the 2x2 moment constraints. Needs p1 >= PROB_FLOOR.
     """
     g = _branch_form_set(inv, p0, p1)
     if g.scale() == 0.0:

@@ -23,7 +23,7 @@ from tanglebound.bounds import (
 from tanglebound.classes import ClassSpec, literature_bound, representative, spec_from_values
 from tanglebound.invariants import (
     ThreeQubitInvariantSet,
-    _endpoint_forms,
+    _endpoint_coefficients,
     correlation_summary,
     invariant_set,
     n48_i48,
@@ -180,7 +180,7 @@ def reference_endpoint_roots(inv: ThreeQubitInvariantSet):
     (bounds._endpoint_roots before it solved one quartic and mapped the other
     family's roots to antipodes: both quartics solved.)
     """
-    c40, c04 = bounds._endpoint_coefficients(inv)
+    c40, c04 = _endpoint_coefficients(inv)
     zero40 = [(abs(transform_endpoints(inv, x)[1]), x) for x in reference_family_roots(c40, True)]
     zero04 = [(abs(transform_endpoints(inv, x)[0]), x) for x in reference_family_roots(c04, False)]
     return zero40, zero04
@@ -197,7 +197,7 @@ def degenerate_sets(rng, count):
         for slots in ((0,), (4,), (0, 4)):
             zero = z.copy()
             zero[list(slots)] = 0.0
-            c04 = bounds._endpoint_coefficients(ThreeQubitInvariantSet("A4", *zero))[1]
+            c04 = _endpoint_coefficients(ThreeQubitInvariantSet("A4", *zero))[1]
             tol = SCALE_TOL * max(abs(c) for c in c04)
             for factor in (0.5, 2.0):
                 near = zero.copy()
@@ -282,7 +282,7 @@ class TestOneEndpointSolve:
             bound_quartic_A4(inv)
             # with i40 nonzero below the drop modulus, the root the I04 quartic
             # drops has its antipode near x = 0, not at it: I40's is solved too
-            tol = SCALE_TOL * max(abs(c) for c in bounds._endpoint_coefficients(inv)[1])
+            tol = SCALE_TOL * max(abs(c) for c in _endpoint_coefficients(inv)[1])
             dropped = 0.0 < abs(inv.i40) < tol
             assert len(calls) == (2 if dropped else 1), inv
             near_zero += dropped
@@ -331,8 +331,19 @@ class TestGridBound:
 
 
 def reference_sum_sqrt(inv, xs):
-    """2 (sqrt|I40(x)| + sqrt|I04(x)|), evaluated pointwise on an array of x."""
-    f40, f04, den = _endpoint_forms(inv, np.asarray(xs, dtype=complex))
+    """2 (sqrt|I40(x)| + sqrt|I04(x)|), evaluated pointwise on an array of x,
+    with the endpoint forms written out in powers of conj(x) and x."""
+    x = np.asarray(xs, dtype=complex)
+    xc = x.conjugate()
+    den = (1.0 + np.abs(x) ** 2) ** 2
+    f40 = (
+        inv.i40 - 4.0 * xc * inv.i31 + 6.0 * xc ** 2 * inv.i22
+        - 4.0 * xc ** 3 * inv.i13 + xc ** 4 * inv.i04
+    )
+    f04 = (
+        inv.i04 + 4.0 * x * inv.i13 + 6.0 * x ** 2 * inv.i22
+        + 4.0 * x ** 3 * inv.i31 + x ** 4 * inv.i40
+    )
     return 2.0 * (np.sqrt(np.abs(f40) / den) + np.sqrt(np.abs(f04) / den))
 
 
@@ -440,7 +451,7 @@ def sphere_values(inv: ThreeQubitInvariantSet, theta: np.ndarray, phi: np.ndarra
     r = np.tan(theta / 2.0)
     powers = r[:, None] ** np.arange(5)
     e = np.exp(1j * np.outer(np.arange(5), phi))
-    c40, c04 = bounds._endpoint_coefficients(inv)
+    c40, c04 = _endpoint_coefficients(inv)
     den = ((1.0 + r ** 2) ** 2)[:, None]
     a40 = np.abs((powers * c40) @ e.conj()) / den
     a04 = np.abs((powers * c04) @ e) / den

@@ -36,6 +36,26 @@ def brute_force_fonts4(state: PureState4) -> dict:
     return table
 
 
+# three-qubit families: "i" is the free bit i3, "I" its complement
+THREE_QUBIT_RULES = {
+    "d2way": (("0", "0", "i"), ("1", "1", "i"), ("1", "0", "i"), ("0", "1", "i")),
+    "d3way": (("0", "0", "i"), ("1", "1", "I"), ("1", "0", "i"), ("0", "1", "I")),
+}
+
+
+def brute_force_fonts3(state: PureState3) -> dict:
+    t = state.tensor()
+    table = {}
+    for family, patterns in THREE_QUBIT_RULES.items():
+        entries = np.empty(2, dtype=complex)
+        for i in range(2):
+            bits = {"0": 0, "1": 1, "i": i, "I": i ^ 1}
+            idx = [tuple(bits[sym] for sym in pattern) for pattern in patterns]
+            entries[i] = t[idx[0]] * t[idx[1]] - t[idx[2]] * t[idx[3]]
+        table[family] = entries
+    return table
+
+
 def ket3(bits: str, coeff=1.0) -> np.ndarray:
     a = np.zeros(8, dtype=complex)
     a[int(bits, 2)] = coeff
@@ -69,6 +89,15 @@ class TestFonts3:
         assert f.d2way[0] == pytest.approx(-1.0 / 3.0, abs=1e-14)
         assert f.d2way[1] == 0
         np.testing.assert_array_equal(f.d3way, np.zeros(2))
+
+    def test_random_states_against_brute_force(self):
+        rng = np.random.default_rng(34)
+        for _ in range(30):
+            s = normalize(PureState3(rng.standard_normal(8) + 1j * rng.standard_normal(8)))
+            f = compute_fonts3(s)
+            oracle = brute_force_fonts3(s)
+            for name in THREE_QUBIT_RULES:
+                np.testing.assert_allclose(getattr(f, name), oracle[name], atol=1e-15)
 
 
 class TestFonts4:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tanglebound.bounds import _endpoint_coefficients
+from tanglebound.invariants import _endpoint_coefficients
 from tanglebound.errors import DidNotConverge, ZeroPolynomial
 from tanglebound.invariants import invariant_set
 from tanglebound.qstate import random_state
