@@ -38,9 +38,9 @@ from .qstate import (
     MixedState3,
     PureState3,
     PureState4,
+    _purification,
     branch_vectors,
     check_normalized,
-    _purification,
     normalize,
     rank2_basis,
 )
