@@ -19,7 +19,6 @@ from .invariants import (
     ThreeQubitInvariantSet,
     correlation_summary,
     invariant_set,
-    invariant_set_A4,
     three_tangle_pure,
     transform_endpoints,
 )
@@ -37,7 +36,7 @@ from .qstate import (
     random_state,
     u_of_x,
 )
-from .quartic import PolyDeg4, roots
+from .quartic import roots
 from .rank2 import (
     Decomposition,
     decompose_rank2,
@@ -59,7 +58,6 @@ __all__ = [
     "FontSet3",
     "FontSet4",
     "MixedState3",
-    "PolyDeg4",
     "PureState3",
     "PureState4",
     "Qubit2Unitary",
@@ -82,7 +80,6 @@ __all__ = [
     "ghzw_threshold",
     "ghzw_x0",
     "invariant_set",
-    "invariant_set_A4",
     "literature_bound",
     "normalize",
     "paper_bound",

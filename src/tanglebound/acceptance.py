@@ -198,13 +198,13 @@ def criterion_5(count: int = 500) -> dict:
     failures = []
     states = _random_states(50, count)
     for idx, state in enumerate(states):
-        base = invariants.invariant_set_A4(state)
+        base = invariants.invariant_set(state, "A4")
         scale = max(base.scale(), 1e-30)
 
         rotated = state
         for qubit in (1, 2, 3):
             rotated = qstate.apply_local_unitary(rotated, qubit, qstate.random_special_unitary(rng))
-        special = invariants.invariant_set_A4(rotated)
+        special = invariants.invariant_set(rotated, "A4")
         if np.max(np.abs(special.as_array() - base.as_array())) > 1e-10 * scale:
             failures.append(f"state {idx}: special-unitary invariance broken")
 
@@ -213,7 +213,7 @@ def criterion_5(count: int = 500) -> dict:
             phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
             u = qstate.Qubit2Unitary(phase * qstate.random_special_unitary(rng).u)
             rotated = qstate.apply_local_unitary(rotated, qubit, u)
-        general = invariants.invariant_set_A4(rotated)
+        general = invariants.invariant_set(rotated, "A4")
         if np.max(np.abs(np.abs(general.as_array()) - np.abs(base.as_array()))) > 1e-10 * scale:
             failures.append(f"state {idx}: modulus invariance broken")
 
@@ -223,7 +223,7 @@ def criterion_5(count: int = 500) -> dict:
             u = qstate.Qubit2Unitary(phase * qstate.random_special_unitary(rng).u)
             rotated = qstate.apply_local_unitary(rotated, qubit, u)
         n48_base, _ = invariants.n48_i48(base)
-        n48_rot, _ = invariants.n48_i48(invariants.invariant_set_A4(rotated))
+        n48_rot, _ = invariants.n48_i48(invariants.invariant_set(rotated, "A4"))
         if abs(n48_rot - n48_base) > 1e-10 * max(n48_base, 1e-30):
             failures.append(f"state {idx}: N48 not invariant under local unitaries")
 
@@ -307,15 +307,14 @@ def criterion_7(count: int = 1000) -> dict:
         c[: degree + 1] = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
         if k % 10 == 0 and degree == 4:
             c[4] *= 1e-14  # exercise degree degradation
-        poly = quartic.PolyDeg4(*c)
         try:
-            found = quartic.roots(poly)
+            found = quartic.roots(c)
         except quartic.DidNotConverge as exc:  # pragma: no cover - contract breach
             failures.append(f"poly {k}: {exc}")
             continue
         scale = float(np.max(np.abs(c)))
         for w in found:
-            if abs(poly(w)) > 1e-9 * scale * max(1.0, abs(w)) ** 4:
+            if abs(np.polynomial.polynomial.polyval(w, c)) > 1e-9 * scale * max(1.0, abs(w)) ** 4:
                 failures.append(f"poly {k}: residual contract broken at {w!r}")
         eff = 4
         while eff > 0 and abs(c[eff]) < 1e-12 * scale:
@@ -345,10 +344,10 @@ def criterion_8(count: int = 200) -> dict:
     states = _random_states(80, count)
     for idx, state in enumerate(states):
         x = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        inv = invariants.invariant_set_A4(state)
+        inv = invariants.invariant_set(state, "A4")
         i40x, i04x = invariants.transform_endpoints(inv, x)
         rotated = qstate.apply_local_unitary(state, 4, qstate.u_of_x(x))
-        direct = invariants.invariant_set_A4(rotated)
+        direct = invariants.invariant_set(rotated, "A4")
         if abs(i40x - direct.i40) > 1e-10 or abs(i04x - direct.i04) > 1e-10:
             failures.append(
                 f"state {idx}, x={x:.4f}: endpoint mismatch "

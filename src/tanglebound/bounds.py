@@ -33,7 +33,7 @@ from .invariants import (
     transform_endpoints,
 )
 from .qstate import PureState4, branch_vectors
-from .quartic import SCALE_TOL, PolyDeg4, roots
+from .quartic import SCALE_TOL, roots
 
 PROB_FLOOR = 1e-12
 EQUAL_PROB_TOL = 1e-9
@@ -77,10 +77,10 @@ def _endpoint_roots(inv: ThreeQubitInvariantSet):
     antipode lies near x = 0, not at it.
     """
     c40, c04 = _endpoint_coefficients(inv)
-    zero04 = [(abs(transform_endpoints(inv, x)[0]), x) for x in roots(PolyDeg4(*c04))]
+    zero04 = [(abs(transform_endpoints(inv, x)[0]), x) for x in roots(c04)]
     zero40 = _antipodes(zero04, c04)
     if zero40 is None:
-        xs = [w.conjugate() for w in roots(PolyDeg4(*c40))]
+        xs = [w.conjugate() for w in roots(c40)]
         zero40 = [(abs(transform_endpoints(inv, x)[1]), x) for x in xs]
     return zero40, zero04
 
@@ -121,7 +121,7 @@ def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, co
     if inv.scale() == 0.0:
         return []
     zero40, zero04 = _endpoint_roots(inv)
-    return sorted(((4.0 * a, x) for a, x in zero40 + zero04), key=_candidate_key)
+    return _sorted_candidates((1.0, zero40), (1.0, zero04))
 
 
 def bound_quartic_A4(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
@@ -142,6 +142,11 @@ def bound_quartic_A4(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWi
     return BoundWitness("quartic_A4", value, x, tuple(x for _, x in candidates), None)
 
 
+def _sorted_candidates(*families):
+    """(4 w a, x) for each (a, x) of each (w, family), stably sorted by _candidate_key."""
+    return sorted(((4.0 * w * a, x) for w, fam in families for a, x in fam), key=_candidate_key)
+
+
 def _candidate_key(cand):
     v, x = cand
     return (v, abs(x), cmath.phase(x))
@@ -151,23 +156,17 @@ def _candidate_key(cand):
 # unitary on the three-qubit branch pair
 # ---------------------------------------------------------------------------
 
-def branch_form_coefficients(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> np.ndarray:
-    """Invariants of the orthonormal branch pair: entry m is I^{4-m,m} scaled by
-    1 / (p0^{(4-m)/2} p1^{m/2})."""
-    return np.array(
-        [
-            inv.i40 / p0 ** 2,
-            inv.i31 / math.sqrt(p0 ** 3 * p1),
-            inv.i22 / (p0 * p1),
-            inv.i13 / math.sqrt(p0 * p1 ** 3),
-            inv.i04 / p1 ** 2,
-        ]
+def branch_form_set(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> ThreeQubitInvariantSet:
+    """The orthonormal branch pair's invariants I^{4-m,m} / (p0^{(4-m)/2} p1^{m/2}),
+    stored reversed (as I^{m,4-m}): the set's I04(y), I40(y) are the pair's f40(y), f04(y)."""
+    return ThreeQubitInvariantSet(
+        inv.traced,
+        inv.i04 / p1 ** 2,
+        inv.i13 / math.sqrt(p0 * p1 ** 3),
+        inv.i22 / (p0 * p1),
+        inv.i31 / math.sqrt(p0 ** 3 * p1),
+        inv.i40 / p0 ** 2,
     )
-
-
-def _branch_form_set(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> ThreeQubitInvariantSet:
-    """Reversed branch_form_coefficients: its I04(y), I40(y) are the pair's f40(y), f04(y)."""
-    return ThreeQubitInvariantSet(inv.traced, *branch_form_coefficients(inv, p0, p1)[::-1])
 
 
 def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> BoundWitness:
@@ -189,10 +188,8 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
     if inv.scale() == 0.0:
         return BoundWitness("unitary_3q", 0.0, None, (), None)
     # zeroing f40 leaves weight p0^2 on f04, zeroing f04 leaves p1^2 on f40
-    zero_f04, zero_f40 = _endpoint_roots(_branch_form_set(inv, p0, p1))
-    cands = [(4.0 * p0 ** 2 * a, y) for a, y in zero_f40]
-    cands += [(4.0 * p1 ** 2 * a, y) for a, y in zero_f04]
-    cands.sort(key=_candidate_key)
+    zero_f04, zero_f40 = _endpoint_roots(branch_form_set(inv, p0, p1))
+    cands = _sorted_candidates((p0 ** 2, zero_f40), (p1 ** 2, zero_f04))
     value, y = cands[0]
     return BoundWitness("unitary_3q", value, y, tuple(y for _, y in cands), None)
 

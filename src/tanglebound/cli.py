@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except (DidNotConverge, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (TangleboundError, FileNotFoundError, ValueError) as exc:
+    except (TangleboundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -72,12 +72,6 @@ def three_tangle_pure(state: PureState3) -> float:
     return 4.0 * abs(inv)
 
 
-def invariant_set_A4(state: PureState4) -> ThreeQubitInvariantSet:
-    """The five invariants for traced qubit A4 (triple A1 A2 A3)."""
-    check_normalized(state)
-    return _set_from_fonts(state, "A4")
-
-
 def invariant_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
     """Invariant set for any traced qubit from {A2, A3, A4}.
 

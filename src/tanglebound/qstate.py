@@ -296,7 +296,8 @@ def density_from_json(obj) -> MixedState3:
     if not isinstance(obj, dict) or obj.get("dim") != 8 or "rho" not in obj:
         raise BadStateFormat("density JSON needs 'dim': 8 and 'rho'")
     rows = obj["rho"]
-    if not isinstance(rows, list) or len(rows) != 8 or any(len(r) != 8 for r in rows):
+    if not (isinstance(rows, list) and len(rows) == 8
+            and all(isinstance(r, list) and len(r) == 8 for r in rows)):
         raise BadStateFormat("'rho' must be 8 rows of 8 [re, im] pairs")
     try:
         m = np.array([[complex(re, im) for re, im in row] for row in rows])

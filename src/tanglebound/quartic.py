@@ -7,43 +7,26 @@ returned root w satisfies |p(w)| <= RESIDUAL_TOL * max|c_i| * max(1, |w|)^4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DidNotConverge, ZeroPolynomial
+from .errors import BadArity, DidNotConverge, ZeroPolynomial
 
 RESIDUAL_TOL = 1e-9
 SCALE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PolyDeg4:
-    """c0 + c1 w + c2 w^2 + c3 w^3 + c4 w^4 in one complex variable."""
-
-    c0: complex = 0j
-    c1: complex = 0j
-    c2: complex = 0j
-    c3: complex = 0j
-    c4: complex = 0j
-
-    def coeffs(self) -> np.ndarray:
-        """Coefficients in ascending order."""
-        return np.array([self.c0, self.c1, self.c2, self.c3, self.c4], dtype=complex)
-
-    def __call__(self, w) -> complex | np.ndarray:
-        c = self.coeffs()
-        return c[0] + w * (c[1] + w * (c[2] + w * (c[3] + w * c[4])))
-
-
-def roots(p: PolyDeg4) -> list[complex]:
-    """All roots of p, with multiplicity; length equals the effective degree.
+def roots(c) -> list[complex]:
+    """All roots of c0 + c1 w + c2 w^2 + c3 w^3 + c4 w^4, with multiplicity, from
+    the ascending coefficients c; the length equals the effective degree.
 
     Leading coefficients below SCALE_TOL * max|c_i| are dropped (the lost roots
     sit at infinity). Raises ZeroPolynomial when every coefficient vanishes and
-    DidNotConverge if a root fails the residual contract.
+    DidNotConverge if a root fails the residual contract, BadArity unless there
+    are five coefficients.
     """
-    c = p.coeffs()
+    c = np.array(c, dtype=complex)
+    if c.shape != (5,):
+        raise BadArity(f"expected 5 coefficients, got shape {c.shape}")
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients are zero")

@@ -28,12 +28,12 @@ import numpy as np
 from .bounds import (
     PROB_FLOOR,
     BoundWitness,
-    _branch_form_set,
     bound_quartic_A4,
     bound_unitary_3q,
+    branch_form_set,
 )
 from .errors import BranchMismatch, NotDensityMatrix, OutOfRange
-from .invariants import _endpoint_coefficients, invariant_set_A4, three_tangle_pure
+from .invariants import _endpoint_coefficients, invariant_set, three_tangle_pure
 from .qstate import (
     MixedState3,
     PureState3,
@@ -44,9 +44,8 @@ from .qstate import (
     normalize,
     rank2_basis,
 )
-from .quartic import PolyDeg4, roots
+from .quartic import roots
 
-RECONSTRUCT_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-10
 WEIGHT_DROP = 1e-12
 #: a root mixture realizing at most this much is returned without the bounds:
@@ -96,16 +95,6 @@ def ghzw_rho(p: float) -> MixedState3:
         raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
     g, w = ghz_state().amps, w_state().amps
     return MixedState3(p * np.outer(g, g.conj()) + (1.0 - p) * np.outer(w, w.conj()))
-
-
-def ghzw_purification(p: float, theta: float) -> PureState4:
-    """sqrt(p)|GHZ>|0> + e^{i theta} sqrt(1-p)|W>|1>."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
-    t = np.zeros((8, 2), dtype=complex)
-    t[:, 0] = math.sqrt(p) * ghz_state().amps
-    t[:, 1] = cmath.exp(1j * theta) * math.sqrt(1.0 - p) * w_state().amps
-    return PureState4(t.reshape(16))
 
 
 def ghzw_invariants(p: float) -> tuple[float, float]:
@@ -191,14 +180,14 @@ def _zero_tangle_mixture(p0, p1, v0, v1, inv) -> Decomposition | None:
     mixture of those root states. Feasibility is decided by enumerating root
     subsets and solving the 2x2 moment constraints. Needs p1 >= PROB_FLOOR.
     """
-    g = _branch_form_set(inv, p0, p1)
+    g = branch_form_set(inv, p0, p1)
     if g.scale() == 0.0:
         # every range state has zero tangle
         return make_decomposition(
             [(p0, PureState3(v0))] + ([(p1, PureState3(v1))] if p1 > WEIGHT_DROP else [])
         )
     # projective roots t of the branch pair's f40 form, the reversed set's I04 numerator
-    ts = roots(PolyDeg4(*_endpoint_coefficients(g)[1]))
+    ts = roots(_endpoint_coefficients(g)[1])
     directions = [(1.0, t) for t in ts]
     if len(ts) < 4:
         directions.append((0.0, 1.0))            # root(s) at infinity: v1 itself
@@ -281,7 +270,7 @@ def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
         return witness, make_decomposition([(1.0, member)])
 
     state = _purification(p0, p1, v0, v1, 0.0)
-    inv = invariant_set_A4(state)
+    inv = invariant_set(state, "A4")
     zero_mixture = _zero_tangle_mixture(p0, p1, v0, v1, inv)
     if zero_mixture is not None:
         # report what the mixture actually certifies (tiny but not forced to 0

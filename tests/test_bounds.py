@@ -17,7 +17,7 @@ from tanglebound.bounds import (
     bound_grid,
     bound_quartic_A4,
     bound_unitary_3q,
-    branch_form_coefficients,
+    branch_form_set,
     classify_group,
 )
 from tanglebound.classes import ClassSpec, literature_bound, representative, spec_from_values
@@ -36,7 +36,7 @@ from tanglebound.qstate import (
     random_special_unitary,
     random_state,
 )
-from tanglebound.quartic import SCALE_TOL, PolyDeg4, roots
+from tanglebound.quartic import SCALE_TOL, roots
 
 RNG = np.random.default_rng(101)
 
@@ -125,7 +125,7 @@ class TestUnitary3q:
             p0 = float(rng.uniform(0.05, 0.95))
             p1 = 1.0 - p0
             wit = bound_unitary_3q(inv, p0, p1)
-            g = branch_form_coefficients(inv, p0, p1)
+            g = branch_coefficients(inv, p0, p1)
             f40, f04 = reference_branch_endpoints(g, wit.witness_x)
             scale = float(np.max(np.abs(g)))
             if abs(f40) < abs(f04):
@@ -146,7 +146,7 @@ class TestUnitary3q:
             inv = random_set(rng)
             p0 = float(rng.uniform(0.05, 0.95))
             wit = bound_unitary_3q(inv, p0, 1.0 - p0)
-            g = branch_form_coefficients(inv, p0, 1.0 - p0)
+            g = branch_coefficients(inv, p0, 1.0 - p0)
             cands = []
             for y in wit.roots_used:
                 f40, f04 = reference_branch_endpoints(g, y)
@@ -156,6 +156,13 @@ class TestUnitary3q:
                     cands.append(4.0 * (1.0 - p0) ** 2 * abs(f40))
             assert len(cands) == 8
             assert wit.value == pytest.approx(min(cands), rel=1e-12)
+
+
+def branch_coefficients(inv, p0, p1):
+    """Invariants of the orthonormal branch pair, written out: entry m is
+    I^{4-m,m} / (p0^{(4-m)/2} p1^{m/2})."""
+    m = np.arange(5)
+    return inv.as_array() / (p0 ** ((4 - m) / 2) * p1 ** (m / 2))
 
 
 def reference_branch_endpoints(g, y):
@@ -170,7 +177,7 @@ def reference_branch_endpoints(g, y):
 
 def reference_family_roots(coeffs, conjugate_back: bool) -> list[complex]:
     """Roots of one endpoint quartic, mapped back to the rotation parameter x."""
-    ws = roots(PolyDeg4(*coeffs))
+    ws = roots(coeffs)
     return [w.conjugate() if conjugate_back else w for w in ws]
 
 
@@ -259,8 +266,7 @@ class TestOneEndpointSolve:
                 continue
             p0 = float(rng.uniform(0.05, 0.95))
             p1 = 1.0 - p0
-            g = branch_form_coefficients(inv, p0, p1)
-            zero_f04, zero_f40 = reference_endpoint_roots(ThreeQubitInvariantSet(inv.traced, *g[::-1]))
+            zero_f04, zero_f40 = reference_endpoint_roots(branch_form_set(inv, p0, p1))
             old = [4.0 * p0 ** 2 * a for a, _ in zero_f40] + [4.0 * p1 ** 2 * a for a, _ in zero_f04]
             wit = bound_unitary_3q(inv, p0, p1)
             assert len(wit.roots_used) == len(old)
@@ -269,9 +275,9 @@ class TestOneEndpointSolve:
     def test_quartic_bound_solves_one_quartic(self, monkeypatch):
         calls = []
 
-        def counting(poly):
-            calls.append(poly)
-            return roots(poly)
+        def counting(c):
+            calls.append(c)
+            return roots(c)
 
         monkeypatch.setattr(bounds, "roots", counting)
         rng = np.random.default_rng(409)
@@ -753,9 +759,9 @@ class TestBestBound:
         # probabilities, class III on A1A2A3) adds one
         calls = []
 
-        def counting(poly):
-            calls.append(poly)
-            return roots(poly)
+        def counting(c):
+            calls.append(c)
+            return roots(c)
 
         monkeypatch.setattr(bounds, "roots", counting)
         report = best_bound(state, triple)

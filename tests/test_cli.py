@@ -58,7 +58,7 @@ class TestInvariantsVerb:
         assert code == 0
         report = json.loads(out)
         assert set(report) == {"traced", "I", "N48", "absI48", "tau48", "three_way"}
-        inv = invariants.invariant_set_A4(s)
+        inv = invariants.invariant_set(s, "A4")
         assert report["I"]["40"] == pytest.approx([inv.i40.real, inv.i40.imag], abs=1e-12)
 
     def test_wrong_length_is_input_error(self, tmp_path, capsys):
@@ -206,6 +206,28 @@ class TestDecomposeVerb:
         code, _, _ = run_cli(capsys, "decompose", "--rho", str(path))
         assert code == 1
 
+    def test_rows_that_are_not_lists_are_input_errors(self, tmp_path, capsys):
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dim": 8, "rho": [1, 2, 3, 4, 5, 6, 7, 8]}))
+        code, out, err = run_cli(capsys, "decompose", "--rho", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_directory_as_input_is_input_error(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "decompose", "--rho", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_directory_as_output_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(qstate.density_to_json(ghzw_rho(0.5))))
+        code, out, err = run_cli(capsys, "decompose", "--rho", str(path), "--output", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestSweepVerb:
     def test_class_three_grid(self, capsys):
@@ -269,15 +291,15 @@ class TestSelftestVerb:
 
     def test_corrupted_invariant_coefficient_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(acceptance, "ALL_CRITERIA", (acceptance.criterion_8,))
-        true_fn = invariants.invariant_set_A4
+        true_fn = invariants.invariant_set
 
-        def corrupted(state):
-            inv = true_fn(state)
+        def corrupted(state, traced):
+            inv = true_fn(state, traced)
             return invariants.ThreeQubitInvariantSet(
                 inv.traced, inv.i40, inv.i31, inv.i22 * (1 + 1e-3), inv.i13, inv.i04
             )
 
-        monkeypatch.setattr(invariants, "invariant_set_A4", corrupted)
+        monkeypatch.setattr(invariants, "invariant_set", corrupted)
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 2
         assert json.loads(out)["ok"] is False

@@ -10,7 +10,6 @@ from tanglebound.classes import ClassSpec, representative, spec_from_values
 from tanglebound.invariants import (
     correlation_summary,
     invariant_set,
-    invariant_set_A4,
     n48_i48,
     three_tangle_pure,
     transform_endpoints,
@@ -61,7 +60,7 @@ class TestInvariantSetA4:
     def test_product_state_all_zero(self):
         a = np.zeros(16, dtype=complex)
         a[0] = 1.0
-        inv = invariant_set_A4(PureState4(a))
+        inv = invariant_set(PureState4(a), "A4")
         np.testing.assert_array_equal(inv.as_array(), np.zeros(5))
 
     @pytest.mark.parametrize("a,d,c", [
@@ -69,7 +68,7 @@ class TestInvariantSetA4:
         (0.8 - 0.5j, 1.4 + 0.2j, 0.6 + 0.9j),
     ])
     def test_class_two_values(self, a, d, c):
-        inv = invariant_set_A4(representative(ClassSpec("II", a=a, d=d, c=c)))
+        inv = invariant_set(representative(ClassSpec("II", a=a, d=d, c=c)), "A4")
         k = (abs(a) ** 2 + abs(d) ** 2 + 2 * abs(c) ** 2 + 1) ** 2
         assert inv.i40 == pytest.approx(c * (a ** 2 - d ** 2) / k, abs=1e-13)
         assert inv.i22 == pytest.approx((a ** 2 - c ** 2) * (d ** 2 - c ** 2) / (6 * k), abs=1e-13)
@@ -77,7 +76,7 @@ class TestInvariantSetA4:
 
     def test_class_five_traced_a4(self):
         a = 0.7 + 0.3j
-        inv = invariant_set_A4(representative(ClassSpec("V", a=a)))
+        inv = invariant_set(representative(ClassSpec("V", a=a)), "A4")
         k = (3 + 4 * abs(a) ** 2) ** 2
         assert inv.i04 == pytest.approx(-4 * a ** 2 / k, abs=1e-13)
         for entry in (inv.i40, inv.i31, inv.i22, inv.i13):
@@ -118,20 +117,14 @@ class TestInvariantSetTraced:
     def test_unnormalized_state_rejected(self):
         s = PureState4(2.0 * random_state(0).amps)
         with pytest.raises(errors.NotNormalized):
-            invariant_set_A4(s)
+            invariant_set(s, "A4")
         with pytest.raises(errors.NotNormalized):
             invariant_set(s, "A3")
-
-    def test_traced_a4_matches_direct(self):
-        s = random_state(8)
-        np.testing.assert_array_equal(
-            invariant_set(s, "A4").as_array(), invariant_set_A4(s).as_array()
-        )
 
 
 class TestTransformEndpoints:
     def test_x_zero_is_identity(self):
-        inv = invariant_set_A4(random_state(41))
+        inv = invariant_set(random_state(41), "A4")
         i40x, i04x = transform_endpoints(inv, 0.0)
         assert i40x == pytest.approx(inv.i40, abs=1e-15)
         assert i04x == pytest.approx(inv.i04, abs=1e-15)
@@ -141,9 +134,9 @@ class TestTransformEndpoints:
         for seed in range(25):
             s = random_state(1000 + seed)
             x = complex(rng.standard_normal(), rng.standard_normal())
-            inv = invariant_set_A4(s)
+            inv = invariant_set(s, "A4")
             i40x, i04x = transform_endpoints(inv, x)
-            direct = invariant_set_A4(apply_local_unitary(s, 4, u_of_x(x)))
+            direct = invariant_set(apply_local_unitary(s, 4, u_of_x(x)), "A4")
             assert abs(i40x - direct.i40) < 1e-10
             assert abs(i04x - direct.i04) < 1e-10
 
@@ -157,7 +150,7 @@ class TestTransformEndpoints:
             assert i04x == pytest.approx(expect, abs=1e-14)
 
     def test_nonfinite_rejected(self):
-        inv = invariant_set_A4(random_state(0))
+        inv = invariant_set(random_state(0), "A4")
         with pytest.raises(errors.NonFinite):
             transform_endpoints(inv, complex("nan"))
 
@@ -213,11 +206,11 @@ class TestInvarianceProperties:
     def test_special_unitary_invariance(self):
         for seed in range(40):
             s = random_state(seed)
-            base = invariant_set_A4(s)
+            base = invariant_set(s, "A4")
             rotated = s
             for q in (1, 2, 3):
                 rotated = apply_local_unitary(rotated, q, random_special_unitary(7 * seed + q))
-            after = invariant_set_A4(rotated)
+            after = invariant_set(rotated, "A4")
             scale = max(base.scale(), 1e-30)
             assert np.max(np.abs(after.as_array() - base.as_array())) < 1e-10 * scale
 
@@ -234,7 +227,7 @@ class TestInvarianceProperties:
             phi /= np.linalg.norm(phi)
             amps = np.zeros(16, dtype=complex)
             amps[0::2] = phi
-            inv = invariant_set_A4(PureState4(amps))
+            inv = invariant_set(PureState4(amps), "A4")
             assert 4 * abs(inv.i40) == pytest.approx(
                 three_tangle_pure(PureState3(phi)), abs=1e-12
             )

@@ -319,9 +319,15 @@ class TestJson:
         back = qstate.density_from_json(qstate.density_to_json(rho))
         np.testing.assert_allclose(back.rho, rho.rho, atol=1e-15)
 
-    def test_density_shape_rejected(self):
+    @pytest.mark.parametrize("rows", [
+        [[[0.0, 0.0]] * 8] * 7,
+        [1, 2, 3, 4, 5, 6, 7, 8],
+        [[[0.0, 0.0]] * 8] * 7 + [None],
+        [[[0.0, 0.0]] * 8] * 7 + ["abcdefgh"],
+    ], ids=["seven_rows", "number_rows", "none_row", "string_row"])
+    def test_density_shape_rejected(self, rows):
         with pytest.raises(errors.BadStateFormat):
-            qstate.density_from_json({"dim": 8, "rho": [[[0.0, 0.0]] * 8] * 7})
+            qstate.density_from_json({"dim": 8, "rho": rows})
 
 
 def _ket3(bits: str) -> np.ndarray:

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from tanglebound.invariants import _endpoint_coefficients
-from tanglebound.errors import DidNotConverge, ZeroPolynomial
+from tanglebound.errors import BadArity, DidNotConverge, ZeroPolynomial
 from tanglebound.invariants import invariant_set
 from tanglebound.qstate import random_state
-from tanglebound.quartic import RESIDUAL_TOL, SCALE_TOL, PolyDeg4, reconstruct_monic, roots
+from tanglebound.quartic import RESIDUAL_TOL, SCALE_TOL, reconstruct_monic, roots
 
 
 class TestRoots:
     def test_fourth_roots_of_unity(self):
-        found = roots(PolyDeg4(c0=-1.0, c4=1.0))
+        found = roots((-1.0, 0, 0, 0, 1.0))
         expect = sorted([1, -1, 1j, -1j], key=lambda z: (z.real, z.imag))
         for w, e in zip(found, expect):
             assert abs(w - e) < 1e-10
@@ -20,7 +20,7 @@ class TestRoots:
     def test_sparse_biquadratic_structure(self):
         # c0 + c2 w^2: two plus/minus pairs with w^2 = -c0/c2
         c0, c2 = 0.4 - 0.9j, 1.1 + 0.3j
-        found = roots(PolyDeg4(c0=c0, c2=c2))
+        found = roots((c0, 0, c2, 0, 0))
         assert len(found) == 2
         for w in found:
             assert abs(w ** 2 + c0 / c2) < 1e-12
@@ -30,20 +30,24 @@ class TestRoots:
         rng = np.random.default_rng(77)
         for _ in range(100):
             c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            poly = PolyDeg4(*c)
             scale = np.max(np.abs(c))
-            for w in roots(poly):
-                assert abs(poly(w)) <= 1e-9 * scale * max(1.0, abs(w)) ** 4
+            for w in roots(c):
+                assert abs(np.polynomial.polynomial.polyval(w, c)) <= 1e-9 * scale * max(1.0, abs(w)) ** 4
 
     def test_zero_polynomial(self):
         with pytest.raises(ZeroPolynomial):
-            roots(PolyDeg4())
+            roots((0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0, 4.0), (1.0,) * 6, 1.0])
+    def test_five_coefficients_required(self, c):
+        with pytest.raises(BadArity):
+            roots(c)
 
     def test_constant_has_no_roots(self):
-        assert roots(PolyDeg4(c0=3.0 + 1j)) == []
+        assert roots((3.0 + 1j, 0, 0, 0, 0)) == []
 
     def test_degree_degradation_drops_tiny_leading(self):
-        found = roots(PolyDeg4(c0=-1.0, c1=1.0, c4=1e-15))
+        found = roots((-1.0, 1.0, 0, 0, 1e-15))
         assert len(found) == 1
         assert abs(found[0] - 1.0) < 1e-12
 
@@ -52,11 +56,11 @@ class TestRoots:
         for degree in (1, 2, 3, 4):
             c = np.zeros(5, dtype=complex)
             c[: degree + 1] = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-            assert len(roots(PolyDeg4(*c))) == degree
+            assert len(roots(c)) == degree
 
     def test_multiple_root_returned_with_multiplicity(self):
         # (w - 1)^4
-        found = roots(PolyDeg4(1.0, -4.0, 6.0, -4.0, 1.0))
+        found = roots((1.0, -4.0, 6.0, -4.0, 1.0))
         assert len(found) == 4
         for w in found:
             assert abs(w - 1.0) < 2e-3  # quadruple root: accuracy ~ eps^{1/4}
@@ -65,20 +69,24 @@ class TestRoots:
         rng = np.random.default_rng(79)
         for _ in range(50):
             c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            found = roots(PolyDeg4(*c))
+            found = roots(c)
             monic = reconstruct_monic(found)
             ref = c / c[4]
             np.testing.assert_allclose(monic, ref, atol=1e-8 * max(1.0, np.max(np.abs(ref))))
 
     def test_deterministic_ordering(self):
-        c = PolyDeg4(0.3 - 1j, 0.7, -0.2j, 1.1, 0.9 + 0.4j)
+        c = (0.3 - 1j, 0.7, -0.2j, 1.1, 0.9 + 0.4j)
         assert roots(c) == roots(c)
 
 
-def reference_roots(p: PolyDeg4) -> list[complex]:
+def reference_roots(coeffs) -> list[complex]:
     """The implementation roots replaced: np.roots, then a Newton polish in
-    numpy scalar arithmetic through PolyDeg4.__call__."""
-    c = p.coeffs()
+    numpy scalar arithmetic (Horner's rule on the complex128 coefficients)."""
+    c = np.array(coeffs, dtype=complex)
+
+    def p(w):
+        return c[0] + w * (c[1] + w * (c[2] + w * (c[3] + w * c[4])))
+
     scale = float(np.max(np.abs(c)))
     deg = 4
     while deg > 0 and abs(c[deg]) < SCALE_TOL * scale:
@@ -117,14 +125,12 @@ FIXED_COEFFICIENTS = {
 }
 
 
-def reference_cases(kind: str) -> list[PolyDeg4]:
+def reference_cases(kind: str) -> list:
     if kind == "fourfold":                # (w - 1)^4
-        return [PolyDeg4(1.0, -4.0, 6.0, -4.0, 1.0)]
+        return [(1.0, -4.0, 6.0, -4.0, 1.0)]
     if kind == "invariant_sets":          # both endpoint quartics of 60 sets
         return [
-            PolyDeg4(*c)
-            for k in range(20)
-            for traced in ("A4", "A3", "A2")
+            c for k in range(20) for traced in ("A4", "A3", "A2")
             for c in _endpoint_coefficients(invariant_set(random_state(900 + k), traced))
         ]
     rng = np.random.default_rng(80)
@@ -133,12 +139,12 @@ def reference_cases(kind: str) -> list[PolyDeg4]:
         c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         for k, value in FIXED_COEFFICIENTS[kind].items():
             c[k] = value
-        cases.append(PolyDeg4(*c))
+        cases.append(c)
     return cases
 
 
 class TestRootsMatchReference:
-    """roots against the np.roots + PolyDeg4 polish it replaced, bit for bit."""
+    """roots against the np.roots + numpy-scalar polish it replaced, bit for bit."""
 
     @pytest.mark.parametrize(
         "kind", ["random", "degree_drop", "c0_zero", "c0_c1_zero", "fourfold", "invariant_sets"]

@@ -7,11 +7,7 @@ import pytest
 
 from tanglebound import bounds, errors, qstate, rank2
 from tanglebound.bounds import bound_cap, bound_quartic_A4, bound_unitary_3q
-from tanglebound.invariants import (
-    correlation_summary,
-    invariant_set_A4,
-    three_tangle_pure,
-)
+from tanglebound.invariants import correlation_summary, invariant_set, three_tangle_pure
 from tanglebound.qstate import (
     MixedState3,
     partial_trace_last,
@@ -26,7 +22,6 @@ from tanglebound.rank2 import (
     ghzw_bound,
     ghzw_decomposition,
     ghzw_invariants,
-    ghzw_purification,
     ghzw_rho,
     ghzw_threshold,
     ghzw_x0,
@@ -44,7 +39,9 @@ class TestGhzwInvariants:
     def test_pipeline_cross_check_direct_purification(self):
         for p in (0.5, 0.7):
             i40, i13 = ghzw_invariants(p)
-            inv = invariant_set_A4(ghzw_purification(p, 0.0))
+            # sqrt(p)|GHZ>|0> + sqrt(1-p)|W>|1>
+            amps = np.stack([math.sqrt(p) * ghz_state().amps, math.sqrt(1.0 - p) * w_state().amps], 1)
+            inv = invariant_set(qstate.PureState4(amps.reshape(16)), "A4")
             assert abs(inv.i40 - i40) < 1e-10
             assert abs(inv.i13 - i13) < 1e-10
             assert abs(inv.i31) < 1e-12 and abs(inv.i22) < 1e-12 and abs(inv.i04) < 1e-12
@@ -54,7 +51,7 @@ class TestGhzwInvariants:
         # spectral purification reproduces the closed-form invariant moduli
         p = 0.7
         i40, i13 = ghzw_invariants(p)
-        inv = invariant_set_A4(purify_rank2(ghzw_rho(p), 0.0))
+        inv = invariant_set(purify_rank2(ghzw_rho(p), 0.0), "A4")
         assert abs(inv.i40 - i40) < 1e-10
         assert abs(abs(inv.i13) - i13) < 1e-10
 
@@ -188,15 +185,26 @@ class TestDecomposeRank2:
         decompose_rank2(ghzw_rho(0.8))
         assert len(solved) == 1
 
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_root_mixture_below_the_bounds_is_returned_after_them(self, p, monkeypatch):
+        # with no early return, the root mixture still wins once the bounds
+        # have run, at the value its decomposition realizes
+        monkeypatch.setattr(rank2, "ROOT_MIXTURE_TOL", -1.0)
+        witness, deco = decompose_rank2(ghzw_rho(p))
+        assert witness.method == "root_mixture"
+        assert witness.value == rank2._realized_value(deco)
+        assert witness.value < 1e-15
+        np.testing.assert_allclose(deco.reconstructed.rho, ghzw_rho(p).rho, atol=1e-8)
+
     def test_one_endpoint_quartic_per_bound(self, monkeypatch):
         # one quartic for quartic_A4 and one for unitary_3q; the other
         # families are those roots' antipodes
         calls = []
         solve = bounds.roots
 
-        def counting(poly):
-            calls.append(poly)
-            return solve(poly)
+        def counting(c):
+            calls.append(c)
+            return solve(c)
 
         monkeypatch.setattr(bounds, "roots", counting)
         rhos = [ghzw_rho(0.8), partial_trace_last(random_state(123))[0]]
@@ -210,13 +218,13 @@ class TestDecomposeRank2:
         # the theta = 0 purification's set serves the root-mixture test and
         # both bounds, whether or not the mixture is returned early
         calls = []
-        build = rank2.invariant_set_A4
+        build = rank2.invariant_set
 
-        def counting(state):
+        def counting(state, traced):
             calls.append(state)
-            return build(state)
+            return build(state, traced)
 
-        monkeypatch.setattr(rank2, "invariant_set_A4", counting)
+        monkeypatch.setattr(rank2, "invariant_set", counting)
         rhos = [ghzw_rho(0.3), ghzw_rho(0.8), partial_trace_last(random_state(123))[0]]
         for rho in rhos:
             calls.clear()
@@ -271,7 +279,7 @@ class TestDecomposeRank2:
         p0, p1, _, _ = rank2_basis(rho)
         values = []
         for k in range(24):
-            inv = invariant_set_A4(purify_rank2(rho, 2.0 * math.pi * k / 24))
+            inv = invariant_set(purify_rank2(rho, 2.0 * math.pi * k / 24), "A4")
             values.append((bound_quartic_A4(inv).value, bound_unitary_3q(inv, p0, p1).value))
         for quartic, unitary in values[1:]:
             assert quartic == pytest.approx(values[0][0], rel=1e-12, abs=0.0)
