@@ -268,12 +268,12 @@ def criterion_6(count: int = 500) -> dict:
     upthree_bad = 0
     states = _random_states(50, count)
     for idx, state in enumerate(states):
-        for traced in ("A4", "A3", "A2"):
+        for triple, traced in invariants.TRIPLES.items():
             inv = invariants.invariant_set(state, traced)
-            n48, i48 = invariants.n48_i48(inv)
-            cap = 4.0 * math.sqrt(max(0.0, n48 - 2.0 * abs(i48)))
-            q = bounds.bound_quartic_A4(inv).value
-            g = bounds.bound_grid(inv).value
+            cap = bounds.bound_cap(invariants.summary_from_set(triple, inv)).value
+            candidates = bounds.quartic_root_candidates(inv)
+            q = bounds.bound_quartic_A4(inv, candidates=candidates).value
+            g = bounds.bound_grid(inv, candidates=candidates).value
             if not (g <= q + 1e-8 and q <= cap + 1e-8):
                 chain_bad += 1
                 if chain_bad <= 5:

@@ -209,6 +209,17 @@ GRID_POINTS = 256
 #: over 15 and took about 10% longer per call in per-block overhead. The 128
 #: evaluated rows make eight blocks of 15 and a last one of 8.
 SPHERE_BLOCK_ROWS = 15
+#: azimuth sectors per block: a tile, the unit of the lower bound that lets
+#: _sphere_min skip a block, is one block's rows x GRID_POINTS / 32 = 8 columns,
+#: so the 9 blocks make 288 tiles
+SPHERE_SECTORS = 32
+#: C in the skipping margin C sqrt(u sum|c_m|) (_live_blocks): twice the 64
+#: that the rounding of the grid values and of the tile bounds can take
+_MARGIN_C = 128.0
+_UNIT_ROUNDOFF = 2.0 ** -53
+#: LB = |D'_0| - sum_{k>=1} |D'_k| as one product with the moduli of the D'_k
+_TAYLOR_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
+_TAYLOR_SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -219,6 +230,16 @@ class _SphereGrid:
     (bound_grid); ``order`` and ``den`` list the rows of the stacked I40/I04
     coefficient matrix block by block: rows [start, stop) of the I40 half,
     then the same rows of the I04 half.
+
+    A tile is one block's rows and GRID_POINTS / SPHERE_SECTORS consecutive
+    columns, and tile t = b SPHERE_SECTORS + q is block b's q-th sector. Its
+    centre c_t = r_c e^{i phi_c} has r_c midway between the block's first and
+    last r and phi_c midway between the sector's first and last azimuth; rho_b,
+    the largest distance from c_t to a grid point of the tile, is the same for
+    every tile of block b. ``taylor`` holds binom(m, k) c_t^(m-k) rho_b^k, so
+    that ``a @ taylor`` is D'_k = D_k rho_b^k for every tile, where D_k =
+    P^(k)(c_t)/k! are the Taylor coefficients of the quartic
+    P(x) = sum_m a_m x^m about c_t (_live_blocks).
     """
 
     theta: np.ndarray       # (GRID_POINTS,) cell-centred polar angles
@@ -228,6 +249,8 @@ class _SphereGrid:
     order: np.ndarray       # (2 rows,): stacked row -> row of concat(I40 half, I04 half)
     den: np.ndarray         # (2 rows, 1): (1 + r^2)^2 of each stacked row
     blocks: tuple[tuple[int, int], ...]   # [start, stop) rows of each block
+    taylor: np.ndarray      # (5, tiles 5): row m, column (t, k): binom(m, k) c_t^(m-k) rho_b^k
+    shrink: np.ndarray      # (blocks,): 1 / (1 + r^2) at the block's last, largest r
 
 
 @functools.cache
@@ -238,27 +261,105 @@ def _sphere_grid() -> _SphereGrid:
     rows = GRID_POINTS // 2
     r = np.tan(theta[:rows] / 2.0)
     stops = list(range(SPHERE_BLOCK_ROWS, rows, SPHERE_BLOCK_ROWS)) + [rows]
-    blocks = tuple(zip([0] + stops[:-1], stops))
+    starts = [0] + stops[:-1]
+    blocks = tuple(zip(starts, stops))
     order = np.concatenate([np.r_[a:b, rows + a:rows + b] for a, b in blocks])
     den = (1.0 + r ** 2) ** 2
+
+    # tiles: the farthest points of a tile from its centre are its first and
+    # last columns, half the sector's angular width away from phi_c
+    last = np.array(stops) - 1
+    r_c = (r[starts] + r[last]) / 2.0
+    half_width = np.pi * (GRID_POINTS // SPHERE_SECTORS - 1) / GRID_POINTS
+    rho = np.maximum.reduceat(
+        np.abs(r * np.exp(1j * half_width) - np.repeat(r_c, np.diff([0] + stops))), starts
+    )
+    centres = np.outer(r_c, np.exp(1j * (phi[::GRID_POINTS // SPHERE_SECTORS] + half_width)))
+    k = np.arange(5)
+    binom = np.array([[math.comb(m, j) for j in k] for m in k], dtype=float)
+    taylor = (binom * centres.reshape(-1, 1, 1) ** np.maximum(k[:, None] - k, 0)
+              * np.repeat(np.power.outer(rho, k), SPHERE_SECTORS, axis=0)[:, None, :])
     grid = _SphereGrid(
         theta,
         phi,
-        r[:, None] ** np.arange(5),
-        np.exp(1j * np.outer(np.arange(5), phi)),
+        r[:, None] ** k,
+        np.exp(1j * np.outer(k, phi)),
         order,
         np.concatenate((den, den))[order][:, None],
         blocks,
+        taylor.transpose(1, 0, 2).reshape(5, -1),
+        1.0 / (1.0 + r[last] ** 2),
     )
-    for table in (grid.theta, grid.phi, grid.powers, grid.phase, grid.order, grid.den):
+    for table in (grid.theta, grid.phi, grid.powers, grid.phase, grid.order, grid.den,
+                  grid.taylor, grid.shrink):
         table.setflags(write=False)
     return grid
 
 
-def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid) -> tuple[int, float]:
+def _live_blocks(inv: ThreeQubitInvariantSet, grid: _SphereGrid, threshold: float):
+    """Indices of the blocks that may hold a grid value of f at or below
+    ``threshold``: every block when it is infinite, else those whose tile lower
+    bound on f is at most threshold + C sqrt(u sum_m |c_m|).
+
+    The tile bound. The endpoint numerators are quartics in x, I04's with the
+    coefficients c04 and |I40| = |sum_m conj(c40_m) x^m|'s with conj(c40), so
+    their Taylor expansions about a tile centre c end at degree 4 and are
+    exact: |P(x)| >= |D_0| - sum_{k>=1} |D_k| rho^k =: LB at every x within rho
+    of c. One (2, 5) @ (5, tiles 5) product gives the D_k rho^k of both
+    endpoints on all tiles, and one product with _TAYLOR_SIGNS their LB. With
+    r <= r_max on the tile, f = 2 (sqrt|P40| + sqrt|P04|) / (1 + r^2) is at
+    least 2 (sqrt LB40+ + sqrt LB04+) / (1 + r_max^2), and a block's bound is
+    the least of its tiles'.
+
+    The margin covers rounding, which sqrt amplifies near an endpoint zero:
+    |sqrt(a) - sqrt(b)| <= sqrt|a - b|. With S = sum_m |c_m| (the same for both
+    endpoints) and u = 2^-53, the grid's value of |P|/(1 + r^2)^2 at a point
+    of the tile is within 64 u S of the exact value at the point its r and phi
+    tables stand for: the phase table e^{ik phi} errs by up to about 27 u, the
+    r^k table, the five-term complex product and the division by the
+    denominator by a few u each, on terms summing to at most S as r < 1. A
+    computed LB is within 64 u S of the exact bound over a disk that holds
+    that point: the D_k products, the rounding of c and rho (a few u of
+    distance, weighted by |P'| <= 4 S (|c| + rho)^3), and the sum of the
+    |D_k| rho^k, with |c| + rho <= 1.05. Each of the four square roots (two
+    endpoints, grid value and bound) is then off by at most 8 sqrt(u S), their
+    undoubled sums by 32 sqrt(u S) together, and f by 64 sqrt(u S); the
+    relative rounding of the square roots, sums and scalings is of order
+    u sqrt(S), far below sqrt(u S). The margin takes C = _MARGIN_C = 128,
+    twice that. A skipped block therefore
+    holds only grid values above ``threshold``. A relative margin such as
+    1e-9 f would not do: at a root of one endpoint on a grid point its grid
+    value sqrt(|P|/(1 + r^2)^2) is rounding's sqrt(u S) instead of 0.
+    """
+    blocks = range(len(grid.blocks))
+    if threshold == math.inf:
+        return blocks
+    c40, c04 = _endpoint_coefficients(inv)
+    coefficients = np.array((c40, c04))
+    np.conjugate(coefficients[0], out=coefficients[0])
+    low = np.abs(coefficients @ grid.taylor).reshape(-1, 5) @ _TAYLOR_SIGNS
+    np.maximum(low, 0.0, out=low)
+    np.sqrt(low, out=low)
+    tiles = len(low) // 2
+    lower = 2.0 * (low[:tiles] + low[tiles:]).reshape(len(blocks), -1).min(axis=1) * grid.shrink
+    margin = _MARGIN_C * math.sqrt(_UNIT_ROUNDOFF * sum(abs(c) for c in c04))
+    return np.flatnonzero(lower <= threshold + margin)
+
+
+def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid,
+                threshold: float = math.inf) -> tuple[int, float]:
     """First minimum, in row-major order, of f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|)
     at x = tan(theta_j/2) e^{i phi_l} over the grid's evaluated rows:
-    (flat index j GRID_POINTS + l, value).
+    (flat index j GRID_POINTS + l, value), when that minimum is at most
+    ``threshold``; otherwise a value above ``threshold`` (infinity when no
+    block is evaluated).
+
+    Only the blocks that _live_blocks cannot rule out are evaluated: each
+    skipped block's tile bound, less a margin for rounding, shows every grid
+    value in it to be above ``threshold``. So a minimum at or below
+    ``threshold`` lies in an evaluated block, and so does its first occurrence;
+    the skipped blocks hold no value it could tie with. The default infinite
+    ``threshold`` evaluates every block.
 
     With r = tan(theta/2) the endpoint numerators are I04 = sum_k c_k r^k e^{ik phi}
     and I40 = sum_k c'_k r^k e^{-ik phi}; the common denominator (1 + r^2)^2
@@ -275,14 +376,15 @@ def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid) -> tuple[int, fl
     c40, c04 = _endpoint_coefficients(inv)
     stacked = np.concatenate(((grid.powers * c40).conj(), grid.powers * c04))[grid.order]
     best_k, best = 0, math.inf
-    for start, stop in grid.blocks:
+    for block in _live_blocks(inv, grid, threshold):
+        start, stop = grid.blocks[block]
         rows = stop - start
         moduli = np.abs(stacked[2 * start:2 * stop] @ grid.phase)
         moduli /= grid.den[2 * start:2 * stop]
         np.sqrt(moduli, out=moduli)
         sums = moduli[:rows] + moduli[rows:]
         k = int(sums.argmin())
-        if start == 0 or sums.item(k) < best:
+        if sums.item(k) < best:
             best_k, best = start * GRID_POINTS + k, sums.item(k)
     return best_k, 2.0 * best
 
@@ -294,39 +396,48 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     GRID_POINTS grid; the pole x -> infinity swaps the endpoint roles and
     evaluates to the same f as x = 0, so both ends are covered explicitly. The
     grid's tables (angles, powers of tan(theta/2), phases, denominators, block
-    bounds) are built on first use and kept read-only (_sphere_grid). The grid
-    is evaluated as a separable product in theta and phi, in blocks of
-    SPHERE_BLOCK_ROWS rows, each one matrix product for both endpoints, that
-    keep only the first minimum (_sphere_min); its values and the point it
-    picks are bit-identical to evaluating the whole grid at once, one endpoint
-    at a time. Since f(x) = f(-1/conj(x)), grid point (j, l) has the value of
-    (GRID_POINTS-1-j, l+GRID_POINTS/2), so only the rows j < GRID_POINTS/2 are
-    evaluated. Quartic endpoint roots
-    (``candidates``, solved here when not given) are seeded into the candidate
-    set, which makes this a minimum over a superset of the quartic-bound
-    witnesses: the value is min(grid minimum, pole, seeds)^2, and the witness is
-    tan(theta/2) e^{i phi} at the point that attains it. The seeds come in
-    quartic_root_candidates' order, so of tied seeds the first, quartic_A4's
-    witness, is kept.
+    bounds, tile tables) are built on first use and kept read-only
+    (_sphere_grid). The grid is evaluated as a separable product in theta and
+    phi, in blocks of SPHERE_BLOCK_ROWS rows, each one matrix product for both
+    endpoints, that keep only the first minimum (_sphere_min); its values and
+    the point it picks are bit-identical to evaluating the whole grid at once,
+    one endpoint at a time. Since f(x) = f(-1/conj(x)), grid point (j, l) has
+    the value of (GRID_POINTS-1-j, l+GRID_POINTS/2), so only the rows
+    j < GRID_POINTS/2 are evaluated. Quartic endpoint roots (``candidates``,
+    solved here when not given) are seeded into the candidate set, which makes
+    this a minimum over a superset of the quartic-bound witnesses: the value is
+    min(grid minimum, pole, seeds)^2, and the witness is tan(theta/2) e^{i phi}
+    at the point that attains it. The seeds come in quartic_root_candidates'
+    order, so of tied seeds the first, quartic_A4's witness, is kept.
+
+    The pole and seed values are computed first, and their minimum T is the
+    threshold of the sphere search, which skips every block whose tile lower
+    bound on f clears T by a rounding margin (_live_blocks). A skipped block
+    holds only values above T, so it could neither lower the minimum nor tie
+    with it: value, witness and tie rule are those of the full search. On
+    random states 2-3 of the 9 blocks are left to evaluate. Where only one of
+    the five invariants, i40 or i04, is nonzero (up to rounding), f is
+    constant at the pole value, every block ties with T and none is skipped:
+    class IV on every triple, V on A1A2A3 and A1A3A4, VII and VIII, so the
+    class sweeps IV and V on A1A2A3 evaluate all 9 blocks.
     """
     if inv.scale() == 0.0:
         return BoundWitness("grid", 0.0, None, (), None)
-    grid = _sphere_grid()
-    k, best = _sphere_min(inv, grid)
-    j, l = divmod(k, GRID_POINTS)
-    best_theta = float(grid.theta[j])
-    best_phi = float(grid.phi[l])
-
     # endpoints of the theta range: x = 0 and the pole give the same f value
     pole = 2.0 * (math.sqrt(abs(inv.i04)) + math.sqrt(abs(inv.i40)))
-    if pole < best:
-        best, best_theta, best_phi = pole, 0.0, 0.0
-
     # exact quartic witnesses are feasible points; seed them in
     if candidates is None:
         candidates = quartic_root_candidates(inv)
-    for value, x in candidates:
-        fx = 2.0 * math.sqrt(value / 4.0)
+    seeds = [(2.0 * math.sqrt(value / 4.0), x) for value, x in candidates]
+
+    grid = _sphere_grid()
+    k, best = _sphere_min(inv, grid, min([pole] + [fx for fx, _ in seeds]))
+    j, l = divmod(k, GRID_POINTS)
+    best_theta = float(grid.theta[j])
+    best_phi = float(grid.phi[l])
+    if pole < best:
+        best, best_theta, best_phi = pole, 0.0, 0.0
+    for fx, x in seeds:
         if fx < best:
             best = fx
             best_theta = 2.0 * math.atan(abs(x))

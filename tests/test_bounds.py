@@ -20,7 +20,15 @@ from tanglebound.bounds import (
     branch_form_set,
     classify_group,
 )
-from tanglebound.classes import ClassSpec, literature_bound, representative, spec_from_values
+from tanglebound.classes import (
+    CLASS_IDS,
+    CLASS_PARAMS,
+    SUPPORTED_TRIPLES,
+    ClassSpec,
+    literature_bound,
+    representative,
+    spec_from_values,
+)
 from tanglebound.invariants import (
     ThreeQubitInvariantSet,
     _endpoint_coefficients,
@@ -495,9 +503,9 @@ class TestGridMatchesReference:
         sphere_rows = []
         sphere_min = bounds._sphere_min
 
-        def recording(inv, grid):
+        def recording(inv, grid, threshold=math.inf):
             sphere_rows.append(len(grid.powers))
-            return sphere_min(inv, grid)
+            return sphere_min(inv, grid, threshold)
 
         monkeypatch.setattr(bounds, "_sphere_min", recording)
         for inv, is_class in grid_comparison_sets(family):
@@ -565,7 +573,7 @@ class TestSphereMin:
 
     def test_cached_tables_are_read_only_and_shared(self):
         grid = bounds._sphere_grid()
-        for name in ("theta", "phi", "powers", "phase", "order", "den"):
+        for name in ("theta", "phi", "powers", "phase", "order", "den", "taylor", "shrink"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(grid, name)[0] = 0
         assert bounds._sphere_grid() is grid
@@ -626,6 +634,156 @@ class TestGridComposition:
         for inv, _ in grid_comparison_sets():
             q = bound_quartic_A4(inv).value
             assert values_agree(bound_grid(inv).value, q), (inv, bound_grid(inv).value, q)
+
+
+def skipping_sets():
+    """Class draws I-IX on every supported triple and the edge sets of the
+    block skipping: f constant (only i40), i40 below SCALE_TOL times the scale
+    (an I04 root at infinity), and an I04 root on |x| = 1."""
+    rng = np.random.default_rng(9)
+    specs = [spec_from_values(c, *rng.uniform(0.2, 2.0, len(CLASS_PARAMS[c])))
+             for c in CLASS_IDS for _ in range(2)]
+    sets = [invariant_set(representative(spec), traced_qubit_of(t))
+            for spec in specs for t in SUPPORTED_TRIPLES]
+    sets.append(synthetic_set(i40=0.25))
+    sets.append(synthetic_set(i40=3e-13, i31=0.2 + 0.1j, i22=-0.3j, i13=0.4, i04=0.5 - 0.2j))
+    a = np.poly([cmath.exp(0.7j), 0.3 + 0.2j, -1.5 + 0.5j, 2j])[::-1]
+    sets.append(synthetic_set(i04=a[0], i13=a[1] / 4, i22=a[2] / 6, i31=a[3] / 4, i40=a[4]))
+    return sets
+
+
+def record_live_blocks(monkeypatch):
+    """Patch bounds._live_blocks to record (inv, threshold, evaluated block indices)."""
+    calls = []
+    live_blocks = bounds._live_blocks
+
+    def recording(inv, grid, threshold):
+        live = live_blocks(inv, grid, threshold)
+        calls.append((inv, threshold, [int(b) for b in live]))
+        return live
+
+    monkeypatch.setattr(bounds, "_live_blocks", recording)
+    return calls
+
+
+def skipping_margin(inv):
+    """C sqrt(u sum_m |c_m|), the rounding margin _live_blocks adds to the threshold."""
+    c04 = _endpoint_coefficients(inv)[1]
+    return bounds._MARGIN_C * math.sqrt(2.0 ** -53 * sum(abs(c) for c in c04))
+
+
+def reference_tile_bounds(inv):
+    """Each block's lower bound on f, written out: the Taylor coefficients
+    p^(k)(c) / k! of both endpoint quartics p about every tile centre c, and
+    the largest distance from a centre to the grid points of its tile."""
+    grid = bounds._sphere_grid()
+    width = bounds.GRID_POINTS // bounds.SPHERE_SECTORS
+    r = grid.powers[:, 1]
+    c40, c04 = _endpoint_coefficients(inv)
+    taylor = [[p.deriv(k) / math.factorial(k) for k in range(5)]
+              for p in (np.polynomial.Polynomial(np.conj(c40)), np.polynomial.Polynomial(c04))]
+    lower = []
+    for start, stop in grid.blocks:
+        r_c = (r[start] + r[stop - 1]) / 2.0
+        phi = grid.phi.reshape(-1, width)
+        c = r_c * np.exp(1j * (phi[:, 0] + phi[:, -1]) / 2.0)
+        xs = r[start:stop, None, None] * np.exp(1j * phi)
+        rho = np.abs(xs - c[:, None]).max(axis=(0, 2))
+        total = 0.0
+        for d in taylor:
+            lb = np.abs(d[0](c)) - sum(np.abs(d[k](c)) * rho ** k for k in range(1, 5))
+            total = total + np.sqrt(np.maximum(lb, 0.0))
+        lower.append(float((2.0 * total / (1.0 + r[stop - 1] ** 2)).min()))
+    return lower
+
+
+class TestSphereSkipping:
+    """_sphere_min skips only blocks whose every grid value is above the
+    threshold, the smallest of the pole and seed values, so bound_grid's output
+    is that of the full search."""
+
+    THETA = np.pi * (np.arange(256) + 0.5) / 256
+    PHI = 2.0 * np.pi * np.arange(256) / 256
+
+    def assert_skipped_blocks_are_above_the_threshold(self, calls):
+        blocks = bounds._sphere_grid().blocks
+        for inv, threshold, live in calls:
+            vals = sphere_values(inv, self.THETA[:128], self.PHI)
+            for b, (start, stop) in enumerate(blocks):
+                if b not in live:
+                    assert vals[start:stop].min() > threshold, (inv, b, threshold)
+
+    @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
+    def test_skipped_blocks_on_the_comparison_sets(self, seeded, monkeypatch):
+        sets = [inv for inv, _ in grid_comparison_sets() if inv.scale() > 0.0]
+        calls = record_live_blocks(monkeypatch)
+        for inv in sets:
+            bound_grid(inv, candidates=None if seeded else [])
+        assert len(calls) == len(sets) == 82
+        self.assert_skipped_blocks_are_above_the_threshold(calls)
+
+    def test_skipped_blocks_on_class_draws_and_edge_sets(self, monkeypatch):
+        # the search still returns the full search's value and witness
+        sets = skipping_sets()
+        calls = record_live_blocks(monkeypatch)
+        for inv in sets:
+            if inv.scale() > 0.0:
+                assert repr(bound_grid(inv)) == repr(full_grid_bound(inv, 256, 256)), inv
+        assert len(calls) == len(sets) - 6   # class IX sets are all zero
+        self.assert_skipped_blocks_are_above_the_threshold(calls)
+
+    def test_tile_bounds_match_the_reference(self):
+        # a block is evaluated exactly when its bound is within the margin of
+        # the threshold: live just inside, skipped just outside
+        grid = bounds._sphere_grid()
+        for inv in skipping_sets() + [inv for inv, _ in grid_comparison_sets()]:
+            if inv.scale() == 0.0:
+                continue
+            margin = skipping_margin(inv)
+            for b, lower in enumerate(reference_tile_bounds(inv)):
+                assert b in bounds._live_blocks(inv, grid, lower - 0.5 * margin), (inv, b)
+                assert b not in bounds._live_blocks(inv, grid, lower - 1.5 * margin), (inv, b)
+
+    def test_random_states_evaluate_at_most_three_blocks_on_average(self, monkeypatch):
+        calls = record_live_blocks(monkeypatch)
+        for k in range(30):
+            state = random_state(700 + k)
+            for triple in SUPPORTED_TRIPLES:
+                best_bound(state, triple)
+        assert len(calls) == 90
+        assert sum(len(live) for _, _, live in calls) <= 3 * 90
+
+    def test_constant_objective_evaluates_every_block(self, monkeypatch):
+        # f = 2 sqrt|i40| everywhere: every block ties with the pole
+        calls = record_live_blocks(monkeypatch)
+        bound_grid(synthetic_set(i40=0.25))
+        assert [live for _, _, live in calls] == [list(range(9))]
+
+    def test_rounding_near_an_endpoint_zero_needs_the_square_root_margin(self):
+        # at an I04 root on a grid point the grid's sqrt(|I04| / den) is
+        # rounding's sqrt(u |P|): above a relative 1e-9 of f, within the margin
+        grid = bounds._sphere_grid()
+        relative = []
+        for j, l in [(40, 77), (10, 3), (90, 200), (127, 128), (64, 31), (110, 17)]:
+            x = complex(grid.powers[j, 1] * grid.phase[1, l])
+            a = np.poly([x, 0.3 + 0.2j, -1.5 + 0.5j, 2j])[::-1]
+            inv = synthetic_set(i04=a[0], i13=a[1] / 4, i22=a[2] / 6, i31=a[3] / 4, i40=a[4])
+            value = sphere_values(inv, self.THETA[:128], self.PHI)[j, l]
+            exact = float(reference_sum_sqrt_extended(inv, x))
+            assert abs(value - exact) < 0.5 * skipping_margin(inv), (j, l, value, exact)
+            relative.append(abs(value - exact) / exact)
+        assert max(relative) > 1e-9, relative
+
+
+def reference_sum_sqrt_extended(inv, x):
+    """reference_sum_sqrt at one point in numpy's extended precision."""
+    x = np.clongdouble(x)
+    xc = np.conj(x)
+    c40, c04 = (np.array(c, dtype=np.clongdouble) for c in _endpoint_coefficients(inv))
+    den = (1 + abs(x) ** 2) ** 2
+    f40 = sum(c40[k] * xc ** k for k in range(5))
+    f04 = sum(c04[k] * x ** k for k in range(5))
+    return 2 * (np.sqrt(abs(f40) / den) + np.sqrt(abs(f04) / den))
 
 
 class TestClassifier:
