@@ -216,10 +216,6 @@ SPHERE_SECTORS = 32
 #: C in the skipping margin C sqrt(u sum|c_m|) (_live_blocks): twice the 64
 #: that the rounding of the grid values and of the tile bounds can take
 _MARGIN_C = 128.0
-_UNIT_ROUNDOFF = 2.0 ** -53
-#: LB = |D'_0| - sum_{k>=1} |D'_k| as one product with the moduli of the D'_k
-_TAYLOR_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
-_TAYLOR_SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -279,6 +275,9 @@ def _sphere_grid() -> _SphereGrid:
     binom = np.array([[math.comb(m, j) for j in k] for m in k], dtype=float)
     taylor = (binom * centres.reshape(-1, 1, 1) ** np.maximum(k[:, None] - k, 0)
               * np.repeat(np.power.outer(rho, k), SPHERE_SECTORS, axis=0)[:, None, :])
+    # _MARGIN_C is derived for r < 1 and tiles within 1.05 of the origin
+    if not (r[-1] < 1.0 and (r_c + rho).max() <= 1.05):
+        raise RuntimeError("sphere tiles reach beyond |x| = 1.05; _MARGIN_C does not cover them")
     grid = _SphereGrid(
         theta,
         phi,
@@ -296,17 +295,17 @@ def _sphere_grid() -> _SphereGrid:
     return grid
 
 
-def _live_blocks(inv: ThreeQubitInvariantSet, grid: _SphereGrid, threshold: float):
+def _live_blocks(c40, c04, grid: _SphereGrid, threshold: float):
     """Indices of the blocks that may hold a grid value of f at or below
-    ``threshold``: every block when it is infinite, else those whose tile lower
-    bound on f is at most threshold + C sqrt(u sum_m |c_m|).
+    ``threshold``: those whose tile lower bound on f is at most
+    threshold + C sqrt(u sum_m |c_m|), every block when it is infinite.
 
     The tile bound. The endpoint numerators are quartics in x, I04's with the
     coefficients c04 and |I40| = |sum_m conj(c40_m) x^m|'s with conj(c40), so
     their Taylor expansions about a tile centre c end at degree 4 and are
     exact: |P(x)| >= |D_0| - sum_{k>=1} |D_k| rho^k =: LB at every x within rho
     of c. One (2, 5) @ (5, tiles 5) product gives the D_k rho^k of both
-    endpoints on all tiles, and one product with _TAYLOR_SIGNS their LB. With
+    endpoints on all tiles, and so their LB. With
     r <= r_max on the tile, f = 2 (sqrt|P40| + sqrt|P04|) / (1 + r^2) is at
     least 2 (sqrt LB40+ + sqrt LB04+) / (1 + r_max^2), and a block's bound is
     the least of its tiles'.
@@ -321,7 +320,8 @@ def _live_blocks(inv: ThreeQubitInvariantSet, grid: _SphereGrid, threshold: floa
     computed LB is within 64 u S of the exact bound over a disk that holds
     that point: the D_k products, the rounding of c and rho (a few u of
     distance, weighted by |P'| <= 4 S (|c| + rho)^3), and the sum of the
-    |D_k| rho^k, with |c| + rho <= 1.05. Each of the four square roots (two
+    |D_k| rho^k, with |c| + rho <= 1.05 (both conditions on the tiles are
+    checked by _sphere_grid). Each of the four square roots (two
     endpoints, grid value and bound) is then off by at most 8 sqrt(u S), their
     undoubled sums by 32 sqrt(u S) together, and f by 64 sqrt(u S); the
     relative rounding of the square roots, sums and scalings is of order
@@ -331,18 +331,16 @@ def _live_blocks(inv: ThreeQubitInvariantSet, grid: _SphereGrid, threshold: floa
     1e-9 f would not do: at a root of one endpoint on a grid point its grid
     value sqrt(|P|/(1 + r^2)^2) is rounding's sqrt(u S) instead of 0.
     """
-    blocks = range(len(grid.blocks))
-    if threshold == math.inf:
-        return blocks
-    c40, c04 = _endpoint_coefficients(inv)
     coefficients = np.array((c40, c04))
     np.conjugate(coefficients[0], out=coefficients[0])
-    low = np.abs(coefficients @ grid.taylor).reshape(-1, 5) @ _TAYLOR_SIGNS
+    d = np.abs(coefficients @ grid.taylor).reshape(-1, 5)
+    low = d[:, 0] - d[:, 1:].sum(axis=1)
     np.maximum(low, 0.0, out=low)
     np.sqrt(low, out=low)
     tiles = len(low) // 2
-    lower = 2.0 * (low[:tiles] + low[tiles:]).reshape(len(blocks), -1).min(axis=1) * grid.shrink
-    margin = _MARGIN_C * math.sqrt(_UNIT_ROUNDOFF * sum(abs(c) for c in c04))
+    lower = (2.0 * (low[:tiles] + low[tiles:]).reshape(len(grid.blocks), -1).min(axis=1)
+             * grid.shrink)
+    margin = _MARGIN_C * math.sqrt(np.finfo(float).eps / 2.0 * sum(abs(c) for c in c04))
     return np.flatnonzero(lower <= threshold + margin)
 
 
@@ -376,7 +374,7 @@ def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid,
     c40, c04 = _endpoint_coefficients(inv)
     stacked = np.concatenate(((grid.powers * c40).conj(), grid.powers * c04))[grid.order]
     best_k, best = 0, math.inf
-    for block in _live_blocks(inv, grid, threshold):
+    for block in _live_blocks(c40, c04, grid, threshold):
         start, stop = grid.blocks[block]
         rows = stop - start
         moduli = np.abs(stacked[2 * start:2 * stop] @ grid.phase)

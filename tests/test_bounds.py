@@ -653,13 +653,13 @@ def skipping_sets():
 
 
 def record_live_blocks(monkeypatch):
-    """Patch bounds._live_blocks to record (inv, threshold, evaluated block indices)."""
+    """Patch bounds._live_blocks to record (threshold, evaluated block indices)."""
     calls = []
     live_blocks = bounds._live_blocks
 
-    def recording(inv, grid, threshold):
-        live = live_blocks(inv, grid, threshold)
-        calls.append((inv, threshold, [int(b) for b in live]))
+    def recording(c40, c04, grid, threshold):
+        live = live_blocks(c40, c04, grid, threshold)
+        calls.append((threshold, [int(b) for b in live]))
         return live
 
     monkeypatch.setattr(bounds, "_live_blocks", recording)
@@ -705,9 +705,11 @@ class TestSphereSkipping:
     THETA = np.pi * (np.arange(256) + 0.5) / 256
     PHI = 2.0 * np.pi * np.arange(256) / 256
 
-    def assert_skipped_blocks_are_above_the_threshold(self, calls):
+    def assert_skipped_blocks_are_above_the_threshold(self, sets, calls):
+        # one call per set, in order
+        assert len(calls) == len(sets)
         blocks = bounds._sphere_grid().blocks
-        for inv, threshold, live in calls:
+        for inv, (threshold, live) in zip(sets, calls):
             vals = sphere_values(inv, self.THETA[:128], self.PHI)
             for b, (start, stop) in enumerate(blocks):
                 if b not in live:
@@ -719,18 +721,18 @@ class TestSphereSkipping:
         calls = record_live_blocks(monkeypatch)
         for inv in sets:
             bound_grid(inv, candidates=None if seeded else [])
-        assert len(calls) == len(sets) == 82
-        self.assert_skipped_blocks_are_above_the_threshold(calls)
+        assert len(sets) == 82
+        self.assert_skipped_blocks_are_above_the_threshold(sets, calls)
 
     def test_skipped_blocks_on_class_draws_and_edge_sets(self, monkeypatch):
         # the search still returns the full search's value and witness
         sets = skipping_sets()
+        nonzero = [inv for inv in sets if inv.scale() > 0.0]
+        assert len(nonzero) == len(sets) - 6   # class IX sets are all zero
         calls = record_live_blocks(monkeypatch)
-        for inv in sets:
-            if inv.scale() > 0.0:
-                assert repr(bound_grid(inv)) == repr(full_grid_bound(inv, 256, 256)), inv
-        assert len(calls) == len(sets) - 6   # class IX sets are all zero
-        self.assert_skipped_blocks_are_above_the_threshold(calls)
+        for inv in nonzero:
+            assert repr(bound_grid(inv)) == repr(full_grid_bound(inv, 256, 256)), inv
+        self.assert_skipped_blocks_are_above_the_threshold(nonzero, calls)
 
     def test_tile_bounds_match_the_reference(self):
         # a block is evaluated exactly when its bound is within the margin of
@@ -740,9 +742,22 @@ class TestSphereSkipping:
             if inv.scale() == 0.0:
                 continue
             margin = skipping_margin(inv)
+            c40, c04 = _endpoint_coefficients(inv)
             for b, lower in enumerate(reference_tile_bounds(inv)):
-                assert b in bounds._live_blocks(inv, grid, lower - 0.5 * margin), (inv, b)
-                assert b not in bounds._live_blocks(inv, grid, lower - 1.5 * margin), (inv, b)
+                assert b in bounds._live_blocks(c40, c04, grid, lower - 0.5 * margin), (inv, b)
+                assert b not in bounds._live_blocks(c40, c04, grid, lower - 1.5 * margin), (inv, b)
+
+    def test_infinite_threshold_keeps_every_block(self):
+        c40, c04 = _endpoint_coefficients(invariant_set(random_state(71), "A4"))
+        live = bounds._live_blocks(c40, c04, bounds._sphere_grid(), math.inf)
+        assert list(live) == list(range(9))
+
+    def test_tables_refuse_tiles_beyond_the_margin_derivation(self, monkeypatch):
+        # the margin assumes r < 1 and |c| + rho <= 1.05 on every tile; 16
+        # sectors of 16 columns reach about 1.13 in the last block
+        monkeypatch.setattr(bounds, "SPHERE_SECTORS", 16)
+        with pytest.raises(RuntimeError, match="_MARGIN_C"):
+            bounds._sphere_grid.__wrapped__()
 
     def test_random_states_evaluate_at_most_three_blocks_on_average(self, monkeypatch):
         calls = record_live_blocks(monkeypatch)
@@ -751,13 +766,13 @@ class TestSphereSkipping:
             for triple in SUPPORTED_TRIPLES:
                 best_bound(state, triple)
         assert len(calls) == 90
-        assert sum(len(live) for _, _, live in calls) <= 3 * 90
+        assert sum(len(live) for _, live in calls) <= 3 * 90
 
     def test_constant_objective_evaluates_every_block(self, monkeypatch):
         # f = 2 sqrt|i40| everywhere: every block ties with the pole
         calls = record_live_blocks(monkeypatch)
         bound_grid(synthetic_set(i40=0.25))
-        assert [live for _, _, live in calls] == [list(range(9))]
+        assert [live for _, live in calls] == [list(range(9))]
 
     def test_rounding_near_an_endpoint_zero_needs_the_square_root_margin(self):
         # at an I04 root on a grid point the grid's sqrt(|I04| / den) is
