@@ -401,12 +401,11 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     the point it picks are bit-identical to evaluating the whole grid at once,
     one endpoint at a time. Since f(x) = f(-1/conj(x)), grid point (j, l) has
     the value of (GRID_POINTS-1-j, l+GRID_POINTS/2), so only the rows
-    j < GRID_POINTS/2 are evaluated. Quartic endpoint roots (``candidates``,
-    solved here when not given) are seeded into the candidate set, which makes
-    this a minimum over a superset of the quartic-bound witnesses: the value is
-    min(grid minimum, pole, seeds)^2, and the witness is tan(theta/2) e^{i phi}
-    at the point that attains it. The seeds come in quartic_root_candidates'
-    order, so of tied seeds the first, quartic_A4's witness, is kept.
+    j < GRID_POINTS/2 are evaluated. The quartic endpoint roots (``candidates``,
+    solved here when not given) come sorted by value, and f = 2 sqrt(value/4)
+    is monotone in it, so the first, quartic_A4's witness, is the one seed: the
+    value is min(grid minimum, pole, seed)^2, and the witness is
+    tan(theta/2) e^{i phi} at the point that attains it.
 
     The pole and seed values are computed first, and their minimum T is the
     threshold of the sphere search, which skips every block whose tile lower
@@ -423,23 +422,23 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
         return BoundWitness("grid", 0.0, None, (), None)
     # endpoints of the theta range: x = 0 and the pole give the same f value
     pole = 2.0 * (math.sqrt(abs(inv.i04)) + math.sqrt(abs(inv.i40)))
-    # exact quartic witnesses are feasible points; seed them in
+    # exact quartic witnesses are feasible points; the least one is the seed
     if candidates is None:
         candidates = quartic_root_candidates(inv)
-    seeds = [(2.0 * math.sqrt(value / 4.0), x) for value, x in candidates]
+    value, x = candidates[0] if candidates else (math.inf, None)
+    seed = 2.0 * math.sqrt(value / 4.0)
 
     grid = _sphere_grid()
-    k, best = _sphere_min(inv, grid, min([pole] + [fx for fx, _ in seeds]))
+    k, best = _sphere_min(inv, grid, min(pole, seed))
     j, l = divmod(k, GRID_POINTS)
     best_theta = float(grid.theta[j])
     best_phi = float(grid.phi[l])
     if pole < best:
         best, best_theta, best_phi = pole, 0.0, 0.0
-    for fx, x in seeds:
-        if fx < best:
-            best = fx
-            best_theta = 2.0 * math.atan(abs(x))
-            best_phi = cmath.phase(x) % (2.0 * math.pi)
+    if seed < best:
+        best = seed
+        best_theta = 2.0 * math.atan(abs(x))
+        best_phi = cmath.phase(x) % (2.0 * math.pi)
 
     witness = math.tan(best_theta / 2.0) * cmath.exp(1j * best_phi)
     return BoundWitness("grid", best ** 2, witness, (), None)

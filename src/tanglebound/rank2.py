@@ -9,8 +9,10 @@ remainder below the threshold, three vectors at |x| = 1 above it).
 constructions on the invariant set of one purification, and additionally
 checks whether the state is a convex mixture of the (at most four) zero-tangle
 pure states in its range -- the roots of the binary quartic form. That
-root-mixture test is exact, basis independent, and reproduces the closed-form
-decompositions of the GHZ/W family. One purification serves every phase: the
+root-mixture test is one least-squares solve on the roots' Bloch coordinates;
+it is exact, basis independent, and reproduces the closed-form decompositions
+of the GHZ/W family. When it succeeds its mixture is the answer and no bound
+runs. One purification serves every phase: the
 relative phase theta of the second branch is a diagonal unitary on the traced
 qubit, which sends I^{4-m,m} to e^{i m theta} I^{4-m,m} and only
 reparametrizes the rotation x, so every phase gives the same bounds.
@@ -21,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -48,10 +49,6 @@ from .quartic import roots
 
 WEIGHT_SUM_TOL = 1e-10
 WEIGHT_DROP = 1e-12
-#: a root mixture realizing at most this much is returned without the bounds:
-#: every bound value is >= 0, so a bound could undercut it by no more
-#: (tangles are <= 1; zero-tangle mixtures of GHZ/W states realize <= 2.3e-16)
-ROOT_MIXTURE_TOL = 1e-14
 _CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
 
 
@@ -177,8 +174,14 @@ def _zero_tangle_mixture(p0, p1, v0, v1, inv) -> Decomposition | None:
 
     The tangle of u v0 + t u v1 vanishes on the <= 4 projective roots t of the
     binary quartic form; rho has zero tangle exactly when it is a convex
-    mixture of those root states. Feasibility is decided by enumerating root
-    subsets and solving the 2x2 moment constraints. Needs p1 >= PROB_FLOOR.
+    mixture of those root states. A range state a v0 + b v1 has the moments
+    (|a|^2, |b|^2, Re a b*, Im a b*), affine coordinates of its Bloch vector,
+    and rho has (p0, p1, 0, 0): feasibility is one least-squares solve of the
+    moment constraints. Distinct points on the Bloch sphere are affinely
+    independent unless four of them lie on one circle (real-amplitude states,
+    class I); that system has one null direction, which is followed to the
+    breakpoint, where a weight reaches zero, with the largest least weight.
+    Needs p1 >= PROB_FLOOR.
     """
     g = branch_form_set(inv, p0, p1)
     if g.scale() == 0.0:
@@ -210,23 +213,23 @@ def _zero_tangle_mixture(p0, p1, v0, v1, inv) -> Decomposition | None:
         a = np.vdot(v0, vec)
         b = np.vdot(v1, vec)
         cols.append([abs(a) ** 2, abs(b) ** 2, (a * b.conjugate()).real, (a * b.conjugate()).imag])
-    cols = np.array(cols).T if cols else np.zeros((4, 0))
-    for k in range(1, len(unique) + 1):
-        for subset in combinations(range(len(unique)), k):
-            sub = cols[:, list(subset)]
-            w, *_ = np.linalg.lstsq(sub, target, rcond=None)
-            if np.any(w < -1e-10):
-                continue
-            w = np.clip(w, 0.0, None)
-            if abs(w.sum() - 1.0) > 1e-8 or np.max(np.abs(sub @ w - target)) > 1e-10:
-                continue
-            members = [(w[i], PureState3(unique[j])) for i, j in enumerate(subset) if w[i] > WEIGHT_DROP]
-            try:
-                deco = make_decomposition(members)
-            except (BranchMismatch, NotDensityMatrix):
-                continue
-            return deco
-    return None
+    cols = np.array(cols).T
+    w, _, rank, _ = np.linalg.lstsq(cols, target, rcond=1e-10)
+    if rank < len(unique):
+        # four roots on one circle: w + s null solves the constraints for every
+        # s; step to each point where a weight reaches zero, keep the best one
+        null = np.linalg.svd(cols)[2][-1]
+        steps = w + (-w / null)[:, None] * null
+        w = steps[steps.min(axis=1).argmax()]
+    if np.any(w < -1e-10):
+        return None
+    w = np.clip(w, 0.0, None)
+    if abs(w.sum() - 1.0) > 1e-8 or np.max(np.abs(cols @ w - target)) > 1e-10:
+        return None
+    try:
+        return make_decomposition([(wi, PureState3(vec)) for wi, vec in zip(w, unique) if wi > WEIGHT_DROP])
+    except (BranchMismatch, NotDensityMatrix):
+        return None
 
 
 def _realized_value(deco: Decomposition) -> float:
@@ -254,13 +257,13 @@ def _two_member_decomposition(state: PureState4, x: complex | None) -> Decomposi
 def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
     """Bound the tangle of a rank-2 state and return a realizing decomposition.
 
-    The theta = 0 purification and its invariant set are built once. The
-    quartic and branch-pair bounds run on that set; the reported value is
-    their minimum (the quartic bound on a tie within 1e-15), also taking the
-    exact root-mixture test into account. The returned decomposition is the
-    purification's branch pair rotated by the quartic witness x (two
-    members), or the root mixture when that certifies zero. A root mixture
-    that realizes at most ROOT_MIXTURE_TOL is returned before the bounds run.
+    The theta = 0 purification and its invariant set are built once. When
+    the exact root-mixture test finds a zero-tangle mixture, that mixture is
+    returned at the value its members realize (rounding level), and the
+    bounds do not run. Otherwise the quartic and branch-pair bounds run on
+    the set; the reported value is their minimum (the quartic bound on a tie
+    within 1e-15), and the returned decomposition is the purification's
+    branch pair rotated by the quartic witness x (two members).
     """
     p0, p1, v0, v1 = rank2_basis(rho)
     if p1 < PROB_FLOOR:
@@ -275,14 +278,8 @@ def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
     if zero_mixture is not None:
         # report what the mixture actually certifies (tiny but not forced to 0
         # when a root carries floating-point error)
-        mixture_value = _realized_value(zero_mixture)
-        if mixture_value <= ROOT_MIXTURE_TOL:
-            return BoundWitness("root_mixture", mixture_value, None, (), None), zero_mixture
+        return BoundWitness("root_mixture", _realized_value(zero_mixture), None, (), None), zero_mixture
     quartic = bound_quartic_A4(inv)
     unitary = bound_unitary_3q(inv, p0, p1)
     best = unitary if unitary.value < quartic.value - 1e-15 else quartic
-    # an all-zero invariant set leaves no rotation witness, and then every
-    # range state has zero tangle, so the mixture exists and is the answer
-    if zero_mixture is not None and (quartic.witness_x is None or mixture_value <= best.value):
-        return BoundWitness("root_mixture", mixture_value, None, (), None), zero_mixture
     return best, _two_member_decomposition(state, quartic.witness_x)

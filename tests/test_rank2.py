@@ -1,22 +1,26 @@
 """GHZ/W closed forms, optimal decompositions, and the general rank-2 workflow."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from tanglebound import bounds, errors, qstate, rank2
+from tanglebound import bounds, classes, errors, qstate, rank2
 from tanglebound.bounds import bound_cap, bound_quartic_A4, bound_unitary_3q
 from tanglebound.invariants import correlation_summary, invariant_set, three_tangle_pure
 from tanglebound.qstate import (
     MixedState3,
+    PureState4,
+    normalize,
     partial_trace_last,
+    permute_qubits,
     purify_rank2,
     random_state,
     rank2_basis,
 )
 from tanglebound.rank2 import (
-    ROOT_MIXTURE_TOL,
+    WEIGHT_DROP,
     decompose_rank2,
     ghz_state,
     ghzw_bound,
@@ -180,21 +184,10 @@ class TestDecomposeRank2:
         for p in (0.3, 0.5):
             witness, _ = decompose_rank2(ghzw_rho(p))
             assert witness.method == "root_mixture"
-            assert 0.0 <= witness.value <= ROOT_MIXTURE_TOL
+            assert 0.0 <= witness.value <= 1e-14
         assert solved == []
         decompose_rank2(ghzw_rho(0.8))
         assert len(solved) == 1
-
-    @pytest.mark.parametrize("p", [0.3, 0.5])
-    def test_root_mixture_below_the_bounds_is_returned_after_them(self, p, monkeypatch):
-        # with no early return, the root mixture still wins once the bounds
-        # have run, at the value its decomposition realizes
-        monkeypatch.setattr(rank2, "ROOT_MIXTURE_TOL", -1.0)
-        witness, deco = decompose_rank2(ghzw_rho(p))
-        assert witness.method == "root_mixture"
-        assert witness.value == rank2._realized_value(deco)
-        assert witness.value < 1e-15
-        np.testing.assert_allclose(deco.reconstructed.rho, ghzw_rho(p).rho, atol=1e-8)
 
     def test_one_endpoint_quartic_per_bound(self, monkeypatch):
         # one quartic for quartic_A4 and one for unitary_3q; the other
@@ -329,3 +322,118 @@ class TestDecomposeRank2:
             np.testing.assert_allclose(deco.reconstructed.rho, rho.rho, atol=1e-8)
             for _, member in deco.members:
                 assert three_tangle_pure(member) < 1e-8
+
+
+def reference_mixture_weights(cols, target, solve):
+    """The subset enumeration the single solve replaced, as an oracle.
+
+    Tries every nonempty subset of the root columns, smallest first, and
+    returns the first feasible subset's weights placed in their columns, or
+    None. ``solve`` is np.linalg.lstsq.
+    """
+    n = cols.shape[1]
+    for k in range(1, n + 1):
+        for subset in combinations(range(n), k):
+            sub = cols[:, list(subset)]
+            w, *_ = solve(sub, target, rcond=None)
+            if np.any(w < -1e-10):
+                continue
+            w = np.clip(w, 0.0, None)
+            if abs(w.sum() - 1.0) > 1e-8 or np.max(np.abs(sub @ w - target)) > 1e-10:
+                continue
+            full = np.zeros(n)
+            full[list(subset)] = w
+            return full
+    return None
+
+
+def rank_deficient_corpus():
+    """Random, real-amplitude and class I reduced states.
+
+    Real amplitudes and class I put the roots on one great circle, so these
+    include moment systems without full column rank.
+    """
+    rhos = [partial_trace_last(random_state(700 + k))[0] for k in range(30)]
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        state = normalize(PureState4(rng.standard_normal(16).astype(complex)))
+        rhos.append(partial_trace_last(state)[0])
+    for _ in range(5):
+        spec = classes.spec_from_values("I", *(complex(v) for v in rng.uniform(0.2, 2.0, 4)))
+        state = classes.representative(spec)
+        for perm in ((1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3)):
+            rhos.append(partial_trace_last(permute_qubits(state, perm))[0])
+    return rhos
+
+
+class TestZeroTangleMixture:
+    def test_one_solve_matches_the_subset_enumeration(self, monkeypatch):
+        # one lstsq call per mixture test; feasibility agrees with the
+        # enumeration everywhere, on full column rank the weights are bit for
+        # bit the reference's, and the rank-deficient mixtures, which may pick
+        # other members, still reconstruct rho at a zero value
+        solved, mixtures = [], []
+        solve, mixture = np.linalg.lstsq, rank2._zero_tangle_mixture
+
+        def recording_solve(a, b, rcond=None):
+            out = solve(a, b, rcond=rcond)
+            solved.append((a, b, out[2]))
+            return out
+
+        def counting_mixture(*args):
+            mixtures.append(args)
+            return mixture(*args)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_solve)
+        monkeypatch.setattr(rank2, "_zero_tangle_mixture", counting_mixture)
+        deficient = 0
+        for rho in rank_deficient_corpus():
+            solved.clear()
+            mixtures.clear()
+            witness, deco = decompose_rank2(rho)
+            assert len(mixtures) == 1
+            assert len(solved) == 1
+            cols, target, rank = solved[0]
+            reference = reference_mixture_weights(cols, target, solve)
+            assert (witness.method == "root_mixture") == (reference is not None)
+            if rank < cols.shape[1]:
+                deficient += 1
+            elif reference is not None:
+                assert [w for w, _ in deco.members] == [float(w) for w in reference if w > WEIGHT_DROP]
+            if reference is not None:
+                assert witness.value == rank2._realized_value(deco)
+                assert witness.value <= 1e-15
+                np.testing.assert_allclose(deco.reconstructed.rho, rho.rho, atol=1e-8)
+        # the null-direction step is taken, so that branch stays tested
+        assert deficient > 0
+
+    def test_ghzw_mixture_exists_up_to_the_threshold(self):
+        pstar = ghzw_threshold()
+        for p in [*np.linspace(0.0, 1.0, 199)[1:-1], pstar - 1e-4, pstar + 1e-4]:
+            witness, _ = decompose_rank2(ghzw_rho(float(p)))
+            assert (witness.method == "root_mixture") == (p <= pstar), p
+
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_ghzw_root_mixture_realizes_its_value(self, p):
+        witness, deco = decompose_rank2(ghzw_rho(p))
+        assert witness.method == "root_mixture"
+        assert witness.value == rank2._realized_value(deco)
+        assert witness.value < 1e-15
+        np.testing.assert_allclose(deco.reconstructed.rho, ghzw_rho(p).rho, atol=1e-8)
+
+    def test_class_vi_a2a3a4_criterion(self):
+        # A1 traced from class VI leaves rho on the Bloch axis at
+        # z = 3/(2|a|^2 + 3); the zero-tangle range states are |111> and
+        # psi0 +- (2i/sqrt a)|111>, so a zero-tangle mixture exists exactly
+        # when z <= (1 - s^2)/(1 + s^2), s^2 = 4/(|a|(|a|^2 + 3))
+        rng = np.random.default_rng(11)
+        feasible = 0
+        for modulus, phase in zip(rng.uniform(0.2, 2.0, 200), rng.uniform(0.0, 2.0 * math.pi, 200)):
+            state = classes.representative(classes.spec_from_values("VI", modulus * np.exp(1j * phase)))
+            rho = partial_trace_last(permute_qubits(state, (2, 3, 4, 1)))[0]
+            s2 = 4.0 / (modulus * (modulus ** 2 + 3.0))
+            expected = 3.0 / (2.0 * modulus ** 2 + 3.0) <= (1.0 - s2) / (1.0 + s2)
+            witness, _ = decompose_rank2(rho)
+            assert (witness.method == "root_mixture") == expected, modulus
+            feasible += expected
+        assert 0 < feasible < 200
