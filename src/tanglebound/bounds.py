@@ -27,10 +27,10 @@ from .invariants import (
     CorrelationSummary,
     ThreeQubitInvariantSet,
     _endpoint_coefficients,
+    _endpoint_values,
     summary_from_set,
     traced_qubit_of,
     traced_state_and_set,
-    transform_endpoints,
 )
 from .qstate import PureState4, branch_vectors
 from .quartic import SCALE_TOL, roots
@@ -77,11 +77,11 @@ def _endpoint_roots(inv: ThreeQubitInvariantSet):
     antipode lies near x = 0, not at it.
     """
     c40, c04 = _endpoint_coefficients(inv)
-    zero04 = [(abs(transform_endpoints(inv, x)[0]), x) for x in roots(c04)]
+    zero04 = [(abs(_endpoint_values(c40, c04, x)[0]), x) for x in roots(c04)]
     zero40 = _antipodes(zero04, c04)
     if zero40 is None:
         xs = [w.conjugate() for w in roots(c40)]
-        zero40 = [(abs(transform_endpoints(inv, x)[1]), x) for x in xs]
+        zero40 = [(abs(_endpoint_values(c40, c04, x)[1]), x) for x in xs]
     return zero40, zero04
 
 
@@ -201,19 +201,20 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
 #: polar angles and azimuths of the sphere grid: a GRID_POINTS x GRID_POINTS grid
 GRID_POINTS = 256
 #: sphere rows evaluated per block. One matrix product gives both endpoints of
-#: a block, so its largest temporary, the stacked (2 x 15, 256) complex product,
-#: is 120 KiB: below glibc's default 128 KiB mmap threshold, so blocks come from
-#: the heap and a freed one is reused instead of being returned to the OS and
-#: faulted in again. At 16 rows the product is exactly 128 KiB, and a fresh
-#: process re-faulted about 90 pages per call; 8 rows (64 KiB) saved no faults
-#: over 15 and took about 10% longer per call in per-block overhead. The 128
-#: evaluated rows make eight blocks of 15 and a last one of 8.
+#: a block's live columns, so its largest temporary, where every sector of a
+#: block is live, is the stacked (2 x 15, 256) complex product: 120 KiB, below
+#: glibc's default 128 KiB mmap threshold, so blocks come from the heap and a
+#: freed one is reused instead of being returned to the OS and faulted in
+#: again. At 16 rows the product is exactly 128 KiB, and a fresh process
+#: re-faulted about 90 pages per call; 8 rows (64 KiB) saved no faults over 15
+#: and took about 10% longer per call in per-block overhead. The 128 evaluated
+#: rows make eight blocks of 15 and a last one of 8.
 SPHERE_BLOCK_ROWS = 15
 #: azimuth sectors per block: a tile, the unit of the lower bound that lets
-#: _sphere_min skip a block, is one block's rows x GRID_POINTS / 32 = 8 columns,
-#: so the 9 blocks make 288 tiles
+#: _sphere_min skip grid points, is one block's rows x GRID_POINTS / 32 = 8
+#: columns, so the 9 blocks make 288 tiles
 SPHERE_SECTORS = 32
-#: C in the skipping margin C sqrt(u sum|c_m|) (_live_blocks): twice the 64
+#: C in the skipping margin C sqrt(u sum|c_m|) (_live_tiles): twice the 64
 #: that the rounding of the grid values and of the tile bounds can take
 _MARGIN_C = 128.0
 
@@ -227,15 +228,17 @@ class _SphereGrid:
     coefficient matrix block by block: rows [start, stop) of the I40 half,
     then the same rows of the I04 half.
 
-    A tile is one block's rows and GRID_POINTS / SPHERE_SECTORS consecutive
-    columns, and tile t = b SPHERE_SECTORS + q is block b's q-th sector. Its
-    centre c_t = r_c e^{i phi_c} has r_c midway between the block's first and
-    last r and phi_c midway between the sector's first and last azimuth; rho_b,
-    the largest distance from c_t to a grid point of the tile, is the same for
-    every tile of block b. ``taylor`` holds binom(m, k) c_t^(m-k) rho_b^k, so
-    that ``a @ taylor`` is D'_k = D_k rho_b^k for every tile, where D_k =
-    P^(k)(c_t)/k! are the Taylor coefficients of the quartic
-    P(x) = sum_m a_m x^m about c_t (_live_blocks).
+    A tile is one block's rows and the GRID_POINTS / SPHERE_SECTORS
+    consecutive columns ``columns[q]`` of one sector q, and tile
+    t = b SPHERE_SECTORS + q is block b's q-th sector. Its centre
+    c_t = r_c e^{i phi_c} has r_c midway between the block's first and last r
+    and phi_c midway between the sector's first and last azimuth; rho_b, the
+    largest distance from c_t to a grid point of the tile, is the same for
+    every tile of block b. ``taylor`` holds binom(m, k) c_t^(m-k) rho_b^k in
+    column k tiles + t, so that ``a @ taylor`` lists D'_k = D_k rho_b^k of
+    every tile for k = 0, ..., 4 in turn, where D_k = P^(k)(c_t)/k! are the
+    Taylor coefficients of the quartic P(x) = sum_m a_m x^m about c_t
+    (_live_tiles).
     """
 
     theta: np.ndarray       # (GRID_POINTS,) cell-centred polar angles
@@ -245,8 +248,9 @@ class _SphereGrid:
     order: np.ndarray       # (2 rows,): stacked row -> row of concat(I40 half, I04 half)
     den: np.ndarray         # (2 rows, 1): (1 + r^2)^2 of each stacked row
     blocks: tuple[tuple[int, int], ...]   # [start, stop) rows of each block
-    taylor: np.ndarray      # (5, tiles 5): row m, column (t, k): binom(m, k) c_t^(m-k) rho_b^k
-    shrink: np.ndarray      # (blocks,): 1 / (1 + r^2) at the block's last, largest r
+    columns: np.ndarray     # (SPHERE_SECTORS, GRID_POINTS / SPHERE_SECTORS): columns of each sector
+    taylor: np.ndarray      # (5, 5 tiles): row m, column k tiles + t: binom(m, k) c_t^(m-k) rho_b^k
+    shrink: np.ndarray      # (blocks, 1): 2 / (1 + r^2) at the block's last, largest r
 
 
 @functools.cache
@@ -264,13 +268,14 @@ def _sphere_grid() -> _SphereGrid:
 
     # tiles: the farthest points of a tile from its centre are its first and
     # last columns, half the sector's angular width away from phi_c
+    width = GRID_POINTS // SPHERE_SECTORS
     last = np.array(stops) - 1
     r_c = (r[starts] + r[last]) / 2.0
-    half_width = np.pi * (GRID_POINTS // SPHERE_SECTORS - 1) / GRID_POINTS
+    half_width = np.pi * (width - 1) / GRID_POINTS
     rho = np.maximum.reduceat(
         np.abs(r * np.exp(1j * half_width) - np.repeat(r_c, np.diff([0] + stops))), starts
     )
-    centres = np.outer(r_c, np.exp(1j * (phi[::GRID_POINTS // SPHERE_SECTORS] + half_width)))
+    centres = np.outer(r_c, np.exp(1j * (phi[::width] + half_width)))
     k = np.arange(5)
     binom = np.array([[math.comb(m, j) for j in k] for m in k], dtype=float)
     taylor = (binom * centres.reshape(-1, 1, 1) ** np.maximum(k[:, None] - k, 0)
@@ -286,29 +291,30 @@ def _sphere_grid() -> _SphereGrid:
         order,
         np.concatenate((den, den))[order][:, None],
         blocks,
-        taylor.transpose(1, 0, 2).reshape(5, -1),
-        1.0 / (1.0 + r[last] ** 2),
+        np.arange(GRID_POINTS).reshape(SPHERE_SECTORS, width),
+        taylor.transpose(1, 2, 0).reshape(5, -1),
+        2.0 / (1.0 + r[last, None] ** 2),
     )
     for table in (grid.theta, grid.phi, grid.powers, grid.phase, grid.order, grid.den,
-                  grid.taylor, grid.shrink):
+                  grid.columns, grid.taylor, grid.shrink):
         table.setflags(write=False)
     return grid
 
 
-def _live_blocks(c40, c04, grid: _SphereGrid, threshold: float):
-    """Indices of the blocks that may hold a grid value of f at or below
-    ``threshold``: those whose tile lower bound on f is at most
-    threshold + C sqrt(u sum_m |c_m|), every block when it is infinite.
+def _live_tiles(c40, c04, grid: _SphereGrid, threshold: float) -> np.ndarray:
+    """(blocks, SPHERE_SECTORS) mask of the tiles that may hold a grid value of
+    f at or below ``threshold``: those whose lower bound on f is at most
+    threshold + C sqrt(u sum_m |c_m|), every tile when it is infinite.
 
     The tile bound. The endpoint numerators are quartics in x, I04's with the
     coefficients c04 and |I40| = |sum_m conj(c40_m) x^m|'s with conj(c40), so
     their Taylor expansions about a tile centre c end at degree 4 and are
     exact: |P(x)| >= |D_0| - sum_{k>=1} |D_k| rho^k =: LB at every x within rho
-    of c. One (2, 5) @ (5, tiles 5) product gives the D_k rho^k of both
-    endpoints on all tiles, and so their LB. With
-    r <= r_max on the tile, f = 2 (sqrt|P40| + sqrt|P04|) / (1 + r^2) is at
-    least 2 (sqrt LB40+ + sqrt LB04+) / (1 + r_max^2), and a block's bound is
-    the least of its tiles'.
+    of c. One (2, 5) @ (5, 5 tiles) product gives the D_k rho^k of both
+    endpoints on all tiles, k after k, so LB is four subtractions of
+    contiguous rows. With r <= r_max on the tile,
+    f = 2 (sqrt|P40| + sqrt|P04|) / (1 + r^2) is at least
+    2 (sqrt LB40+ + sqrt LB04+) / (1 + r_max^2).
 
     The margin covers rounding, which sqrt amplifies near an endpoint zero:
     |sqrt(a) - sqrt(b)| <= sqrt|a - b|. With S = sum_m |c_m| (the same for both
@@ -319,29 +325,31 @@ def _live_blocks(c40, c04, grid: _SphereGrid, threshold: float):
     denominator by a few u each, on terms summing to at most S as r < 1. A
     computed LB is within 64 u S of the exact bound over a disk that holds
     that point: the D_k products, the rounding of c and rho (a few u of
-    distance, weighted by |P'| <= 4 S (|c| + rho)^3), and the sum of the
-    |D_k| rho^k, with |c| + rho <= 1.05 (both conditions on the tiles are
+    distance, weighted by |P'| <= 4 S (|c| + rho)^3), and the subtraction of
+    the |D_k| rho^k, with |c| + rho <= 1.05 (both conditions on the tiles are
     checked by _sphere_grid). Each of the four square roots (two
     endpoints, grid value and bound) is then off by at most 8 sqrt(u S), their
     undoubled sums by 32 sqrt(u S) together, and f by 64 sqrt(u S); the
     relative rounding of the square roots, sums and scalings is of order
     u sqrt(S), far below sqrt(u S). The margin takes C = _MARGIN_C = 128,
-    twice that. A skipped block therefore
+    twice that. A skipped tile therefore
     holds only grid values above ``threshold``. A relative margin such as
     1e-9 f would not do: at a root of one endpoint on a grid point its grid
     value sqrt(|P|/(1 + r^2)^2) is rounding's sqrt(u S) instead of 0.
     """
     coefficients = np.array((c40, c04))
     np.conjugate(coefficients[0], out=coefficients[0])
-    d = np.abs(coefficients @ grid.taylor).reshape(-1, 5)
-    low = d[:, 0] - d[:, 1:].sum(axis=1)
+    d = np.abs(coefficients @ grid.taylor).reshape(2, 5, -1)
+    low = d[:, 0] - d[:, 1]
+    low -= d[:, 2]
+    low -= d[:, 3]
+    low -= d[:, 4]
     np.maximum(low, 0.0, out=low)
     np.sqrt(low, out=low)
-    tiles = len(low) // 2
-    lower = (2.0 * (low[:tiles] + low[tiles:]).reshape(len(grid.blocks), -1).min(axis=1)
-             * grid.shrink)
+    lower = (low[0] + low[1]).reshape(len(grid.blocks), -1)
+    lower *= grid.shrink
     margin = _MARGIN_C * math.sqrt(np.finfo(float).eps / 2.0 * sum(abs(c) for c in c04))
-    return np.flatnonzero(lower <= threshold + margin)
+    return lower <= threshold + margin
 
 
 def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid,
@@ -350,40 +358,47 @@ def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid,
     at x = tan(theta_j/2) e^{i phi_l} over the grid's evaluated rows:
     (flat index j GRID_POINTS + l, value), when that minimum is at most
     ``threshold``; otherwise a value above ``threshold`` (infinity when no
-    block is evaluated).
+    tile is evaluated).
 
-    Only the blocks that _live_blocks cannot rule out are evaluated: each
-    skipped block's tile bound, less a margin for rounding, shows every grid
+    Only the tiles that _live_tiles cannot rule out are evaluated: each
+    skipped tile's lower bound, less a margin for rounding, shows every grid
     value in it to be above ``threshold``. So a minimum at or below
-    ``threshold`` lies in an evaluated block, and so does its first occurrence;
-    the skipped blocks hold no value it could tie with. The default infinite
-    ``threshold`` evaluates every block.
+    ``threshold`` lies in an evaluated tile, and so does its first occurrence;
+    the skipped tiles hold no value it could tie with. The default infinite
+    ``threshold`` evaluates every tile.
 
     With r = tan(theta/2) the endpoint numerators are I04 = sum_k c_k r^k e^{ik phi}
     and I40 = sum_k c'_k r^k e^{-ik phi}; the common denominator (1 + r^2)^2
     depends on theta only. Since |I40| = |sum_k conj(c'_k r^k) e^{ik phi}|, a
     block's conj(c' r^k) rows stacked on its c r^k rows give both moduli in one
-    product with the phase table. Blocks have SPHERE_BLOCK_ROWS rows and the
-    full grid is never built; a later block replaces the best only when strictly
-    below it, as np.argmin keeps the first occurrence. The sums of square roots
-    are compared undoubled and only the chosen one is doubled (exactly). Every
-    block has several rows, so every value equals the full-grid product's (a
-    1-row product would take BLAS's matrix-vector path, which rounds
-    differently).
+    product with the phase table. A block with a live tile is one such
+    product, on the columns of its live sectors in ascending order, copied
+    from the table (ndarray.take, C-contiguous like the table). Its local
+    row-major order is the grid's, and its local index (j, l) is the flat
+    index (start + j) GRID_POINTS + columns[l]. Blocks have SPHERE_BLOCK_ROWS rows
+    and the full grid is never built; a later block replaces the best only
+    when strictly below it, as np.argmin keeps the first occurrence. The sums
+    of square roots are compared undoubled and only the chosen one is doubled
+    (exactly). Every block has several rows and every sector several columns,
+    so every value equals the full-grid product's (a 1-row product would take
+    BLAS's matrix-vector path, which rounds differently).
     """
     c40, c04 = _endpoint_coefficients(inv)
     stacked = np.concatenate(((grid.powers * c40).conj(), grid.powers * c04))[grid.order]
+    live = _live_tiles(c40, c04, grid, threshold)
     best_k, best = 0, math.inf
-    for block in _live_blocks(c40, c04, grid, threshold):
+    for block in np.flatnonzero(live.any(axis=1)):
         start, stop = grid.blocks[block]
         rows = stop - start
-        moduli = np.abs(stacked[2 * start:2 * stop] @ grid.phase)
+        columns = grid.columns[live[block]].ravel()
+        moduli = np.abs(stacked[2 * start:2 * stop] @ grid.phase.take(columns, axis=1))
         moduli /= grid.den[2 * start:2 * stop]
         np.sqrt(moduli, out=moduli)
         sums = moduli[:rows] + moduli[rows:]
         k = int(sums.argmin())
         if sums.item(k) < best:
-            best_k, best = start * GRID_POINTS + k, sums.item(k)
+            j, l = divmod(k, len(columns))
+            best_k, best = (start + j) * GRID_POINTS + int(columns[l]), sums.item(k)
     return best_k, 2.0 * best
 
 
@@ -397,26 +412,28 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     bounds, tile tables) are built on first use and kept read-only
     (_sphere_grid). The grid is evaluated as a separable product in theta and
     phi, in blocks of SPHERE_BLOCK_ROWS rows, each one matrix product for both
-    endpoints, that keep only the first minimum (_sphere_min); its values and
-    the point it picks are bit-identical to evaluating the whole grid at once,
-    one endpoint at a time. Since f(x) = f(-1/conj(x)), grid point (j, l) has
-    the value of (GRID_POINTS-1-j, l+GRID_POINTS/2), so only the rows
-    j < GRID_POINTS/2 are evaluated. The quartic endpoint roots (``candidates``,
-    solved here when not given) come sorted by value, and f = 2 sqrt(value/4)
-    is monotone in it, so the first, quartic_A4's witness, is the one seed: the
-    value is min(grid minimum, pole, seed)^2, and the witness is
-    tan(theta/2) e^{i phi} at the point that attains it.
+    endpoints on the block's live columns, that keep only the first minimum
+    (_sphere_min); its values and the point it picks are bit-identical to
+    evaluating the whole grid at once, one endpoint at a time. Since
+    f(x) = f(-1/conj(x)), grid point (j, l) has the value of
+    (GRID_POINTS-1-j, l+GRID_POINTS/2), so only the rows j < GRID_POINTS/2 are
+    evaluated. The quartic endpoint roots (``candidates``, solved here when not
+    given) come sorted by value, and f = 2 sqrt(value/4) is monotone in it, so
+    the first, quartic_A4's witness, is the one seed: the value is
+    min(grid minimum, pole, seed)^2, and the witness is tan(theta/2) e^{i phi}
+    at the point that attains it.
 
     The pole and seed values are computed first, and their minimum T is the
-    threshold of the sphere search, which skips every block whose tile lower
-    bound on f clears T by a rounding margin (_live_blocks). A skipped block
-    holds only values above T, so it could neither lower the minimum nor tie
-    with it: value, witness and tie rule are those of the full search. On
-    random states 2-3 of the 9 blocks are left to evaluate. Where only one of
-    the five invariants, i40 or i04, is nonzero (up to rounding), f is
-    constant at the pole value, every block ties with T and none is skipped:
+    threshold of the sphere search, which skips every tile (a block's rows x
+    GRID_POINTS / SPHERE_SECTORS columns) whose lower bound on f clears T by a
+    rounding margin (_live_tiles). A skipped tile holds only values above T,
+    so it could neither lower the minimum nor tie with it: value, witness and
+    tie rule are those of the full search. On random states about 6 of the 288
+    tiles (median 4), in 2-3 of the 9 blocks, are left to evaluate. Where only
+    one of the five invariants, i40 or i04, is nonzero (up to rounding), f is
+    constant at the pole value, every tile ties with T and none is skipped:
     class IV on every triple, V on A1A2A3 and A1A3A4, VII and VIII, so the
-    class sweeps IV and V on A1A2A3 evaluate all 9 blocks.
+    class sweeps IV and V on A1A2A3 evaluate all 288 tiles.
     """
     if inv.scale() == 0.0:
         return BoundWitness("grid", 0.0, None, (), None)

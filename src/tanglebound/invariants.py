@@ -129,7 +129,7 @@ def _endpoint_coefficients(inv: ThreeQubitInvariantSet):
     """Ascending coefficients of the endpoint numerators: I40 in w = conj(x), I04 in w = x.
 
     The only coding of the binary quartic form: it feeds the root solve and the
-    sphere grid in ``bounds``, rank2's root mixture and transform_endpoints.
+    sphere grid in ``bounds``, rank2's root mixture and _endpoint_values.
     """
     c40 = (inv.i40, -4.0 * inv.i31, 6.0 * inv.i22, -4.0 * inv.i13, inv.i04)
     c04 = (inv.i04, 4.0 * inv.i13, 6.0 * inv.i22, 4.0 * inv.i31, inv.i40)
@@ -142,12 +142,19 @@ def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[comple
 
     I^{4,0}(x) is a quartic in conj(x), I^{0,4}(x) a quartic in x, both divided
     by (1+|x|^2)^2: Horner's rule on _endpoint_coefficients, the table that
-    the root solve and the sphere grid read too.
+    the root solve and the sphere grid read too (_endpoint_values).
     """
-    x = complex(x)
+    c40, c04 = _endpoint_coefficients(inv)
+    return _endpoint_values(c40, c04, complex(x))
+
+
+def _endpoint_values(c40, c04, x: complex) -> tuple[complex, complex]:
+    """(I^{4,0}(x), I^{0,4}(x)) from the endpoint coefficients ``c40, c04`` of
+    _endpoint_coefficients at the Python complex ``x``; raises NonFinite unless
+    x is finite. The one coding of the endpoint evaluation: transform_endpoints
+    and the candidate values of the root solve in ``bounds`` call it."""
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise NonFinite(f"x = {x!r}")
-    c40, c04 = _endpoint_coefficients(inv)
     w = x.conjugate()
     f40 = (((c40[4] * w + c40[3]) * w + c40[2]) * w + c40[1]) * w + c40[0]
     f04 = (((c04[4] * x + c04[3]) * x + c04[2]) * x + c04[1]) * x + c04[0]

@@ -40,11 +40,10 @@ def roots(c) -> list[complex]:
     # guarded Newton polish on the full polynomial, in Python complex: products
     # and sums round as numpy's do, and _divide rounds as numpy's division, so
     # the roots are bit for bit those of a numpy-scalar polish
-    c0, c1, c2, c3, c4 = (complex(z) for z in c)
+    c0, c1, c2, c3, c4 = c.tolist()
     d0, d1, d2, d3 = c1 * 1, c2 * 2, c3 * 3, c4 * 4
     out = []
-    for w in found:
-        w = complex(w)
+    for w in found.tolist():
         r = abs(c0 + w * (c1 + w * (c2 + w * (c3 + w * c4))))
         for _ in range(3):
             d = d0 + w * (d1 + w * (d2 + w * d3))
@@ -63,20 +62,28 @@ def roots(c) -> list[complex]:
     return out
 
 
+#: n x n companion matrices without their first row: ones on the subdiagonal
+_SUBDIAGONALS = tuple(np.diag(np.ones(n - 1, dtype=complex), -1) for n in range(1, 5))
+for _template in _SUBDIAGONALS:
+    _template.setflags(write=False)
+
+
 def _companion_roots(c: np.ndarray) -> np.ndarray:
-    """Roots of the ascending coefficients c with c[-1] != 0, as np.roots finds them:
-    exact zeros among the lowest coefficients are roots at 0, and the rest are
-    the eigenvalues of the companion matrix of the remaining coefficients."""
+    """Complex roots of the ascending coefficients c with c[-1] != 0, as np.roots
+    finds them: exact zeros among the lowest coefficients are roots at 0, and
+    the rest are the eigenvalues of the companion matrix of the remaining
+    coefficients."""
     low = 0
     while c[low] == 0:
         low += 1
+    zeros = np.zeros(low, dtype=complex)
     desc = c[low:][::-1]
     n = len(desc) - 1
     if n == 0:
-        return np.zeros(low)
-    a = np.diag(np.ones(n - 1, dtype=complex), -1)
+        return zeros
+    a = _SUBDIAGONALS[n - 1].copy()
     a[0, :] = -desc[1:] / desc[0]
-    return np.concatenate((np.linalg.eigvals(a), np.zeros(low, dtype=complex)))
+    return np.concatenate((np.linalg.eigvals(a), zeros))
 
 
 def _divide(a: complex, b: complex) -> complex:

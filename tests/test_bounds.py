@@ -652,30 +652,31 @@ def skipping_sets():
     return sets
 
 
-def record_live_blocks(monkeypatch):
-    """Patch bounds._live_blocks to record (threshold, evaluated block indices)."""
+def record_live_tiles(monkeypatch):
+    """Patch bounds._live_tiles to record (threshold, live tile mask)."""
     calls = []
-    live_blocks = bounds._live_blocks
+    live_tiles = bounds._live_tiles
 
     def recording(c40, c04, grid, threshold):
-        live = live_blocks(c40, c04, grid, threshold)
-        calls.append((threshold, [int(b) for b in live]))
+        live = live_tiles(c40, c04, grid, threshold)
+        calls.append((threshold, live.copy()))
         return live
 
-    monkeypatch.setattr(bounds, "_live_blocks", recording)
+    monkeypatch.setattr(bounds, "_live_tiles", recording)
     return calls
 
 
 def skipping_margin(inv):
-    """C sqrt(u sum_m |c_m|), the rounding margin _live_blocks adds to the threshold."""
+    """C sqrt(u sum_m |c_m|), the rounding margin _live_tiles adds to the threshold."""
     c04 = _endpoint_coefficients(inv)[1]
     return bounds._MARGIN_C * math.sqrt(2.0 ** -53 * sum(abs(c) for c in c04))
 
 
 def reference_tile_bounds(inv):
-    """Each block's lower bound on f, written out: the Taylor coefficients
-    p^(k)(c) / k! of both endpoint quartics p about every tile centre c, and
-    the largest distance from a centre to the grid points of its tile."""
+    """Each tile's lower bound on f, (blocks, sectors), written out: the Taylor
+    coefficients p^(k)(c) / k! of both endpoint quartics p about every tile
+    centre c, and the largest distance from a centre to the grid points of its
+    tile."""
     grid = bounds._sphere_grid()
     width = bounds.GRID_POINTS // bounds.SPHERE_SECTORS
     r = grid.powers[:, 1]
@@ -693,64 +694,72 @@ def reference_tile_bounds(inv):
         for d in taylor:
             lb = np.abs(d[0](c)) - sum(np.abs(d[k](c)) * rho ** k for k in range(1, 5))
             total = total + np.sqrt(np.maximum(lb, 0.0))
-        lower.append(float((2.0 * total / (1.0 + r[stop - 1] ** 2)).min()))
-    return lower
+        lower.append(2.0 * total / (1.0 + r[stop - 1] ** 2))
+    return np.array(lower)
+
+
+def tile_minima(vals):
+    """The least grid value of every tile, (blocks, sectors), from the (128, 256)
+    half-sphere values."""
+    return np.array([
+        vals[start:stop].reshape(stop - start, bounds.SPHERE_SECTORS, -1).min(axis=(0, 2))
+        for start, stop in bounds._sphere_grid().blocks
+    ])
 
 
 class TestSphereSkipping:
-    """_sphere_min skips only blocks whose every grid value is above the
+    """_sphere_min skips only tiles whose every grid value is above the
     threshold, the smallest of the pole and seed values, so bound_grid's output
     is that of the full search."""
 
     THETA = np.pi * (np.arange(256) + 0.5) / 256
     PHI = 2.0 * np.pi * np.arange(256) / 256
 
-    def assert_skipped_blocks_are_above_the_threshold(self, sets, calls):
+    def assert_skipped_tiles_are_above_the_threshold(self, sets, calls):
         # one call per set, in order
         assert len(calls) == len(sets)
-        blocks = bounds._sphere_grid().blocks
         for inv, (threshold, live) in zip(sets, calls):
-            vals = sphere_values(inv, self.THETA[:128], self.PHI)
-            for b, (start, stop) in enumerate(blocks):
-                if b not in live:
-                    assert vals[start:stop].min() > threshold, (inv, b, threshold)
+            minima = tile_minima(sphere_values(inv, self.THETA[:128], self.PHI))
+            assert live.shape == minima.shape == (9, 32)
+            assert (minima[~live] > threshold).all(), (inv, threshold)
 
     @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
-    def test_skipped_blocks_on_the_comparison_sets(self, seeded, monkeypatch):
+    def test_skipped_tiles_on_the_comparison_sets(self, seeded, monkeypatch):
         sets = [inv for inv, _ in grid_comparison_sets() if inv.scale() > 0.0]
-        calls = record_live_blocks(monkeypatch)
+        calls = record_live_tiles(monkeypatch)
         for inv in sets:
             bound_grid(inv, candidates=None if seeded else [])
         assert len(sets) == 82
-        self.assert_skipped_blocks_are_above_the_threshold(sets, calls)
+        self.assert_skipped_tiles_are_above_the_threshold(sets, calls)
 
-    def test_skipped_blocks_on_class_draws_and_edge_sets(self, monkeypatch):
+    def test_skipped_tiles_on_class_draws_and_edge_sets(self, monkeypatch):
         # the search still returns the full search's value and witness
         sets = skipping_sets()
         nonzero = [inv for inv in sets if inv.scale() > 0.0]
         assert len(nonzero) == len(sets) - 6   # class IX sets are all zero
-        calls = record_live_blocks(monkeypatch)
+        calls = record_live_tiles(monkeypatch)
         for inv in nonzero:
             assert repr(bound_grid(inv)) == repr(full_grid_bound(inv, 256, 256)), inv
-        self.assert_skipped_blocks_are_above_the_threshold(nonzero, calls)
+        self.assert_skipped_tiles_are_above_the_threshold(nonzero, calls)
 
     def test_tile_bounds_match_the_reference(self):
-        # a block is evaluated exactly when its bound is within the margin of
-        # the threshold: live just inside, skipped just outside
+        # a tile is evaluated exactly when its bound is within the margin of
+        # the threshold: live just inside, skipped just outside. An array of
+        # thresholds, one per tile, puts every tile at its own edge in one call
         grid = bounds._sphere_grid()
         for inv in skipping_sets() + [inv for inv, _ in grid_comparison_sets()]:
             if inv.scale() == 0.0:
                 continue
             margin = skipping_margin(inv)
             c40, c04 = _endpoint_coefficients(inv)
-            for b, lower in enumerate(reference_tile_bounds(inv)):
-                assert b in bounds._live_blocks(c40, c04, grid, lower - 0.5 * margin), (inv, b)
-                assert b not in bounds._live_blocks(c40, c04, grid, lower - 1.5 * margin), (inv, b)
+            lower = reference_tile_bounds(inv)
+            assert bounds._live_tiles(c40, c04, grid, lower - 0.5 * margin).all(), inv
+            assert not bounds._live_tiles(c40, c04, grid, lower - 1.5 * margin).any(), inv
 
-    def test_infinite_threshold_keeps_every_block(self):
+    def test_infinite_threshold_keeps_every_tile(self):
         c40, c04 = _endpoint_coefficients(invariant_set(random_state(71), "A4"))
-        live = bounds._live_blocks(c40, c04, bounds._sphere_grid(), math.inf)
-        assert list(live) == list(range(9))
+        live = bounds._live_tiles(c40, c04, bounds._sphere_grid(), math.inf)
+        assert live.shape == (9, 32) and live.all()
 
     def test_tables_refuse_tiles_beyond_the_margin_derivation(self, monkeypatch):
         # the margin assumes r < 1 and |c| + rho <= 1.05 on every tile; 16
@@ -759,20 +768,43 @@ class TestSphereSkipping:
         with pytest.raises(RuntimeError, match="_MARGIN_C"):
             bounds._sphere_grid.__wrapped__()
 
-    def test_random_states_evaluate_at_most_three_blocks_on_average(self, monkeypatch):
-        calls = record_live_blocks(monkeypatch)
+    def test_random_states_evaluate_few_tiles_on_average(self, monkeypatch):
+        calls = record_live_tiles(monkeypatch)
         for k in range(30):
             state = random_state(700 + k)
             for triple in SUPPORTED_TRIPLES:
                 best_bound(state, triple)
         assert len(calls) == 90
-        assert sum(len(live) for _, live in calls) <= 3 * 90
+        assert sum(int(live.sum()) for _, live in calls) <= 8 * 90
 
-    def test_constant_objective_evaluates_every_block(self, monkeypatch):
-        # f = 2 sqrt|i40| everywhere: every block ties with the pole
-        calls = record_live_blocks(monkeypatch)
+    def test_constant_objective_evaluates_every_tile(self, monkeypatch):
+        # f = 2 sqrt|i40| everywhere: every tile ties with the pole
+        calls = record_live_tiles(monkeypatch)
         bound_grid(synthetic_set(i40=0.25))
-        assert [live for _, live in calls] == [list(range(9))]
+        assert len(calls) == 1 and calls[0][1].all()
+
+    def test_live_tiles_apart_in_one_block_map_back_to_their_columns(self, monkeypatch):
+        # |I04| = |x^4 - e^{i alpha}| and |I40| have four minima a quarter turn
+        # apart on the last row, in sectors 7, 15, 23 and 31 of the last block;
+        # a small i13 makes the one at column 252, in the last sector, the
+        # least. A stand-in candidate whose value sits just above the largest
+        # of the four sets T there: those four tiles stay live and the grid
+        # decides
+        phi0 = 2.0 * np.pi * 252 / 256
+        alpha = 4.0 * phi0 % (2.0 * np.pi)
+        inv = synthetic_set(i40=1.0, i13=1e-3 * cmath.exp(1j * (alpha - phi0)) / 4,
+                            i04=-cmath.exp(1j * alpha))
+        vals = sphere_values(inv, self.THETA[:128], self.PHI)
+        assert np.argwhere(vals == vals.min()).tolist() == [[127, 252]]
+        seed = max(vals[:, 64 * q:64 * (q + 1)].min() for q in range(4)) * (1.0 + 1e-9)
+        candidates = [(seed * seed, 0.5 + 0j)]
+        calls = record_live_tiles(monkeypatch)
+        new = bound_grid(inv, candidates=candidates)
+        assert repr(new) == repr(full_grid_bound(inv, 256, 256, candidates=candidates))
+        assert new.value == vals[127, 252] ** 2
+        [(_, live)] = calls
+        assert [b for b in range(9) if live[b].any()] == [8]
+        assert np.flatnonzero(live[8]).tolist() == [7, 15, 23, 31]
 
     def test_rounding_near_an_endpoint_zero_needs_the_square_root_margin(self):
         # at an I04 root on a grid point the grid's sqrt(|I04| / den) is

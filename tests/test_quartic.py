@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tanglebound import quartic
 from tanglebound.invariants import _endpoint_coefficients
 from tanglebound.errors import BadArity, DidNotConverge, ZeroPolynomial
 from tanglebound.invariants import invariant_set
@@ -45,6 +46,13 @@ class TestRoots:
 
     def test_constant_has_no_roots(self):
         assert roots((3.0 + 1j, 0, 0, 0, 0)) == []
+
+    def test_roots_at_zero_alone_are_complex(self):
+        # c04 = (0, 0, 0, 0, i40) on class IV sets: every root is an exact 0
+        found = quartic._companion_roots(np.array((0, 0, 0, 0, 0.5 - 0.2j)))
+        assert found.dtype == np.complex128
+        assert found.tolist() == [0j] * 4
+        assert [type(w) for w in roots((0, 0, 0, 0, 0.5 - 0.2j))] == [complex] * 4
 
     def test_degree_degradation_drops_tiny_leading(self):
         found = roots((-1.0, 1.0, 0, 0, 1e-15))
@@ -116,12 +124,14 @@ def reference_roots(coeffs) -> list[complex]:
 
 
 #: coefficients fixed in each drawn case: a degree drop (c4 below
-#: SCALE_TOL * max|c_i|), one root exactly at 0, a double root at 0
+#: SCALE_TOL * max|c_i|), one root exactly at 0, a double root at 0, every
+#: root at 0
 FIXED_COEFFICIENTS = {
     "random": {},
     "degree_drop": {4: 1e-15},
     "c0_zero": {0: 0.0},
     "c0_c1_zero": {0: 0.0, 1: 0.0},
+    "c0_to_c3_zero": {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0},
 }
 
 
@@ -147,7 +157,9 @@ class TestRootsMatchReference:
     """roots against the np.roots + numpy-scalar polish it replaced, bit for bit."""
 
     @pytest.mark.parametrize(
-        "kind", ["random", "degree_drop", "c0_zero", "c0_c1_zero", "fourfold", "invariant_sets"]
+        "kind",
+        ["random", "degree_drop", "c0_zero", "c0_c1_zero", "c0_to_c3_zero", "fourfold",
+         "invariant_sets"],
     )
     def test_same_roots(self, kind):
         for poly in reference_cases(kind):
