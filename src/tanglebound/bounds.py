@@ -28,11 +28,11 @@ from .invariants import (
     ThreeQubitInvariantSet,
     _endpoint_coefficients,
     _endpoint_values,
+    invariant_set,
     summary_from_set,
     traced_qubit_of,
-    traced_state_and_set,
 )
-from .qstate import PureState4, branch_vectors
+from .qstate import BRANCH_INDEX, PureState4
 from .quartic import SCALE_TOL, roots
 
 PROB_FLOOR = 1e-12
@@ -552,7 +552,8 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
     probability-weighted value can drop below what any decomposition of the
     reduced state realizes.
     """
-    moved, inv = traced_state_and_set(state, traced_qubit_of(triple))
+    traced = traced_qubit_of(triple)
+    inv = invariant_set(state, traced)
     summary = summary_from_set(triple, inv)
     methods = [bound_cap(summary)]
     case = classify_group(inv, summary.three_way)
@@ -560,7 +561,7 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
         methods.append(bound_closed_form(inv, case))
     candidates = quartic_root_candidates(inv)
     methods.append(bound_quartic_A4(inv, candidates=candidates))
-    phi0, phi1 = branch_vectors(moved)
+    phi0, phi1 = state.amps[BRANCH_INDEX[traced]]
     p0 = float(np.sum(np.abs(phi0) ** 2))
     p1 = float(np.sum(np.abs(phi1) ** 2))
     if min(p0, p1) >= PROB_FLOOR and abs(p0 - p1) <= EQUAL_PROB_TOL:

@@ -1,9 +1,15 @@
 """Determinants of negativity fonts with A1 as the focus qubit.
 
-Every entry is a 2x2 determinant of selected state coefficients. Superscript
-indices that appear shifted by one are taken mod 2. Each family is one
-expression over tensor slices, a00 * a11' - a10 * a01' with a_{i1 i2} =
-t[i1, i2]; the prime reverses the shifted superscript axes.
+Every entry is a 2x2 determinant of selected state coefficients,
+a00 * a11' - a10 * a01' with a_{i1 i2} the amplitudes at A1 = i1, A2 = i2;
+superscript indices that appear shifted by one are taken mod 2 (the prime
+flips them). Each family is therefore a fixed pattern of flat amplitude
+indices, and every font set is one gather on index tables built at import:
+row k of a (4, n) table holds the flat indices of the k-th factor of every
+entry, and d = g[0] * g[1] - g[2] * g[3] on g = amps[table]. For a traced
+qubit other than A4 the table is composed with ``qstate.TRACED_LAST_INDEX``,
+so the fonts of the state with that qubit moved last come from the state's
+own amplitudes, without building the permuted state.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import PureState3, PureState4
+from .errors import BadQubitLabel
+from .qstate import TRACED_LAST_INDEX, PureState3, PureState4, _read_only
 
 
 @dataclass(frozen=True)
@@ -43,26 +50,49 @@ class FontSet4:
     d4: np.ndarray = field()
 
 
+def _font_index(n_low: int, flips) -> np.ndarray:
+    """(4, len(flips) * 2**n_low) flat indices of the factors a00, a11', a10, a01'
+    of every entry, family by family: i1 i2 are the two leading bits, an entry's
+    index is the n_low trailing bits, and a family's primed factors flip the
+    trailing bits set in its mask in ``flips``."""
+    low = np.arange(2 ** n_low)
+    same = np.tile(low, len(flips))
+    primed = np.concatenate([low ^ mask for mask in flips])
+    lead = 2 ** n_low    # weight of i2; i1 weighs 2 * lead
+    return np.stack([same, 3 * lead + primed, 2 * lead + same, lead + primed])
+
+
+#: d2way[i3] (nothing flips), d3way[i3] (i3 flips)
+_FONTS3_INDEX = _read_only(_font_index(1, (0b0, 0b1)))
+
+#: traced qubit -> the families of the state with that qubit moved last:
+#: d2_A3A4 (nothing flips), d3_A4 (i3 flips), d3_A3 in [i3, i4] order (i4
+#: flips) and d4 (both flip), composed with the move
+_FONTS4_INDEX = {
+    traced: _read_only(moved[_font_index(2, (0b00, 0b10, 0b01, 0b11))])
+    for traced, moved in TRACED_LAST_INDEX.items()
+}
+
+
+def _determinants(amps: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """a00 * a11' - a10 * a01' for every column of a (4, n) index table."""
+    g = amps[index]
+    return g[0] * g[1] - g[2] * g[3]
+
+
 def compute_fonts3(state: PureState3) -> FontSet3:
     """The two- and three-way determinants of a three-qubit state (normalization not required)."""
-    t = state.tensor()
-    a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
-    d2 = a00 * a11 - a10 * a01
-    # three-way: the superscript i3 flips
-    d3 = a00 * a11[::-1] - a10 * a01[::-1]
-    return FontSet3(d2, d3)
+    d = _determinants(state.amps, _FONTS3_INDEX).reshape(2, 2)
+    return FontSet3(d[0], d[1])
 
 
-def compute_fonts4(state: PureState4) -> FontSet4:
-    """The two-, three- and four-way determinant families of a four-qubit state."""
-    t = state.tensor()
-    a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
-    # two-way: both remaining indices fixed
-    d2_a3a4 = a00 * a11 - a10 * a01
-    # three-way: the superscript flips, the subscript qubit stays; d3_A3 is
-    # indexed [i4, i3]
-    d3_a4 = a00 * a11[::-1] - a10 * a01[::-1]
-    d3_a3 = (a00 * a11[:, ::-1] - a10 * a01[:, ::-1]).T
-    # four-way: both trailing indices flip
-    d4 = a00 * a11[::-1, ::-1] - a10 * a01[::-1, ::-1]
-    return FontSet4(d2_a3a4, d3_a4, d3_a3, d4)
+def compute_fonts4(state: PureState4, traced: str = "A4") -> FontSet4:
+    """The two-, three- and four-way determinant families of a four-qubit state
+    with qubit ``traced`` (A4, A3 or A2) moved last as in
+    ``qstate.TRACE_PERMS``; the default A4 is the state as given."""
+    try:
+        index = _FONTS4_INDEX[traced]
+    except KeyError:
+        raise BadQubitLabel(f"traced qubit must be A2, A3 or A4, got {traced!r}") from None
+    d = _determinants(state.amps, index).reshape(4, 2, 2)
+    return FontSet4(d[0], d[1], d[2].T, d[3])

@@ -15,15 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadQubitLabel, NonFinite
-from .fonts import compute_fonts3, compute_fonts4
-from .qstate import PureState3, PureState4, check_normalized, permute_qubits
+from .fonts import FontSet4, compute_fonts3, compute_fonts4
+from .qstate import PureState3, PureState4, check_normalized
+from .qstate import TRACE_PERMS  # noqa: F401  (read as invariants.TRACE_PERMS)
 
 #: triple of kept qubits -> label of the traced qubit
 TRIPLES = {"A1A2A3": "A4", "A1A2A4": "A3", "A1A3A4": "A2"}
-
-#: traced qubit -> permutation that moves it to position 4, keeping A1 first
-#: and the remaining qubits in ascending order (entry k = old qubit now at k)
-TRACE_PERMS = {"A4": (1, 2, 3, 4), "A3": (1, 2, 4, 3), "A2": (1, 3, 4, 2)}
 
 
 @dataclass(frozen=True)
@@ -75,36 +72,18 @@ def three_tangle_pure(state: PureState3) -> float:
 def invariant_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
     """Invariant set for any traced qubit from {A2, A3, A4}.
 
-    Traced qubits other than A4 are handled by permuting the traced qubit into
-    position 4 (A1 stays first, the rest keep ascending order) and evaluating
-    the canonical A4 expressions on the permuted state.
+    The canonical A4 expressions are evaluated on the fonts of the state with
+    the traced qubit moved to position 4 (A1 stays first, the rest keep
+    ascending order; ``TRACE_PERMS``). ``compute_fonts4`` gathers those fonts
+    from the state's own amplitudes, so no permuted state is built; it also
+    rejects any other label (BadQubitLabel), before the norm is checked.
     """
-    return _set_from_fonts(_traced_last(state, traced), traced)
-
-
-def traced_state_and_set(
-    state: PureState4, traced: str
-) -> tuple[PureState4, ThreeQubitInvariantSet]:
-    """The state with qubit ``traced`` in position 4, and its invariant set:
-    ``invariant_set(state, traced)`` and the state it was evaluated on, from
-    one permutation."""
-    moved = _traced_last(state, traced)
-    return moved, _set_from_fonts(moved, traced)
-
-
-def _traced_last(state: PureState4, traced: str) -> PureState4:
-    """The normalized state with qubit ``traced`` in position 4 (A1 stays first,
-    the rest keep ascending order); A4 is already last and is not permuted."""
-    if traced not in TRACE_PERMS:
-        raise BadQubitLabel(f"traced qubit must be A2, A3 or A4, got {traced!r}")
+    fonts = compute_fonts4(state, traced)
     check_normalized(state)
-    if traced == "A4":
-        return state
-    return permute_qubits(state, TRACE_PERMS[traced])
+    return _set_from_fonts(fonts, traced)
 
 
-def _set_from_fonts(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
-    f = compute_fonts4(state)
+def _set_from_fonts(f: FontSet4, traced: str) -> ThreeQubitInvariantSet:
     d2 = f.d2_A3A4
     sA4_0 = f.d3_A4[0, 0] + f.d3_A4[1, 0]
     sA4_1 = f.d3_A4[0, 1] + f.d3_A4[1, 1]

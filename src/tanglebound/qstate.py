@@ -177,6 +177,26 @@ def permute_qubits(state: PureState4, perm) -> PureState4:
     return PureState4(state.tensor().transpose([p - 1 for p in perm]))
 
 
+#: traced qubit -> permutation that moves it to position 4, keeping A1 first
+#: and the remaining qubits in ascending order (entry k = old qubit now at k)
+TRACE_PERMS = {"A4": (1, 2, 3, 4), "A3": (1, 2, 4, 3), "A2": (1, 3, 4, 2)}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
+#: traced qubit -> flat indices g with ``state.amps[g]`` equal to
+#: ``permute_qubits(state, TRACE_PERMS[traced]).amps``: permute_qubits'
+#: transpose applied to the flat indices themselves
+TRACED_LAST_INDEX = {
+    traced: _read_only(np.arange(16).reshape(2, 2, 2, 2).transpose([p - 1 for p in perm]).reshape(-1))
+    for traced, perm in TRACE_PERMS.items()
+}
+
+
 def partial_trace_last(state: PureState4) -> tuple[MixedState3, float, float]:
     """Trace out qubit A4; returns (rho3, p0, p1) with p_i the branch probabilities."""
     check_normalized(state)
@@ -191,6 +211,13 @@ def branch_vectors(state: PureState4) -> tuple[np.ndarray, np.ndarray]:
     """Subnormalized three-qubit branches for A4 = 0 and A4 = 1."""
     t = state.tensor()
     return t[:, :, :, 0].reshape(8).copy(), t[:, :, :, 1].reshape(8).copy()
+
+
+#: traced qubit -> (2, 8) flat indices whose rows gather
+#: ``branch_vectors(permute_qubits(state, TRACE_PERMS[traced]))`` from ``state.amps``
+BRANCH_INDEX = {
+    traced: _read_only(g.reshape(8, 2).T) for traced, g in TRACED_LAST_INDEX.items()
+}
 
 
 def _phase_fix(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:

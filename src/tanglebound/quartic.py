@@ -44,15 +44,19 @@ def roots(c) -> list[complex]:
     d0, d1, d2, d3 = c1 * 1, c2 * 2, c3 * 3, c4 * 4
     out = []
     for w in found.tolist():
-        r = abs(c0 + w * (c1 + w * (c2 + w * (c3 + w * c4))))
+        # p(w) is evaluated once per point: its modulus is the residual and
+        # the value itself the next step's numerator
+        p = c0 + w * (c1 + w * (c2 + w * (c3 + w * c4)))
+        r = abs(p)
         for _ in range(3):
             d = d0 + w * (d1 + w * (d2 + w * d3))
             if d == 0:
                 break
-            w2 = w - _divide(c0 + w * (c1 + w * (c2 + w * (c3 + w * c4))), d)
-            r2 = abs(c0 + w2 * (c1 + w2 * (c2 + w2 * (c3 + w2 * c4))))
+            w2 = w - _divide(p, d)
+            p2 = c0 + w2 * (c1 + w2 * (c2 + w2 * (c3 + w2 * c4)))
+            r2 = abs(p2)
             if r2 < r:
-                w, r = w2, r2
+                w, p, r = w2, p2, r2
             else:
                 break
         if r > RESIDUAL_TOL * scale * max(1.0, abs(w)) ** 4:

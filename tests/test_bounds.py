@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tanglebound import bounds, errors, invariants, qstate
+from tanglebound import bounds, errors, fonts, invariants, qstate
 from tanglebound.acceptance import _random_states, branch_pair_value, class_draws
 from tanglebound.bounds import (
     BoundWitness,
@@ -973,23 +973,29 @@ class TestBestBound:
         assert ("unitary_3q" in [m.method for m in report.methods]) == (solves == 2)
         assert len(calls) == solves
 
-    @pytest.mark.parametrize("triple,permutations", [
-        ("A1A2A3", 0), ("A1A2A4", 1), ("A1A3A4", 1),
-    ])
-    def test_state_permuted_at_most_once_per_report(self, triple, permutations, monkeypatch):
-        # the invariant set and the branch pair share one permutation of the
-        # state; A4 is already the last qubit
+    @pytest.mark.parametrize("triple", ["A1A2A3", "A1A2A4", "A1A3A4"])
+    def test_state_never_permuted_per_report(self, triple, monkeypatch):
+        # the fonts and the branch probabilities are gathered from the
+        # state's own amplitudes: a report neither permutes the state nor
+        # builds any other four-qubit state
+        state = random_state(79)
         calls = []
+        permute, post_init = qstate.permute_qubits, qstate.PureState4.__post_init__
 
-        def counting(state, perm):
+        def counting_permute(s, perm):
             calls.append(perm)
-            return qstate.permute_qubits(state, perm)
+            return permute(s, perm)
 
-        for module in (bounds, invariants):
+        def counting_post_init(s):
+            calls.append("PureState4")
+            post_init(s)
+
+        for module in (bounds, invariants, fonts, qstate):
             if hasattr(module, "permute_qubits"):
-                monkeypatch.setattr(module, "permute_qubits", counting)
-        best_bound(random_state(79), triple)
-        assert len(calls) == permutations
+                monkeypatch.setattr(module, "permute_qubits", counting_permute)
+        monkeypatch.setattr(qstate.PureState4, "__post_init__", counting_post_init)
+        best_bound(state, triple)
+        assert calls == []
 
     def test_scale_is_the_largest_modulus_computed_once(self):
         rng = np.random.default_rng(80)

@@ -5,8 +5,58 @@ import math
 import numpy as np
 import pytest
 
-from tanglebound.fonts import compute_fonts3, compute_fonts4
-from tanglebound.qstate import PureState3, PureState4, normalize
+from tanglebound import errors
+from tanglebound.acceptance import class_draws
+from tanglebound.classes import ClassSpec, representative
+from tanglebound.fonts import FontSet3, FontSet4, compute_fonts3, compute_fonts4
+from tanglebound.qstate import (
+    TRACE_PERMS,
+    PureState3,
+    PureState4,
+    normalize,
+    permute_qubits,
+    random_state,
+)
+
+
+# Bit-for-bit oracle: each family as a tensor-slice expression on the state
+# with the traced qubit already moved last.
+def reference_fonts4(state: PureState4) -> FontSet4:
+    t = state.tensor()
+    a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
+    d2_a3a4 = a00 * a11 - a10 * a01
+    d3_a4 = a00 * a11[::-1] - a10 * a01[::-1]
+    d3_a3 = (a00 * a11[:, ::-1] - a10 * a01[:, ::-1]).T
+    d4 = a00 * a11[::-1, ::-1] - a10 * a01[::-1, ::-1]
+    return FontSet4(d2_a3a4, d3_a4, d3_a3, d4)
+
+
+def reference_fonts3(state: PureState3) -> FontSet3:
+    t = state.tensor()
+    a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
+    return FontSet3(a00 * a11 - a10 * a01, a00 * a11[::-1] - a10 * a01[::-1])
+
+
+def oracle_states() -> dict:
+    """Labelled four-qubit states: random complex and real amplitudes, class
+    I-IX representatives, a product state, GHZ4 and W4."""
+    rng = np.random.default_rng(35)
+    states = {f"random_{k}": random_state(3500 + k) for k in range(40)}
+    states.update({
+        f"real_{k}": normalize(PureState4(rng.standard_normal(16) + 0j)) for k in range(20)
+    })
+    specs = [spec for draw in class_draws(3) for spec in draw]
+    specs += [ClassSpec("VII"), ClassSpec("VIII"), ClassSpec("IX")]
+    states.update({f"class_{spec.id}_{k}": representative(spec) for k, spec in enumerate(specs)})
+    ghz, w, product = (np.zeros(16, dtype=complex) for _ in range(3))
+    ghz[0b0000] = ghz[0b1111] = 1.0 / math.sqrt(2.0)
+    w[[0b1000, 0b0100, 0b0010, 0b0001]] = 0.5
+    product[0b0110] = 1.0
+    states.update({"ghz4": PureState4(ghz), "w4": PureState4(w), "product": PureState4(product)})
+    return states
+
+
+ORACLE_STATES = oracle_states()
 
 # Independent oracle: each determinant family written as index-rule data.
 # A rule gives the four amplitude index patterns (first*second - third*fourth);
@@ -159,3 +209,53 @@ class TestFonts4:
             assert abs(f4.d2_A3A4[i3, 1]) < 1e-14
         np.testing.assert_allclose(f4.d4[:, 1], 0.0, atol=1e-14)
         np.testing.assert_allclose(f4.d3_A3, 0.0, atol=1e-14)
+
+
+FONT4_FIELDS = ("d2_A3A4", "d3_A4", "d3_A3", "d4")
+
+
+class TestGatheredFonts:
+    """compute_fonts gathers on fixed index tables; the tensor-slice
+    expressions on the permuted state are their bit-for-bit oracle."""
+
+    @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
+    def test_fonts4_equal_the_permuted_slices_bit_for_bit(self, traced):
+        for name, state in ORACLE_STATES.items():
+            f = compute_fonts4(state, traced)
+            ref = reference_fonts4(permute_qubits(state, TRACE_PERMS[traced]))
+            for field in FONT4_FIELDS:
+                got, expected = getattr(f, field), getattr(ref, field)
+                assert got.shape == (2, 2) and got.dtype == complex, (name, field)
+                # tobytes() reads in C order, so d3_A3's transposed view compares by value
+                assert got.tobytes() == expected.tobytes(), (name, traced, field)
+
+    def test_fonts4_default_is_the_state_as_given(self):
+        state = ORACLE_STATES["random_0"]
+        f, ref = compute_fonts4(state), compute_fonts4(state, "A4")
+        for field in FONT4_FIELDS:
+            assert getattr(f, field).tobytes() == getattr(ref, field).tobytes()
+
+    def test_fonts3_equal_the_slices_bit_for_bit(self):
+        rng = np.random.default_rng(36)
+        amps = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(40)]
+        amps += [rng.standard_normal(8) + 0j for _ in range(10)]
+        # branches of four-qubit states, the rank-2 path's three-qubit states
+        amps += [state.amps[0::2] for state in ORACLE_STATES.values()]
+        amps += [state.amps[1::2] for state in ORACLE_STATES.values()]
+        for a in amps:
+            state = PureState3(a)
+            f, ref = compute_fonts3(state), reference_fonts3(state)
+            for field in ("d2way", "d3way"):
+                assert getattr(f, field).shape == (2,)
+                assert getattr(f, field).tobytes() == getattr(ref, field).tobytes(), a
+
+    def test_index_tables_are_read_only(self):
+        from tanglebound import fonts
+
+        for index in (fonts._FONTS3_INDEX, *fonts._FONTS4_INDEX.values()):
+            assert not index.flags.writeable
+
+    @pytest.mark.parametrize("traced", ["A1", "a4", "", None])
+    def test_bad_traced_label(self, traced):
+        with pytest.raises(errors.BadQubitLabel):
+            compute_fonts4(ORACLE_STATES["ghz4"], traced)

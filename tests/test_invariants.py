@@ -8,6 +8,8 @@ import pytest
 from tanglebound import errors
 from tanglebound.classes import ClassSpec, representative, spec_from_values
 from tanglebound.invariants import (
+    TRACE_PERMS,
+    _set_from_fonts,
     correlation_summary,
     invariant_set,
     n48_i48,
@@ -19,10 +21,12 @@ from tanglebound.qstate import (
     PureState4,
     apply_local_unitary,
     normalize,
+    permute_qubits,
     random_special_unitary,
     random_state,
     u_of_x,
 )
+from test_fonts import ORACLE_STATES, reference_fonts4
 
 
 def ket3(bits: str) -> np.ndarray:
@@ -110,16 +114,27 @@ class TestInvariantSetTraced:
         assert abs(inv.i13) == pytest.approx(2 * abs(a) ** 2 / k, abs=1e-13)
         assert abs(inv.i40) < 1e-14 and abs(inv.i31) < 1e-14 and abs(inv.i22) < 1e-14
 
+    @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
+    def test_repr_equal_to_the_permute_then_reference_path(self, traced):
+        # the gathered fonts against the tensor-slice fonts of the state with
+        # the traced qubit moved last
+        for name, state in ORACLE_STATES.items():
+            moved = permute_qubits(state, TRACE_PERMS[traced])
+            expected = _set_from_fonts(reference_fonts4(moved), traced)
+            assert repr(invariant_set(state, traced)) == repr(expected), name
+
     def test_focus_qubit_cannot_be_traced(self):
         with pytest.raises(errors.BadQubitLabel):
             invariant_set(random_state(0), "A1")
+        # the label is checked before the norm
+        with pytest.raises(errors.BadQubitLabel):
+            invariant_set(PureState4(2.0 * random_state(0).amps), "A1")
 
     def test_unnormalized_state_rejected(self):
         s = PureState4(2.0 * random_state(0).amps)
-        with pytest.raises(errors.NotNormalized):
-            invariant_set(s, "A4")
-        with pytest.raises(errors.NotNormalized):
-            invariant_set(s, "A3")
+        for traced in ("A4", "A3", "A2"):
+            with pytest.raises(errors.NotNormalized):
+                invariant_set(s, traced)
 
 
 class TestTransformEndpoints:

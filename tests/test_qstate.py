@@ -13,6 +13,7 @@ from tanglebound.qstate import (
     PureState4,
     Qubit2Unitary,
     apply_local_unitary,
+    branch_vectors,
     normalize,
     partial_trace_last,
     permute_qubits,
@@ -163,6 +164,31 @@ class TestPermutation:
             for idx in np.ndindex(2, 2, 2, 2):
                 expected[tuple(idx[p - 1] for p in perm)] = t[idx]
             assert np.array_equal(permute_qubits(s, perm).amps, expected.reshape(-1)), perm
+
+    @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
+    def test_traced_last_index_gathers_the_permuted_state(self, traced):
+        index = qstate.TRACED_LAST_INDEX[traced]
+        assert not index.flags.writeable
+        for seed in range(10):
+            s = random_state(60 + seed)
+            moved = permute_qubits(s, qstate.TRACE_PERMS[traced])
+            assert s.amps[index].tobytes() == moved.amps.tobytes()
+
+    @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
+    def test_branch_index_gathers_the_permuted_branches(self, traced):
+        # best_bound's branch probabilities: the same sums over the same
+        # values, so bit for bit those of branch_vectors on the permuted state
+        index = qstate.BRANCH_INDEX[traced]
+        assert index.shape == (2, 8) and not index.flags.writeable
+        rng = np.random.default_rng(61)
+        states = [random_state(70 + seed) for seed in range(20)]
+        states += [normalize(PureState4(rng.standard_normal(16) + 0j)) for _ in range(10)]
+        states.append(ghz4())
+        for s in states:
+            branches = branch_vectors(permute_qubits(s, qstate.TRACE_PERMS[traced]))
+            for gathered, phi in zip(s.amps[index], branches):
+                assert gathered.tobytes() == phi.tobytes()
+                assert float(np.sum(np.abs(gathered) ** 2)) == float(np.sum(np.abs(phi) ** 2))
 
 
 class TestPartialTrace:
