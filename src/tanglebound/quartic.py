@@ -1,18 +1,28 @@
 """Roots of complex polynomials of degree <= 4 with a certified residual bound.
 
-Roots come from companion-matrix eigenvalues and are polished with a guarded
-Newton step. The contract is the residual bound, not the algorithm: every
-returned root w satisfies |p(w)| <= RESIDUAL_TOL * max|c_i| * max(1, |w|)^4.
+Starting roots come in closed form, in Python complex arithmetic: Ferrari's
+factorization through the resolvent cubic for degree 4, Cardano's formula for
+degree 3 and the cancellation-free quadratic formula for degree 2. Each is
+polished with a guarded Newton step. The contract is the residual bound, not
+the algorithm: every returned root w satisfies
+|p(w)| <= RESIDUAL_TOL * max|c_i| * max(1, |w|)^4.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
-from .errors import BadArity, DidNotConverge, ZeroPolynomial
+from .errors import BadArity, DidNotConverge, NonFinite, ZeroPolynomial
 
 RESIDUAL_TOL = 1e-9
 SCALE_TOL = 1e-12
+
+#: the primitive cube roots of unity
+_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
+_OMEGA2 = _OMEGA.conjugate()
 
 
 def roots(c) -> list[complex]:
@@ -20,30 +30,36 @@ def roots(c) -> list[complex]:
     the ascending coefficients c; the length equals the effective degree.
 
     Leading coefficients below SCALE_TOL * max|c_i| are dropped (the lost roots
-    sit at infinity). Raises ZeroPolynomial when every coefficient vanishes and
-    DidNotConverge if a root fails the residual contract, BadArity unless there
-    are five coefficients.
+    sit at infinity), and exact zeros among the lowest coefficients are roots
+    at 0. The other roots start from the closed forms and get up to three
+    Newton steps, each kept only if it lowers |p|. Raises BadArity unless there
+    are five coefficients, NonFinite on a NaN or infinite one, ZeroPolynomial
+    when every coefficient vanishes and DidNotConverge if a root fails the
+    residual contract.
     """
     c = np.array(c, dtype=complex)
     if c.shape != (5,):
         raise BadArity(f"expected 5 coefficients, got shape {c.shape}")
-    scale = float(np.max(np.abs(c)))
+    moduli = np.abs(c).tolist()
+    c = c.tolist()
+    if not all(map(cmath.isfinite, c)):
+        raise NonFinite(f"coefficients {c!r}")
+    scale = max(moduli)
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients are zero")
     deg = 4
-    while deg > 0 and abs(c[deg]) < SCALE_TOL * scale:
+    while deg > 0 and moduli[deg] < SCALE_TOL * scale:
         deg -= 1
-    if deg == 0:
-        return []
-    found = _companion_roots(c[: deg + 1])
+    low = 0
+    while low < deg and c[low] == 0:
+        low += 1
+    found = [0j] * low + _closed_form(c[low: deg + 1])
 
-    # guarded Newton polish on the full polynomial, in Python complex: products
-    # and sums round as numpy's do, and _divide rounds as numpy's division, so
-    # the roots are bit for bit those of a numpy-scalar polish
-    c0, c1, c2, c3, c4 = c.tolist()
-    d0, d1, d2, d3 = c1 * 1, c2 * 2, c3 * 3, c4 * 4
+    # guarded Newton polish on the full polynomial
+    c0, c1, c2, c3, c4 = c
+    d0, d1, d2, d3 = c1, c2 * 2, c3 * 3, c4 * 4
     out = []
-    for w in found.tolist():
+    for w in found:
         # p(w) is evaluated once per point: its modulus is the residual and
         # the value itself the next step's numerator
         p = c0 + w * (c1 + w * (c2 + w * (c3 + w * c4)))
@@ -52,7 +68,7 @@ def roots(c) -> list[complex]:
             d = d0 + w * (d1 + w * (d2 + w * d3))
             if d == 0:
                 break
-            w2 = w - _divide(p, d)
+            w2 = w - p / d
             p2 = c0 + w2 * (c1 + w2 * (c2 + w2 * (c3 + w2 * c4)))
             r2 = abs(p2)
             if r2 < r:
@@ -66,40 +82,90 @@ def roots(c) -> list[complex]:
     return out
 
 
-#: n x n companion matrices without their first row: ones on the subdiagonal
-_SUBDIAGONALS = tuple(np.diag(np.ones(n - 1, dtype=complex), -1) for n in range(1, 5))
-for _template in _SUBDIAGONALS:
-    _template.setflags(write=False)
+def _closed_form(c: list) -> list[complex]:
+    """Roots of the ascending coefficients c, of degree len(c) - 1 <= 4, with
+    c[-1] != 0 and, from degree 1 on, c[0] != 0."""
+    if len(c) == 5:
+        return _quartic(c)
+    if len(c) == 4:
+        return _cubic(*c)
+    if len(c) == 3:
+        return _quadratic(*c)
+    if len(c) == 2:
+        return [-c[0] / c[1]]
+    return []
 
 
-def _companion_roots(c: np.ndarray) -> np.ndarray:
-    """Complex roots of the ascending coefficients c with c[-1] != 0, as np.roots
-    finds them: exact zeros among the lowest coefficients are roots at 0, and
-    the rest are the eigenvalues of the companion matrix of the remaining
-    coefficients."""
-    low = 0
-    while c[low] == 0:
-        low += 1
-    zeros = np.zeros(low, dtype=complex)
-    desc = c[low:][::-1]
-    n = len(desc) - 1
-    if n == 0:
-        return zeros
-    a = _SUBDIAGONALS[n - 1].copy()
-    a[0, :] = -desc[1:] / desc[0]
-    return np.concatenate((np.linalg.eigvals(a), zeros))
+def _quadratic(c0: complex, c1: complex, c2: complex) -> list[complex]:
+    """Both roots of c0 + c1 w + c2 w^2, c2 != 0: the larger from c1 and the
+    square root of the discriminant taken with like signs, the other from the
+    product of the roots c0 / c2, so that neither cancels."""
+    s = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    if (c1.conjugate() * s).real < 0.0:
+        s = -s
+    q = -0.5 * (c1 + s)
+    if q == 0:
+        return [0j, 0j]
+    return [q / c2, c0 / q]
 
 
-def _divide(a: complex, b: complex) -> complex:
-    """a / b in the rounding of numpy's complex division (Smith's method scaled by
-    a reciprocal), which differs from Python's by an ulp on about 40% of inputs."""
-    if abs(b.real) >= abs(b.imag):
-        rat = b.imag / b.real
-        scl = 1.0 / (b.real + b.imag * rat)
-        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
-    rat = b.real / b.imag
-    scl = 1.0 / (b.imag + b.real * rat)
-    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+def _cubic(c0: complex, c1: complex, c2: complex, c3: complex) -> list[complex]:
+    """The three roots of c0 + c1 w + c2 w^2 + c3 w^3, c3 != 0.
+
+    Cardano's formula on the depressed cubic z^3 + p z + q, w = z - c2 / (3 c3),
+    gives each root to a few ulps of the largest modulus. The root y1 of
+    largest modulus is kept; the other two, which can be far smaller, are the
+    roots of a quadratic from the product relations y2 y3 = -c0 / (c3 y1) and
+    y1 (y2 + y3) + y2 y3 = c1 / c3, which do not cancel.
+    """
+    a, b = c2 / c3, c1 / c3
+    shift = a / 3.0
+    p = b - a * shift
+    q = c0 / c3 - shift * (b - 2.0 * shift * shift)
+    # u^3 = -q/2 + s with the sign of s that keeps |u^3| large; v = -p / (3 u)
+    h = -0.5 * q
+    s = cmath.sqrt(h * h + p * p * p / 27.0)
+    if (h.conjugate() * s).real < 0.0:
+        s = -s
+    u = (h + s) ** (1.0 / 3.0)
+    if u == 0:
+        return [-shift] * 3
+    v = -p / (3.0 * u)
+    y1 = max((u + v - shift, _OMEGA * u + _OMEGA2 * v - shift, _OMEGA2 * u + _OMEGA * v - shift),
+             key=abs)
+    product = -c0 / (c3 * y1)
+    return [y1, *_quadratic(product, (product - b) / y1, 1.0)]
+
+
+def _quartic(c: list) -> list[complex]:
+    """The four roots of the ascending coefficients c, c[4] != 0, by Ferrari.
+
+    On the monic x^4 + a x^3 + b x^2 + e x + f, each root y of the resolvent
+    cubic y^3 - b y^2 + (a e - 4 f) y + 4 b f - a^2 f - e^2 makes the quartic
+    (x^2 + a x / 2 + y / 2)^2 - (s x + t)^2 with s^2 = a^2 / 4 - b + y and
+    t^2 = y^2 / 4 - f, the product of x^2 + (a / 2 -+ s) x + y / 2 -+ t. The y
+    with the largest |s^2| keeps t = (a y / 2 - e) / (2 s) well conditioned.
+    """
+    c0, c1, c2, c3, c4 = c
+    a, b, e, f = c3 / c4, c2 / c4, c1 / c4, c0 / c4
+    s2_minus_y = 0.25 * a * a - b
+    y = max(_cubic(4.0 * b * f - a * a * f - e * e, a * e - 4.0 * f, -b, 1.0),
+            key=lambda y: abs(s2_minus_y + y))
+    s = cmath.sqrt(s2_minus_y + y)
+    t = (0.5 * a * y - e) / (2.0 * s) if s != 0 else cmath.sqrt(0.25 * y * y - f)
+    # the factors' linear coefficients multiply to b - y, their constants to f
+    b_minus, b_plus = _pair(0.5 * a, s, b - y)
+    c_minus, c_plus = _pair(0.5 * y, t, f)
+    return _quadratic(c_minus, b_minus, 1.0) + _quadratic(c_plus, b_plus, 1.0)
+
+
+def _pair(h: complex, d: complex, product: complex) -> tuple[complex, complex]:
+    """(h - d, h + d), the one of smaller modulus taken as product / the other:
+    a difference of nearly equal terms would cancel, the quotient does not."""
+    minus, plus = h - d, h + d
+    if abs(plus) >= abs(minus):
+        return product / plus, plus
+    return minus, product / minus
 
 
 def reconstruct_monic(root_list) -> np.ndarray:

@@ -1,5 +1,6 @@
 """sha256 of the best_bound reports over a fixed corpus, to check that a change
-leaves every report bit for bit as it was.
+leaves every report bit for bit as it was, and the sizes of the moves where it
+does not.
 
 The corpus: random_state(1000 + k) for k < 200, and 20 draws of every class
 I-IX (classes.representative) from default_rng(9), each parameter a modulus
@@ -11,11 +12,21 @@ concatenation, in corpus order.
 
 Run from the repository root, against this checkout's src/:
 
-    python tools/report_digest.py
+    python tools/report_digest.py                   # the digest
+    python tools/report_digest.py --dump PATH       # and the reports, to PATH
+    python tools/report_digest.py --compare PATH    # and the moves against PATH
+
+``--dump`` writes one JSON line per report, {"group": ..., "report": ...},
+where the group is "random" or the class id. ``--compare`` reads such a file,
+made in another checkout, and prints how many reports changed and, per group
+and over all, the largest absolute and relative move of ``best``, of ``F``, of
+each method's value and of each method's witness x. A relative move is taken
+where the old value is nonzero (a witness: |dx| / |x|).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -40,8 +51,8 @@ DRAWS_PER_CLASS = 20
 
 
 def corpus():
-    """The corpus states, in order."""
-    states = [random_state(1000 + k) for k in range(RANDOM_STATES)]
+    """(group, state) for the corpus states, in order."""
+    states = [("random", random_state(1000 + k)) for k in range(RANDOM_STATES)]
     rng = np.random.default_rng(9)
     for class_id in CLASS_IDS:
         n = len(CLASS_PARAMS[class_id])
@@ -49,18 +60,69 @@ def corpus():
             moduli = rng.uniform(0.2, 2.0, n)
             phases = np.zeros(n) if class_id == "I" else rng.uniform(0.0, 2.0 * np.pi, n)
             values = [complex(m * np.exp(1j * p)) for m, p in zip(moduli, phases)]
-            states.append(representative(spec_from_values(class_id, *values)))
+            states.append((class_id, representative(spec_from_values(class_id, *values))))
     return states
 
 
+def moves(old: dict, new: dict):
+    """(field, absolute move, relative move or None) for every number of two
+    reports on the same state and triple; the fields are "best", "F",
+    "<method> value" and "<method> x"."""
+    if [m["method"] for m in old["methods"]] != [m["method"] for m in new["methods"]]:
+        raise ValueError(f"method lists differ: {old} / {new}")
+    pairs = [("best", old["best"], new["best"]), ("F", old["F"], new["F"])]
+    for a, b in zip(old["methods"], new["methods"]):
+        pairs.append((f"{a['method']} value", a["value"], b["value"]))
+        if a["x"] is not None:
+            pairs.append((f"{a['method']} x", complex(*a["x"]), complex(*b["x"])))
+    for field, a, b in pairs:
+        move = abs(b - a)
+        yield field, move, move / abs(a) if a != 0 else None
+
+
+def compare(dump_path: str, reports: list) -> None:
+    """Print the moves of ``reports`` against the reports dumped at dump_path."""
+    with open(dump_path) as fh:
+        old = [json.loads(line) for line in fh]
+    if [r["group"] for r in old] != [g for g, _ in reports]:
+        raise SystemExit(f"{dump_path} does not hold this corpus")
+    changed = sum(o["report"] != r for o, (_, r) in zip(old, reports))
+    print(f"{changed} of {len(reports)} reports changed")
+    # (group, field) -> [changed count, largest absolute, largest relative]
+    worst: dict = {}
+    for o, (group, r) in zip(old, reports):
+        for field, move, rel in moves(o["report"], r):
+            for key in ((group, field), ("all", field)):
+                entry = worst.setdefault(key, [0, 0.0, 0.0])
+                entry[0] += move != 0
+                entry[1] = max(entry[1], move)
+                entry[2] = max(entry[2], rel or 0.0)
+    print(f"{'group':8s} {'field':22s} {'moved':>6s} {'max abs':>10s} {'max rel':>10s}")
+    for (group, field), (count, move, rel) in sorted(worst.items()):
+        if count:
+            print(f"{group:8s} {field:22s} {count:6d} {move:10.3g} {rel:10.3g}")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", metavar="PATH", help="write the reports to PATH")
+    parser.add_argument("--compare", metavar="PATH",
+                        help="compare the reports with a --dump file from another checkout")
+    args = parser.parse_args()
     digest = hashlib.sha256()
-    count = 0
-    for state in corpus():
+    reports = []
+    for group, state in corpus():
         for triple in SUPPORTED_TRIPLES:
-            digest.update(json.dumps(report_to_json(best_bound(state, triple))).encode())
-            count += 1
-    print(f"{count} reports sha256 {digest.hexdigest()}")
+            report = report_to_json(best_bound(state, triple))
+            digest.update(json.dumps(report).encode())
+            reports.append((group, report))
+    print(f"{len(reports)} reports sha256 {digest.hexdigest()}")
+    if args.dump:
+        with open(args.dump, "w") as fh:
+            for group, report in reports:
+                fh.write(json.dumps({"group": group, "report": report}) + "\n")
+    if args.compare:
+        compare(args.compare, reports)
 
 
 if __name__ == "__main__":
