@@ -3,9 +3,11 @@
 Three constructions are provided, all driven by one invariant set:
 
 * ``bound_quartic_A4``: rotate the traced qubit; zero one endpoint invariant
-  by solving a quartic, evaluate the other endpoint at each root, take the min.
+  at a root of the endpoint quartic, read off the other, take the min. The
+  roots are the quartic's Majorana stars and their antipodes, from one solve
+  (``stars``), and the value left at each is a product over the other stars.
 * ``bound_unitary_3q``: same idea on the orthogonal three-qubit branch pair,
-  with probability-weighted coefficients.
+  with probability-weighted coefficients, on the same stars rescaled.
 * ``bound_grid``: direct minimization of the two-endpoint average over the
   Riemann sphere of rotation parameters.
 
@@ -27,7 +29,6 @@ from .invariants import (
     CorrelationSummary,
     ThreeQubitInvariantSet,
     _endpoint_coefficients,
-    _endpoint_values,
     invariant_set,
     summary_from_set,
     traced_qubit_of,
@@ -65,74 +66,86 @@ class BoundReport:
 # quartic bound on the traced qubit
 # ---------------------------------------------------------------------------
 
-def _endpoint_roots(inv: ThreeQubitInvariantSet):
-    """(|I04(x)|, x) at the roots x zeroing I40, and (|I40(x)|, x) at those zeroing I04.
+def stars(inv: ThreeQubitInvariantSet) -> tuple[float, list[complex]]:
+    """The Majorana stars of the set's endpoint quartic: (|c_d|, [x_1, ..., x_d]).
 
-    The I04 quartic is solved. Its coefficients reversed are I40's with
-    alternating signs, P40(w) = w^4 P04(-1/w), so x zeroes I04 exactly when its
-    antipode -1/conj(x) zeroes I40, and |I40(-1/conj x)| = |I04(x)|: the I40
-    family is the I04 roots' antipodes with the values copied (_antipodes).
-    The I40 quartic is solved as well only where i40 is nonzero but below
-    SCALE_TOL * max|c|: the I04 quartic then drops a root at infinity whose
-    antipode lies near x = 0, not at it.
+    The one root solve of an invariant set: x_j are the finite roots of the I04
+    numerator c04 (_endpoint_coefficients) and c_d = c04[d] its leading kept
+    coefficient. Each of the 4 - d roots that quartic.roots drops is a star at
+    x = infinity. A set with no three- or four-way content yields (0.0, []).
     """
-    c40, c04 = _endpoint_coefficients(inv)
-    zero04 = [(abs(_endpoint_values(c40, c04, x)[0]), x) for x in roots(c04)]
-    zero40 = _antipodes(zero04, c04)
-    if zero40 is None:
-        xs = [w.conjugate() for w in roots(c40)]
-        zero40 = [(abs(_endpoint_values(c40, c04, x)[1]), x) for x in xs]
-    return zero40, zero04
+    if inv.scale() == 0.0:
+        return 0.0, []
+    c04 = _endpoint_coefficients(inv)[1]
+    xs = roots(c04)
+    return abs(c04[len(xs)]), xs
 
 
-def _antipodes(zero04, c04):
-    """(value, -1/conj(x)) for the roots x in ``zero04`` of the I04 quartic with
-    ascending coefficients ``c04``: the I40 family, or None.
+def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
+    """(4 w v, x) at the stars and their antipodes of P(x) = sum_m c_m x^m =
+    c_d prod_j (x - x_j), with finite stars ``xs``, d = len(xs), and ``lead`` =
+    |c_d|, sorted by _candidate_key.
 
-    I40's leading coefficients are c04's lowest ones. Those below
-    SCALE_TOL * max|c| drop I40 roots at infinity, as ``quartic.roots`` drops
-    them, so their antipodes, the smallest I04 roots (0 where a lowest
-    coefficient is 0), are left out. An I04 root dropped at infinity has the
-    antipode x = 0, where the value is |I04(0)| = |c04[0]|, when the dropped
-    coefficient is exactly 0; when it is not, the result is None.
+    With I04(x) = P(x) / (1 + |x|^2)^2, |I40(x)| = |x|^4 |P(-1/conj x)| /
+    (1 + |x|^2)^2. A star x_i zeroes I04, its antipode -1/conj(x_i) zeroes
+    I40, and the value left at either is the product over the other stars
+    v_i = |c_d| |x_i|^(4-d) prod_{j != i} |1 + conj(x_i) x_j| / (1 + |x_i|^2),
+    weighted ``w_star`` at the star and ``w_antipode`` at its antipode. A star
+    at infinity has the antipode x = 0, valued |P(0)| = |c_0|. The lowest
+    coefficients below SCALE_TOL * max|c| put as many stars at or near x = 0;
+    their antipodes are left out, as quartic.roots would drop them from I40's
+    numerator, and so is the antipode of any star at exactly 0.
     """
-    degree = len(zero04)
-    if any(c04[degree + 1:]):
-        return None
-    tol = SCALE_TOL * max(abs(c) for c in c04)
-    low = 0
-    while abs(c04[low]) < tol:
-        low += 1
-    kept = sorted(zero04, key=lambda c: abs(c[1]))[low:] if low else zero04
-    at_zero = [(abs(c04[0]), 0j)] * (4 - degree)
-    return [(a, -1.0 / x.conjugate()) for a, x in kept] + at_zero
+    tol = SCALE_TOL * max(abs(a) for a in c)
+    low = next(m for m, a in enumerate(c) if abs(a) >= tol)
+    d = len(xs)
+    cands = [(4.0 * w_antipode * abs(c[0]), 0j)] * (4 - d)
+    xs = sorted(xs, key=abs)
+    for i, x in enumerate(xs):
+        xc = x.conjugate()
+        v = 4.0 * lead * abs(x) ** (4 - d) / (1.0 + abs(x) ** 2)
+        for j, y in enumerate(xs):
+            if j != i:
+                v *= abs(1.0 + xc * y)
+        cands.append((w_star * v, x))
+        if i >= low and x:
+            cands.append((w_antipode * v, -1.0 / xc))
+    cands.sort(key=_candidate_key)
+    return cands
 
 
-def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, complex]]:
-    """(value, x) pairs: 4 |complementary endpoint| at every root of both families,
-    the I40 family being the I04 roots' antipodes (_endpoint_roots).
+def _candidate_key(cand):
+    v, x = cand
+    return (v, abs(x), cmath.phase(x))
 
-    The pairs are in _candidate_key order: by value, then |x|, then phase. An
-    I04 root and its antipode, an I40 root, carry the same value, so the first
-    pair is the member with |x| <= 1 of the smallest pair, the one that
-    bound_quartic_A4 reports and bound_grid's seeds reach first. A set with no
-    three- or four-way content has no roots and yields none.
+
+def quartic_root_candidates(inv: ThreeQubitInvariantSet, *, solved=None) -> list[tuple[float, complex]]:
+    """(value, x) pairs: 4 |complementary endpoint| at every star x of the
+    endpoint quartic (zeroing I04) and at every antipode -1/conj(x) (zeroing
+    I40), each value a product over the other stars (_star_candidates).
+
+    The pairs are in _candidate_key order: by value, then |x|, then phase. A
+    star and its antipode carry the same value, so the first pair is the
+    member with |x| <= 1 of the smallest pair, the one that bound_quartic_A4
+    reports and bound_grid's seeds reach first. ``solved`` is ``stars(inv)``
+    when the caller already has it. A set with no three- or four-way content
+    has no stars and yields none.
     """
     if inv.scale() == 0.0:
         return []
-    zero40, zero04 = _endpoint_roots(inv)
-    return _sorted_candidates((1.0, zero40), (1.0, zero04))
+    lead, xs = solved or stars(inv)
+    return _star_candidates(_endpoint_coefficients(inv)[1], lead, xs)
 
 
 def bound_quartic_A4(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     """Zero one endpoint invariant exactly, read off the other: 4 min over roots.
 
-    The roots of both families come from one quartic solve, the other family
-    being their antipodes (multiple roots exist even though a single witness
-    suffices in principle); the witness is the first of
-    quartic_root_candidates. A set with no three- or four-way content yields
-    zero directly. ``candidates`` is ``quartic_root_candidates(inv)`` when the
-    caller already has it; it is not modified.
+    The roots are the stars of the one endpoint quartic solve and their
+    antipodes (multiple roots exist even though a single witness suffices in
+    principle); the witness is the first of quartic_root_candidates. A set
+    with no three- or four-way content yields zero directly. ``candidates`` is
+    ``quartic_root_candidates(inv)`` when the caller already has it; it is
+    not modified.
     """
     if inv.scale() == 0.0:
         return BoundWitness("quartic_A4", 0.0, None, (), None)
@@ -142,43 +155,22 @@ def bound_quartic_A4(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWi
     return BoundWitness("quartic_A4", value, x, tuple(x for _, x in candidates), None)
 
 
-def _sorted_candidates(*families):
-    """(4 w a, x) for each (a, x) of each (w, family), stably sorted by _candidate_key."""
-    return sorted(((4.0 * w * a, x) for w, fam in families for a, x in fam), key=_candidate_key)
-
-
-def _candidate_key(cand):
-    v, x = cand
-    return (v, abs(x), cmath.phase(x))
-
-
 # ---------------------------------------------------------------------------
 # unitary on the three-qubit branch pair
 # ---------------------------------------------------------------------------
 
-def branch_form_set(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> ThreeQubitInvariantSet:
-    """The orthonormal branch pair's invariants I^{4-m,m} / (p0^{(4-m)/2} p1^{m/2}),
-    stored reversed (as I^{m,4-m}): the set's I04(y), I40(y) are the pair's f40(y), f04(y)."""
-    return ThreeQubitInvariantSet(
-        inv.traced,
-        inv.i04 / p1 ** 2,
-        inv.i13 / math.sqrt(p0 * p1 ** 3),
-        inv.i22 / (p0 * p1),
-        inv.i31 / math.sqrt(p0 ** 3 * p1),
-        inv.i40 / p0 ** 2,
-    )
-
-
-def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> BoundWitness:
+def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float, *,
+                     solved=None) -> BoundWitness:
     """Endpoint-zeroing bound on the branch decomposition with probabilities p0, p1.
 
-    The two endpoint forms carry coefficients i40/p0^2, 4 i31/sqrt(p0^3 p1),
-    6 i22/(p0 p1), 4 i13/sqrt(p0 p1^3), i04/p1^2. Each family is zeroed, one
-    by a quartic solve and the other by its roots' antipodes (_endpoint_roots),
-    and the complementary endpoint evaluated; the value is
-    min(4 p0^2 |f04(y1)|, 4 p1^2 |f40(y2)|) over all roots. Requires both
-    probabilities strictly positive; coincides with bound_quartic_A4 when
-    p0 = p1.
+    The branch pair's endpoint forms f40(y), f04(y) carry the coefficients
+    i40/p0^2, 4 i31/sqrt(p0^3 p1), 6 i22/(p0 p1), 4 i13/sqrt(p0 p1^3),
+    i04/p1^2: f40's numerator is the set's I04 numerator reversed and scaled,
+    so its stars are t_j = sqrt(p1/p0) / x_j for the set's stars x_j
+    (``solved``, or stars(inv)). They zero f40, their antipodes zero f04, and
+    the value is min(4 p0^2 |f04(t)|, 4 p1^2 |f40(-1/conj t)|) over all of
+    them. Requires both probabilities strictly positive; coincides with
+    bound_quartic_A4 when p0 = p1.
     """
     if p0 < PROB_FLOOR or p1 < PROB_FLOOR:
         raise DegenerateProbability(
@@ -187,9 +179,16 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
         )
     if inv.scale() == 0.0:
         return BoundWitness("unitary_3q", 0.0, None, (), None)
+    _, xs = solved or stars(inv)
+    c04 = _endpoint_coefficients(inv)[1]
+    c = [a / (math.sqrt(p0) ** (4 - m) * math.sqrt(p1) ** m) for m, a in enumerate(c04[::-1])]
+    # the f40 quartic's own degree drop, as quartic.roots would take it
+    tol = SCALE_TOL * max(abs(a) for a in c)
+    d = max(m for m, a in enumerate(c) if abs(a) >= tol)
+    ratio = math.sqrt(p1 / p0)
+    ts = sorted([ratio / x for x in xs if x] + [0j] * (4 - len(xs)), key=abs)[:d]
     # zeroing f40 leaves weight p0^2 on f04, zeroing f04 leaves p1^2 on f40
-    zero_f04, zero_f40 = _endpoint_roots(branch_form_set(inv, p0, p1))
-    cands = _sorted_candidates((p0 ** 2, zero_f40), (p1 ** 2, zero_f04))
+    cands = _star_candidates(c, abs(c[d]), ts, p0 ** 2, p1 ** 2)
     value, y = cands[0]
     return BoundWitness("unitary_3q", value, y, tuple(y for _, y in cands), None)
 
@@ -550,7 +549,8 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
     probabilities are equal: that is its regime of validity (it then coincides
     with the quartic bound), whereas at unequal probabilities its
     probability-weighted value can drop below what any decomposition of the
-    reduced state realizes.
+    reduced state realizes. The endpoint quartic is solved once (stars): the
+    quartic bound, the grid's seeds and the branch-pair bound all read it.
     """
     traced = traced_qubit_of(triple)
     inv = invariant_set(state, traced)
@@ -559,13 +559,14 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
     case = classify_group(inv, summary.three_way)
     if case != "generic":
         methods.append(bound_closed_form(inv, case))
-    candidates = quartic_root_candidates(inv)
+    solved = stars(inv)
+    candidates = quartic_root_candidates(inv, solved=solved)
     methods.append(bound_quartic_A4(inv, candidates=candidates))
     phi0, phi1 = state.amps[BRANCH_INDEX[traced]]
     p0 = float(np.sum(np.abs(phi0) ** 2))
     p1 = float(np.sum(np.abs(phi1) ** 2))
     if min(p0, p1) >= PROB_FLOOR and abs(p0 - p1) <= EQUAL_PROB_TOL:
-        methods.append(bound_unitary_3q(inv, p0, p1))
+        methods.append(bound_unitary_3q(inv, p0, p1, solved=solved))
     methods.append(bound_grid(inv, candidates=candidates))
     best = min(m.value for m in methods)
     cap = methods[0].value

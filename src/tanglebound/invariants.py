@@ -107,8 +107,8 @@ def _set_from_fonts(f: FontSet4, traced: str) -> ThreeQubitInvariantSet:
 def _endpoint_coefficients(inv: ThreeQubitInvariantSet):
     """Ascending coefficients of the endpoint numerators: I40 in w = conj(x), I04 in w = x.
 
-    The only coding of the binary quartic form: it feeds the root solve and the
-    sphere grid in ``bounds``, rank2's root mixture and _endpoint_values.
+    The only coding of the binary quartic form: the star solve and the
+    sphere grid in ``bounds`` and transform_endpoints read it.
     """
     c40 = (inv.i40, -4.0 * inv.i31, 6.0 * inv.i22, -4.0 * inv.i13, inv.i04)
     c04 = (inv.i04, 4.0 * inv.i13, 6.0 * inv.i22, 4.0 * inv.i31, inv.i40)
@@ -121,17 +121,11 @@ def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[comple
 
     I^{4,0}(x) is a quartic in conj(x), I^{0,4}(x) a quartic in x, both divided
     by (1+|x|^2)^2: Horner's rule on _endpoint_coefficients, the table that
-    the root solve and the sphere grid read too (_endpoint_values).
+    the star solve and the sphere grid read too. Raises NonFinite unless x is
+    finite.
     """
     c40, c04 = _endpoint_coefficients(inv)
-    return _endpoint_values(c40, c04, complex(x))
-
-
-def _endpoint_values(c40, c04, x: complex) -> tuple[complex, complex]:
-    """(I^{4,0}(x), I^{0,4}(x)) from the endpoint coefficients ``c40, c04`` of
-    _endpoint_coefficients at the Python complex ``x``; raises NonFinite unless
-    x is finite. The one coding of the endpoint evaluation: transform_endpoints
-    and the candidate values of the root solve in ``bounds`` call it."""
+    x = complex(x)
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise NonFinite(f"x = {x!r}")
     w = x.conjugate()

@@ -5,14 +5,14 @@ the weight threshold where x0 leaves the unit disk, the printed bound formula,
 and the explicit optimal decompositions (three phase-rotated vectors plus a
 remainder below the threshold, three vectors at |x| = 1 above it).
 
-``decompose_rank2`` handles a general rank-2 state: it runs the bound
-constructions on the invariant set of one purification, and additionally
-checks whether the state is a convex mixture of the (at most four) zero-tangle
-pure states in its range -- the roots of the binary quartic form. That
-root-mixture test is one least-squares solve on the roots' Bloch coordinates;
-it is exact, basis independent, and reproduces the closed-form decompositions
-of the GHZ/W family. When it succeeds its mixture is the answer and no bound
-runs. One purification serves every phase: the
+``decompose_rank2`` handles a general rank-2 state from the stars of one
+purification's endpoint quartic (``bounds.stars``). It checks whether the
+state is a convex mixture of the (at most four) zero-tangle pure states in its
+range, one per star: one least-squares solve on their Bloch coordinates,
+exact, basis independent, and reproducing the closed-form decompositions of
+the GHZ/W family. When it succeeds its mixture is the answer; otherwise the
+quartic and branch-pair bounds run on the same stars. One purification serves
+every phase: the
 relative phase theta of the second branch is a diagonal unitary on the traced
 qubit, which sends I^{4-m,m} to e^{i m theta} I^{4-m,m} and only
 reparametrizes the rotation x, so every phase gives the same bounds.
@@ -31,10 +31,11 @@ from .bounds import (
     BoundWitness,
     bound_quartic_A4,
     bound_unitary_3q,
-    branch_form_set,
+    quartic_root_candidates,
+    stars,
 )
 from .errors import BranchMismatch, NotDensityMatrix, OutOfRange
-from .invariants import _endpoint_coefficients, invariant_set, three_tangle_pure
+from .invariants import invariant_set, three_tangle_pure
 from .qstate import (
     MixedState3,
     PureState3,
@@ -45,7 +46,6 @@ from .qstate import (
     normalize,
     rank2_basis,
 )
-from .quartic import roots
 
 WEIGHT_SUM_TOL = 1e-10
 WEIGHT_DROP = 1e-12
@@ -169,38 +169,27 @@ def ghzw_decomposition(p: float, branch: str) -> Decomposition:
 # general rank-2 workflow
 # ---------------------------------------------------------------------------
 
-def _zero_tangle_mixture(p0, p1, v0, v1, inv) -> Decomposition | None:
+def _zero_tangle_mixture(p0, p1, v0, v1, xs) -> Decomposition | None:
     """Mixture of the zero-tangle root states reconstructing rho, if one exists.
 
-    The tangle of u v0 + t u v1 vanishes on the <= 4 projective roots t of the
-    binary quartic form; rho has zero tangle exactly when it is a convex
-    mixture of those root states. A range state a v0 + b v1 has the moments
-    (|a|^2, |b|^2, Re a b*, Im a b*), affine coordinates of its Bloch vector,
-    and rho has (p0, p1, 0, 0): feasibility is one least-squares solve of the
-    moment constraints. Distinct points on the Bloch sphere are affinely
-    independent unless four of them lie on one circle (real-amplitude states,
-    class I); that system has one null direction, which is followed to the
-    breakpoint, where a weight reaches zero, with the largest least weight.
-    Needs p1 >= PROB_FLOOR.
+    The tangle of the range state v0 + t v1 vanishes on the <= 4 projective
+    roots t of the branch pair's quartic form, t = sqrt(p1/p0) / x for the
+    stars x of the purification's endpoint quartic (``xs``, the finite ones,
+    from bounds.stars): t = 0 for a star at infinity, and the state v1 for a
+    star at x = 0. rho has zero tangle exactly when it is a convex mixture of
+    those root states. A
+    range state a v0 + b v1 has the moments (|a|^2, |b|^2, Re a b*, Im a b*),
+    affine coordinates of its Bloch vector, and rho has (p0, p1, 0, 0):
+    feasibility is one least-squares solve of the moment constraints. Distinct
+    points on the Bloch sphere are affinely independent unless four of them
+    lie on one circle (real-amplitude states, class I); that system has one
+    null direction, which is followed to the breakpoint, where a weight
+    reaches zero, with the largest least weight. Needs p1 >= PROB_FLOOR.
     """
-    g = branch_form_set(inv, p0, p1)
-    if g.scale() == 0.0:
-        # every range state has zero tangle
-        return make_decomposition(
-            [(p0, PureState3(v0))] + ([(p1, PureState3(v1))] if p1 > WEIGHT_DROP else [])
-        )
-    # projective roots t of the branch pair's f40 form, the reversed set's I04 numerator
-    ts = roots(_endpoint_coefficients(g)[1])
-    directions = [(1.0, t) for t in ts]
-    if len(ts) < 4:
-        directions.append((0.0, 1.0))            # root(s) at infinity: v1 itself
-    states = []
-    for u, t in directions:
-        vec = u * v0 + t * v1
-        n = np.linalg.norm(vec)
-        if n < 1e-14:
-            continue
-        states.append(vec / n)
+    ratio = math.sqrt(p1 / p0)
+    ts = sorted([ratio / x for x in xs if x] + [0j] * (4 - len(xs)), key=lambda t: (t.real, t.imag))
+    states = [v0 + t * v1 for t in ts] + [v1] * (4 - len(ts))
+    states = [vec / np.linalg.norm(vec) for vec in states]
     # deduplicate projectively identical roots
     unique = []
     for vec in states:
@@ -257,13 +246,13 @@ def _two_member_decomposition(state: PureState4, x: complex | None) -> Decomposi
 def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
     """Bound the tangle of a rank-2 state and return a realizing decomposition.
 
-    The theta = 0 purification and its invariant set are built once. When
-    the exact root-mixture test finds a zero-tangle mixture, that mixture is
-    returned at the value its members realize (rounding level), and the
-    bounds do not run. Otherwise the quartic and branch-pair bounds run on
-    the set; the reported value is their minimum (the quartic bound on a tie
-    within 1e-15), and the returned decomposition is the purification's
-    branch pair rotated by the quartic witness x (two members).
+    The theta = 0 purification, its invariant set and its stars are built
+    once. When the exact root-mixture test finds a zero-tangle mixture, that
+    mixture is returned at the value its members realize (rounding level),
+    and the bounds do not run. Otherwise the quartic and branch-pair bounds
+    run on the same stars; the reported value is their minimum (the quartic
+    bound on a tie within 1e-15), and the returned decomposition is the
+    purification's branch pair rotated by the quartic witness x (two members).
     """
     p0, p1, v0, v1 = rank2_basis(rho)
     if p1 < PROB_FLOOR:
@@ -274,12 +263,17 @@ def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
 
     state = _purification(p0, p1, v0, v1, 0.0)
     inv = invariant_set(state, "A4")
-    zero_mixture = _zero_tangle_mixture(p0, p1, v0, v1, inv)
+    solved = stars(inv)
+    if inv.scale() == 0.0:
+        # every range state has zero tangle
+        zero_mixture = make_decomposition([(p0, PureState3(v0)), (p1, PureState3(v1))])
+    else:
+        zero_mixture = _zero_tangle_mixture(p0, p1, v0, v1, solved[1])
     if zero_mixture is not None:
         # report what the mixture actually certifies (tiny but not forced to 0
         # when a root carries floating-point error)
         return BoundWitness("root_mixture", _realized_value(zero_mixture), None, (), None), zero_mixture
-    quartic = bound_quartic_A4(inv)
-    unitary = bound_unitary_3q(inv, p0, p1)
+    quartic = bound_quartic_A4(inv, candidates=quartic_root_candidates(inv, solved=solved))
+    unitary = bound_unitary_3q(inv, p0, p1, solved=solved)
     best = unitary if unitary.value < quartic.value - 1e-15 else quartic
     return best, _two_member_decomposition(state, quartic.witness_x)

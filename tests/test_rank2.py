@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tanglebound import bounds, classes, errors, qstate, rank2
+from tanglebound import bounds, classes, errors, qstate, quartic, rank2
 from tanglebound.bounds import bound_cap, bound_quartic_A4, bound_unitary_3q
 from tanglebound.invariants import correlation_summary, invariant_set, three_tangle_pure
 from tanglebound.qstate import (
@@ -172,15 +172,15 @@ class TestDecomposeRank2:
     def test_rounding_level_root_mixture_skips_the_bounds(self, monkeypatch):
         # below the GHZ/W threshold the root mixture realizes ~1e-16 and is
         # returned before the bounds run; above it the quartic candidates are
-        # solved once
+        # built once, from the stars the mixture test read
         solved = []
 
-        def counting(inv):
+        def counting(inv, **kw):
             solved.append(inv)
-            return quartic_root_candidates(inv)
+            return quartic_root_candidates(inv, **kw)
 
-        quartic_root_candidates = bounds.quartic_root_candidates
-        monkeypatch.setattr(bounds, "quartic_root_candidates", counting)
+        quartic_root_candidates = rank2.quartic_root_candidates
+        monkeypatch.setattr(rank2, "quartic_root_candidates", counting)
         for p in (0.3, 0.5):
             witness, _ = decompose_rank2(ghzw_rho(p))
             assert witness.method == "root_mixture"
@@ -190,22 +190,39 @@ class TestDecomposeRank2:
         assert len(solved) == 1
 
     def test_one_endpoint_quartic_per_bound(self, monkeypatch):
-        # one quartic for quartic_A4 and one for unitary_3q; the other
-        # families are those roots' antipodes
+        # one star solve serves the root-mixture test, quartic_A4 and
+        # unitary_3q, whichever module would call quartic.roots
         calls = []
-        solve = bounds.roots
+        solve = quartic.roots
 
         def counting(c):
             calls.append(c)
             return solve(c)
 
-        monkeypatch.setattr(bounds, "roots", counting)
+        for module in (bounds, rank2):
+            if hasattr(module, "roots"):
+                monkeypatch.setattr(module, "roots", counting)
         rhos = [ghzw_rho(0.8), partial_trace_last(random_state(123))[0]]
         for rho in rhos:
             calls.clear()
             witness, _ = decompose_rank2(rho)
             assert witness.method != "root_mixture"
-            assert len(calls) == 2
+            assert len(calls) == 1
+
+    def test_branch_pair_stars_are_the_set_stars_rescaled(self):
+        # the branch pair's f40 numerator, the set's I04 numerator reversed
+        # and scaled, has the roots t_j = sqrt(p1/p0) / x_j
+        for k in range(40):
+            p0, p1, v0, v1 = rank2_basis(partial_trace_last(random_state(123 + k))[0])
+            inv = invariant_set(qstate._purification(p0, p1, v0, v1, 0.0), "A4")
+            _, xs = bounds.stars(inv)
+            m = np.arange(5)
+            pair = inv.as_array() / (p0 ** ((4 - m) / 2) * p1 ** (m / 2))
+            ts = quartic.roots(pair * np.array([1.0, 4.0, 6.0, 4.0, 1.0]))
+            assert len(ts) == len(xs) == 4
+            for t in ts:
+                near = min(abs(t - math.sqrt(p1 / p0) / x) for x in xs)
+                assert near <= 1e-13 * abs(t), (k, t, xs)
 
     def test_one_invariant_set_per_call(self, monkeypatch):
         # the theta = 0 purification's set serves the root-mixture test and

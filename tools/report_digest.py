@@ -50,13 +50,14 @@ RANDOM_STATES = 200
 DRAWS_PER_CLASS = 20
 
 
-def corpus():
-    """(group, state) for the corpus states, in order."""
-    states = [("random", random_state(1000 + k)) for k in range(RANDOM_STATES)]
+def corpus(random_states: int = RANDOM_STATES, draws_per_class: int = DRAWS_PER_CLASS):
+    """(group, state) for the corpus states, in order: the first
+    ``random_states`` random states and ``draws_per_class`` draws per class."""
+    states = [("random", random_state(1000 + k)) for k in range(random_states)]
     rng = np.random.default_rng(9)
     for class_id in CLASS_IDS:
         n = len(CLASS_PARAMS[class_id])
-        for _ in range(DRAWS_PER_CLASS):
+        for _ in range(draws_per_class):
             moduli = rng.uniform(0.2, 2.0, n)
             phases = np.zeros(n) if class_id == "I" else rng.uniform(0.0, 2.0 * np.pi, n)
             values = [complex(m * np.exp(1j * p)) for m, p in zip(moduli, phases)]
@@ -103,15 +104,16 @@ def compare(dump_path: str, reports: list) -> None:
             print(f"{group:8s} {field:22s} {count:6d} {move:10.3g} {rel:10.3g}")
 
 
-def main() -> None:
+def main(argv=None, **sizes) -> None:
+    """Run the command line ``argv`` (default sys.argv) over corpus(**sizes)."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", metavar="PATH", help="write the reports to PATH")
     parser.add_argument("--compare", metavar="PATH",
                         help="compare the reports with a --dump file from another checkout")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     digest = hashlib.sha256()
     reports = []
-    for group, state in corpus():
+    for group, state in corpus(**sizes):
         for triple in SUPPORTED_TRIPLES:
             report = report_to_json(best_bound(state, triple))
             digest.update(json.dumps(report).encode())
