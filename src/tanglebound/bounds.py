@@ -181,7 +181,11 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float, *,
         return BoundWitness("unitary_3q", 0.0, None, (), None)
     _, xs = solved or stars(inv)
     c04 = _endpoint_coefficients(inv)[1]
-    c = [a / (math.sqrt(p0) ** (4 - m) * math.sqrt(p1) ** m) for m, a in enumerate(c04[::-1])]
+    # times the reciprocal, which rounds as numpy divides a complex by a real
+    # (z / f rounds otherwise); only moduli are read, so zero signs do not
+    # matter here as they do in invariants._divide
+    c = [a * (1.0 / (math.sqrt(p0) ** (4 - m) * math.sqrt(p1) ** m))
+         for m, a in enumerate(c04[::-1])]
     # the f40 quartic's own degree drop, as quartic.roots would take it
     tol = SCALE_TOL * max(abs(a) for a in c)
     d = max(m for m, a in enumerate(c) if abs(a) >= tol)
@@ -223,9 +227,9 @@ class _SphereGrid:
     """Read-only tables of the sphere grid, shared by every call.
 
     Only the first ``rows`` = GRID_POINTS/2 polar rows are evaluated
-    (bound_grid); ``order`` and ``den`` list the rows of the stacked I40/I04
-    coefficient matrix block by block: rows [start, stop) of the I40 half,
-    then the same rows of the I04 half.
+    (bound_grid); ``den`` lists the rows of the stacked I40/I04 coefficient
+    matrix block by block: rows [start, stop) of the I40 half, then the same
+    rows of the I04 half.
 
     A tile is one block's rows and the GRID_POINTS / SPHERE_SECTORS
     consecutive columns ``columns[q]`` of one sector q, and tile
@@ -244,7 +248,6 @@ class _SphereGrid:
     phi: np.ndarray         # (GRID_POINTS,) azimuths
     powers: np.ndarray      # (rows, 5): r^k with r = tan(theta/2)
     phase: np.ndarray       # (5, GRID_POINTS): e^{ik phi}
-    order: np.ndarray       # (2 rows,): stacked row -> row of concat(I40 half, I04 half)
     den: np.ndarray         # (2 rows, 1): (1 + r^2)^2 of each stacked row
     blocks: tuple[tuple[int, int], ...]   # [start, stop) rows of each block
     columns: np.ndarray     # (SPHERE_SECTORS, GRID_POINTS / SPHERE_SECTORS): columns of each sector
@@ -262,7 +265,6 @@ def _sphere_grid() -> _SphereGrid:
     stops = list(range(SPHERE_BLOCK_ROWS, rows, SPHERE_BLOCK_ROWS)) + [rows]
     starts = [0] + stops[:-1]
     blocks = tuple(zip(starts, stops))
-    order = np.concatenate([np.r_[a:b, rows + a:rows + b] for a, b in blocks])
     den = (1.0 + r ** 2) ** 2
 
     # tiles: the farthest points of a tile from its centre are its first and
@@ -287,14 +289,14 @@ def _sphere_grid() -> _SphereGrid:
         phi,
         r[:, None] ** k,
         np.exp(1j * np.outer(k, phi)),
-        order,
-        np.concatenate((den, den))[order][:, None],
+        # each block's denominators twice, for its I40 rows and its I04 rows
+        np.concatenate([den[a:b] for a, b in blocks for _ in range(2)])[:, None],
         blocks,
         np.arange(GRID_POINTS).reshape(SPHERE_SECTORS, width),
         taylor.transpose(1, 2, 0).reshape(5, -1),
         2.0 / (1.0 + r[last, None] ** 2),
     )
-    for table in (grid.theta, grid.phi, grid.powers, grid.phase, grid.order, grid.den,
+    for table in (grid.theta, grid.phi, grid.powers, grid.phase, grid.den,
                   grid.columns, grid.taylor, grid.shrink):
         table.setflags(write=False)
     return grid
@@ -370,9 +372,13 @@ def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid,
     and I40 = sum_k c'_k r^k e^{-ik phi}; the common denominator (1 + r^2)^2
     depends on theta only. Since |I40| = |sum_k conj(c'_k r^k) e^{ik phi}|, a
     block's conj(c' r^k) rows stacked on its c r^k rows give both moduli in one
-    product with the phase table. A block with a live tile is one such
-    product, on the columns of its live sectors in ascending order, copied
-    from the table (ndarray.take, C-contiguous like the table). Its local
+    product with the phase table. Only a block with a live tile builds its
+    stacked rows, as its r^k rows times conj(c') and c in one broadcast
+    product (r^k conj(c'_k) is conj(c'_k r^k) up to the signs of zero parts,
+    which no modulus sees), and it is one such product, on the columns of
+    its live sectors in ascending order: the phase table itself where every
+    sector is live, otherwise its columns copied from it (ndarray.take,
+    C-contiguous like the table). Its local
     row-major order is the grid's, and its local index (j, l) is the flat
     index (start + j) GRID_POINTS + columns[l]. Blocks have SPHERE_BLOCK_ROWS rows
     and the full grid is never built; a later block replaces the best only
@@ -383,14 +389,20 @@ def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid,
     BLAS's matrix-vector path, which rounds differently).
     """
     c40, c04 = _endpoint_coefficients(inv)
-    stacked = np.concatenate(((grid.powers * c40).conj(), grid.powers * c04))[grid.order]
     live = _live_tiles(c40, c04, grid, threshold)
+    coefficients = np.array((c40, c04))[:, None, :]
+    np.conjugate(coefficients[0], out=coefficients[0])
     best_k, best = 0, math.inf
     for block in np.flatnonzero(live.any(axis=1)):
         start, stop = grid.blocks[block]
         rows = stop - start
-        columns = grid.columns[live[block]].ravel()
-        moduli = np.abs(stacked[2 * start:2 * stop] @ grid.phase.take(columns, axis=1))
+        stacked = (grid.powers[start:stop] * coefficients).reshape(2 * rows, 5)
+        if live[block].all():
+            columns, phase = range(GRID_POINTS), grid.phase
+        else:
+            columns = grid.columns[live[block]].ravel()
+            phase = grid.phase.take(columns, axis=1)
+        moduli = np.abs(stacked @ phase)
         moduli /= grid.den[2 * start:2 * stop]
         np.sqrt(moduli, out=moduli)
         sums = moduli[:rows] + moduli[rows:]
@@ -493,11 +505,9 @@ def classify_group(inv: ThreeQubitInvariantSet, three_way: float) -> str:
 
 
 def _nonzero_pattern(inv: ThreeQubitInvariantSet) -> frozenset:
-    scale = inv.scale()
-    labels = ("40", "31", "22", "13", "04")
-    return frozenset(
-        lab for lab, z in zip(labels, inv.as_array()) if abs(z) >= ZERO_PATTERN_TOL * scale
-    )
+    tol = ZERO_PATTERN_TOL * inv.scale()
+    entries = {"40": inv.i40, "31": inv.i31, "22": inv.i22, "13": inv.i13, "04": inv.i04}
+    return frozenset(lab for lab, z in entries.items() if abs(z) >= tol)
 
 
 def bound_closed_form(inv: ThreeQubitInvariantSet, case: str) -> BoundWitness:
@@ -562,9 +572,7 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
     solved = stars(inv)
     candidates = quartic_root_candidates(inv, solved=solved)
     methods.append(bound_quartic_A4(inv, candidates=candidates))
-    phi0, phi1 = state.amps[BRANCH_INDEX[traced]]
-    p0 = float(np.sum(np.abs(phi0) ** 2))
-    p1 = float(np.sum(np.abs(phi1) ** 2))
+    p0, p1 = (np.abs(state.amps[BRANCH_INDEX[traced]]) ** 2).sum(axis=1).tolist()
     if min(p0, p1) >= PROB_FLOOR and abs(p0 - p1) <= EQUAL_PROB_TOL:
         methods.append(bound_unitary_3q(inv, p0, p1, solved=solved))
     methods.append(bound_grid(inv, candidates=candidates))

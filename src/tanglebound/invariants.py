@@ -25,7 +25,12 @@ TRIPLES = {"A1A2A3": "A4", "A1A2A4": "A3", "A1A3A4": "A2"}
 
 @dataclass(frozen=True)
 class ThreeQubitInvariantSet:
-    """The five invariants for one traced qubit (A2, A3 or A4)."""
+    """The five invariants for one traced qubit (A2, A3 or A4).
+
+    ``invariant_set`` fills the five entries with Python ``complex`` numbers,
+    never numpy scalars, and scale() is a Python ``float``: every step after
+    the font gather is scalar arithmetic on Python numbers.
+    """
 
     traced: str
     i40: complex
@@ -42,7 +47,9 @@ class ThreeQubitInvariantSet:
         scale = self.__dict__.get("_scale")
         if scale is None:
             # not a field: equality, hashing and repr are unchanged
-            scale = self.__dict__["_scale"] = float(np.max(np.abs(self.as_array())))
+            scale = self.__dict__["_scale"] = float(max(
+                abs(self.i40), abs(self.i31), abs(self.i22), abs(self.i13), abs(self.i04)
+            ))
         return scale
 
 
@@ -83,24 +90,46 @@ def invariant_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
     return _set_from_fonts(fonts, traced)
 
 
-def _set_from_fonts(f: FontSet4, traced: str) -> ThreeQubitInvariantSet:
-    d2 = f.d2_A3A4
-    sA4_0 = f.d3_A4[0, 0] + f.d3_A4[1, 0]
-    sA4_1 = f.d3_A4[0, 1] + f.d3_A4[1, 1]
-    sA3_0 = f.d3_A3[0, 0] + f.d3_A3[1, 0]
-    sA3_1 = f.d3_A3[0, 1] + f.d3_A3[1, 1]
-    s4 = f.d4[0, 0] + f.d4[0, 1] + f.d4[1, 0] + f.d4[1, 1]
+def _square(z: complex) -> complex:
+    """z * z, as numpy squares a complex scalar: +0 for a zero z of either sign."""
+    return z * z if z else 0j
 
-    i40 = sA4_0 ** 2 - 4.0 * d2[1, 0] * d2[0, 0]
-    i31 = 0.5 * sA4_0 * s4 - (d2[1, 0] * sA3_0 + d2[0, 0] * sA3_1)
+
+def _divide(z: complex, f: float) -> complex:
+    """z / f for a real f > 0, as numpy divides a complex scalar by a real: both
+    parts times 1 / f, where Python's z / f divides them and rounds otherwise,
+    after adding the other part times 0, which decides the sign of a zero."""
+    k = 1.0 / f
+    return complex((z.real + z.imag * 0.0) * k, (z.imag - z.real * 0.0) * k)
+
+
+def _set_from_fonts(f: FontSet4, traced: str) -> ThreeQubitInvariantSet:
+    """The canonical A4 expressions on the fonts, read once into Python complex.
+
+    Complex sums and products round alike in Python and numpy; squares and
+    the division by 6 go through _square and _divide, so every entry is bit
+    for bit what numpy scalar arithmetic gives.
+    """
+    (d00, d01), (d10, d11) = f.d2_A3A4.tolist()
+    (a00, a01), (a10, a11) = f.d3_A4.tolist()
+    (b00, b01), (b10, b11) = f.d3_A3.tolist()
+    (e00, e01), (e10, e11) = f.d4.tolist()
+    sA4_0 = a00 + a10
+    sA4_1 = a01 + a11
+    sA3_0 = b00 + b10
+    sA3_1 = b01 + b11
+    s4 = e00 + e01 + e10 + e11
+
+    i40 = _square(sA4_0) - 4.0 * d10 * d00
+    i31 = 0.5 * sA4_0 * s4 - (d10 * sA3_0 + d00 * sA3_1)
     i22 = (
-        s4 ** 2 / 6.0
+        _divide(_square(s4), 6.0)
         - (2.0 / 3.0) * sA3_1 * sA3_0
         + (1.0 / 3.0) * sA4_0 * sA4_1
-        - (2.0 / 3.0) * (d2[1, 0] * d2[0, 1] + d2[0, 0] * d2[1, 1])
+        - (2.0 / 3.0) * (d10 * d01 + d00 * d11)
     )
-    i13 = 0.5 * s4 * sA4_1 - (d2[1, 1] * sA3_0 + sA3_1 * d2[0, 1])
-    i04 = sA4_1 ** 2 - 4.0 * d2[1, 1] * d2[0, 1]
+    i13 = 0.5 * s4 * sA4_1 - (d11 * sA3_0 + sA3_1 * d01)
+    i04 = _square(sA4_1) - 4.0 * d11 * d01
     return ThreeQubitInvariantSet(traced, i40, i31, i22, i13, i04)
 
 
@@ -132,7 +161,7 @@ def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[comple
     f40 = (((c40[4] * w + c40[3]) * w + c40[2]) * w + c40[1]) * w + c40[0]
     f04 = (((c04[4] * x + c04[3]) * x + c04[2]) * x + c04[1]) * x + c04[0]
     den = (1.0 + abs(x) ** 2) ** 2
-    return f40 / den, f04 / den
+    return _divide(f40, den), _divide(f04, den)
 
 
 def n48_i48(inv: ThreeQubitInvariantSet) -> tuple[float, complex]:
@@ -144,7 +173,7 @@ def n48_i48(inv: ThreeQubitInvariantSet) -> tuple[float, complex]:
         + abs(inv.i40) ** 2
         + abs(inv.i04) ** 2
     )
-    i48 = 3.0 * inv.i22 ** 2 - 4.0 * inv.i31 * inv.i13 + inv.i40 * inv.i04
+    i48 = 3.0 * _square(inv.i22) - 4.0 * inv.i31 * inv.i13 + inv.i40 * inv.i04
     return n48, i48
 
 

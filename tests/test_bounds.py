@@ -607,7 +607,7 @@ class TestSphereMin:
 
     def test_cached_tables_are_read_only_and_shared(self):
         grid = bounds._sphere_grid()
-        for name in ("theta", "phi", "powers", "phase", "order", "den", "taylor", "shrink"):
+        for name in ("theta", "phi", "powers", "phase", "den", "taylor", "shrink"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(grid, name)[0] = 0
         assert bounds._sphere_grid() is grid
@@ -1037,7 +1037,9 @@ class TestBestBound:
                  for spec in CLASS_GRID_SPECS for t in ("A4", "A3", "A2")]
         sets.append(synthetic_set())
         for inv in sets:
-            expected = float(np.max(np.abs(inv.as_array())))
+            # the scalar modulus abs(), equal for Python and numpy scalars;
+            # numpy's array modulus can differ from it in the last bit
+            expected = max(abs(inv.i40), abs(inv.i31), abs(inv.i22), abs(inv.i13), abs(inv.i04))
             assert inv.scale() == expected and type(inv.scale()) is float, inv
             assert inv.scale() is inv.scale()
 

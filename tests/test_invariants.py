@@ -1,5 +1,6 @@
 """Invariant sets, endpoint transforms, and degree-eight correlation measures."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -115,13 +116,13 @@ class TestInvariantSetTraced:
         assert abs(inv.i40) < 1e-14 and abs(inv.i31) < 1e-14 and abs(inv.i22) < 1e-14
 
     @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
-    def test_repr_equal_to_the_permute_then_reference_path(self, traced):
+    def test_fields_equal_to_the_permute_then_reference_path(self, traced):
         # the gathered fonts against the tensor-slice fonts of the state with
-        # the traced qubit moved last
+        # the traced qubit moved last, field by field and exactly
         for name, state in ORACLE_STATES.items():
             moved = permute_qubits(state, TRACE_PERMS[traced])
             expected = _set_from_fonts(reference_fonts4(moved), traced)
-            assert repr(invariant_set(state, traced)) == repr(expected), name
+            assert dataclasses.astuple(invariant_set(state, traced)) == dataclasses.astuple(expected), name
 
     def test_focus_qubit_cannot_be_traced(self):
         with pytest.raises(errors.BadQubitLabel):

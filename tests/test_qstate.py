@@ -67,6 +67,25 @@ class TestNormalize:
         np.testing.assert_allclose(s.amps[0b0101], np.exp(0.37j), atol=1e-14)
 
 
+class TestCheckNormalized:
+    """norm^2 within NORM_TOL = 1e-9 of 1 passes, further off raises."""
+
+    @pytest.mark.parametrize("cls, n", [(PureState3, 8), (PureState4, 16)])
+    @pytest.mark.parametrize("offset, passes", [(5e-10, True), (-5e-10, True),
+                                                (2e-9, False), (-2e-9, False)])
+    def test_tolerance(self, cls, n, offset, passes):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            state = cls(a * math.sqrt((1.0 + offset) / np.sum(np.abs(a) ** 2)))
+            assert state.norm_squared() == pytest.approx(1.0 + offset, abs=1e-15)
+            if passes:
+                qstate.check_normalized(state)
+            else:
+                with pytest.raises(errors.NotNormalized, match="norm"):
+                    qstate.check_normalized(state)
+
+
 class TestLocalUnitary:
     def test_identity_leaves_state(self):
         s = random_state(11)
