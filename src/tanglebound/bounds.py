@@ -220,6 +220,11 @@ SPHERE_SECTORS = 32
 #: C in the skipping margin C sqrt(u sum|c_m|) (_live_tiles): twice the 64
 #: that the rounding of the grid values and of the tile bounds can take
 _MARGIN_C = 128.0
+#: K in the flat-objective test E <= K u S (_flat): the largest K with
+#: 6 sqrt(K) + 32 <= _MARGIN_C, so 256
+_FLAT_K = ((_MARGIN_C - 32.0) / 6.0) ** 2
+#: the unit roundoff u of a float
+_U = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -349,11 +354,43 @@ def _live_tiles(c40, c04, grid: _SphereGrid, threshold: float) -> np.ndarray:
     np.sqrt(low, out=low)
     lower = (low[0] + low[1]).reshape(len(grid.blocks), -1)
     lower *= grid.shrink
-    margin = _MARGIN_C * math.sqrt(np.finfo(float).eps / 2.0 * sum(abs(c) for c in c04))
+    margin = _MARGIN_C * math.sqrt(_U * sum(abs(c) for c in c04))
     return lower <= threshold + margin
 
 
-def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid,
+def _flat(c04) -> bool:
+    """Whether f is the pole value on the whole sphere up to rounding: the
+    moduli |c04[m]| carry their weight on one end, and the other four sum to
+    E <= _FLAT_K u S, with S = sum_m |c_m| and u = 2^-53 as in _live_tiles.
+
+    The bound. Say the weight is on c04[4] = i40, a = |i40| (the other end is
+    the same with the roles of x and w = conj(x) swapped). On the evaluated
+    rows r = |x| < 1, so the I04 numerator sum_m c04[m] x^m is i40 x^4 plus
+    terms of modulus at most E, and the I40 numerator, whose coefficient
+    moduli are c04's reversed, is i40 plus terms of modulus at most E. With
+    |sqrt(A) - sqrt(B)| <= sqrt|A - B|, each endpoint's square root is within
+    sqrt(E) of sqrt(a) r^2 or sqrt(a), and
+    f = 2 (sqrt|I40| + sqrt|I04|) / (1 + r^2) >= 2 sqrt(a) - 4 sqrt(E).
+    The pole 2 (sqrt|i04| + sqrt|i40|) is at most 2 sqrt(a) + 2 sqrt(E), as
+    |i04| <= E, so f >= pole - 6 sqrt(E) >= T - 6 sqrt(E) on the whole sphere
+    (its other half mirrors the evaluated one), with T = min(pole, seed).
+    With E <= K u S that deviation is 6 sqrt(K) sqrt(u S), within the margin
+    _MARGIN_C sqrt(u S) for K <= (128 / 6)^2, about 455. The grid's own
+    values add their rounding: within 64 u S of the exact |P| / (1 + r^2)^2,
+    so within 8 sqrt(u S) on each endpoint's square root and 32 sqrt(u S) on
+    f (as derived in _live_tiles). So every value the full grid search could
+    find is at least T - (6 sqrt(K) + 32) sqrt(u S), and K = 256 is the
+    largest that keeps this within T - _MARGIN_C sqrt(u S). The rounding of E
+    and S themselves is a few u relative, far below. Sets with a single
+    nonzero endpoint invariant meet it up to the rounding of the others:
+    class IV on every triple, V on A1A2A3 and A1A3A4, VII and VIII.
+    """
+    m = [abs(c) for c in c04]
+    rest = m[1] + m[2] + m[3] + min(m[0], m[4])
+    return rest <= _FLAT_K * _U * (rest + max(m[0], m[4]))
+
+
+def _sphere_min(c40, c04, grid: _SphereGrid,
                 threshold: float = math.inf) -> tuple[int, float]:
     """First minimum, in row-major order, of f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|)
     at x = tan(theta_j/2) e^{i phi_l} over the grid's evaluated rows:
@@ -386,9 +423,9 @@ def _sphere_min(inv: ThreeQubitInvariantSet, grid: _SphereGrid,
     of square roots are compared undoubled and only the chosen one is doubled
     (exactly). Every block has several rows and every sector several columns,
     so every value equals the full-grid product's (a 1-row product would take
-    BLAS's matrix-vector path, which rounds differently).
+    BLAS's matrix-vector path, which rounds differently). ``c40``, ``c04`` are
+    the set's _endpoint_coefficients.
     """
-    c40, c04 = _endpoint_coefficients(inv)
     live = _live_tiles(c40, c04, grid, threshold)
     coefficients = np.array((c40, c04))[:, None, :]
     np.conjugate(coefficients[0], out=coefficients[0])
@@ -440,11 +477,17 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     rounding margin (_live_tiles). A skipped tile holds only values above T,
     so it could neither lower the minimum nor tie with it: value, witness and
     tie rule are those of the full search. On random states about 6 of the 288
-    tiles (median 4), in 2-3 of the 9 blocks, are left to evaluate. Where only
-    one of the five invariants, i40 or i04, is nonzero (up to rounding), f is
-    constant at the pole value, every tile ties with T and none is skipped:
-    class IV on every triple, V on A1A2A3 and A1A3A4, VII and VIII, so the
-    class sweeps IV and V on A1A2A3 evaluate all 288 tiles.
+    tiles (median 4), in 2-3 of the 9 blocks, are left to evaluate.
+
+    No tile is evaluated, and the value is T^2 with the pole's or the seed's
+    witness, where no grid value can beat T: where T = 0, as f >= 0, and where
+    the objective is flat (_flat), that is, where the endpoint coefficients'
+    moduli other than the largest end's sum to at most 256 u S (u = 2^-53,
+    S = sum_m |c_m|). There f is the pole value up to 6 sqrt(256 u S) on the
+    sphere, and the full search could find a grid value at most
+    _MARGIN_C sqrt(u S) below T, which is rounding: class IV on every triple,
+    V on A1A2A3 and A1A3A4, VII and VIII, where all 288 tiles would tie with
+    T, and class III on A1A2A3 and A1A3A4 and VI, where T = 0.
     """
     if inv.scale() == 0.0:
         return BoundWitness("grid", 0.0, None, (), None)
@@ -457,7 +500,13 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     seed = 2.0 * math.sqrt(value / 4.0)
 
     grid = _sphere_grid()
-    k, best = _sphere_min(inv, grid, min(pole, seed))
+    threshold = min(pole, seed)
+    c40, c04 = _endpoint_coefficients(inv)
+    if threshold == 0.0 or _flat(c04):
+        # no grid value can beat T: as if no tile were evaluated
+        k, best = 0, math.inf
+    else:
+        k, best = _sphere_min(c40, c04, grid, threshold)
     j, l = divmod(k, GRID_POINTS)
     best_theta = float(grid.theta[j])
     best_phi = float(grid.phi[l])
@@ -540,9 +589,29 @@ def bound_closed_form(inv: ThreeQubitInvariantSet, case: str) -> BoundWitness:
     return BoundWitness("closed_form", value, None, (), case)
 
 
+#: relative tolerance on N48 below which bound_cap reads N48 - 2|I48| as 0:
+#: 32 u, above the 18 u that n48_i48's rounding can take
+_CAP_TOL = 32.0 * _U
+
+
 def bound_cap(summary: CorrelationSummary) -> BoundWitness:
-    """Universal cap 4 sqrt(N48 - 2|I48|); every other bound sits below it."""
-    value = 4.0 * math.sqrt(max(0.0, summary.n48 - 2.0 * abs(summary.i48)))
+    """Universal cap 4 sqrt(N48 - 2|I48|); every other bound sits below it.
+
+    N48 - 2|I48| >= 0 exactly: 2|I48| <= 6|i22|^2 + 8|i31||i13| + 2|i40||i04|,
+    which is at most N48 by 2ab <= a^2 + b^2. n48_i48 computes it within
+    18 u N48 (u = 2^-53). Each term of N48 is within 6 u (abs, the square, the
+    product by 6), and the four sums of nonnegative terms add 4 u, so N48 is
+    within 10 u N48. Each product in I48 is within 4 u of the product of the
+    moduli, and the two sums and the modulus add 4 u of
+    M = 3|i22|^2 + 4|i31||i13| + |i40||i04|, so 2|I48| is within
+    16 u M <= 8 u N48. The subtraction is exact near 0. So a difference at or below
+    _CAP_TOL N48 = 32 u N48 is rounding of 0, which the square root would
+    print as up to about 4 sqrt(32 u N48), and the cap reads 0 there. Real
+    differences sit far above it: at least 0.08 N48 on the class draws and
+    0.005 N48 on 9,000 sets of random states.
+    """
+    residual = summary.n48 - 2.0 * abs(summary.i48)
+    value = 4.0 * math.sqrt(residual) if residual > _CAP_TOL * summary.n48 else 0.0
     return BoundWitness("cap", value, None, (), None)
 
 

@@ -373,9 +373,10 @@ class TestGridBound:
         assert bound_grid(inv).value == pytest.approx(4.0 / 9.0, abs=1e-6)
 
     def test_constant_objective_only_i40(self):
-        # with a single endpoint invariant the objective is flat: any x works
+        # with a single endpoint invariant the objective is flat: any x works,
+        # and the pole's value is returned exactly
         inv = synthetic_set(i40=0.25)
-        assert bound_grid(inv).value == pytest.approx(1.0, rel=1e-9)
+        assert bound_grid(inv).value == 1.0
 
 
 def reference_sum_sqrt(inv, xs):
@@ -537,9 +538,9 @@ class TestGridMatchesReference:
         sphere_rows = []
         sphere_min = bounds._sphere_min
 
-        def recording(inv, grid, threshold=math.inf):
+        def recording(c40, c04, grid, threshold=math.inf):
             sphere_rows.append(len(grid.powers))
-            return sphere_min(inv, grid, threshold)
+            return sphere_min(c40, c04, grid, threshold)
 
         monkeypatch.setattr(bounds, "_sphere_min", recording)
         for inv, is_class in grid_comparison_sets(family):
@@ -592,7 +593,8 @@ class TestSphereMin:
         for inv, _ in grid_comparison_sets(family):
             vals = sphere_values(inv, theta[:128], phi)
             k = int(np.argmin(vals))
-            assert bounds._sphere_min(inv, grid) == (k, vals.flat[k]), inv
+            c40, c04 = _endpoint_coefficients(inv)
+            assert bounds._sphere_min(c40, c04, grid) == (k, vals.flat[k]), inv
 
     def test_default_grid_builds_no_full_grid_array(self):
         # one (128, 256) complex product of the half sphere is 512 KiB
@@ -621,17 +623,20 @@ class TestSphereMin:
         assert warm == cold
 
 
-def full_grid_bound(inv, n_theta, n_phi, candidates=None) -> BoundWitness:
+def full_grid_bound(inv, n_theta, n_phi, candidates=None, sphere=True) -> BoundWitness:
     """bound_grid written out on the whole half-sphere array at once: first
-    argmin, then the pole, then the quartic seeds, value = min^2."""
+    argmin, then the pole, then the quartic seeds, value = min^2. With
+    ``sphere`` false the grid is left out: min(pole, seeds)^2."""
     if inv.scale() == 0.0:
         return BoundWitness("grid", 0.0, None, (), None)
-    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
-    vals = sphere_values(inv, theta[:rows], phi)
-    j, l = divmod(int(np.argmin(vals)), n_phi)
-    best, best_theta, best_phi = float(vals[j, l]), float(theta[j]), float(phi[l])
+    best, best_theta, best_phi = math.inf, 0.0, 0.0
+    if sphere:
+        theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        rows = (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
+        vals = sphere_values(inv, theta[:rows], phi)
+        j, l = divmod(int(np.argmin(vals)), n_phi)
+        best, best_theta, best_phi = float(vals[j, l]), float(theta[j]), float(phi[l])
     pole = 2.0 * (math.sqrt(abs(inv.i04)) + math.sqrt(abs(inv.i40)))
     if pole < best:
         best, best_theta, best_phi = pole, 0.0, 0.0
@@ -647,19 +652,63 @@ def full_grid_bound(inv, n_theta, n_phi, candidates=None) -> BoundWitness:
     return BoundWitness("grid", best ** 2, witness, (), None)
 
 
+#: K of the flat-objective skip: the largest K with 6 sqrt(K) + 32 <= 128
+FLAT_K = 256
+
+
+def pole_and_seed(inv, candidates=None):
+    """The pole value and the least quartic candidate's value of f, infinity
+    without candidates."""
+    pole = 2.0 * (math.sqrt(abs(inv.i04)) + math.sqrt(abs(inv.i40)))
+    if candidates is None:
+        candidates = bounds.quartic_root_candidates(inv)
+    seed = 2.0 * math.sqrt(candidates[0][0] / 4.0) if candidates else math.inf
+    return pole, seed
+
+
+def sphere_skipped(inv, candidates=None):
+    """Whether bound_grid leaves the sphere out on a set with content: where
+    T = min(pole, seed) is 0, or where the moduli of the I04 numerator's
+    coefficients other than its larger end sum to at most FLAT_K u S."""
+    moduli = [abs(c) for c in _endpoint_coefficients(inv)[1]]
+    rest = sum(moduli) - max(moduli[0], moduli[4])
+    return min(pole_and_seed(inv, candidates)) == 0.0 or rest <= FLAT_K * 2.0 ** -53 * sum(moduli)
+
+
+def assert_grid_contract(inv, candidates=None):
+    """bound_grid's value and witness: the full grid search's, bit for bit, or,
+    where the sphere is skipped, exactly min(pole, seed)^2 at the pole's or the
+    seed's point, with the full search's grid minimum at most the skipping
+    margin below min(pole, seed)."""
+    new = bound_grid(inv, candidates=candidates)
+    if not sphere_skipped(inv, candidates):
+        assert repr(new) == repr(full_grid_bound(inv, 256, 256, candidates=candidates)), inv
+        return
+    threshold = min(pole_and_seed(inv, candidates))
+    assert new.value == threshold ** 2, inv
+    assert repr(new) == repr(full_grid_bound(inv, 256, 256, candidates=candidates, sphere=False))
+    theta = np.pi * (np.arange(128) + 0.5) / 256
+    phi = 2.0 * np.pi * np.arange(256) / 256
+    assert sphere_values(inv, theta, phi).min() >= threshold - skipping_margin(inv), inv
+
+
 class TestGridComposition:
     """bound_grid is min(sphere minimum, pole, seeds)^2, bit for bit, with the
-    witness tan(theta/2) e^{i phi} at the point that attains it."""
+    witness tan(theta/2) e^{i phi} at the point that attains it, except where
+    no grid value can beat the pole or seed: there it is that value."""
 
     @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
     @pytest.mark.parametrize("family", GRID_FAMILIES)
     def test_repr_equal_to_the_full_grid_search(self, family, seeded):
-        # unseeded, the sphere or the pole decides; seeded, mostly a quartic root
+        # unseeded, the sphere or the pole decides; seeded, mostly a quartic
+        # root. The class families hold flat sets (IV, V) and zero thresholds
+        # (III on A1A2A3 and A1A3A4), whose search is skipped
         candidates = None if seeded else []
+        skipped = 0
         for inv, _ in grid_comparison_sets(family):
-            new = bound_grid(inv, candidates=candidates)
-            old = full_grid_bound(inv, 256, 256, candidates=candidates)
-            assert repr(new) == repr(old), inv
+            assert_grid_contract(inv, candidates)
+            skipped += sphere_skipped(inv, candidates)
+        assert skipped == {"class_A4": 7, "class_A3": 4, "class_A2": 7}.get(family, 0)
 
     def test_seeded_search_equals_the_quartic_bound(self):
         # the seeds put the grid at or below the quartic bound and the sphere
@@ -670,15 +719,21 @@ class TestGridComposition:
             assert values_agree(bound_grid(inv).value, q), (inv, bound_grid(inv).value, q)
 
 
+def class_draw_sets():
+    """(class id, triple, invariant set) of two draws of every class I-IX on
+    every supported triple."""
+    rng = np.random.default_rng(9)
+    specs = [spec_from_values(c, *rng.uniform(0.2, 2.0, len(CLASS_PARAMS[c])))
+             for c in CLASS_IDS for _ in range(2)]
+    return [(spec.id, t, invariant_set(representative(spec), traced_qubit_of(t)))
+            for spec in specs for t in SUPPORTED_TRIPLES]
+
+
 def skipping_sets():
     """Class draws I-IX on every supported triple and the edge sets of the
     block skipping: f constant (only i40), i40 below SCALE_TOL times the scale
     (an I04 root at infinity), and an I04 root on |x| = 1."""
-    rng = np.random.default_rng(9)
-    specs = [spec_from_values(c, *rng.uniform(0.2, 2.0, len(CLASS_PARAMS[c])))
-             for c in CLASS_IDS for _ in range(2)]
-    sets = [invariant_set(representative(spec), traced_qubit_of(t))
-            for spec in specs for t in SUPPORTED_TRIPLES]
+    sets = [inv for _, _, inv in class_draw_sets()]
     sets.append(synthetic_set(i40=0.25))
     sets.append(synthetic_set(i40=3e-13, i31=0.2 + 0.1j, i22=-0.3j, i13=0.4, i04=0.5 - 0.2j))
     a = np.poly([cmath.exp(0.7j), 0.3 + 0.2j, -1.5 + 0.5j, 2j])[::-1]
@@ -744,37 +799,75 @@ def tile_minima(vals):
 class TestSphereSkipping:
     """_sphere_min skips only tiles whose every grid value is above the
     threshold, the smallest of the pole and seed values, so bound_grid's output
-    is that of the full search."""
+    is that of the full search; bound_grid skips the whole search, with no
+    _live_tiles call, where no grid value can beat that threshold."""
 
     THETA = np.pi * (np.arange(256) + 0.5) / 256
     PHI = 2.0 * np.pi * np.arange(256) / 256
 
-    def assert_skipped_tiles_are_above_the_threshold(self, sets, calls):
-        # one call per set, in order
-        assert len(calls) == len(sets)
-        for inv, (threshold, live) in zip(sets, calls):
+    def assert_skipped_tiles_are_above_the_threshold(self, sets, calls, candidates=None):
+        # one call per set whose search is not skipped, in order, and none
+        # for the others
+        searched = [inv for inv in sets if not sphere_skipped(inv, candidates)]
+        assert len(calls) == len(searched)
+        for inv, (threshold, live) in zip(searched, calls):
+            assert threshold == min(pole_and_seed(inv, candidates)), inv
             minima = tile_minima(sphere_values(inv, self.THETA[:128], self.PHI))
             assert live.shape == minima.shape == (9, 32)
             assert (minima[~live] > threshold).all(), (inv, threshold)
 
     @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
     def test_skipped_tiles_on_the_comparison_sets(self, seeded, monkeypatch):
+        candidates = None if seeded else []
         sets = [inv for inv, _ in grid_comparison_sets() if inv.scale() > 0.0]
         calls = record_live_tiles(monkeypatch)
         for inv in sets:
-            bound_grid(inv, candidates=None if seeded else [])
+            bound_grid(inv, candidates=candidates)
         assert len(sets) == 82
-        self.assert_skipped_tiles_are_above_the_threshold(sets, calls)
+        assert sum(sphere_skipped(inv, candidates) for inv in sets) == 16
+        self.assert_skipped_tiles_are_above_the_threshold(sets, calls, candidates)
 
     def test_skipped_tiles_on_class_draws_and_edge_sets(self, monkeypatch):
-        # the search still returns the full search's value and witness
+        # the search still returns the full search's value and witness, or
+        # where it is skipped the pole's or the seed's
         sets = skipping_sets()
         nonzero = [inv for inv in sets if inv.scale() > 0.0]
         assert len(nonzero) == len(sets) - 6   # class IX sets are all zero
         calls = record_live_tiles(monkeypatch)
         for inv in nonzero:
-            assert repr(bound_grid(inv)) == repr(full_grid_bound(inv, 256, 256)), inv
+            assert_grid_contract(inv)
+        # every call above came from bound_grid: assert_grid_contract's
+        # references do not call _live_tiles
         self.assert_skipped_tiles_are_above_the_threshold(nonzero, calls)
+        assert sum(sphere_skipped(inv) for inv in nonzero) == 33
+
+    def test_skip_fires_on_the_single_endpoint_class_draws(self, monkeypatch):
+        # flat where only i40 or only i04 is nonzero up to rounding: class IV
+        # on every triple, V on A1A2A3 and A1A3A4, VII and VIII; T = 0 on
+        # class III on A1A2A3 and A1A3A4 and on VI. Everywhere else, and on
+        # the all-zero class IX sets, which return before the grid, the
+        # sphere is searched
+        flat = {("IV", t) for t in SUPPORTED_TRIPLES} | {("V", "A1A2A3"), ("V", "A1A3A4")}
+        flat |= {(c, t) for c in ("VII", "VIII") for t in SUPPORTED_TRIPLES}
+        zero = {("III", "A1A2A3"), ("III", "A1A3A4")} | {("VI", t) for t in SUPPORTED_TRIPLES}
+        calls = record_live_tiles(monkeypatch)
+        for class_id, triple, inv in class_draw_sets():
+            del calls[:]
+            bound_grid(inv)
+            skipped = not calls and class_id != "IX"
+            assert skipped == ((class_id, triple) in flat | zero), (class_id, triple)
+            if (class_id, triple) in flat:
+                assert bounds._nonzero_pattern(inv) in ({"40"}, {"04"}), (class_id, triple)
+            if (class_id, triple) in zero:
+                assert min(pole_and_seed(inv)) == 0.0, (class_id, triple)
+
+    @pytest.mark.parametrize("triple", SUPPORTED_TRIPLES)
+    def test_skip_never_fires_on_random_states(self, triple, monkeypatch):
+        calls = record_live_tiles(monkeypatch)
+        traced = traced_qubit_of(triple)
+        for k in range(300):
+            bound_grid(invariant_set(random_state(k), traced))
+        assert len(calls) == 300
 
     def test_tile_bounds_match_the_reference(self):
         # a tile is evaluated exactly when its bound is within the margin of
@@ -811,11 +904,13 @@ class TestSphereSkipping:
         assert len(calls) == 90
         assert sum(int(live.sum()) for _, live in calls) <= 8 * 90
 
-    def test_constant_objective_evaluates_every_tile(self, monkeypatch):
-        # f = 2 sqrt|i40| everywhere: every tile ties with the pole
+    def test_constant_objective_evaluates_no_tile(self, monkeypatch):
+        # f = 2 sqrt|i40| everywhere: no grid value can beat the pole, whose
+        # value and witness are returned exactly
         calls = record_live_tiles(monkeypatch)
-        bound_grid(synthetic_set(i40=0.25))
-        assert len(calls) == 1 and calls[0][1].all()
+        grid = bound_grid(synthetic_set(i40=0.25))
+        assert calls == []
+        assert grid.value == 1.0 and grid.witness_x == 0j
 
     def test_live_tiles_apart_in_one_block_map_back_to_their_columns(self, monkeypatch):
         # |I04| = |x^4 - e^{i alpha}| and |I40| have four minima a quarter turn
@@ -938,7 +1033,7 @@ class TestCap:
         spec = spec_from_values("I", *[complex(v) for v in RNG.uniform(0.2, 2, 4)])
         state = representative(spec)
         summary = correlation_summary(state, "A1A2A3")
-        assert bound_cap(summary).value < 1e-9
+        assert bound_cap(summary).value == 0.0
 
     def test_class_two_cap_is_four_i40(self):
         state = representative(ClassSpec("II", a=1.1 + 0.3j, d=0.7 - 0.4j, c=0.9 + 0j))
@@ -954,6 +1049,37 @@ class TestCap:
         report = best_bound(state, "A1A2A3")
         assert bound_cap(summary).value == pytest.approx(4 * abs(inv.i04), rel=1e-10)
         assert report.best == pytest.approx(bound_cap(summary).value, rel=1e-9)
+
+    def test_rounding_of_a_zero_difference_reads_zero(self):
+        # where N48 - 2|I48| is 0 its rounding, at most 4 u N48 here, would
+        # print as a cap of 4e-11 to 3.7e-9 on 94 of the class-draw reports
+        # (classes I, III and VI); every other cap is the unclamped formula
+        # bit for bit, on a difference far above the clamp
+        clamped = []
+        for draw in class_draws(50):
+            for spec in draw:
+                state = representative(spec)
+                for triple in SUPPORTED_TRIPLES:
+                    summary = correlation_summary(state, triple)
+                    residual = summary.n48 - 2.0 * abs(summary.i48)
+                    unclamped = 4.0 * math.sqrt(max(0.0, residual))
+                    cap = bound_cap(summary).value
+                    if 0.0 < unclamped <= 4e-9:
+                        assert cap == 0.0 and residual <= 4 * 2.0 ** -53 * summary.n48
+                        clamped.append(spec.id)
+                        continue
+                    assert cap == unclamped, (spec, triple)
+                    assert cap == 0.0 or residual >= 0.08 * summary.n48, (spec, triple)
+        assert len(clamped) == 94 and set(clamped) == {"I", "III", "VI"}
+
+    def test_random_state_caps_unchanged_by_the_clamp(self):
+        for k in range(300):
+            state = random_state(k)
+            for triple in SUPPORTED_TRIPLES:
+                summary = correlation_summary(state, triple)
+                residual = summary.n48 - 2.0 * abs(summary.i48)
+                assert bound_cap(summary).value == 4.0 * math.sqrt(residual), (k, triple)
+                assert residual >= 0.01 * summary.n48, (k, triple)
 
 
 class TestBestBound:
