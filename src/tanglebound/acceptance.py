@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from . import bounds, classes, invariants, qstate, quartic, rank2
+from .errors import NotPrinted
 
 BASE_SEED = 20240817
 
@@ -96,20 +97,14 @@ def criterion_2(draws: int = 50) -> dict:
     t0 = time.time()
     failures = []
     improved = {"II": False, "III": False}
-    compare = {
-        "II": ("A1A2A3", "A1A2A4", "A1A3A4"),
-        "III": ("A1A2A4",),
-        "IV": ("A1A2A3", "A1A2A4", "A1A3A4"),
-        "V": ("A1A2A3", "A1A3A4"),
-    }
     for specs in class_draws(draws):
         for spec in specs:
-            triples = compare.get(spec.id)
-            if triples is None:
-                continue
             state = classes.representative(spec)
-            for triple in triples:
-                ref = classes.literature_bound(spec, triple, "regu")
+            for triple in classes.SUPPORTED_TRIPLES:
+                try:
+                    ref = classes.literature_bound(spec, triple, "regu")
+                except NotPrinted:
+                    continue
                 best = bounds.best_bound(state, triple).best
                 if best > ref + 1e-8:
                     failures.append(
@@ -247,7 +242,7 @@ def branch_pair_value(state: qstate.PureState4, traced: str) -> float:
     4 (sqrt|I40| + sqrt|I04|)^2.
     """
     if traced != "A4":
-        state = qstate.permute_qubits(state, invariants.TRACE_PERMS[traced])
+        state = qstate.permute_qubits(state, qstate.TRACE_PERMS[traced])
     return rank2._realized_value(rank2._two_member_decomposition(state, None))
 
 

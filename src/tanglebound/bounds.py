@@ -159,6 +159,23 @@ def bound_quartic_A4(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWi
 # unitary on the three-qubit branch pair
 # ---------------------------------------------------------------------------
 
+def branch_pair_stars(xs, p0: float, p1: float) -> list[complex]:
+    """The stars t_j = sqrt(p1/p0) / x_j of the branch pair's f40 quartic, one
+    for each star x_j of the set's endpoint quartic (``xs``, the finite ones,
+    from stars), unsorted.
+
+    Two conventions map the stars that have no finite quotient. Each of the
+    4 - len(xs) stars at infinity, which quartic.roots dropped from the set's
+    quartic, gives t = 0 exactly. A star at x = 0 gives no t: its branch-pair
+    star is at infinity, the state v1 of the pair. So a star that the set's
+    quartic drops near a degree drop reaches the pair at t = 0, whose antipode
+    is infinite, where the pair's own solve would find a tiny root t with a
+    finite antipode.
+    """
+    ratio = math.sqrt(p1 / p0)
+    return [ratio / x for x in xs if x] + [0j] * (4 - len(xs))
+
+
 def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float, *,
                      solved=None) -> BoundWitness:
     """Endpoint-zeroing bound on the branch decomposition with probabilities p0, p1.
@@ -166,8 +183,8 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float, *,
     The branch pair's endpoint forms f40(y), f04(y) carry the coefficients
     i40/p0^2, 4 i31/sqrt(p0^3 p1), 6 i22/(p0 p1), 4 i13/sqrt(p0 p1^3),
     i04/p1^2: f40's numerator is the set's I04 numerator reversed and scaled,
-    so its stars are t_j = sqrt(p1/p0) / x_j for the set's stars x_j
-    (``solved``, or stars(inv)). They zero f40, their antipodes zero f04, and
+    so its stars are branch_pair_stars of the set's stars (``solved``, or
+    stars(inv)). They zero f40, their antipodes zero f04, and
     the value is min(4 p0^2 |f04(t)|, 4 p1^2 |f40(-1/conj t)|) over all of
     them. Requires both probabilities strictly positive; coincides with
     bound_quartic_A4 when p0 = p1.
@@ -189,8 +206,7 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float, *,
     # the f40 quartic's own degree drop, as quartic.roots would take it
     tol = SCALE_TOL * max(abs(a) for a in c)
     d = max(m for m, a in enumerate(c) if abs(a) >= tol)
-    ratio = math.sqrt(p1 / p0)
-    ts = sorted([ratio / x for x in xs if x] + [0j] * (4 - len(xs)), key=abs)[:d]
+    ts = sorted(branch_pair_stars(xs, p0, p1), key=abs)[:d]
     # zeroing f40 leaves weight p0^2 on f04, zeroing f04 leaves p1^2 on f40
     cands = _star_candidates(c, abs(c[d]), ts, p0 ** 2, p1 ** 2)
     value, y = cands[0]
@@ -220,9 +236,6 @@ SPHERE_SECTORS = 32
 #: C in the skipping margin C sqrt(u sum|c_m|) (_live_tiles): twice the 64
 #: that the rounding of the grid values and of the tile bounds can take
 _MARGIN_C = 128.0
-#: K in the flat-objective test E <= K u S (_flat): the largest K with
-#: 6 sqrt(K) + 32 <= _MARGIN_C, so 256
-_FLAT_K = ((_MARGIN_C - 32.0) / 6.0) ** 2
 #: the unit roundoff u of a float
 _U = 2.0 ** -53
 
@@ -358,38 +371,6 @@ def _live_tiles(c40, c04, grid: _SphereGrid, threshold: float) -> np.ndarray:
     return lower <= threshold + margin
 
 
-def _flat(c04) -> bool:
-    """Whether f is the pole value on the whole sphere up to rounding: the
-    moduli |c04[m]| carry their weight on one end, and the other four sum to
-    E <= _FLAT_K u S, with S = sum_m |c_m| and u = 2^-53 as in _live_tiles.
-
-    The bound. Say the weight is on c04[4] = i40, a = |i40| (the other end is
-    the same with the roles of x and w = conj(x) swapped). On the evaluated
-    rows r = |x| < 1, so the I04 numerator sum_m c04[m] x^m is i40 x^4 plus
-    terms of modulus at most E, and the I40 numerator, whose coefficient
-    moduli are c04's reversed, is i40 plus terms of modulus at most E. With
-    |sqrt(A) - sqrt(B)| <= sqrt|A - B|, each endpoint's square root is within
-    sqrt(E) of sqrt(a) r^2 or sqrt(a), and
-    f = 2 (sqrt|I40| + sqrt|I04|) / (1 + r^2) >= 2 sqrt(a) - 4 sqrt(E).
-    The pole 2 (sqrt|i04| + sqrt|i40|) is at most 2 sqrt(a) + 2 sqrt(E), as
-    |i04| <= E, so f >= pole - 6 sqrt(E) >= T - 6 sqrt(E) on the whole sphere
-    (its other half mirrors the evaluated one), with T = min(pole, seed).
-    With E <= K u S that deviation is 6 sqrt(K) sqrt(u S), within the margin
-    _MARGIN_C sqrt(u S) for K <= (128 / 6)^2, about 455. The grid's own
-    values add their rounding: within 64 u S of the exact |P| / (1 + r^2)^2,
-    so within 8 sqrt(u S) on each endpoint's square root and 32 sqrt(u S) on
-    f (as derived in _live_tiles). So every value the full grid search could
-    find is at least T - (6 sqrt(K) + 32) sqrt(u S), and K = 256 is the
-    largest that keeps this within T - _MARGIN_C sqrt(u S). The rounding of E
-    and S themselves is a few u relative, far below. Sets with a single
-    nonzero endpoint invariant meet it up to the rounding of the others:
-    class IV on every triple, V on A1A2A3 and A1A3A4, VII and VIII.
-    """
-    m = [abs(c) for c in c04]
-    rest = m[1] + m[2] + m[3] + min(m[0], m[4])
-    return rest <= _FLAT_K * _U * (rest + max(m[0], m[4]))
-
-
 def _sphere_min(c40, c04, grid: _SphereGrid,
                 threshold: float = math.inf) -> tuple[int, float]:
     """First minimum, in row-major order, of f(x) = 2 (sqrt|I40(x)| + sqrt|I04(x)|)
@@ -480,14 +461,25 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     tiles (median 4), in 2-3 of the 9 blocks, are left to evaluate.
 
     No tile is evaluated, and the value is T^2 with the pole's or the seed's
-    witness, where no grid value can beat T: where T = 0, as f >= 0, and where
-    the objective is flat (_flat), that is, where the endpoint coefficients'
-    moduli other than the largest end's sum to at most 256 u S (u = 2^-53,
-    S = sum_m |c_m|). There f is the pole value up to 6 sqrt(256 u S) on the
-    sphere, and the full search could find a grid value at most
-    _MARGIN_C sqrt(u S) below T, which is rounding: class IV on every triple,
-    V on A1A2A3 and A1A3A4, VII and VIII, where all 288 tiles would tie with
-    T, and class III on A1A2A3 and A1A3A4 and VI, where T = 0.
+    witness, where a floor of f on the whole sphere reaches T up to rounding:
+    F >= T - (_MARGIN_C - 32) sqrt(u S), with u = 2^-53 and S = sum_m |c_m|.
+    The floor. Let a be the larger of the end moduli |c04[0]|, |c04[4]| and E
+    the sum of the other four. Say a = |c04[4]| (the other end swaps the roles
+    of x and conj(x)). On the evaluated rows r = |x| < 1 the I04 numerator
+    sum_m c04[m] x^m is c04[4] x^4 plus terms of modulus at most E, and the
+    I40 numerator, whose coefficient moduli are c04's reversed, is a term of
+    modulus a plus terms of modulus at most E. As sqrt(max(0, A - E)) >=
+    sqrt(A) - sqrt(E), sqrt|I04 numerator| >= sqrt(a) r^2 - sqrt(E) and
+    sqrt|I40 numerator| >= sqrt(a) - sqrt(E), so
+    f = 2 (sqrt|I40| + sqrt|I04|) >= 2 sqrt(a) - 4 sqrt(E) / (1 + r^2), and
+    F = max(0, 2 sqrt(a) - 4 sqrt(E)) <= f on the whole sphere, whose other
+    half mirrors the evaluated one. The grid values are within 32 sqrt(u S)
+    of f (_live_tiles), so the full search could find none more than
+    _MARGIN_C sqrt(u S) below T; F's own rounding is of order u sqrt(S). The
+    rule fires where T = 0 (F >= 0), and where f is flat, E <= 256 u S: the
+    pole is at most 2 sqrt(a) + 2 sqrt(E), so T - F <= 6 sqrt(E)
+    <= 96 sqrt(u S). That is class I, whose T is rounding of 0, class III on
+    A1A2A3 and A1A3A4, IV, V on A1A2A3 and A1A3A4, VI, VII and VIII.
     """
     if inv.scale() == 0.0:
         return BoundWitness("grid", 0.0, None, (), None)
@@ -502,7 +494,10 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     grid = _sphere_grid()
     threshold = min(pole, seed)
     c40, c04 = _endpoint_coefficients(inv)
-    if threshold == 0.0 or _flat(c04):
+    m = [abs(c) for c in c04]
+    end, rest = max(m[0], m[4]), m[1] + m[2] + m[3] + min(m[0], m[4])
+    floor = max(0.0, 2.0 * math.sqrt(end) - 4.0 * math.sqrt(rest))
+    if floor >= threshold - (_MARGIN_C - 32.0) * math.sqrt(_U * (end + rest)):
         # no grid value can beat T: as if no tile were evaluated
         k, best = 0, math.inf
     else:

@@ -104,16 +104,10 @@ def _class_cell(spec: classes.ClassSpec, triple: str) -> dict:
 
 
 def _cmd_classes(args) -> int:
-    values = []
-    for name in classes.CLASS_PARAMS[args.id]:
-        raw = getattr(args, name)
-        if raw is None:
-            raise TangleboundError(f"class {args.id} requires --{name}")
-        values.append(parse_complex(raw))
-    for name in ("a", "b", "c", "d"):
-        if name not in classes.CLASS_PARAMS[args.id] and getattr(args, name) is not None:
-            raise TangleboundError(f"class {args.id} does not take --{name}")
-    spec = classes.spec_from_values(args.id, *values)
+    # ClassSpec rejects a missing or superfluous parameter (BadArity)
+    given = {name: parse_complex(getattr(args, name)) for name in ("a", "b", "c", "d")
+             if getattr(args, name) is not None}
+    spec = classes.ClassSpec(args.id, **given)
     _emit(_class_cell(spec, args.triple), args.output)
     return 0
 

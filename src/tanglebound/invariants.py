@@ -17,7 +17,6 @@ import numpy as np
 from .errors import BadQubitLabel, NonFinite
 from .fonts import FontSet4, compute_fonts3, compute_fonts4
 from .qstate import PureState3, PureState4, check_normalized
-from .qstate import TRACE_PERMS  # noqa: F401  (read as invariants.TRACE_PERMS)
 
 #: triple of kept qubits -> label of the traced qubit
 TRIPLES = {"A1A2A3": "A4", "A1A2A4": "A3", "A1A3A4": "A2"}
@@ -81,7 +80,7 @@ def invariant_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
 
     The canonical A4 expressions are evaluated on the fonts of the state with
     the traced qubit moved to position 4 (A1 stays first, the rest keep
-    ascending order; ``TRACE_PERMS``). ``compute_fonts4`` gathers those fonts
+    ascending order; ``qstate.TRACE_PERMS``). ``compute_fonts4`` gathers those fonts
     from the state's own amplitudes, so no permuted state is built; it also
     rejects any other label (BadQubitLabel), before the norm is checked.
     """

@@ -31,6 +31,7 @@ from .bounds import (
     BoundWitness,
     bound_quartic_A4,
     bound_unitary_3q,
+    branch_pair_stars,
     quartic_root_candidates,
     stars,
 )
@@ -173,11 +174,11 @@ def _zero_tangle_mixture(p0, p1, v0, v1, xs) -> Decomposition | None:
     """Mixture of the zero-tangle root states reconstructing rho, if one exists.
 
     The tangle of the range state v0 + t v1 vanishes on the <= 4 projective
-    roots t of the branch pair's quartic form, t = sqrt(p1/p0) / x for the
-    stars x of the purification's endpoint quartic (``xs``, the finite ones,
-    from bounds.stars): t = 0 for a star at infinity, and the state v1 for a
-    star at x = 0. rho has zero tangle exactly when it is a convex mixture of
-    those root states. A
+    roots t of the branch pair's quartic form, bounds.branch_pair_stars of the
+    stars of the purification's endpoint quartic (``xs``, the finite ones,
+    from bounds.stars), and the state v1 for each star at x = 0, which has no
+    t. rho has zero tangle exactly when it is a convex mixture of those root
+    states. A
     range state a v0 + b v1 has the moments (|a|^2, |b|^2, Re a b*, Im a b*),
     affine coordinates of its Bloch vector, and rho has (p0, p1, 0, 0):
     feasibility is one least-squares solve of the moment constraints. Distinct
@@ -186,8 +187,7 @@ def _zero_tangle_mixture(p0, p1, v0, v1, xs) -> Decomposition | None:
     null direction, which is followed to the breakpoint, where a weight
     reaches zero, with the largest least weight. Needs p1 >= PROB_FLOOR.
     """
-    ratio = math.sqrt(p1 / p0)
-    ts = sorted([ratio / x for x in xs if x] + [0j] * (4 - len(xs)), key=lambda t: (t.real, t.imag))
+    ts = sorted(branch_pair_stars(xs, p0, p1), key=lambda t: (t.real, t.imag))
     states = [v0 + t * v1 for t in ts] + [v1] * (4 - len(ts))
     states = [vec / np.linalg.norm(vec) for vec in states]
     # deduplicate projectively identical roots

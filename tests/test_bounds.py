@@ -396,9 +396,9 @@ def reference_sum_sqrt(inv, xs):
     return 2.0 * (np.sqrt(np.abs(f40) / den) + np.sqrt(np.abs(f04) / den))
 
 
-def reference_bound_grid(inv, n_theta=256, n_phi=256, refine_iters=50):
+def reference_bound_grid(inv, n_theta=256, n_phi=256):
     """The pointwise grid search that bound_grid replaced: a meshgrid of x
-    values, one array evaluation, and one-point array evaluations in the descent."""
+    values and one array evaluation, then the pole and the quartic seeds."""
     if inv.scale() == 0.0:
         return BoundWitness("grid", 0.0, None, (), None)
     theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
@@ -424,25 +424,6 @@ def reference_bound_grid(inv, n_theta=256, n_phi=256, refine_iters=50):
             best_theta = 2.0 * math.atan(abs(x))
             best_phi = cmath.phase(x) % (2.0 * math.pi)
 
-    dt = np.pi / n_theta
-    dp = 2.0 * np.pi / n_phi
-    for _ in range(refine_iters):
-        moved = False
-        for t2, p2 in (
-            (best_theta + dt, best_phi),
-            (best_theta - dt, best_phi),
-            (best_theta, best_phi + dp),
-            (best_theta, best_phi - dp),
-        ):
-            t2 = min(max(t2, 0.0), np.pi * (1.0 - 1e-12))
-            x2 = math.tan(t2 / 2.0) * cmath.exp(1j * p2)
-            v2 = float(reference_sum_sqrt(inv, [x2])[0])
-            if v2 < best:
-                best, best_theta, best_phi = v2, t2, p2 % (2.0 * math.pi)
-                moved = True
-        if not moved:
-            dt /= 2.0
-            dp /= 2.0
     witness = math.tan(best_theta / 2.0) * cmath.exp(1j * best_phi)
     return BoundWitness("grid", best ** 2, witness, (), None)
 
@@ -545,7 +526,7 @@ class TestGridMatchesReference:
         monkeypatch.setattr(bounds, "_sphere_min", recording)
         for inv, is_class in grid_comparison_sets(family):
             new = bound_grid(inv)
-            old = reference_bound_grid(inv, 256, 256, refine_iters=0)
+            old = reference_bound_grid(inv, 256, 256)
             assert values_agree(new.value, old.value), (inv, new.value, old.value)
             if new.witness_x != old.witness_x:
                 # a witness may only move to another point of equal objective
@@ -565,7 +546,7 @@ class TestGridMatchesReference:
         monkeypatch.setattr(bounds, "quartic_root_candidates", lambda inv: [])
         same = 0
         for inv, q in zip(sets, quartic):
-            new, old = bound_grid(inv), reference_bound_grid(inv, refine_iters=0)
+            new, old = bound_grid(inv), reference_bound_grid(inv)
             assert new.value >= q - 1e-8
             assert values_agree(new.value, old.value), (inv, new.value, old.value)
             assert new.witness_x == old.witness_x or antipodal(new.witness_x, old.witness_x)
@@ -652,10 +633,6 @@ def full_grid_bound(inv, n_theta, n_phi, candidates=None, sphere=True) -> BoundW
     return BoundWitness("grid", best ** 2, witness, (), None)
 
 
-#: K of the flat-objective skip: the largest K with 6 sqrt(K) + 32 <= 128
-FLAT_K = 256
-
-
 def pole_and_seed(inv, candidates=None):
     """The pole value and the least quartic candidate's value of f, infinity
     without candidates."""
@@ -666,13 +643,31 @@ def pole_and_seed(inv, candidates=None):
     return pole, seed
 
 
+def end_and_rest(inv):
+    """(a, E, S): the larger end modulus of the I04 numerator's coefficients,
+    the sum of the other four moduli, and the sum of all five."""
+    moduli = [abs(c) for c in _endpoint_coefficients(inv)[1]]
+    a = max(moduli[0], moduli[4])
+    return a, sum(moduli) - a, sum(moduli)
+
+
+def sphere_floor(inv):
+    """F = max(0, 2 sqrt(a) - 4 sqrt(E)), a floor of f on the whole sphere."""
+    a, e, _ = end_and_rest(inv)
+    return max(0.0, 2.0 * math.sqrt(a) - 4.0 * math.sqrt(e))
+
+
 def sphere_skipped(inv, candidates=None):
     """Whether bound_grid leaves the sphere out on a set with content: where
-    T = min(pole, seed) is 0, or where the moduli of the I04 numerator's
-    coefficients other than its larger end sum to at most FLAT_K u S."""
-    moduli = [abs(c) for c in _endpoint_coefficients(inv)[1]]
-    rest = sum(moduli) - max(moduli[0], moduli[4])
-    return min(pole_and_seed(inv, candidates)) == 0.0 or rest <= FLAT_K * 2.0 ** -53 * sum(moduli)
+    the floor F reaches T = min(pole, seed) within (128 - 32) sqrt(u S)."""
+    s = end_and_rest(inv)[2]
+    return sphere_floor(inv) >= min(pole_and_seed(inv, candidates)) - 96.0 * math.sqrt(2.0 ** -53 * s)
+
+
+def earlier_sphere_skipped(inv, candidates=None):
+    """The two exits the floor rule replaced: T = 0, or E <= 256 u S."""
+    _, e, s = end_and_rest(inv)
+    return min(pole_and_seed(inv, candidates)) == 0.0 or e <= 256.0 * 2.0 ** -53 * s
 
 
 def assert_grid_contract(inv, candidates=None):
@@ -839,27 +834,65 @@ class TestSphereSkipping:
         # every call above came from bound_grid: assert_grid_contract's
         # references do not call _live_tiles
         self.assert_skipped_tiles_are_above_the_threshold(nonzero, calls)
-        assert sum(sphere_skipped(inv) for inv in nonzero) == 33
+        assert sum(sphere_skipped(inv) for inv in nonzero) == 39
 
     def test_skip_fires_on_the_single_endpoint_class_draws(self, monkeypatch):
         # flat where only i40 or only i04 is nonzero up to rounding: class IV
         # on every triple, V on A1A2A3 and A1A3A4, VII and VIII; T = 0 on
-        # class III on A1A2A3 and A1A3A4 and on VI. Everywhere else, and on
-        # the all-zero class IX sets, which return before the grid, the
-        # sphere is searched
+        # class III on A1A2A3 and A1A3A4 and on VI; T rounding of 0 on class
+        # I. Everywhere else, and on the all-zero class IX sets, which return
+        # before the grid, the sphere is searched
         flat = {("IV", t) for t in SUPPORTED_TRIPLES} | {("V", "A1A2A3"), ("V", "A1A3A4")}
         flat |= {(c, t) for c in ("VII", "VIII") for t in SUPPORTED_TRIPLES}
         zero = {("III", "A1A2A3"), ("III", "A1A3A4")} | {("VI", t) for t in SUPPORTED_TRIPLES}
+        rounding = {("I", t) for t in SUPPORTED_TRIPLES}
         calls = record_live_tiles(monkeypatch)
         for class_id, triple, inv in class_draw_sets():
             del calls[:]
             bound_grid(inv)
             skipped = not calls and class_id != "IX"
-            assert skipped == ((class_id, triple) in flat | zero), (class_id, triple)
+            assert skipped == ((class_id, triple) in flat | zero | rounding), (class_id, triple)
             if (class_id, triple) in flat:
                 assert bounds._nonzero_pattern(inv) in ({"40"}, {"04"}), (class_id, triple)
             if (class_id, triple) in zero:
                 assert min(pole_and_seed(inv)) == 0.0, (class_id, triple)
+            if (class_id, triple) in rounding:
+                s = end_and_rest(inv)[2]
+                assert min(pole_and_seed(inv)) <= 2.0 * math.sqrt(2.0 ** -53 * s), (class_id, triple)
+
+    def test_floor_is_below_the_objective_on_the_half_sphere(self):
+        # F <= f at every point of the evaluated 128 x 256 rows, on random
+        # sets, class draws, a constant objective and equal end moduli, where
+        # either end may carry the larger weight. The constant objective has
+        # F = f exactly, so the pointwise values get their relative rounding
+        rng = np.random.default_rng(24)
+        sets = [random_set(rng) for _ in range(20)]
+        sets += [inv for _, _, inv in class_draw_sets() if inv.scale() > 0.0]
+        sets += [synthetic_set(i40=0.25),
+                 synthetic_set(i40=0.5, i31=0.01j, i22=-0.02, i13=0.01, i04=-0.5j)]
+        tg, pg = np.meshgrid(self.THETA[:128], self.PHI, indexing="ij")
+        xs = np.tan(tg / 2.0) * np.exp(1j * pg)
+        for inv in sets:
+            assert sphere_floor(inv) <= reference_sum_sqrt(inv, xs).min() * (1.0 + 1e-14), inv
+
+    def test_floor_rule_fires_wherever_the_earlier_exits_fire(self, monkeypatch):
+        # the earlier exits, T = 0 and E <= 256 u S, are special cases of the
+        # floor rule: each set they skip is skipped now, with no _live_tiles
+        # call, and every other skip is within 96 sqrt(u S) of T
+        sets = [inv for inv in skipping_sets() if inv.scale() > 0.0]
+        sets += [inv for inv, _ in grid_comparison_sets() if inv.scale() > 0.0]
+        calls = record_live_tiles(monkeypatch)
+        earlier = 0
+        for inv in sets:
+            del calls[:]
+            bound_grid(inv)
+            if earlier_sphere_skipped(inv):
+                earlier += 1
+                assert not calls, inv
+            if not calls:
+                s = end_and_rest(inv)[2]
+                assert min(pole_and_seed(inv)) - sphere_floor(inv) <= 96.0 * math.sqrt(2.0 ** -53 * s)
+        assert earlier == 33 + 16
 
     @pytest.mark.parametrize("triple", SUPPORTED_TRIPLES)
     def test_skip_never_fires_on_random_states(self, triple, monkeypatch):

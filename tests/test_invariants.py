@@ -9,7 +9,6 @@ import pytest
 from tanglebound import errors
 from tanglebound.classes import ClassSpec, representative, spec_from_values
 from tanglebound.invariants import (
-    TRACE_PERMS,
     _set_from_fonts,
     correlation_summary,
     invariant_set,
@@ -18,6 +17,7 @@ from tanglebound.invariants import (
     transform_endpoints,
 )
 from tanglebound.qstate import (
+    TRACE_PERMS,
     PureState3,
     PureState4,
     apply_local_unitary,
