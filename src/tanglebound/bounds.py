@@ -219,15 +219,10 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float, *,
 
 #: polar angles and azimuths of the sphere grid: a GRID_POINTS x GRID_POINTS grid
 GRID_POINTS = 256
-#: sphere rows evaluated per block. One matrix product gives both endpoints of
-#: a block's live columns, so its largest temporary, where every sector of a
-#: block is live, is the stacked (2 x 15, 256) complex product: 120 KiB, below
-#: glibc's default 128 KiB mmap threshold, so blocks come from the heap and a
-#: freed one is reused instead of being returned to the OS and faulted in
-#: again. At 16 rows the product is exactly 128 KiB, and a fresh process
-#: re-faulted about 90 pages per call; 8 rows (64 KiB) saved no faults over 15
-#: and took about 10% longer per call in per-block overhead. The 128 evaluated
-#: rows make eight blocks of 15 and a last one of 8.
+#: sphere rows per block, the rows of a tile: the 128 evaluated rows make
+#: eight blocks of 15 and a last one of 8. Taller tiles are fewer to bound,
+#: but their larger radius loosens the bound, and _sphere_min evaluates every
+#: row of each block that keeps a live tile
 SPHERE_BLOCK_ROWS = 15
 #: azimuth sectors per block: a tile, the unit of the lower bound that lets
 #: _sphere_min skip grid points, is one block's rows x GRID_POINTS / 32 = 8
@@ -245,31 +240,28 @@ class _SphereGrid:
     """Read-only tables of the sphere grid, shared by every call.
 
     Only the first ``rows`` = GRID_POINTS/2 polar rows are evaluated
-    (bound_grid); ``den`` lists the rows of the stacked I40/I04 coefficient
-    matrix block by block: rows [start, stop) of the I40 half, then the same
-    rows of the I04 half.
-
-    A tile is one block's rows and the GRID_POINTS / SPHERE_SECTORS
-    consecutive columns ``columns[q]`` of one sector q, and tile
-    t = b SPHERE_SECTORS + q is block b's q-th sector. Its centre
+    (bound_grid). A tile is one block's rows and the GRID_POINTS /
+    SPHERE_SECTORS columns of one sector q, and tile t = b SPHERE_SECTORS + q
+    is block b's q-th sector: 9 x 32 = 288 tiles. Its centre
     c_t = r_c e^{i phi_c} has r_c midway between the block's first and last r
     and phi_c midway between the sector's first and last azimuth; rho_b, the
     largest distance from c_t to a grid point of the tile, is the same for
-    every tile of block b. ``taylor`` holds binom(m, k) c_t^(m-k) rho_b^k in
-    column k tiles + t, so that ``a @ taylor`` lists D'_k = D_k rho_b^k of
-    every tile for k = 0, ..., 4 in turn, where D_k = P^(k)(c_t)/k! are the
-    Taylor coefficients of the quartic P(x) = sum_m a_m x^m about c_t
-    (_live_tiles).
+    every tile of block b. For the quartic P(x) = sum_m a_m x^m,
+    ``a @ taylor`` lists the Taylor terms D_0 and D_1 rho_b about every c_t,
+    D_k = P^(k)(c_t)/k!, and ``|a| @ tail`` bounds the sum of the higher ones
+    on every tile of block b (_live_tiles).
     """
 
     theta: np.ndarray       # (GRID_POINTS,) cell-centred polar angles
     phi: np.ndarray         # (GRID_POINTS,) azimuths
     powers: np.ndarray      # (rows, 5): r^k with r = tan(theta/2)
     phase: np.ndarray       # (5, GRID_POINTS): e^{ik phi}
-    den: np.ndarray         # (2 rows, 1): (1 + r^2)^2 of each stacked row
+    den: np.ndarray         # (rows, 1): (1 + r^2)^2
     blocks: tuple[tuple[int, int], ...]   # [start, stop) rows of each block
-    columns: np.ndarray     # (SPHERE_SECTORS, GRID_POINTS / SPHERE_SECTORS): columns of each sector
-    taylor: np.ndarray      # (5, 5 tiles): row m, column k tiles + t: binom(m, k) c_t^(m-k) rho_b^k
+    row_block: np.ndarray   # (rows,): the block of each row
+    column_sector: np.ndarray   # (GRID_POINTS,): the sector of each column
+    taylor: np.ndarray      # (5, 2 tiles): row m, column k tiles + t: binom(m, k) c_t^(m-k) rho_b^k
+    tail: np.ndarray        # (5, blocks): row m: sum_{k>=2} binom(m, k) r_c^(m-k) rho_b^k
     shrink: np.ndarray      # (blocks, 1): 2 / (1 + r^2) at the block's last, largest r
 
 
@@ -282,8 +274,7 @@ def _sphere_grid() -> _SphereGrid:
     r = np.tan(theta[:rows] / 2.0)
     stops = list(range(SPHERE_BLOCK_ROWS, rows, SPHERE_BLOCK_ROWS)) + [rows]
     starts = [0] + stops[:-1]
-    blocks = tuple(zip(starts, stops))
-    den = (1.0 + r ** 2) ** 2
+    sizes = np.diff([0] + stops)
 
     # tiles: the farthest points of a tile from its centre are its first and
     # last columns, half the sector's angular width away from phi_c
@@ -291,14 +282,15 @@ def _sphere_grid() -> _SphereGrid:
     last = np.array(stops) - 1
     r_c = (r[starts] + r[last]) / 2.0
     half_width = np.pi * (width - 1) / GRID_POINTS
-    rho = np.maximum.reduceat(
-        np.abs(r * np.exp(1j * half_width) - np.repeat(r_c, np.diff([0] + stops))), starts
-    )
+    rho = np.maximum.reduceat(np.abs(r * np.exp(1j * half_width) - np.repeat(r_c, sizes)), starts)
     centres = np.outer(r_c, np.exp(1j * (phi[::width] + half_width)))
     k = np.arange(5)
     binom = np.array([[math.comb(m, j) for j in k] for m in k], dtype=float)
-    taylor = (binom * centres.reshape(-1, 1, 1) ** np.maximum(k[:, None] - k, 0)
-              * np.repeat(np.power.outer(rho, k), SPHERE_SECTORS, axis=0)[:, None, :])
+    powers = np.maximum(k[:, None] - k, 0)
+    taylor = (binom[:, :2] * centres.reshape(-1, 1, 1) ** powers[:, :2]
+              * np.repeat(np.power.outer(rho, k[:2]), SPHERE_SECTORS, axis=0)[:, None, :])
+    tail = (binom[:, 2:] * r_c[:, None, None] ** powers[:, 2:]
+            * np.power.outer(rho, k[2:])[:, None, :]).sum(axis=2)
     # _MARGIN_C is derived for r < 1 and tiles within 1.05 of the origin
     if not (r[-1] < 1.0 and (r_c + rho).max() <= 1.05):
         raise RuntimeError("sphere tiles reach beyond |x| = 1.05; _MARGIN_C does not cover them")
@@ -307,31 +299,37 @@ def _sphere_grid() -> _SphereGrid:
         phi,
         r[:, None] ** k,
         np.exp(1j * np.outer(k, phi)),
-        # each block's denominators twice, for its I40 rows and its I04 rows
-        np.concatenate([den[a:b] for a, b in blocks for _ in range(2)])[:, None],
-        blocks,
-        np.arange(GRID_POINTS).reshape(SPHERE_SECTORS, width),
+        ((1.0 + r ** 2) ** 2)[:, None],
+        tuple(zip(starts, stops)),
+        np.repeat(np.arange(len(stops)), sizes),
+        np.arange(GRID_POINTS) // width,
         taylor.transpose(1, 2, 0).reshape(5, -1),
+        tail.T.copy(),
         2.0 / (1.0 + r[last, None] ** 2),
     )
-    for table in (grid.theta, grid.phi, grid.powers, grid.phase, grid.den,
-                  grid.columns, grid.taylor, grid.shrink):
+    for table in (grid.theta, grid.phi, grid.powers, grid.phase, grid.den, grid.row_block,
+                  grid.column_sector, grid.taylor, grid.tail, grid.shrink):
         table.setflags(write=False)
     return grid
 
 
-def _live_tiles(c40, c04, grid: _SphereGrid, threshold: float) -> np.ndarray:
+def _live_tiles(coefficients: np.ndarray, grid: _SphereGrid, threshold: float) -> np.ndarray:
     """(blocks, SPHERE_SECTORS) mask of the tiles that may hold a grid value of
     f at or below ``threshold``: those whose lower bound on f is at most
     threshold + C sqrt(u sum_m |c_m|), every tile when it is infinite.
+    ``coefficients`` is the (2, 5) array of conj(c40) and c04 (_sphere_min).
 
-    The tile bound. The endpoint numerators are quartics in x, I04's with the
-    coefficients c04 and |I40| = |sum_m conj(c40_m) x^m|'s with conj(c40), so
-    their Taylor expansions about a tile centre c end at degree 4 and are
-    exact: |P(x)| >= |D_0| - sum_{k>=1} |D_k| rho^k =: LB at every x within rho
-    of c. One (2, 5) @ (5, 5 tiles) product gives the D_k rho^k of both
-    endpoints on all tiles, k after k, so LB is four subtractions of
-    contiguous rows. With r <= r_max on the tile,
+    The tile bound. The endpoint numerators are quartics P(x) = sum_m a_m x^m,
+    I04's with a = c04 and |I40| = |sum_m conj(c40_m) x^m|'s with
+    a = conj(c40), so their Taylor expansions about a tile centre c, with
+    D_k = sum_m a_m binom(m, k) c^(m-k), end at degree 4 and are exact:
+    |P(x)| >= |D_0| - |D_1| rho - sum_{k>=2} |D_k| rho^k at every x within
+    rho of c. D_0 and D_1 rho are exact for every tile: one (2, 5) @ (5, 576)
+    complex product. The higher orders are bounded for a whole block at once
+    by the triangle inequality: every tile centre of block b has |c| = r_c, so
+    sum_{k>=2} |D_k| rho_b^k <= H_b = sum_m |a_m| sum_{k>=2} binom(m, k)
+    r_c^(m-k) rho_b^k, one (2, 5) @ (5, 9) real product. So
+    LB = |D_0| - |D_1| rho_b - H_b. With r <= r_max on the tile,
     f = 2 (sqrt|P40| + sqrt|P04|) / (1 + r^2) is at least
     2 (sqrt LB40+ + sqrt LB04+) / (1 + r_max^2).
 
@@ -343,31 +341,31 @@ def _live_tiles(c40, c04, grid: _SphereGrid, threshold: float) -> np.ndarray:
     r^k table, the five-term complex product and the division by the
     denominator by a few u each, on terms summing to at most S as r < 1. A
     computed LB is within 64 u S of the exact bound over a disk that holds
-    that point: the D_k products, the rounding of c and rho (a few u of
-    distance, weighted by |P'| <= 4 S (|c| + rho)^3), and the subtraction of
-    the |D_k| rho^k, with |c| + rho <= 1.05 (both conditions on the tiles are
-    checked by _sphere_grid). Each of the four square roots (two
-    endpoints, grid value and bound) is then off by at most 8 sqrt(u S), their
-    undoubled sums by 32 sqrt(u S) together, and f by 64 sqrt(u S); the
+    that point: D_0, D_1 rho and H_b are sums of products of moduli at most
+    |a_m| (|c| + rho)^m, at most 1.05^4 S < 1.22 S in all, each off by a few u
+    relative (H_b's terms are nonnegative); the rounding of c, rho and r_c is
+    a few u of distance, weighted by |P'| <= 4 S (|c| + rho)^3 in D_0 and by
+    as little in H_b, whose r_c stands for |c|. Here |c| + rho <= 1.05 (both
+    conditions on the tiles are checked by _sphere_grid). Each of the four
+    square roots (two endpoints, grid value and bound) is then off by at most
+    8 sqrt(u S), their undoubled sums by 32 sqrt(u S) together, and f by
+    64 sqrt(u S); the
     relative rounding of the square roots, sums and scalings is of order
     u sqrt(S), far below sqrt(u S). The margin takes C = _MARGIN_C = 128,
-    twice that. A skipped tile therefore
-    holds only grid values above ``threshold``. A relative margin such as
-    1e-9 f would not do: at a root of one endpoint on a grid point its grid
-    value sqrt(|P|/(1 + r^2)^2) is rounding's sqrt(u S) instead of 0.
+    twice that. A skipped tile therefore holds only grid values above
+    ``threshold``. A relative margin such as 1e-9 f would not do: at a root of
+    one endpoint on a grid point its grid value sqrt(|P|/(1 + r^2)^2) is
+    rounding's sqrt(u S) instead of 0.
     """
-    coefficients = np.array((c40, c04))
-    np.conjugate(coefficients[0], out=coefficients[0])
-    d = np.abs(coefficients @ grid.taylor).reshape(2, 5, -1)
+    moduli = np.abs(coefficients)
+    d = np.abs(coefficients @ grid.taylor).reshape(2, 2, len(grid.blocks), SPHERE_SECTORS)
     low = d[:, 0] - d[:, 1]
-    low -= d[:, 2]
-    low -= d[:, 3]
-    low -= d[:, 4]
+    low -= (moduli @ grid.tail)[:, :, None]
     np.maximum(low, 0.0, out=low)
     np.sqrt(low, out=low)
-    lower = (low[0] + low[1]).reshape(len(grid.blocks), -1)
+    lower = low[0] + low[1]
     lower *= grid.shrink
-    margin = _MARGIN_C * math.sqrt(_U * sum(abs(c) for c in c04))
+    margin = _MARGIN_C * math.sqrt(_U * moduli[1].sum())
     return lower <= threshold + margin
 
 
@@ -377,58 +375,49 @@ def _sphere_min(c40, c04, grid: _SphereGrid,
     at x = tan(theta_j/2) e^{i phi_l} over the grid's evaluated rows:
     (flat index j GRID_POINTS + l, value), when that minimum is at most
     ``threshold``; otherwise a value above ``threshold`` (infinity when no
-    tile is evaluated).
+    tile is live).
 
-    Only the tiles that _live_tiles cannot rule out are evaluated: each
-    skipped tile's lower bound, less a margin for rounding, shows every grid
-    value in it to be above ``threshold``. So a minimum at or below
-    ``threshold`` lies in an evaluated tile, and so does its first occurrence;
-    the skipped tiles hold no value it could tie with. The default infinite
-    ``threshold`` evaluates every tile.
+    Two array passes. The first, _live_tiles, rules out the tiles whose lower
+    bound, less a margin for rounding, lies above ``threshold``. The second
+    evaluates the live region in one matrix product: the rows of every block
+    that has a live tile and the columns of every sector that has one, both
+    ascending, so its row-major order is the grid's and its index (j, l) is
+    the flat index rows[j] GRID_POINTS + columns[l]. Its cross tiles, a live
+    block's rows in a sector live only in other blocks, were ruled out and
+    hold only values above ``threshold``. So a minimum at or below
+    ``threshold`` and its first occurrence lie in a live tile, and nothing
+    else evaluated can tie with it. The default infinite ``threshold``
+    evaluates the whole half grid, 128 x 256 points.
 
     With r = tan(theta/2) the endpoint numerators are I04 = sum_k c_k r^k e^{ik phi}
     and I40 = sum_k c'_k r^k e^{-ik phi}; the common denominator (1 + r^2)^2
-    depends on theta only. Since |I40| = |sum_k conj(c'_k r^k) e^{ik phi}|, a
-    block's conj(c' r^k) rows stacked on its c r^k rows give both moduli in one
-    product with the phase table. Only a block with a live tile builds its
-    stacked rows, as its r^k rows times conj(c') and c in one broadcast
-    product (r^k conj(c'_k) is conj(c'_k r^k) up to the signs of zero parts,
-    which no modulus sees), and it is one such product, on the columns of
-    its live sectors in ascending order: the phase table itself where every
-    sector is live, otherwise its columns copied from it (ndarray.take,
-    C-contiguous like the table). Its local
-    row-major order is the grid's, and its local index (j, l) is the flat
-    index (start + j) GRID_POINTS + columns[l]. Blocks have SPHERE_BLOCK_ROWS rows
-    and the full grid is never built; a later block replaces the best only
-    when strictly below it, as np.argmin keeps the first occurrence. The sums
+    depends on theta only. Since |I40| = |sum_k conj(c'_k r^k) e^{ik phi}|,
+    the region's conj(c' r^k) rows stacked on its c r^k rows, one broadcast
+    product of its r^k rows and the coefficient array the first pass reads
+    (r^k conj(c'_k) is conj(c'_k r^k) up to the signs of zero parts, which no
+    modulus sees), give both moduli in one product with the region's columns
+    of the phase table (ndarray.take, C-contiguous like the table). The sums
     of square roots are compared undoubled and only the chosen one is doubled
-    (exactly). Every block has several rows and every sector several columns,
-    so every value equals the full-grid product's (a 1-row product would take
-    BLAS's matrix-vector path, which rounds differently). ``c40``, ``c04`` are
-    the set's _endpoint_coefficients.
+    (exactly). The region has at least 8 rows and 8 columns, so every value
+    equals the full-grid product's (a 1-row product would take BLAS's
+    matrix-vector path, which rounds differently). ``c40``, ``c04`` are the
+    set's _endpoint_coefficients.
     """
-    live = _live_tiles(c40, c04, grid, threshold)
-    coefficients = np.array((c40, c04))[:, None, :]
+    coefficients = np.array((c40, c04))
     np.conjugate(coefficients[0], out=coefficients[0])
-    best_k, best = 0, math.inf
-    for block in np.flatnonzero(live.any(axis=1)):
-        start, stop = grid.blocks[block]
-        rows = stop - start
-        stacked = (grid.powers[start:stop] * coefficients).reshape(2 * rows, 5)
-        if live[block].all():
-            columns, phase = range(GRID_POINTS), grid.phase
-        else:
-            columns = grid.columns[live[block]].ravel()
-            phase = grid.phase.take(columns, axis=1)
-        moduli = np.abs(stacked @ phase)
-        moduli /= grid.den[2 * start:2 * stop]
-        np.sqrt(moduli, out=moduli)
-        sums = moduli[:rows] + moduli[rows:]
-        k = int(sums.argmin())
-        if sums.item(k) < best:
-            j, l = divmod(k, len(columns))
-            best_k, best = (start + j) * GRID_POINTS + int(columns[l]), sums.item(k)
-    return best_k, 2.0 * best
+    live = _live_tiles(coefficients, grid, threshold)
+    rows = np.flatnonzero(live.any(axis=1)[grid.row_block])
+    if not rows.size:
+        return 0, math.inf
+    columns = np.flatnonzero(live.any(axis=0)[grid.column_sector])
+    stacked = (grid.powers[rows] * coefficients[:, None, :]).reshape(-1, 5)
+    moduli = np.abs(stacked @ grid.phase.take(columns, axis=1)).reshape(2, rows.size, -1)
+    moduli /= grid.den[rows]
+    np.sqrt(moduli, out=moduli)
+    sums = moduli[0] + moduli[1]
+    k = int(sums.argmin())
+    j, l = divmod(k, columns.size)
+    return int(rows[j]) * GRID_POINTS + int(columns[l]), 2.0 * sums.item(k)
 
 
 def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
@@ -440,25 +429,25 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     grid's tables (angles, powers of tan(theta/2), phases, denominators, block
     bounds, tile tables) are built on first use and kept read-only
     (_sphere_grid). The grid is evaluated as a separable product in theta and
-    phi, in blocks of SPHERE_BLOCK_ROWS rows, each one matrix product for both
-    endpoints on the block's live columns, that keep only the first minimum
-    (_sphere_min); its values and the point it picks are bit-identical to
-    evaluating the whole grid at once, one endpoint at a time. Since
-    f(x) = f(-1/conj(x)), grid point (j, l) has the value of
-    (GRID_POINTS-1-j, l+GRID_POINTS/2), so only the rows j < GRID_POINTS/2 are
-    evaluated. The quartic endpoint roots (``candidates``, solved here when not
-    given) come sorted by value, and f = 2 sqrt(value/4) is monotone in it, so
-    the first, quartic_A4's witness, is the one seed: the value is
-    min(grid minimum, pole, seed)^2, and the witness is tan(theta/2) e^{i phi}
-    at the point that attains it.
+    phi in two array passes, a lower bound on every tile and one matrix
+    product for both endpoints over the live region (_sphere_min); its values
+    and the point it picks are bit-identical to evaluating the whole grid at
+    once, one endpoint at a time. Since f(x) = f(-1/conj(x)), grid point
+    (j, l) has the value of (GRID_POINTS-1-j, l+GRID_POINTS/2), so only the
+    rows j < GRID_POINTS/2 are evaluated. The quartic endpoint roots
+    (``candidates``, solved here when not given) come sorted by value, and
+    f = 2 sqrt(value/4) is monotone in it, so the first, quartic_A4's
+    witness, is the one seed: the value is min(grid minimum, pole, seed)^2,
+    and the witness is tan(theta/2) e^{i phi} at the point that attains it.
 
     The pole and seed values are computed first, and their minimum T is the
     threshold of the sphere search, which skips every tile (a block's rows x
     GRID_POINTS / SPHERE_SECTORS columns) whose lower bound on f clears T by a
     rounding margin (_live_tiles). A skipped tile holds only values above T,
     so it could neither lower the minimum nor tie with it: value, witness and
-    tie rule are those of the full search. On random states about 6 of the 288
-    tiles (median 4), in 2-3 of the 9 blocks, are left to evaluate.
+    tie rule are those of the full search. On random states about 8 of the 288
+    tiles stay live (median 5), in 2-3 of the 9 blocks and about 4 of the 32
+    sectors, and the evaluated region holds about 13 tiles (median 6).
 
     No tile is evaluated, and the value is T^2 with the pole's or the seed's
     witness, where a floor of f on the whole sphere reaches T up to rounding:

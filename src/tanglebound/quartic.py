@@ -37,13 +37,15 @@ def roots(c) -> list[complex]:
     when every coefficient vanishes and DidNotConverge if a root fails the
     residual contract.
     """
-    c = np.array(c, dtype=complex)
-    if c.shape != (5,):
-        raise BadArity(f"expected 5 coefficients, got shape {c.shape}")
-    moduli = np.abs(c).tolist()
-    c = c.tolist()
+    try:
+        c = [complex(a) for a in c]
+    except TypeError:
+        raise BadArity(f"expected 5 coefficients, got {c!r}") from None
+    if len(c) != 5:
+        raise BadArity(f"expected 5 coefficients, got {len(c)}")
     if not all(map(cmath.isfinite, c)):
         raise NonFinite(f"coefficients {c!r}")
+    moduli = [abs(a) for a in c]
     scale = max(moduli)
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients are zero")

@@ -186,6 +186,9 @@ def _zero_tangle_mixture(p0, p1, v0, v1, xs) -> Decomposition | None:
     lie on one circle (real-amplitude states, class I); that system has one
     null direction, which is followed to the breakpoint, where a weight
     reaches zero, with the largest least weight. Needs p1 >= PROB_FLOOR.
+
+    The members come in a canonical order and phase (_canonical_members), so
+    rounding-level moves of the stars neither reorder nor flip them.
     """
     ts = sorted(branch_pair_stars(xs, p0, p1), key=lambda t: (t.real, t.imag))
     states = [v0 + t * v1 for t in ts] + [v1] * (4 - len(ts))
@@ -216,9 +219,36 @@ def _zero_tangle_mixture(p0, p1, v0, v1, xs) -> Decomposition | None:
     if abs(w.sum() - 1.0) > 1e-8 or np.max(np.abs(cols @ w - target)) > 1e-10:
         return None
     try:
-        return make_decomposition([(wi, PureState3(vec)) for wi, vec in zip(w, unique) if wi > WEIGHT_DROP])
+        return make_decomposition(_canonical_members(w, unique))
     except (BranchMismatch, NotDensityMatrix):
         return None
+
+
+#: decimals to which _canonical_members rounds weights and amplitudes before
+#: ordering by them: far coarser than the rounding of the stars, so equal
+#: weights stay tied and a tie keeps its order under ulp-level moves
+_ORDER_DECIMALS = 9
+
+
+def _canonical_members(weights, vectors) -> list[tuple[float, PureState3]]:
+    """(weight, state) for the weights above WEIGHT_DROP, each state's global
+    phase chosen so that its first amplitude of largest modulus (within a
+    relative 1e-9) is real and positive, in order of decreasing weight; equal
+    weights, to _ORDER_DECIMALS decimals, are ordered by the rounded real and
+    imaginary parts of the amplitudes, in index order."""
+    members = []
+    for w, vec in zip(weights, vectors):
+        if w > WEIGHT_DROP:
+            moduli = np.abs(vec)
+            lead = vec[int(np.argmax(moduli >= (1.0 - 1e-9) * moduli.max()))]
+            members.append((w, vec * (abs(lead) / lead)))
+
+    def key(member):
+        w, vec = member
+        parts = np.round(vec.view(float), _ORDER_DECIMALS).tolist()
+        return -round(float(w), _ORDER_DECIMALS), parts
+
+    return [(w, PureState3(vec)) for w, vec in sorted(members, key=key)]
 
 
 def _realized_value(deco: Decomposition) -> float:

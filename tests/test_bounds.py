@@ -562,7 +562,7 @@ class TestGridMatchesReference:
 
 
 class TestSphereMin:
-    """_sphere_min finds the full grid's first minimum block by block, bit for bit."""
+    """_sphere_min finds the full grid's first minimum over its live region, bit for bit."""
 
     @pytest.mark.parametrize("family", GRID_FAMILIES)
     def test_equals_the_full_grid_argmin(self, family):
@@ -577,6 +577,40 @@ class TestSphereMin:
             c40, c04 = _endpoint_coefficients(inv)
             assert bounds._sphere_min(c40, c04, grid) == (k, vals.flat[k]), inv
 
+    def test_live_region_keeps_the_full_grid_argmin(self):
+        # finite thresholds whose live tiles sit in several blocks and several
+        # sectors, so the evaluated rows x columns region holds cross tiles
+        # that the tile bound ruled out: class II on A1A2A3 and III on A1A2A4
+        # (4 to 256 live tiles at T = min(pole, seed)) and the four-minima
+        # set. Each set runs at T, at its grid minimum, one ulp below it and
+        # at every eighth of its 96 least tile minima, which keep tiles that
+        # need not share a block or a sector with the minimum's
+        theta = np.pi * (np.arange(128) + 0.5) / 256
+        phi = 2.0 * np.pi * np.arange(256) / 256
+        grid = bounds._sphere_grid()
+        rng = np.random.default_rng(25)
+        specs = [(spec_from_values(c, *rng.uniform(0.2, 2.0, len(CLASS_PARAMS[c]))), t)
+                 for c, t in [("II", "A1A2A3"), ("III", "A1A2A4")] for _ in range(8)]
+        sets = [invariant_set(representative(spec), traced_qubit_of(t)) for spec, t in specs]
+        sets.append(four_minima_set())
+        crossed = 0
+        for inv in sets:
+            vals = sphere_values(inv, theta, phi)
+            k = int(np.argmin(vals))
+            c40, c04 = _endpoint_coefficients(inv)
+            low = vals.flat[k]
+            ladder = np.sort(tile_minima(vals), axis=None)[1:96:8]
+            for threshold in (min(pole_and_seed(inv)), low, np.nextafter(low, 0.0), *ladder):
+                live = bounds._live_tiles(coefficient_rows(inv), grid, threshold)
+                blocks, sectors = live.any(axis=1).sum(), live.any(axis=0).sum()
+                crossed += blocks >= 2 and sectors >= 2 and blocks * sectors > live.sum()
+                found = bounds._sphere_min(c40, c04, grid, threshold)
+                if low <= threshold:
+                    assert found == (k, low), (inv, threshold)
+                else:
+                    assert found[1] > threshold, (inv, threshold)
+        assert crossed >= 20, crossed
+
     def test_default_grid_builds_no_full_grid_array(self):
         # one (128, 256) complex product of the half sphere is 512 KiB
         inv = invariant_set(random_state(71), "A4")
@@ -590,7 +624,8 @@ class TestSphereMin:
 
     def test_cached_tables_are_read_only_and_shared(self):
         grid = bounds._sphere_grid()
-        for name in ("theta", "phi", "powers", "phase", "den", "taylor", "shrink"):
+        for name in ("theta", "phi", "powers", "phase", "den", "row_block", "column_sector",
+                     "taylor", "tail", "shrink"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(grid, name)[0] = 0
         assert bounds._sphere_grid() is grid
@@ -741,13 +776,19 @@ def record_live_tiles(monkeypatch):
     calls = []
     live_tiles = bounds._live_tiles
 
-    def recording(c40, c04, grid, threshold):
-        live = live_tiles(c40, c04, grid, threshold)
+    def recording(coefficients, grid, threshold):
+        live = live_tiles(coefficients, grid, threshold)
         calls.append((threshold, live.copy()))
         return live
 
     monkeypatch.setattr(bounds, "_live_tiles", recording)
     return calls
+
+
+def coefficient_rows(inv):
+    """The (2, 5) array of conj(c40) and c04 that _live_tiles reads."""
+    c40, c04 = _endpoint_coefficients(inv)
+    return np.array((np.conj(c40), c04))
 
 
 def skipping_margin(inv):
@@ -757,16 +798,16 @@ def skipping_margin(inv):
 
 
 def reference_tile_bounds(inv):
-    """Each tile's lower bound on f, (blocks, sectors), written out: the Taylor
-    coefficients p^(k)(c) / k! of both endpoint quartics p about every tile
-    centre c, and the largest distance from a centre to the grid points of its
-    tile."""
+    """Each tile's lower bound on f, (blocks, sectors), written out: for both
+    endpoint quartics p = sum_m a_m x^m, |p(c)| - |p'(c)| rho about every tile
+    centre c, less the triangle sums sum_m |a_m| binom(m, k) |c|^(m-k) rho^k of
+    the orders k = 2, 3, 4, with rho the largest distance from a centre to the
+    grid points of its tile."""
     grid = bounds._sphere_grid()
     width = bounds.GRID_POINTS // bounds.SPHERE_SECTORS
-    r = grid.powers[:, 1]
+    r = np.tan(grid.theta[:128] / 2.0)
     c40, c04 = _endpoint_coefficients(inv)
-    taylor = [[p.deriv(k) / math.factorial(k) for k in range(5)]
-              for p in (np.polynomial.Polynomial(np.conj(c40)), np.polynomial.Polynomial(c04))]
+    quartics = [np.polynomial.Polynomial(np.conj(c40)), np.polynomial.Polynomial(c04)]
     lower = []
     for start, stop in grid.blocks:
         r_c = (r[start] + r[stop - 1]) / 2.0
@@ -775,8 +816,10 @@ def reference_tile_bounds(inv):
         xs = r[start:stop, None, None] * np.exp(1j * phi)
         rho = np.abs(xs - c[:, None]).max(axis=(0, 2))
         total = 0.0
-        for d in taylor:
-            lb = np.abs(d[0](c)) - sum(np.abs(d[k](c)) * rho ** k for k in range(1, 5))
+        for p in quartics:
+            tail = sum(abs(a) * math.comb(m, k) * r_c ** (m - k) * rho ** k
+                       for k in range(2, 5) for m, a in enumerate(p.coef) if m >= k)
+            lb = np.abs(p(c)) - np.abs(p.deriv()(c)) * rho - tail
             total = total + np.sqrt(np.maximum(lb, 0.0))
         lower.append(2.0 * total / (1.0 + r[stop - 1] ** 2))
     return np.array(lower)
@@ -911,14 +954,14 @@ class TestSphereSkipping:
             if inv.scale() == 0.0:
                 continue
             margin = skipping_margin(inv)
-            c40, c04 = _endpoint_coefficients(inv)
+            coefficients = coefficient_rows(inv)
             lower = reference_tile_bounds(inv)
-            assert bounds._live_tiles(c40, c04, grid, lower - 0.5 * margin).all(), inv
-            assert not bounds._live_tiles(c40, c04, grid, lower - 1.5 * margin).any(), inv
+            assert bounds._live_tiles(coefficients, grid, lower - 0.5 * margin).all(), inv
+            assert not bounds._live_tiles(coefficients, grid, lower - 1.5 * margin).any(), inv
 
     def test_infinite_threshold_keeps_every_tile(self):
-        c40, c04 = _endpoint_coefficients(invariant_set(random_state(71), "A4"))
-        live = bounds._live_tiles(c40, c04, bounds._sphere_grid(), math.inf)
+        coefficients = coefficient_rows(invariant_set(random_state(71), "A4"))
+        live = bounds._live_tiles(coefficients, bounds._sphere_grid(), math.inf)
         assert live.shape == (9, 32) and live.all()
 
     def test_tables_refuse_tiles_beyond_the_margin_derivation(self, monkeypatch):
@@ -952,10 +995,7 @@ class TestSphereSkipping:
         # least. A stand-in candidate whose value sits just above the largest
         # of the four sets T there: those four tiles stay live and the grid
         # decides
-        phi0 = 2.0 * np.pi * 252 / 256
-        alpha = 4.0 * phi0 % (2.0 * np.pi)
-        inv = synthetic_set(i40=1.0, i13=1e-3 * cmath.exp(1j * (alpha - phi0)) / 4,
-                            i04=-cmath.exp(1j * alpha))
+        inv = four_minima_set()
         vals = sphere_values(inv, self.THETA[:128], self.PHI)
         assert np.argwhere(vals == vals.min()).tolist() == [[127, 252]]
         seed = max(vals[:, 64 * q:64 * (q + 1)].min() for q in range(4)) * (1.0 + 1e-9)
@@ -982,6 +1022,16 @@ class TestSphereSkipping:
             assert abs(value - exact) < 0.5 * skipping_margin(inv), (j, l, value, exact)
             relative.append(abs(value - exact) / exact)
         assert max(relative) > 1e-9, relative
+
+
+def four_minima_set():
+    """|I04| = |x^4 - e^{i alpha}| and |I40| have four minima a quarter turn
+    apart on the last evaluated row; a small i13 makes the one at column 252
+    the least."""
+    phi0 = 2.0 * np.pi * 252 / 256
+    alpha = 4.0 * phi0 % (2.0 * np.pi)
+    return synthetic_set(i40=1.0, i13=1e-3 * cmath.exp(1j * (alpha - phi0)) / 4,
+                         i04=-cmath.exp(1j * alpha))
 
 
 def reference_sum_sqrt_extended(inv, x):

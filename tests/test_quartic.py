@@ -110,9 +110,9 @@ def reference_roots(coeffs) -> list[complex]:
     def p(w):
         return c[0] + w * (c[1] + w * (c[2] + w * (c[3] + w * c[4])))
 
-    scale = float(np.max(np.abs(c)))
+    scale = _scale(c)
     deg = 4
-    while deg > 0 and abs(c[deg]) < SCALE_TOL * scale:
+    while deg > 0 and abs(complex(c[deg])) < SCALE_TOL * scale:
         deg -= 1
     if deg == 0:
         return []
@@ -139,8 +139,8 @@ def reference_roots(coeffs) -> list[complex]:
 
 
 def _scale(c) -> float:
-    """max|c_i| as roots takes it, in numpy's complex modulus."""
-    return float(np.max(np.abs(np.asarray(c, dtype=complex))))
+    """max|c_i| as roots takes it, in Python's complex modulus."""
+    return max(abs(complex(a)) for a in c)
 
 
 def _at_scale_tol(rng, below: bool):
