@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BadArity, BadQubitLabel, NotPrinted
 from .qstate import PureState4, normalize
 
@@ -74,45 +72,47 @@ def spec_from_values(class_id: str, *values: complex) -> ClassSpec:
 
 def representative(spec: ClassSpec) -> PureState4:
     """Normalized representative state of the class."""
-    amps = np.zeros(16, dtype=complex)
+    amps = [0j] * 16
+    for index, value in _terms(spec):
+        amps[index] += value
+    return normalize(PureState4(amps))
 
-    def put(bits: str, value: complex):
-        amps[int(bits, 2)] += value
 
+def _terms(spec: ClassSpec) -> tuple:
+    """(flat amplitude index, value) of every term of the unnormalized representative."""
     a, b, c, d = spec.a, spec.b, spec.c, spec.d
     if spec.id == "I":
-        put("0000", (a + d) / 2), put("1111", (a + d) / 2)
-        put("0011", (a - d) / 2), put("1100", (a - d) / 2)
-        put("0101", (b + c) / 2), put("1010", (b + c) / 2)
-        put("0110", (b - c) / 2), put("1001", (b - c) / 2)
-    elif spec.id == "II":
-        put("0000", (a + d) / 2), put("1111", (a + d) / 2)
-        put("0011", (a - d) / 2), put("1100", (a - d) / 2)
-        put("0101", c), put("1010", c)
-        put("0110", 1)
-    elif spec.id == "III":
-        put("0000", a), put("1111", a)
-        put("0101", b), put("1010", b)
-        put("0011", 1), put("0110", 1)
-    elif spec.id == "IV":
-        put("0000", a), put("1111", a)
-        put("1010", (a + b) / 2), put("0101", (a + b) / 2)
-        put("0110", (a - b) / 2), put("1001", (a - b) / 2)
+        return ((0b0000, (a + d) / 2), (0b1111, (a + d) / 2),
+                (0b0011, (a - d) / 2), (0b1100, (a - d) / 2),
+                (0b0101, (b + c) / 2), (0b1010, (b + c) / 2),
+                (0b0110, (b - c) / 2), (0b1001, (b - c) / 2))
+    if spec.id == "II":
+        return ((0b0000, (a + d) / 2), (0b1111, (a + d) / 2),
+                (0b0011, (a - d) / 2), (0b1100, (a - d) / 2),
+                (0b0101, c), (0b1010, c),
+                (0b0110, 1))
+    if spec.id == "III":
+        return ((0b0000, a), (0b1111, a),
+                (0b0101, b), (0b1010, b),
+                (0b0011, 1), (0b0110, 1))
+    if spec.id == "IV":
         s = 1j / math.sqrt(2)
-        put("0010", s), put("0001", s), put("0111", s), put("1011", s)
-    elif spec.id == "V":
-        put("0000", a), put("1111", a), put("0101", a), put("1010", a)
-        put("0001", 1j), put("0110", 1), put("1011", -1j)
-    elif spec.id == "VI":
-        put("0000", a), put("1111", a)
-        put("0011", 1), put("0101", 1), put("0110", 1)
-    elif spec.id == "VII":
-        put("0000", 1), put("0101", 1), put("1000", 1), put("1110", 1)
-    elif spec.id == "VIII":
-        put("0000", 1), put("1011", 1), put("1101", 1), put("1110", 1)
-    else:  # IX
-        put("0000", 1), put("0111", 1)
-    return normalize(PureState4(amps))
+        return ((0b0000, a), (0b1111, a),
+                (0b1010, (a + b) / 2), (0b0101, (a + b) / 2),
+                (0b0110, (a - b) / 2), (0b1001, (a - b) / 2),
+                (0b0010, s), (0b0001, s), (0b0111, s), (0b1011, s))
+    if spec.id == "V":
+        return ((0b0000, a), (0b1111, a), (0b0101, a), (0b1010, a),
+                (0b0001, 1j), (0b0110, 1), (0b1011, -1j))
+    if spec.id == "VI":
+        return ((0b0000, a), (0b1111, a),
+                (0b0011, 1), (0b0101, 1), (0b0110, 1))
+    if spec.id == "VII":
+        return ((0b0000, 1), (0b0101, 1), (0b1000, 1), (0b1110, 1))
+    if spec.id == "VIII":
+        return ((0b0000, 1), (0b1011, 1), (0b1101, 1), (0b1110, 1))
+    # IX
+    return ((0b0000, 1), (0b0111, 1))
 
 
 def _check_triple(triple: str) -> None:

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import acceptance, bounds, classes, invariants, qstate, rank2
 from .errors import DidNotConverge, TangleboundError
@@ -159,7 +158,28 @@ def _deco_json(deco: rank2.Decomposition) -> dict:
     }
 
 
-def _parse_grid_spec(text: str) -> dict[str, np.ndarray]:
+def _grid_axis(start: float, stop: float, count: int) -> list[float]:
+    """np.linspace(start, stop, count).tolist(), bit for bit, on Python floats.
+
+    Entry k is k * step + start with step = (stop - start) / (count - 1), and
+    the last entry is stop. Where the step underflows to zero numpy divides
+    first, k / (count - 1) * (stop - start) + start; a count of 1 gives
+    0.0 * (stop - start) + start, which turns a start of -0.0 into +0.0.
+    """
+    delta = stop - start
+    if count == 1:
+        return [0.0 * delta + start]
+    div = count - 1
+    step = delta / div
+    if step == 0:
+        axis = [k / div * delta + start for k in range(count)]
+    else:
+        axis = [k * step + start for k in range(count)]
+    axis[-1] = stop
+    return axis
+
+
+def _parse_grid_spec(text: str) -> dict[str, list[float]]:
     """a=0.2:2:10,b=0.2:2:10 -> name -> real grid values."""
     grids = {}
     for part in text.split(","):
@@ -178,9 +198,11 @@ def _parse_grid_spec(text: str) -> dict[str, np.ndarray]:
             ) from None
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise TangleboundError(f"bad grid spec {part!r}: start and stop must be finite")
+        if not math.isfinite(stop - start):
+            raise TangleboundError(f"bad grid spec {part!r}: stop - start overflows")
         if count < 1:
             raise TangleboundError(f"bad grid count in {part!r}")
-        grids[name] = np.linspace(start, stop, count)
+        grids[name] = _grid_axis(start, stop, count)
     return grids
 
 
@@ -205,16 +227,15 @@ def _cmd_sweep(args) -> int:
     triple = args.triple or _DEFAULT_SWEEP_TRIPLE.get((cid, args.compare))
     if triple is None:
         raise TangleboundError(f"no default triple for class {cid} vs {args.compare}")
-    names = list(wanted)
-    meshes = np.meshgrid(*[grids[n] for n in names], indexing="ij")
     cells = []
-    for flat_index in range(meshes[0].size):
-        values = [complex(m.flat[flat_index]) for m in meshes]
-        spec = classes.spec_from_values(cid, *values)
+    # row-major, the last parameter fastest: the flat order of
+    # np.meshgrid(..., indexing="ij")
+    for flat_index, point in enumerate(itertools.product(*[grids[n] for n in wanted])):
+        spec = classes.spec_from_values(cid, *[complex(v) for v in point])
         best = bounds.best_bound(classes.representative(spec), triple).best
         cell = {
             "index": flat_index,
-            "params": {n: v.real for n, v in zip(names, values)},
+            "params": dict(zip(wanted, point)),
             "best": best,
         }
         try:

@@ -38,16 +38,31 @@ class FontSet3:
 class FontSet4:
     """The font determinants of a four-qubit state that the invariants read.
 
-    Array layouts follow the subscript/superscript labels:
+    ``flat`` is the gather's one (16,) array: four families of four entries,
+    d2_A3A4, d3_A4, d3_A3 and d4, each in [i3, i4] order. The families are
+    views of it, with array layouts that follow the subscript/superscript labels:
       d2_A3A4[i3, i4]                 (two-way)
       d3_A4[i3, i4], d3_A3[i4, i3]    (three-way)
       d4[i3, i4]                      (four-way)
     """
 
-    d2_A3A4: np.ndarray = field()
-    d3_A4: np.ndarray = field()
-    d3_A3: np.ndarray = field()
-    d4: np.ndarray = field()
+    flat: np.ndarray = field()
+
+    @property
+    def d2_A3A4(self) -> np.ndarray:
+        return self.flat[0:4].reshape(2, 2)
+
+    @property
+    def d3_A4(self) -> np.ndarray:
+        return self.flat[4:8].reshape(2, 2)
+
+    @property
+    def d3_A3(self) -> np.ndarray:
+        return self.flat[8:12].reshape(2, 2).T
+
+    @property
+    def d4(self) -> np.ndarray:
+        return self.flat[12:16].reshape(2, 2)
 
 
 def _font_index(n_low: int, flips) -> np.ndarray:
@@ -94,5 +109,4 @@ def compute_fonts4(state: PureState4, traced: str = "A4") -> FontSet4:
         index = _FONTS4_INDEX[traced]
     except KeyError:
         raise BadQubitLabel(f"traced qubit must be A2, A3 or A4, got {traced!r}") from None
-    d = _determinants(state.amps, index).reshape(4, 2, 2)
-    return FontSet4(d[0], d[1], d[2].T, d[3])
+    return FontSet4(_determinants(state.amps, index))

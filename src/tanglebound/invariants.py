@@ -103,16 +103,15 @@ def _divide(z: complex, f: float) -> complex:
 
 
 def _set_from_fonts(f: FontSet4, traced: str) -> ThreeQubitInvariantSet:
-    """The canonical A4 expressions on the fonts, read once into Python complex.
+    """The canonical A4 expressions on the fonts, read with one tolist() into
+    Python complex (d3_A3 is stored in [i3, i4] order, so b10 precedes b01).
 
     Complex sums and products round alike in Python and numpy; squares and
     the division by 6 go through _square and _divide, so every entry is bit
     for bit what numpy scalar arithmetic gives.
     """
-    (d00, d01), (d10, d11) = f.d2_A3A4.tolist()
-    (a00, a01), (a10, a11) = f.d3_A4.tolist()
-    (b00, b01), (b10, b11) = f.d3_A3.tolist()
-    (e00, e01), (e10, e11) = f.d4.tolist()
+    (d00, d01, d10, d11, a00, a01, a10, a11,
+     b00, b10, b01, b11, e00, e01, e10, e11) = f.flat.tolist()
     sA4_0 = a00 + a10
     sA4_1 = a01 + a11
     sA3_0 = b00 + b10

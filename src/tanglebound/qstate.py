@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,8 +129,20 @@ class Qubit2Unitary:
         object.__setattr__(self, "u", m)
 
 
+#: the largest norm^2 that np.vdot may read for norm_squared() not to
+#: overflow: the two round differently by a few ulps
+_NORM2_MAX = sys.float_info.max * (1.0 - 2.0 ** -40)
+
+
 def normalize(state):
-    """Scale amplitudes to unit norm, leaving the global phase untouched."""
+    """Scale amplitudes to unit norm, leaving the global phase untouched.
+
+    Raises NonFinite where the norm^2 of finite amplitudes overflows. The
+    check reads np.vdot, which overflows to inf without a warning, before
+    norm_squared() squares the moduli.
+    """
+    if not np.vdot(state.amps, state.amps).real <= _NORM2_MAX:
+        raise NonFinite("norm^2 of the amplitudes overflows; scale them down")
     n2 = state.norm_squared()
     if n2 < ZERO_NORM_TOL:
         raise ZeroState("cannot normalize a zero amplitude vector")

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tanglebound import errors
+from tanglebound import classes, errors
+from tanglebound.acceptance import class_draws
 from tanglebound.bounds import best_bound
 from tanglebound.classes import (
     FIXTURE_TRIPLE,
@@ -16,6 +17,7 @@ from tanglebound.classes import (
     representative,
     spec_from_values,
 )
+from tanglebound.qstate import PureState4, normalize
 
 RNG = np.random.default_rng(919)
 
@@ -64,6 +66,26 @@ class TestRepresentative:
     def test_zero_state_rejected(self):
         with pytest.raises(errors.ZeroState):
             representative(ClassSpec("I", a=0j, b=0j, c=0j, d=0j))
+
+    def test_equals_the_numpy_accumulation_bit_for_bit(self):
+        # the terms were once summed into np.zeros(16, complex); Python complex
+        # adds round alike, zero parts of either sign included
+        specs = [spec for draw in class_draws() for spec in draw]
+        specs += [ClassSpec("VII"), ClassSpec("VIII"), ClassSpec("IX")]
+        specs += [
+            ClassSpec("I", a=complex(-0.0, -0.0), b=-0.7 + 0j, c=complex(0.7, -0.0), d=1 + 0j),
+            ClassSpec("II", a=complex(1.1, -0.0), d=complex(-0.0, 1.1), c=-0j),
+            ClassSpec("III", a=complex(-0.0, 0.4), b=complex(0.4, -0.0)),
+            ClassSpec("IV", a=complex(-0.0, -0.0), b=complex(-1.2, -0.0)),
+            ClassSpec("V", a=complex(-0.0, -0.0)),
+            ClassSpec("VI", a=complex(0.8, -0.0)),
+        ]
+        for spec in specs:
+            amps = np.zeros(16, dtype=complex)
+            for index, value in classes._terms(spec):
+                amps[index] += value
+            expected = normalize(PureState4(amps)).amps
+            assert representative(spec).amps.tobytes() == expected.tobytes(), spec
 
 
 class TestPaperBound:

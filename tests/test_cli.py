@@ -13,7 +13,7 @@ import pytest
 
 import tanglebound
 from tanglebound import acceptance, invariants, qstate
-from tanglebound.cli import build_parser, main, parse_complex
+from tanglebound.cli import _parse_grid_spec, build_parser, main, parse_complex
 from tanglebound.rank2 import ghzw_rho
 
 
@@ -97,6 +97,13 @@ class TestBoundVerb:
         path = write_state_json(tmp_path, s.amps)
         code, _, _ = run_cli(capsys, "bound", "--state", path, "--triple", "A2A3A4")
         assert code == 1
+
+    def test_overflowing_norm_is_input_error(self, tmp_path, capsys):
+        path = write_state_json(tmp_path, np.full(16, 1e200 - 1e200j))
+        code, out, err = run_cli(capsys, "bound", "--state", path, "--triple", "A1A2A4")
+        assert code == 1
+        assert out == ""
+        assert "norm^2" in err and "overflows" in err
 
     @pytest.mark.parametrize("flag", ["--n-theta", "--n-phi", "--refine-iters", "--zero-tol"])
     def test_tuning_flag_rejected(self, tmp_path, capsys, flag):
@@ -259,14 +266,71 @@ class TestSweepVerb:
 
     @pytest.mark.parametrize("spec", [
         "a=1:inf:2", "a=nan:1:2", "a=-inf:1:2", "a=1:2:1e9", "a=1:2:2.5", "a=x:1:2",
+        "a=-1e308:1e308:3",
     ])
     def test_non_finite_or_non_integer_grid_is_input_error(self, capsys, spec):
-        # an infinite bound made np.linspace warn (an error under pytest's
-        # warning filter) and build nan amplitudes
+        # an infinite bound, or a span stop - start that overflows, would give
+        # the axis nan entries and the cells nan amplitudes
         code, out, err = run_cli(capsys, "sweep", "--class", "V", "--param-grid", spec)
         assert code == 1
         assert out == ""
         assert repr(spec) in err
+
+    def test_overflowing_norm_is_input_error(self, capsys):
+        # finite amplitudes of about 1e200 whose norm^2 overflows
+        code, out, err = run_cli(
+            capsys, "sweep", "--class", "V", "--param-grid", "a=1e200:1e200:1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "norm^2" in err and "overflows" in err
+
+
+class TestSweepAxesAndCells:
+    """The sweep verb's axes and cells are Python lists; np.linspace and the
+    flat order of np.meshgrid(..., indexing="ij") are their bit-for-bit oracle."""
+
+    @staticmethod
+    def assert_axis_is_linspace(start, stop, count):
+        axis = _parse_grid_spec(f"a={start!r}:{stop!r}:{count}")["a"]
+        assert all(type(v) is float for v in axis)
+        expected = np.linspace(start, stop, count).tolist()
+        assert [v.hex() for v in axis] == [v.hex() for v in expected], (start, stop, count)
+
+    def test_random_axes_equal_linspace(self):
+        rng = np.random.default_rng(26)
+        for _ in range(3000):
+            start, stop = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-300, 300, 2)
+            self.assert_axis_is_linspace(float(start), float(stop), int(rng.integers(1, 40)))
+
+    @pytest.mark.parametrize("start,stop,count", [
+        (0.7, 1.9, 1), (-0.0, 1.0, 1), (-0.0, -0.0, 1), (1.0, -0.0, 1),    # a count of 1
+        (1.9, 0.2, 7), (2.0, -3.0, 2), (1e300, -1e300, 5),                # start > stop
+        (1.3, 1.3, 5), (-0.0, -0.0, 3), (0.0, 0.0, 2),                    # start == stop
+        (0.0, -0.0, 2), (-0.0, 0.0, 4), (1.0, -0.0, 3), (-1.0, 0.0, 3),   # signed zeros
+        # subnormal spans, where the step is 0: numpy divides k by count - 1
+        # before multiplying, so the third entry of the first reads 5e-324, not 0
+        (0.0, 5e-324, 4), (5e-324, 1e-323, 4), (-1e-323, 1e-323, 9),
+        (1e-310, 1.00000000001e-310, 1000),
+    ])
+    def test_edge_axes_equal_linspace(self, start, stop, count):
+        self.assert_axis_is_linspace(start, stop, count)
+
+    def test_cells_follow_the_meshgrid_flat_order(self, capsys):
+        # class II sweeps (a, d, c) in that order, whatever order the spec names them in
+        code, out, _ = run_cli(
+            capsys, "sweep", "--class", "II",
+            "--param-grid", "c=1.9:0.4:4,a=0.3:1.7:3,d=0.5:1.1:2",
+        )
+        assert code == 0
+        cells = json.loads(out)["cells"]
+        meshes = np.meshgrid(
+            np.linspace(0.3, 1.7, 3), np.linspace(0.5, 1.1, 2), np.linspace(1.9, 0.4, 4),
+            indexing="ij",
+        )
+        expected = [[float(m.flat[k]).hex() for m in meshes] for k in range(meshes[0].size)]
+        assert [c["index"] for c in cells] == list(range(24))
+        assert [[c["params"][n].hex() for n in ("a", "d", "c")] for c in cells] == expected
 
 
 class TestSelftestVerb:

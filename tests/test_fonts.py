@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tanglebound import errors
+from tanglebound import errors, fonts
 from tanglebound.acceptance import class_draws
 from tanglebound.classes import ClassSpec, representative
 from tanglebound.fonts import FontSet3, FontSet4, compute_fonts3, compute_fonts4
@@ -28,7 +28,8 @@ def reference_fonts4(state: PureState4) -> FontSet4:
     d3_a4 = a00 * a11[::-1] - a10 * a01[::-1]
     d3_a3 = (a00 * a11[:, ::-1] - a10 * a01[:, ::-1]).T
     d4 = a00 * a11[::-1, ::-1] - a10 * a01[::-1, ::-1]
-    return FontSet4(d2_a3a4, d3_a4, d3_a3, d4)
+    # FontSet4 stores every family in [i3, i4] order in one (16,) array
+    return FontSet4(np.stack([d2_a3a4, d3_a4, d3_a3.T, d4]).reshape(16))
 
 
 def reference_fonts3(state: PureState3) -> FontSet3:
@@ -229,6 +230,20 @@ class TestGatheredFonts:
                 # tobytes() reads in C order, so d3_A3's transposed view compares by value
                 assert got.tobytes() == expected.tobytes(), (name, traced, field)
 
+    @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
+    def test_fonts4_families_equal_the_four_view_packaging(self, traced):
+        # FontSet4 once held four views of the gather reshaped to (4, 2, 2),
+        # the third transposed; its families are now views of the one array
+        for name, state in ORACLE_STATES.items():
+            f = compute_fonts4(state, traced)
+            assert f.flat.shape == (16,) and f.flat.dtype == complex
+            d = fonts._determinants(state.amps, fonts._FONTS4_INDEX[traced]).reshape(4, 2, 2)
+            for field, old in zip(FONT4_FIELDS, (d[0], d[1], d[2].T, d[3])):
+                got = getattr(f, field)
+                assert np.shares_memory(got, f.flat), field
+                assert got.shape == old.shape and got.strides == old.strides, field
+                assert got.tobytes() == old.tobytes(), (name, traced, field)
+
     def test_fonts4_default_is_the_state_as_given(self):
         state = ORACLE_STATES["random_0"]
         f, ref = compute_fonts4(state), compute_fonts4(state, "A4")
@@ -250,8 +265,6 @@ class TestGatheredFonts:
                 assert getattr(f, field).tobytes() == getattr(ref, field).tobytes(), a
 
     def test_index_tables_are_read_only(self):
-        from tanglebound import fonts
-
         for index in (fonts._FONTS3_INDEX, *fonts._FONTS4_INDEX.values()):
             assert not index.flags.writeable
 

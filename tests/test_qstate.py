@@ -67,6 +67,27 @@ class TestNormalize:
         np.testing.assert_allclose(s.amps[0b0101], np.exp(0.37j), atol=1e-14)
 
 
+class TestNormOverflow:
+    """normalize rejects a finite state whose norm^2 overflows, before
+    norm_squared() squares (a RuntimeWarning, then a state of zeros)."""
+
+    @pytest.mark.parametrize("cls,n", [(PureState3, 8), (PureState4, 16)])
+    @pytest.mark.parametrize("scale", [1e200, 3e154, 1.7e308])
+    def test_overflowing_norm_is_non_finite(self, cls, n, scale):
+        a = np.zeros(n, dtype=complex)
+        a[n - 1] = complex(scale, -scale)
+        with pytest.raises(errors.NonFinite, match="overflows"):
+            normalize(cls(a))
+
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e150, 1.3e154])
+    def test_finite_norms_normalize_as_before(self, scale):
+        # 1.3e154 puts norm^2 at 1.69e308, just below the largest float
+        a = scale * random_state(26).amps
+        state = PureState4(a)
+        expected = a / math.sqrt(state.norm_squared())
+        assert normalize(state).amps.tobytes() == expected.tobytes()
+
+
 class TestCheckNormalized:
     """norm^2 within NORM_TOL = 1e-9 of 1 passes, further off raises."""
 

@@ -10,9 +10,15 @@ three-way correlation needs), every state on all three supported triples:
 json.dumps(report_to_json(report)); the digest is taken over their
 concatenation, in corpus order.
 
+A second line gives the sha256 of the ``sweep`` verb's JSON over the five
+(class, triple) sweeps of the benchmark's class_sweep workload (classes II-V
+on the verb's default triples and class III on A1A2A3), on the fixed grids of
+SWEEPS: each is one in-process ``cli.main`` call whose stdout is captured,
+and the digest is taken over their concatenation, in SWEEPS order.
+
 Run from the repository root, against this checkout's src/:
 
-    python tools/report_digest.py                   # the digest
+    python tools/report_digest.py                   # the digests
     python tools/report_digest.py --dump PATH       # and the reports, to PATH
     python tools/report_digest.py --compare PATH    # and the moves against PATH
 
@@ -27,7 +33,9 @@ where the old value is nonzero (a witness: |dx| / |x|).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -36,6 +44,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
+from tanglebound import cli  # noqa: E402
 from tanglebound.bounds import best_bound, report_to_json  # noqa: E402
 from tanglebound.classes import (  # noqa: E402
     CLASS_IDS,
@@ -48,6 +57,16 @@ from tanglebound.qstate import random_state  # noqa: E402
 
 RANDOM_STATES = 200
 DRAWS_PER_CLASS = 20
+
+#: (class, --param-grid, --triple or None for the verb's default), every
+#: sweep against "regu"; equal ranges put cells on the a = b diagonals
+SWEEPS = (
+    ("II", "a=0.2:2:3,d=0.2:2:3,c=0.5:1.5:3", None),
+    ("III", "a=0.2:2:5,b=0.2:2:5", None),
+    ("III", "a=0.2:2:5,b=0.4:1.8:4", "A1A2A3"),
+    ("IV", "a=0.2:2:5,b=0.2:2:5", None),
+    ("V", "a=0.2:2:10", None),
+)
 
 
 def corpus(random_states: int = RANDOM_STATES, draws_per_class: int = DRAWS_PER_CLASS):
@@ -63,6 +82,24 @@ def corpus(random_states: int = RANDOM_STATES, draws_per_class: int = DRAWS_PER_
             values = [complex(m * np.exp(1j * p)) for m, p in zip(moduli, phases)]
             states.append((class_id, representative(spec_from_values(class_id, *values))))
     return states
+
+
+def sweep_digest(sweeps=SWEEPS) -> tuple[int, str]:
+    """(cell count, sha256) of the sweep verb's stdout over ``sweeps``."""
+    digest = hashlib.sha256()
+    cells = 0
+    for class_id, grid, triple in sweeps:
+        argv = ["sweep", "--class", class_id, "--param-grid", grid, "--compare", "regu"]
+        if triple is not None:
+            argv += ["--triple", triple]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)} exited with {code}")
+        digest.update(out.getvalue().encode())
+        cells += len(json.loads(out.getvalue())["cells"])
+    return cells, digest.hexdigest()
 
 
 def moves(old: dict, new: dict):
@@ -119,6 +156,8 @@ def main(argv=None, **sizes) -> None:
             digest.update(json.dumps(report).encode())
             reports.append((group, report))
     print(f"{len(reports)} reports sha256 {digest.hexdigest()}")
+    cells, sweeps = sweep_digest()
+    print(f"{cells} sweep cells sha256 {sweeps}")
     if args.dump:
         with open(args.dump, "w") as fh:
             for group, report in reports:
