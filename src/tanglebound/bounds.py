@@ -4,8 +4,9 @@ Three constructions are provided, all driven by one invariant set:
 
 * ``bound_quartic_A4``: rotate the traced qubit; zero one endpoint invariant
   at a root of the endpoint quartic, read off the other, take the min. The
-  roots are the quartic's Majorana stars and their antipodes, from one solve
-  (``stars``), and the value left at each is a product over the other stars.
+  roots are the quartic's Majorana stars and their antipodes, from the set's
+  one solve (``ThreeQubitInvariantSet.stars``), and the value left at each is
+  a product over the other stars.
 * ``bound_unitary_3q``: same idea on the orthogonal three-qubit branch pair,
   with probability-weighted coefficients, on the same stars rescaled.
 * ``bound_grid``: direct minimization of the two-endpoint average over the
@@ -34,7 +35,7 @@ from .invariants import (
     traced_qubit_of,
 )
 from .qstate import BRANCH_INDEX, PureState4
-from .quartic import SCALE_TOL, roots
+from .quartic import SCALE_TOL
 
 PROB_FLOOR = 1e-12
 EQUAL_PROB_TOL = 1e-9
@@ -65,21 +66,6 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # quartic bound on the traced qubit
 # ---------------------------------------------------------------------------
-
-def stars(inv: ThreeQubitInvariantSet) -> tuple[float, list[complex]]:
-    """The Majorana stars of the set's endpoint quartic: (|c_d|, [x_1, ..., x_d]).
-
-    The one root solve of an invariant set: x_j are the finite roots of the I04
-    numerator c04 (_endpoint_coefficients) and c_d = c04[d] its leading kept
-    coefficient. Each of the 4 - d roots that quartic.roots drops is a star at
-    x = infinity. A set with no three- or four-way content yields (0.0, []).
-    """
-    if inv.scale() == 0.0:
-        return 0.0, []
-    c04 = _endpoint_coefficients(inv)[1]
-    xs = roots(c04)
-    return abs(c04[len(xs)]), xs
-
 
 def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
     """(4 w v, x) at the stars and their antipodes of P(x) = sum_m c_m x^m =
@@ -119,7 +105,7 @@ def _candidate_key(cand):
     return (v, abs(x), cmath.phase(x))
 
 
-def quartic_root_candidates(inv: ThreeQubitInvariantSet, *, solved=None) -> list[tuple[float, complex]]:
+def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, complex]]:
     """(value, x) pairs: 4 |complementary endpoint| at every star x of the
     endpoint quartic (zeroing I04) and at every antipode -1/conj(x) (zeroing
     I40), each value a product over the other stars (_star_candidates).
@@ -127,14 +113,14 @@ def quartic_root_candidates(inv: ThreeQubitInvariantSet, *, solved=None) -> list
     The pairs are in _candidate_key order: by value, then |x|, then phase. A
     star and its antipode carry the same value, so the first pair is the
     member with |x| <= 1 of the smallest pair, the one that bound_quartic_A4
-    reports and bound_grid's seeds reach first. ``solved`` is ``stars(inv)``
-    when the caller already has it. A set with no three- or four-way content
-    has no stars and yields none.
+    reports and bound_grid's seeds reach first. The stars are the set's own
+    (inv.stars()), solved once per set. A set with no three- or four-way
+    content has no stars and yields none.
     """
     if inv.scale() == 0.0:
         return []
-    lead, xs = solved or stars(inv)
-    return _star_candidates(_endpoint_coefficients(inv)[1], lead, xs)
+    stars = inv.stars()
+    return _star_candidates(_endpoint_coefficients(inv)[1], stars.lead, stars.xs)
 
 
 def bound_quartic_A4(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
@@ -159,35 +145,21 @@ def bound_quartic_A4(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWi
 # unitary on the three-qubit branch pair
 # ---------------------------------------------------------------------------
 
-def branch_pair_stars(xs, p0: float, p1: float) -> list[complex]:
-    """The stars t_j = sqrt(p1/p0) / x_j of the branch pair's f40 quartic, one
-    for each star x_j of the set's endpoint quartic (``xs``, the finite ones,
-    from stars), unsorted.
-
-    Two conventions map the stars that have no finite quotient. Each of the
-    4 - len(xs) stars at infinity, which quartic.roots dropped from the set's
-    quartic, gives t = 0 exactly. A star at x = 0 gives no t: its branch-pair
-    star is at infinity, the state v1 of the pair. So a star that the set's
-    quartic drops near a degree drop reaches the pair at t = 0, whose antipode
-    is infinite, where the pair's own solve would find a tiny root t with a
-    finite antipode.
-    """
-    ratio = math.sqrt(p1 / p0)
-    return [ratio / x for x in xs if x] + [0j] * (4 - len(xs))
-
-
-def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float, *,
-                     solved=None) -> BoundWitness:
+def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> BoundWitness:
     """Endpoint-zeroing bound on the branch decomposition with probabilities p0, p1.
 
     The branch pair's endpoint forms f40(y), f04(y) carry the coefficients
     i40/p0^2, 4 i31/sqrt(p0^3 p1), 6 i22/(p0 p1), 4 i13/sqrt(p0 p1^3),
     i04/p1^2: f40's numerator is the set's I04 numerator reversed and scaled,
-    so its stars are branch_pair_stars of the set's stars (``solved``, or
-    stars(inv)). They zero f40, their antipodes zero f04, and
-    the value is min(4 p0^2 |f04(t)|, 4 p1^2 |f40(-1/conj t)|) over all of
-    them. Requires both probabilities strictly positive; coincides with
-    bound_quartic_A4 when p0 = p1.
+    so its stars are t_j = sqrt(p1/p0) / x_j for the set's stars x_j
+    (inv.stars()). They zero f40, their antipodes zero f04, and the value is
+    min(4 p0^2 |f04(t)|, 4 p1^2 |f40(-1/conj t)|) over all of them. Each star
+    at infinity gives t = 0 exactly, and a star at x = 0 gives no t (its t is
+    at infinity), so a star that the set's quartic drops near a degree drop
+    reaches the pair at t = 0, whose antipode is infinite, where the pair's
+    own solve would find a tiny root t with a finite antipode. Requires both
+    probabilities strictly positive; coincides with bound_quartic_A4 when
+    p0 = p1.
     """
     if p0 < PROB_FLOOR or p1 < PROB_FLOOR:
         raise DegenerateProbability(
@@ -196,7 +168,7 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float, *,
         )
     if inv.scale() == 0.0:
         return BoundWitness("unitary_3q", 0.0, None, (), None)
-    _, xs = solved or stars(inv)
+    xs = inv.stars().xs
     c04 = _endpoint_coefficients(inv)[1]
     # times the reciprocal, which rounds as numpy divides a complex by a real
     # (z / f rounds otherwise); only moduli are read, so zero signs do not
@@ -206,7 +178,8 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float, *,
     # the f40 quartic's own degree drop, as quartic.roots would take it
     tol = SCALE_TOL * max(abs(a) for a in c)
     d = max(m for m, a in enumerate(c) if abs(a) >= tol)
-    ts = sorted(branch_pair_stars(xs, p0, p1), key=abs)[:d]
+    ratio = math.sqrt(p1 / p0)
+    ts = sorted([ratio / x for x in xs if x] + [0j] * (4 - len(xs)), key=abs)[:d]
     # zeroing f40 leaves weight p0^2 on f04, zeroing f04 leaves p1^2 on f40
     cands = _star_candidates(c, abs(c[d]), ts, p0 ** 2, p1 ** 2)
     value, y = cands[0]
@@ -612,8 +585,9 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
     probabilities are equal: that is its regime of validity (it then coincides
     with the quartic bound), whereas at unequal probabilities its
     probability-weighted value can drop below what any decomposition of the
-    reduced state realizes. The endpoint quartic is solved once (stars): the
-    quartic bound, the grid's seeds and the branch-pair bound all read it.
+    reduced state realizes. The endpoint quartic is solved once
+    (inv.stars()): the quartic bound, the grid's seeds and the branch-pair
+    bound all read its stars.
     """
     traced = traced_qubit_of(triple)
     inv = invariant_set(state, traced)
@@ -622,12 +596,11 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
     case = classify_group(inv, summary.three_way)
     if case != "generic":
         methods.append(bound_closed_form(inv, case))
-    solved = stars(inv)
-    candidates = quartic_root_candidates(inv, solved=solved)
+    candidates = quartic_root_candidates(inv)
     methods.append(bound_quartic_A4(inv, candidates=candidates))
     p0, p1 = (np.abs(state.amps[BRANCH_INDEX[traced]]) ** 2).sum(axis=1).tolist()
     if min(p0, p1) >= PROB_FLOOR and abs(p0 - p1) <= EQUAL_PROB_TOL:
-        methods.append(bound_unitary_3q(inv, p0, p1, solved=solved))
+        methods.append(bound_unitary_3q(inv, p0, p1))
     methods.append(bound_grid(inv, candidates=candidates))
     best = min(m.value for m in methods)
     cap = methods[0].value

@@ -105,8 +105,13 @@ def compute_fonts4(state: PureState4, traced: str = "A4") -> FontSet4:
     """The two-, three- and four-way determinant families of a four-qubit state
     with qubit ``traced`` (A4, A3 or A2) moved last as in
     ``qstate.TRACE_PERMS``; the default A4 is the state as given."""
+    return FontSet4(_determinants(state.amps, _fonts4_index(traced)))
+
+
+def _fonts4_index(traced: str) -> np.ndarray:
+    """The font index table of traced qubit ``traced``; BadQubitLabel unless
+    it is A2, A3 or A4."""
     try:
-        index = _FONTS4_INDEX[traced]
+        return _FONTS4_INDEX[traced]
     except KeyError:
         raise BadQubitLabel(f"traced qubit must be A2, A3 or A4, got {traced!r}") from None
-    return FontSet4(_determinants(state.amps, index))

@@ -9,17 +9,49 @@ tangle bounds) is built from this set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadQubitLabel, NonFinite
-from .fonts import FontSet4, compute_fonts3, compute_fonts4
+from .fonts import FontSet4, _fonts4_index, compute_fonts3, compute_fonts4
 from .qstate import PureState3, PureState4, check_normalized
+from .quartic import roots
 
 #: triple of kept qubits -> label of the traced qubit
 TRIPLES = {"A1A2A3": "A4", "A1A2A4": "A3", "A1A3A4": "A2"}
+
+
+@dataclass(frozen=True)
+class Stars:
+    """The Majorana stars of an invariant set's endpoint quartic.
+
+    The I04 numerator sum_m c04[m] x^m (_endpoint_coefficients) is
+    c_d prod_j (x - x_j): ``xs`` are its d finite roots, in quartic.roots'
+    order, and ``lead`` is |c_d|, its leading kept coefficient. The 4 - d
+    roots that quartic.roots drops are stars at x = infinity.
+
+    A star's point n on the unit sphere follows the one convention
+    (x, 1)(x, 1)^dagger / (1 + |x|^2) = (I + n.sigma) / 2, that is
+    n = (2 Re x, -2 Im x, |x|^2 - 1) / (1 + |x|^2); a star at infinity, the
+    limit (1, 0), sits at the pole (0, 0, 1).
+    """
+
+    lead: float
+    xs: tuple[complex, ...]
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """Read-only (4, 3) array: the finite stars' points in ``xs`` order,
+        then the pole once per star at infinity; computed on first read."""
+        x = np.array(self.xs, dtype=complex)
+        den = 1.0 + np.abs(x) ** 2
+        finite = np.column_stack((2.0 * x.real, -2.0 * x.imag, den - 2.0)) / den[:, None]
+        points = np.vstack((finite, np.tile((0.0, 0.0, 1.0), (4 - len(x), 1))))
+        points.setflags(write=False)
+        return points
 
 
 @dataclass(frozen=True)
@@ -51,6 +83,19 @@ class ThreeQubitInvariantSet:
             ))
         return scale
 
+    def stars(self) -> Stars:
+        """The Majorana stars of the set's endpoint quartic, from its one
+        quartic.roots call, made on the first call only: every later call
+        returns the same object. Raises ZeroPolynomial on a set with no
+        three- or four-way content (scale() == 0), whose form has no stars.
+        """
+        stars = self.__dict__.get("_stars")
+        if stars is None:
+            c04 = _endpoint_coefficients(self)[1]
+            xs = roots(c04)
+            stars = self.__dict__["_stars"] = Stars(abs(c04[len(xs)]), tuple(xs))
+        return stars
+
 
 @dataclass(frozen=True)
 class CorrelationSummary:
@@ -81,12 +126,14 @@ def invariant_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
     The canonical A4 expressions are evaluated on the fonts of the state with
     the traced qubit moved to position 4 (A1 stays first, the rest keep
     ascending order; ``qstate.TRACE_PERMS``). ``compute_fonts4`` gathers those fonts
-    from the state's own amplitudes, so no permuted state is built; it also
-    rejects any other label (BadQubitLabel), before the norm is checked.
+    from the state's own amplitudes, so no permuted state is built. Any other
+    label raises BadQubitLabel first; then the norm is checked, before the
+    gather, so that amplitudes far from unit norm raise NotNormalized and
+    never reach the font products, where they could overflow.
     """
-    fonts = compute_fonts4(state, traced)
+    _fonts4_index(traced)
     check_normalized(state)
-    return _set_from_fonts(fonts, traced)
+    return _set_from_fonts(compute_fonts4(state, traced), traced)
 
 
 def _square(z: complex) -> complex:

@@ -153,11 +153,14 @@ def check_normalized(state) -> None:
     """Raise NotNormalized unless |norm^2 - 1| <= NORM_TOL.
 
     A check only, so one np.vdot call suffices: it rounds differently from
-    norm_squared() by a few ulps, far below NORM_TOL. normalize() and the
-    error message keep norm_squared(), so no normalized state changes.
+    norm_squared() by a few ulps, far below NORM_TOL. normalize() keeps
+    norm_squared(), so no normalized state changes. The message prints the
+    np.vdot value, which overflows to inf without a warning where the squared
+    moduli would warn.
     """
-    if abs(np.vdot(state.amps, state.amps).real - 1.0) > NORM_TOL:
-        raise NotNormalized(f"norm^2 = {state.norm_squared()!r}")
+    n2 = np.vdot(state.amps, state.amps).real
+    if abs(n2 - 1.0) > NORM_TOL:
+        raise NotNormalized(f"norm^2 = {float(n2)!r}")
 
 
 def u_of_x(x: complex) -> Qubit2Unitary:

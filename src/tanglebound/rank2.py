@@ -5,17 +5,17 @@ the weight threshold where x0 leaves the unit disk, the printed bound formula,
 and the explicit optimal decompositions (three phase-rotated vectors plus a
 remainder below the threshold, three vectors at |x| = 1 above it).
 
-``decompose_rank2`` handles a general rank-2 state from the stars of one
-purification's endpoint quartic (``bounds.stars``). It checks whether the
-state is a convex mixture of the (at most four) zero-tangle pure states in its
-range, one per star: one least-squares solve on their Bloch coordinates,
+``decompose_rank2`` handles a general rank-2 state from the Majorana stars of
+one purification's endpoint quartic (``ThreeQubitInvariantSet.stars``). It
+checks whether the state is a convex mixture of the (at most four)
+zero-tangle pure states in its range, one per star: the origin must lie in
+the convex hull of the stars' points on the sphere, one least-squares solve,
 exact, basis independent, and reproducing the closed-form decompositions of
 the GHZ/W family. When it succeeds its mixture is the answer; otherwise the
 quartic and branch-pair bounds run on the same stars. One purification serves
-every phase: the
-relative phase theta of the second branch is a diagonal unitary on the traced
-qubit, which sends I^{4-m,m} to e^{i m theta} I^{4-m,m} and only
-reparametrizes the rotation x, so every phase gives the same bounds.
+every phase: the relative phase theta of the second branch is a diagonal
+unitary on the traced qubit, which sends I^{4-m,m} to e^{i m theta} I^{4-m,m}
+and only reparametrizes the rotation x, so every phase gives the same bounds.
 """
 
 from __future__ import annotations
@@ -31,12 +31,9 @@ from .bounds import (
     BoundWitness,
     bound_quartic_A4,
     bound_unitary_3q,
-    branch_pair_stars,
-    quartic_root_candidates,
-    stars,
 )
 from .errors import BranchMismatch, NotDensityMatrix, OutOfRange
-from .invariants import invariant_set, three_tangle_pure
+from .invariants import Stars, invariant_set, three_tangle_pure
 from .qstate import (
     MixedState3,
     PureState3,
@@ -170,56 +167,75 @@ def ghzw_decomposition(p: float, branch: str) -> Decomposition:
 # general rank-2 workflow
 # ---------------------------------------------------------------------------
 
-def _zero_tangle_mixture(p0, p1, v0, v1, xs) -> Decomposition | None:
-    """Mixture of the zero-tangle root states reconstructing rho, if one exists.
+#: 1 - n_a.n_b at or below which two stars' points count as one: the unit
+#: vectors u in C^2 with u u^dagger = (I + n.sigma) / 2 have
+#: 1 - n_a.n_b = 2 (1 - |<u_a|u_b>|^2), about 4 (1 - |<u_a|u_b>|) here
+_COINCIDENT = 4e-10
+#: least-weight margin within which two breakpoints of a coplanar system tie
+_BREAKPOINT_TIE = 1e-9
 
-    The tangle of the range state v0 + t v1 vanishes on the <= 4 projective
-    roots t of the branch pair's quartic form, bounds.branch_pair_stars of the
-    stars of the purification's endpoint quartic (``xs``, the finite ones,
-    from bounds.stars), and the state v1 for each star at x = 0, which has no
-    t. rho has zero tangle exactly when it is a convex mixture of those root
-    states. A
-    range state a v0 + b v1 has the moments (|a|^2, |b|^2, Re a b*, Im a b*),
-    affine coordinates of its Bloch vector, and rho has (p0, p1, 0, 0):
-    feasibility is one least-squares solve of the moment constraints. Distinct
-    points on the Bloch sphere are affinely independent unless four of them
-    lie on one circle (real-amplitude states, class I); that system has one
-    null direction, which is followed to the breakpoint, where a weight
-    reaches zero, with the largest least weight. Needs p1 >= PROB_FLOOR.
+
+def _range_states(stars: Stars, phi0, phi1) -> tuple[list[np.ndarray], np.ndarray]:
+    """(states, points) of the distinct stars: psi_x = (x phi0 + phi1) /
+    sqrt(1 + |x|^2) for a finite star x, phi0 for a star at infinity, and the
+    stars' points (Stars.points), a (k, 3) array. A star whose point lies
+    within _COINCIDENT of an earlier one's gives the same state and is left
+    out."""
+    states = [(x * phi0 + phi1) / math.sqrt(1.0 + abs(x) ** 2) for x in stars.xs]
+    states += [phi0] * (4 - len(stars.xs))
+    keep = []
+    for j, n in enumerate(stars.points):
+        if all(1.0 - n @ stars.points[k] > _COINCIDENT for k in keep):
+            keep.append(j)
+    return [states[j] for j in keep], stars.points[keep]
+
+
+def _zero_tangle_mixture(stars: Stars, phi0, phi1) -> Decomposition | None:
+    """Mixture of the zero-tangle range states reconstructing rho, if one exists.
+
+    rho = phi0 phi0^dagger + phi1 phi1^dagger with phi_i = sqrt(p_i) v_i, and
+    the range state Phi u (Phi = [phi0, phi1], u in C^2) has zero tangle
+    exactly when u is along (x, 1) for a star x of the purification's
+    endpoint quartic, or along (1, 0) for a star at infinity: the states
+    psi_x of _range_states, at most four. A mixture of them,
+    sum_j c_j psi_j psi_j^dagger with c_j >= 0, is rho exactly when
+    sum_j c_j u_j u_j^dagger = I for the unit vectors u_j, that is, with
+    u u^dagger = (I + n.sigma) / 2 (Stars), when sum_j c_j = 2 and
+    sum_j c_j n_j = 0: the origin lies in the convex hull of the stars'
+    points. Feasibility is one least-squares solve of these four equations,
+    and the mixture's weights are w_j = c_j |psi_j|^2.
+
+    Distinct points on the sphere are affinely independent unless four of
+    them lie on one circle (real-amplitude states, class I). That system has
+    one null direction, with no zero entry, and each breakpoint on it zeroes
+    one c_j. Each breakpoint is scored by the least weight among the members
+    it keeps; of those within _BREAKPOINT_TIE of the best score, the one
+    whose canonical members (_canonical_members) sort first is taken, so
+    that rounding-level moves of the stars do not pick another mixture.
 
     The members come in a canonical order and phase (_canonical_members), so
-    rounding-level moves of the stars neither reorder nor flip them.
+    such moves neither reorder nor flip them either.
     """
-    ts = sorted(branch_pair_stars(xs, p0, p1), key=lambda t: (t.real, t.imag))
-    states = [v0 + t * v1 for t in ts] + [v1] * (4 - len(ts))
-    states = [vec / np.linalg.norm(vec) for vec in states]
-    # deduplicate projectively identical roots
-    unique = []
-    for vec in states:
-        if all(1.0 - abs(np.vdot(vec, o)) > 1e-10 for o in unique):
-            unique.append(vec)
-    # moments of rho in the (v0, v1) basis: diag(p0, p1)
-    target = np.array([p0, p1, 0.0, 0.0])
-    cols = []
-    for vec in unique:
-        a = np.vdot(v0, vec)
-        b = np.vdot(v1, vec)
-        cols.append([abs(a) ** 2, abs(b) ** 2, (a * b.conjugate()).real, (a * b.conjugate()).imag])
-    cols = np.array(cols).T
-    w, _, rank, _ = np.linalg.lstsq(cols, target, rcond=1e-10)
-    if rank < len(unique):
-        # four roots on one circle: w + s null solves the constraints for every
-        # s; step to each point where a weight reaches zero, keep the best one
-        null = np.linalg.svd(cols)[2][-1]
-        steps = w + (-w / null)[:, None] * null
-        w = steps[steps.min(axis=1).argmax()]
-    if np.any(w < -1e-10):
-        return None
-    w = np.clip(w, 0.0, None)
-    if abs(w.sum() - 1.0) > 1e-8 or np.max(np.abs(cols @ w - target)) > 1e-10:
+    states, points = _range_states(stars, phi0, phi1)
+    hull = np.vstack((np.ones(len(states)), points.T))
+    target = np.array([2.0, 0.0, 0.0, 0.0])
+    c, _, rank, _ = np.linalg.lstsq(hull, target, rcond=1e-10)
+    norms2 = np.array([np.vdot(psi, psi).real for psi in states])
+    if rank < len(states):
+        # four points on one circle: c + s null solves the system for every
+        # s; step to each point where a c_j reaches zero and keep the best
+        null = np.linalg.svd(hull)[2][-1]
+        steps = c - (c / null)[:, None] * null
+        weights = steps * norms2
+        kept = np.where(np.eye(len(states), dtype=bool), np.inf, weights).min(axis=1)
+        tied = np.flatnonzero(kept >= kept.max() - _BREAKPOINT_TIE)
+        c = steps[min(tied, key=lambda i: [
+            _member_key(m) for m in _canonical_members(weights[i], states)])]
+    w = c * norms2
+    if np.any(w < -1e-10) or np.max(np.abs(hull @ np.clip(c, 0.0, None) - target)) > 1e-10:
         return None
     try:
-        return make_decomposition(_canonical_members(w, unique))
+        return make_decomposition((w, PureState3(psi)) for w, psi in _canonical_members(w, states))
     except (BranchMismatch, NotDensityMatrix):
         return None
 
@@ -230,25 +246,25 @@ def _zero_tangle_mixture(p0, p1, v0, v1, xs) -> Decomposition | None:
 _ORDER_DECIMALS = 9
 
 
-def _canonical_members(weights, vectors) -> list[tuple[float, PureState3]]:
-    """(weight, state) for the weights above WEIGHT_DROP, each state's global
-    phase chosen so that its first amplitude of largest modulus (within a
-    relative 1e-9) is real and positive, in order of decreasing weight; equal
-    weights, to _ORDER_DECIMALS decimals, are ordered by the rounded real and
-    imaginary parts of the amplitudes, in index order."""
+def _canonical_members(weights, states) -> list[tuple[float, np.ndarray]]:
+    """(weight, unit vector) for the weights above WEIGHT_DROP, each state
+    normalized and its global phase chosen so that its first amplitude of
+    largest modulus (within a relative 1e-9) is real and positive, sorted by
+    _member_key."""
     members = []
-    for w, vec in zip(weights, vectors):
+    for w, psi in zip(weights, states):
         if w > WEIGHT_DROP:
-            moduli = np.abs(vec)
-            lead = vec[int(np.argmax(moduli >= (1.0 - 1e-9) * moduli.max()))]
-            members.append((w, vec * (abs(lead) / lead)))
+            moduli = np.abs(psi)
+            lead = psi[int(np.argmax(moduli >= (1.0 - 1e-9) * moduli.max()))]
+            members.append((w, psi * (abs(lead) / lead / np.linalg.norm(psi))))
+    return sorted(members, key=_member_key)
 
-    def key(member):
-        w, vec = member
-        parts = np.round(vec.view(float), _ORDER_DECIMALS).tolist()
-        return -round(float(w), _ORDER_DECIMALS), parts
 
-    return [(w, PureState3(vec)) for w, vec in sorted(members, key=key)]
+def _member_key(member):
+    """Decreasing weight; equal weights, to _ORDER_DECIMALS decimals, by the
+    rounded real and imaginary parts of the amplitudes, in index order."""
+    w, vec = member
+    return -round(float(w), _ORDER_DECIMALS), np.round(vec.view(float), _ORDER_DECIMALS).tolist()
 
 
 def _realized_value(deco: Decomposition) -> float:
@@ -293,17 +309,16 @@ def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
 
     state = _purification(p0, p1, v0, v1, 0.0)
     inv = invariant_set(state, "A4")
-    solved = stars(inv)
     if inv.scale() == 0.0:
         # every range state has zero tangle
         zero_mixture = make_decomposition([(p0, PureState3(v0)), (p1, PureState3(v1))])
     else:
-        zero_mixture = _zero_tangle_mixture(p0, p1, v0, v1, solved[1])
+        zero_mixture = _zero_tangle_mixture(inv.stars(), math.sqrt(p0) * v0, math.sqrt(p1) * v1)
     if zero_mixture is not None:
         # report what the mixture actually certifies (tiny but not forced to 0
         # when a root carries floating-point error)
         return BoundWitness("root_mixture", _realized_value(zero_mixture), None, (), None), zero_mixture
-    quartic = bound_quartic_A4(inv, candidates=quartic_root_candidates(inv, solved=solved))
-    unitary = bound_unitary_3q(inv, p0, p1, solved=solved)
+    quartic = bound_quartic_A4(inv)
+    unitary = bound_unitary_3q(inv, p0, p1)
     best = unitary if unitary.value < quartic.value - 1e-15 else quartic
     return best, _two_member_decomposition(state, quartic.witness_x)

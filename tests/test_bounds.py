@@ -291,7 +291,7 @@ class TestOneEndpointSolve:
         for inv in sets:
             if inv.scale() == 0.0:
                 continue
-            _, xs = bounds.stars(inv)
+            xs = inv.stars().xs
             abs_ = (1e-10 if near_drop(inv) else 1e-14) * inv.scale()
             for v, x in bounds.quartic_root_candidates(inv):
                 i40, i04 = transform_endpoints(inv, x)
@@ -322,7 +322,7 @@ class TestOneEndpointSolve:
             calls.append(c)
             return roots(c)
 
-        monkeypatch.setattr(bounds, "roots", counting)
+        monkeypatch.setattr(invariants, "roots", counting)
         rng = np.random.default_rng(409)
         sets = [random_set(rng) for _ in range(5)] + degenerate_sets(rng, 1)
         near_zero = 0
@@ -1210,7 +1210,7 @@ class TestBestBound:
             calls.append(c)
             return roots(c)
 
-        monkeypatch.setattr(bounds, "roots", counting)
+        monkeypatch.setattr(invariants, "roots", counting)
         report = best_bound(state, triple)
         assert ("unitary_3q" in [m.method for m in report.methods]) == unitary
         assert len(calls) == 1

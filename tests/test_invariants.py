@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from tanglebound import errors
+from tanglebound import bounds, errors, invariants
 from tanglebound.classes import ClassSpec, representative, spec_from_values
 from tanglebound.invariants import (
     _set_from_fonts,
@@ -137,6 +138,18 @@ class TestInvariantSetTraced:
             with pytest.raises(errors.NotNormalized):
                 invariant_set(s, traced)
 
+    def test_norm_is_checked_before_the_fonts_are_gathered(self):
+        # amplitudes of 1e200 would overflow in the font products; the norm
+        # check comes first, and its message does not overflow either
+        s = PureState4(np.full(16, 1e200 + 0j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for traced in ("A4", "A3", "A2"):
+                with pytest.raises(errors.NotNormalized, match="inf"):
+                    invariant_set(s, traced)
+            with pytest.raises(errors.BadQubitLabel):
+                invariant_set(s, "A1")
+
 
 class TestTransformEndpoints:
     def test_x_zero_is_identity(self):
@@ -247,3 +260,72 @@ class TestInvarianceProperties:
             assert 4 * abs(inv.i40) == pytest.approx(
                 three_tangle_pure(PureState3(phi)), abs=1e-12
             )
+
+
+def star_states():
+    """Random states, a state whose A4 = 0 branch has zero tangle (i40 = 0:
+    a degree drop, one star at infinity) and one whose A4 = 1 branch has
+    (i04 = 0: a star at x = 0)."""
+    states = [random_state(900 + k) for k in range(20)]
+    rng = np.random.default_rng(31)
+    generic = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    for pair in ((W3.amps, generic), (generic, W3.amps)):
+        states.append(normalize(PureState4(np.stack(pair, axis=1).reshape(16))))
+    return states
+
+
+class TestStars:
+    def test_each_star_has_a_zero_tangle_member(self):
+        # the A4 branches phi0, phi1: x phi0 + phi1 at a finite star, phi0 at
+        # a star at infinity, has zero three-tangle
+        drops = zeros = 0
+        for state in star_states():
+            inv = invariant_set(state, "A4")
+            stars = inv.stars()
+            phi0, phi1 = state.amps.reshape(8, 2).T
+            members = [x * phi0 + phi1 for x in stars.xs] + [phi0] * (4 - len(stars.xs))
+            for member in members:
+                assert three_tangle_pure(normalize(PureState3(member))) <= 1e-12, stars
+            drops += len(stars.xs) < 4
+            zeros += 0j in stars.xs
+        assert drops == 1 and zeros == 1
+
+    def test_points_follow_the_stated_convention(self):
+        # (x, 1)(x, 1)^dagger / (1 + |x|^2) = (I + n.sigma) / 2, and (1, 0)
+        # for a star at infinity
+        sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        for state in star_states():
+            stars = invariant_set(state, "A4").stars()
+            assert stars.points.shape == (4, 3)
+            vectors = [np.array([x, 1.0]) for x in stars.xs]
+            vectors += [np.array([1.0, 0.0])] * (4 - len(stars.xs))
+            for u, n in zip(vectors, stars.points):
+                projector = np.outer(u, u.conj()) / np.vdot(u, u).real
+                expected = (np.eye(2) + np.tensordot(n, sigma, axes=1)) / 2.0
+                np.testing.assert_allclose(projector, expected, rtol=0, atol=1e-15)
+                assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
+
+    def test_one_solve_per_set_and_the_same_object(self, monkeypatch):
+        calls = []
+        solve = invariants.roots
+
+        def counting(c):
+            calls.append(c)
+            return solve(c)
+
+        monkeypatch.setattr(invariants, "roots", counting)
+        inv = invariant_set(random_state(950), "A4")
+        stars = inv.stars()
+        bounds.bound_quartic_A4(inv)
+        bounds.bound_unitary_3q(inv, 0.3, 0.7)
+        bounds.bound_grid(inv)
+        assert inv.stars() is stars and stars.points is stars.points
+        assert len(calls) == 1
+        # the cache is no field: equality and repr are the set's five entries
+        assert inv == invariant_set(random_state(950), "A4")
+        assert "stars" not in repr(inv)
+
+    def test_a_set_with_no_content_has_no_stars(self):
+        with pytest.raises(errors.ZeroPolynomial):
+            dataclasses.replace(invariant_set(random_state(951), "A4"),
+                                i40=0j, i31=0j, i22=0j, i13=0j, i04=0j).stars()

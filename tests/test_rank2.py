@@ -1,12 +1,13 @@
 """GHZ/W closed forms, optimal decompositions, and the general rank-2 workflow."""
 
+import dataclasses
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from tanglebound import bounds, classes, errors, qstate, quartic, rank2
+from tanglebound import bounds, classes, errors, invariants, qstate, quartic, rank2
 from tanglebound.bounds import bound_cap, bound_quartic_A4, bound_unitary_3q
 from tanglebound.invariants import correlation_summary, invariant_set, three_tangle_pure
 from tanglebound.qstate import (
@@ -179,8 +180,8 @@ class TestDecomposeRank2:
             solved.append(inv)
             return quartic_root_candidates(inv, **kw)
 
-        quartic_root_candidates = rank2.quartic_root_candidates
-        monkeypatch.setattr(rank2, "quartic_root_candidates", counting)
+        quartic_root_candidates = bounds.quartic_root_candidates
+        monkeypatch.setattr(bounds, "quartic_root_candidates", counting)
         for p in (0.3, 0.5):
             witness, _ = decompose_rank2(ghzw_rho(p))
             assert witness.method == "root_mixture"
@@ -190,8 +191,8 @@ class TestDecomposeRank2:
         assert len(solved) == 1
 
     def test_one_endpoint_quartic_per_bound(self, monkeypatch):
-        # one star solve serves the root-mixture test, quartic_A4 and
-        # unitary_3q, whichever module would call quartic.roots
+        # one star solve, the invariant set's, serves the root-mixture test,
+        # quartic_A4 and unitary_3q
         calls = []
         solve = quartic.roots
 
@@ -199,9 +200,7 @@ class TestDecomposeRank2:
             calls.append(c)
             return solve(c)
 
-        for module in (bounds, rank2):
-            if hasattr(module, "roots"):
-                monkeypatch.setattr(module, "roots", counting)
+        monkeypatch.setattr(invariants, "roots", counting)
         rhos = [ghzw_rho(0.8), partial_trace_last(random_state(123))[0]]
         for rho in rhos:
             calls.clear()
@@ -215,7 +214,7 @@ class TestDecomposeRank2:
         for k in range(40):
             p0, p1, v0, v1 = rank2_basis(partial_trace_last(random_state(123 + k))[0])
             inv = invariant_set(qstate._purification(p0, p1, v0, v1, 0.0), "A4")
-            _, xs = bounds.stars(inv)
+            xs = inv.stars().xs
             m = np.arange(5)
             pair = inv.as_array() / (p0 ** ((4 - m) / 2) * p1 ** (m / 2))
             ts = quartic.roots(pair * np.array([1.0, 4.0, 6.0, 4.0, 1.0]))
@@ -344,9 +343,11 @@ class TestDecomposeRank2:
 def reference_mixture_weights(cols, target, solve):
     """The subset enumeration the single solve replaced, as an oracle.
 
-    Tries every nonempty subset of the root columns, smallest first, and
-    returns the first feasible subset's weights placed in their columns, or
-    None. ``solve`` is np.linalg.lstsq.
+    Tries every nonempty subset of the columns of the hull system (a column
+    (1, n_j) per star, the target (2, 0, 0, 0)), smallest first, and returns
+    the first feasible subset's coefficients c_j placed in their columns, or
+    None. The system's first row carries sum_j c_j = 2, so the residual check
+    covers it. ``solve`` is np.linalg.lstsq.
     """
     n = cols.shape[1]
     for k in range(1, n + 1):
@@ -356,7 +357,7 @@ def reference_mixture_weights(cols, target, solve):
             if np.any(w < -1e-10):
                 continue
             w = np.clip(w, 0.0, None)
-            if abs(w.sum() - 1.0) > 1e-8 or np.max(np.abs(sub @ w - target)) > 1e-10:
+            if np.max(np.abs(sub @ w - target)) > 1e-10:
                 continue
             full = np.zeros(n)
             full[list(subset)] = w
@@ -367,8 +368,8 @@ def reference_mixture_weights(cols, target, solve):
 def rank_deficient_corpus():
     """Random, real-amplitude and class I reduced states.
 
-    Real amplitudes and class I put the roots on one great circle, so these
-    include moment systems without full column rank.
+    Real amplitudes and class I put the stars on one great circle, so these
+    include hull systems without full column rank.
     """
     rhos = [partial_trace_last(random_state(700 + k))[0] for k in range(30)]
     rng = np.random.default_rng(5)
@@ -385,10 +386,11 @@ def rank_deficient_corpus():
 
 class TestZeroTangleMixture:
     def test_one_solve_matches_the_subset_enumeration(self, monkeypatch):
-        # one lstsq call per mixture test; feasibility agrees with the
-        # enumeration everywhere, on full column rank the weights are bit for
-        # bit the reference's, and the rank-deficient mixtures, which may pick
-        # other members, still reconstruct rho at a zero value
+        # one lstsq call per mixture test, on the hull system of the stars'
+        # points; feasibility agrees with the enumeration everywhere, on full
+        # column rank the weights c_j |psi_j|^2 are bit for bit the
+        # reference's, and the rank-deficient mixtures, which may pick other
+        # members, still reconstruct rho at a zero value
         solved, mixtures = [], []
         solve, mixture = np.linalg.lstsq, rank2._zero_tangle_mixture
 
@@ -410,15 +412,17 @@ class TestZeroTangleMixture:
             witness, deco = decompose_rank2(rho)
             assert len(mixtures) == 1
             assert len(solved) == 1
-            cols, target, rank = solved[0]
-            reference = reference_mixture_weights(cols, target, solve)
+            hull, target, rank = solved[0]
+            reference = reference_mixture_weights(hull, target, solve)
             assert (witness.method == "root_mixture") == (reference is not None)
-            if rank < cols.shape[1]:
+            if rank < hull.shape[1]:
                 deficient += 1
             elif reference is not None:
                 # the members come in canonical order, not in column order
+                states, _ = rank2._range_states(*mixtures[0])
+                norms2 = np.array([np.vdot(psi, psi).real for psi in states])
                 assert sorted(w for w, _ in deco.members) == sorted(
-                    float(w) for w in reference if w > WEIGHT_DROP)
+                    float(w) for w in reference * norms2 if w > WEIGHT_DROP)
             if reference is not None:
                 assert witness.value == rank2._realized_value(deco)
                 assert witness.value <= 1e-15
@@ -430,31 +434,35 @@ class TestZeroTangleMixture:
         # every star moved by one ulp in each part, in random directions: the
         # mixture keeps its members, their order and their global phases, up
         # to rounding. The GHZ/W mixtures hold three members of equal weight,
-        # and at p = 0.6 a star of rounding size, x ~ -6e-33. Only moment
-        # systems of full column rank: where four roots lie on one circle the
-        # null-direction step may pick another mixture
+        # and at p = 0.6 a star of rounding size, x ~ -6e-33. Where four stars
+        # lie on one circle (real amplitudes, class I) the hull system has no
+        # full column rank, and the breakpoint rule must not let rounding pick
+        # another mixture either
         rng = np.random.default_rng(25)
-        rhos = [ghzw_rho(p) for p in (0.2, 0.3, 0.5, 0.6)]
-        rhos += [partial_trace_last(random_state(700 + k))[0] for k in range(30)]
-        checked = 0
+        rhos = [ghzw_rho(p) for p in (0.2, 0.3, 0.5, 0.6)] + rank_deficient_corpus()
+        checked = deficient = 0
         for rho in rhos:
             p0, p1, v0, v1 = rank2_basis(rho)
             inv = invariant_set(qstate._purification(p0, p1, v0, v1, 0.0), "A4")
-            xs = bounds.stars(inv)[1]
-            mixture = rank2._zero_tangle_mixture(p0, p1, v0, v1, xs)
+            stars = inv.stars()
+            phi0, phi1 = math.sqrt(p0) * v0, math.sqrt(p1) * v1
+            mixture = rank2._zero_tangle_mixture(stars, phi0, phi1)
             if mixture is None:
                 continue
             checked += 1
+            states, points = rank2._range_states(stars, phi0, phi1)
+            hull = np.vstack((np.ones(len(states)), points.T))
+            deficient += np.linalg.matrix_rank(hull, 1e-10) < len(states)
             for _ in range(8):
-                ends = rng.choice([-np.inf, np.inf], (len(xs), 2))
-                moved = [complex(np.nextafter(x.real, a), np.nextafter(x.imag, b))
-                         for x, (a, b) in zip(xs, ends)]
-                again = rank2._zero_tangle_mixture(p0, p1, v0, v1, moved)
+                ends = rng.choice([-np.inf, np.inf], (len(stars.xs), 2))
+                moved = tuple(complex(np.nextafter(x.real, a), np.nextafter(x.imag, b))
+                              for x, (a, b) in zip(stars.xs, ends))
+                again = rank2._zero_tangle_mixture(dataclasses.replace(stars, xs=moved), phi0, phi1)
                 assert len(again.members) == len(mixture.members)
                 for (w, a), (w2, b) in zip(mixture.members, again.members):
                     assert w2 == pytest.approx(w, abs=1e-12)
                     np.testing.assert_allclose(b.amps, a.amps, atol=1e-9)
-        assert checked >= 10, checked
+        assert checked >= 40 and deficient >= 25, (checked, deficient)
 
     def test_ghzw_mixture_exists_up_to_the_threshold(self):
         pstar = ghzw_threshold()

@@ -1,6 +1,7 @@
-"""tools/report_digest.py: the corpus digest and the report comparison."""
+"""tools/report_digest.py: the corpus digests and the comparisons."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -8,10 +9,15 @@ import re
 
 import pytest
 
+from tanglebound import rank2
+
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
 
 #: a corpus of (20 + 9 x 2) x 3 = 114 reports keeps the two runs short
 SIZES = {"random_states": 20, "draws_per_class": 2}
+#: the rank-2 corpus: 99 GHZ/W mixtures, 30 random, 60 real-amplitude and
+#: 5 x 4 class I states
+DECOMPOSITIONS = 209
 
 
 @pytest.fixture(scope="module")
@@ -27,29 +33,52 @@ def run(report_digest, capsys, *argv) -> list[str]:
     return capsys.readouterr().out.splitlines()
 
 
+def tables(out: list[str]) -> tuple[dict, dict]:
+    """The rows of --compare's report and decomposition tables, keyed by
+    (group, field)."""
+    split = next(k for k, line in enumerate(out) if "decompositions changed" in line)
+    rows = [{tuple(line.split()[:2]): line.split()[2:] for line in lines}
+            for lines in (out[5:split], out[split + 2:])]
+    return rows[0], rows[1]
+
+
+def move_in_dump(dump, key, change):
+    """Apply change() to the first dumped line holding ``key``."""
+    lines = dump.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if f'"{key}"' in line)
+    moved = json.loads(lines[k])
+    change(moved[key])
+    lines[k] = json.dumps(moved)
+    dump.write_text("\n".join(lines) + "\n")
+
+
 def test_compare_against_its_own_dump_changes_nothing(report_digest, capsys, tmp_path):
     dump = tmp_path / "reports.jsonl"
     first = run(report_digest, capsys, "--dump", str(dump))
     assert re.fullmatch(r"114 reports sha256 [0-9a-f]{64}", first[0]), first
-    assert len(dump.read_text().splitlines()) == 114
+    assert re.fullmatch(rf"{DECOMPOSITIONS} decompositions sha256 [0-9a-f]{{64}}", first[2]), first
+    assert len(dump.read_text().splitlines()) == 114 + DECOMPOSITIONS
     second = run(report_digest, capsys, "--compare", str(dump))
-    assert second[:2] == first[:2]
-    assert second[2] == "0 of 114 reports changed"
-    # the table has its header and no rows
-    assert len(second) == 4 and second[3].split()[:2] == ["group", "field"]
+    assert second[:3] == first[:3]
+    assert second[3] == "0 of 114 reports changed"
+    assert second[5] == f"0 of {DECOMPOSITIONS} decompositions changed, 0 in method, 0 in member count"
+    # both tables have their header and no rows
+    assert len(second) == 7
+    assert second[4].split()[:2] == second[6].split()[:2] == ["group", "field"]
 
 
 def test_compare_reports_a_moved_value(report_digest, capsys, tmp_path):
     dump = tmp_path / "reports.jsonl"
     run(report_digest, capsys, "--dump", str(dump))
-    lines = dump.read_text().splitlines()
-    moved = json.loads(lines[0])
-    moved["report"]["best"] *= 1.0 + 1e-9
-    lines[0] = json.dumps(moved)
-    dump.write_text("\n".join(lines) + "\n")
+
+    def change(report):
+        report["best"] *= 1.0 + 1e-9
+
+    move_in_dump(dump, "report", change)
     out = run(report_digest, capsys, "--compare", str(dump))
-    assert out[2] == "1 of 114 reports changed"
-    rows = {tuple(line.split()[:2]): line.split()[2:] for line in out[4:]}
+    assert out[3] == "1 of 114 reports changed"
+    rows, decomposition_rows = tables(out)
+    assert decomposition_rows == {}
     assert set(rows) == {("all", "best"), ("random", "best")}
     count, _, rel = rows[("random", "best")]
     assert count == "1" and float(rel) == pytest.approx(1e-9, rel=1e-3)
@@ -84,3 +113,44 @@ def test_sweep_digest_moves_with_a_cell(report_digest, monkeypatch):
 def test_sweep_failure_stops_the_tool(report_digest):
     with pytest.raises(SystemExit, match="exited with 1"):
         report_digest.sweep_digest([("V", "a=1:inf:2", None)])
+
+
+def test_decomposition_digest_line(report_digest, capsys):
+    out = run(report_digest, capsys)
+    groups = [group for group, _ in report_digest.rank2_corpus()]
+    assert [groups.count(g) for g in ("ghzw", "random", "real", "classI")] == [99, 30, 60, 20]
+    digest = hashlib.sha256()
+    for _, rho in report_digest.rank2_corpus():
+        witness, deco = rank2.decompose_rank2(rho)
+        record = report_digest.decomposition_to_json(witness, deco)
+        assert record["method"] == witness.method and record["value"] == witness.value
+        assert [w for w, _, _ in record["members"]] == [w for w, _ in deco.members]
+        digest.update(json.dumps(record).encode())
+    assert out[2] == f"{DECOMPOSITIONS} decompositions sha256 {digest.hexdigest()}"
+
+
+def test_compare_reports_moved_decompositions(report_digest, capsys, tmp_path):
+    # a weight moved by 1e-9 relative in the first (GHZ/W) decomposition is a
+    # row of the table; a decomposition of another method is counted apart
+    dump = tmp_path / "reports.jsonl"
+    run(report_digest, capsys, "--dump", str(dump))
+
+    def change(decomposition):
+        decomposition["members"][0][0] *= 1.0 + 1e-9
+
+    move_in_dump(dump, "decomposition", change)
+    out = run(report_digest, capsys, "--compare", str(dump))
+    assert out[5] == f"1 of {DECOMPOSITIONS} decompositions changed, 0 in method, 0 in member count"
+    rows, decomposition_rows = tables(out)
+    assert rows == {}
+    assert set(decomposition_rows) == {("all", "weight"), ("ghzw", "weight")}
+    count, _, rel = decomposition_rows[("ghzw", "weight")]
+    assert count == "1" and float(rel) == pytest.approx(1e-9, rel=1e-3)
+
+    def flip(decomposition):
+        decomposition["method"] = "quartic_A4"
+
+    move_in_dump(dump, "decomposition", flip)
+    out = run(report_digest, capsys, "--compare", str(dump))
+    assert out[5] == f"1 of {DECOMPOSITIONS} decompositions changed, 1 in method, 0 in member count"
+    assert tables(out) == ({}, {})

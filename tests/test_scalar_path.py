@@ -109,7 +109,7 @@ def numpy_scalar_endpoints(inv, x: complex):
 
 def numpy_scalar_unitary_3q(inv, p0: float, p1: float):
     """bound_unitary_3q with its coefficients divided as numpy scalars."""
-    _, xs = bounds.stars(inv)
+    xs = inv.stars().xs
     c04 = _endpoint_coefficients(inv)[1]
     c = [a / (math.sqrt(p0) ** (4 - m) * math.sqrt(p1) ** m) for m, a in enumerate(c04[::-1])]
     tol = SCALE_TOL * max(abs(a) for a in c)

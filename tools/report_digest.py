@@ -16,6 +16,14 @@ on the verb's default triples and class III on A1A2A3), on the fixed grids of
 SWEEPS: each is one in-process ``cli.main`` call whose stdout is captured,
 and the digest is taken over their concatenation, in SWEEPS order.
 
+A third line gives the sha256 of ``decompose_rank2``'s outputs over a fixed
+rank-2 corpus (rank2_corpus): the GHZ/W mixtures at p = k/100, 0 < k < 100,
+the A4-traced states of random_state(700 + k) for k < 30, of 60 real-amplitude
+states and of 5 class I draws on all four qubit orders, the last two from
+default_rng(5) (real amplitudes and class I put the stars on one circle). Each
+output is serialized as json.dumps(decomposition_to_json(...)): the method,
+the value and every member's weight and amplitudes.
+
 Run from the repository root, against this checkout's src/:
 
     python tools/report_digest.py                   # the digests
@@ -23,11 +31,16 @@ Run from the repository root, against this checkout's src/:
     python tools/report_digest.py --compare PATH    # and the moves against PATH
 
 ``--dump`` writes one JSON line per report, {"group": ..., "report": ...},
-where the group is "random" or the class id. ``--compare`` reads such a file,
-made in another checkout, and prints how many reports changed and, per group
-and over all, the largest absolute and relative move of ``best``, of ``F``, of
-each method's value and of each method's witness x. A relative move is taken
-where the old value is nonzero (a witness: |dx| / |x|).
+where the group is "random" or the class id, then one per decomposition,
+{"group": ..., "decomposition": ...}, where the group is "ghzw", "random",
+"real" or "classI". ``--compare`` reads such a file, made in another
+checkout, and prints how many reports changed and, per group and over all,
+the largest absolute and relative move of ``best``, of ``F``, of each
+method's value and of each method's witness x; then how many decompositions
+changed, how many of them changed method or member count, and the same table
+for the value, the weights and the amplitudes of the others. A relative move
+is taken where the old value is nonzero (a witness: |dx| / |x|; amplitudes
+have none).
 """
 
 from __future__ import annotations
@@ -44,7 +57,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from tanglebound import cli  # noqa: E402
+from tanglebound import cli, rank2  # noqa: E402
 from tanglebound.bounds import best_bound, report_to_json  # noqa: E402
 from tanglebound.classes import (  # noqa: E402
     CLASS_IDS,
@@ -53,7 +66,13 @@ from tanglebound.classes import (  # noqa: E402
     representative,
     spec_from_values,
 )
-from tanglebound.qstate import random_state  # noqa: E402
+from tanglebound.qstate import (  # noqa: E402
+    PureState4,
+    normalize,
+    partial_trace_last,
+    permute_qubits,
+    random_state,
+)
 
 RANDOM_STATES = 200
 DRAWS_PER_CLASS = 20
@@ -82,6 +101,30 @@ def corpus(random_states: int = RANDOM_STATES, draws_per_class: int = DRAWS_PER_
             values = [complex(m * np.exp(1j * p)) for m, p in zip(moduli, phases)]
             states.append((class_id, representative(spec_from_values(class_id, *values))))
     return states
+
+
+def rank2_corpus():
+    """(group, rho) for the rank-2 corpus states, in order."""
+    rhos = [("ghzw", rank2.ghzw_rho(k / 100.0)) for k in range(1, 100)]
+    rhos += [("random", partial_trace_last(random_state(700 + k))[0]) for k in range(30)]
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        state = normalize(PureState4(rng.standard_normal(16).astype(complex)))
+        rhos.append(("real", partial_trace_last(state)[0]))
+    for _ in range(5):
+        state = representative(spec_from_values("I", *(complex(v) for v in rng.uniform(0.2, 2.0, 4))))
+        for perm in ((1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3)):
+            rhos.append(("classI", partial_trace_last(permute_qubits(state, perm))[0]))
+    return rhos
+
+
+def decomposition_to_json(witness, deco) -> dict:
+    """The method, the value and each member's weight and amplitudes."""
+    return {
+        "method": witness.method,
+        "value": witness.value,
+        "members": [[w, s.amps.real.tolist(), s.amps.imag.tolist()] for w, s in deco.members],
+    }
 
 
 def sweep_digest(sweeps=SWEEPS) -> tuple[int, str]:
@@ -118,18 +161,25 @@ def moves(old: dict, new: dict):
         yield field, move, move / abs(a) if a != 0 else None
 
 
-def compare(dump_path: str, reports: list) -> None:
-    """Print the moves of ``reports`` against the reports dumped at dump_path."""
-    with open(dump_path) as fh:
-        old = [json.loads(line) for line in fh]
-    if [r["group"] for r in old] != [g for g, _ in reports]:
-        raise SystemExit(f"{dump_path} does not hold this corpus")
-    changed = sum(o["report"] != r for o, (_, r) in zip(old, reports))
-    print(f"{changed} of {len(reports)} reports changed")
+def decomposition_moves(old: dict, new: dict):
+    """(field, absolute move, relative move or None) for every number of two
+    decompositions of the same state with the same method and member count;
+    the fields are "value", "weight" and "amplitude"."""
+    yield "value", abs(new["value"] - old["value"]), (
+        abs(new["value"] - old["value"]) / abs(old["value"]) if old["value"] else None)
+    for (w, re, im), (w2, re2, im2) in zip(old["members"], new["members"]):
+        yield "weight", abs(w2 - w), abs(w2 - w) / w
+        amps = np.array(re) + 1j * np.array(im) - np.array(re2) - 1j * np.array(im2)
+        yield "amplitude", float(np.abs(amps).max()), None
+
+
+def print_moves(pairs, moves_of) -> None:
+    """The table of largest moves, per group and over all, of the (group, old,
+    new) ``pairs``, each pair's moves listed by moves_of(old, new)."""
     # (group, field) -> [changed count, largest absolute, largest relative]
     worst: dict = {}
-    for o, (group, r) in zip(old, reports):
-        for field, move, rel in moves(o["report"], r):
+    for group, old, new in pairs:
+        for field, move, rel in moves_of(old, new):
             for key in ((group, field), ("all", field)):
                 entry = worst.setdefault(key, [0, 0.0, 0.0])
                 entry[0] += move != 0
@@ -139,6 +189,31 @@ def compare(dump_path: str, reports: list) -> None:
     for (group, field), (count, move, rel) in sorted(worst.items()):
         if count:
             print(f"{group:8s} {field:22s} {count:6d} {move:10.3g} {rel:10.3g}")
+
+
+def compare(dump_path: str, reports: list, decompositions: list) -> None:
+    """Print the moves of ``reports`` and ``decompositions``, (group, JSON)
+    pairs, against those dumped at dump_path."""
+    with open(dump_path) as fh:
+        old = [json.loads(line) for line in fh]
+    old_reports = [(o["group"], o["report"]) for o in old if "report" in o]
+    old_decompositions = [(o["group"], o["decomposition"]) for o in old if "decomposition" in o]
+    for mine, theirs in ((reports, old_reports), (decompositions, old_decompositions)):
+        if [g for g, _ in mine] != [g for g, _ in theirs]:
+            raise SystemExit(f"{dump_path} does not hold this corpus")
+    changed = sum(o != r for (_, o), (_, r) in zip(old_reports, reports))
+    print(f"{changed} of {len(reports)} reports changed")
+    print_moves([(g, o, r) for (g, o), (_, r) in zip(old_reports, reports)], moves)
+    pairs = [(g, o, d) for (g, o), (_, d) in zip(old_decompositions, decompositions)]
+    changed = sum(o != d for _, o, d in pairs)
+    method = sum(o["method"] != d["method"] for _, o, d in pairs)
+    count = sum(o["method"] == d["method"] and len(o["members"]) != len(d["members"])
+                for _, o, d in pairs)
+    print(f"{changed} of {len(pairs)} decompositions changed, {method} in method, "
+          f"{count} in member count")
+    print_moves([(g, o, d) for g, o, d in pairs
+                 if o["method"] == d["method"] and len(o["members"]) == len(d["members"])],
+                decomposition_moves)
 
 
 def main(argv=None, **sizes) -> None:
@@ -158,12 +233,21 @@ def main(argv=None, **sizes) -> None:
     print(f"{len(reports)} reports sha256 {digest.hexdigest()}")
     cells, sweeps = sweep_digest()
     print(f"{cells} sweep cells sha256 {sweeps}")
+    digest = hashlib.sha256()
+    decompositions = []
+    for group, rho in rank2_corpus():
+        decomposition = decomposition_to_json(*rank2.decompose_rank2(rho))
+        digest.update(json.dumps(decomposition).encode())
+        decompositions.append((group, decomposition))
+    print(f"{len(decompositions)} decompositions sha256 {digest.hexdigest()}")
     if args.dump:
         with open(args.dump, "w") as fh:
             for group, report in reports:
                 fh.write(json.dumps({"group": group, "report": report}) + "\n")
+            for group, decomposition in decompositions:
+                fh.write(json.dumps({"group": group, "decomposition": decomposition}) + "\n")
     if args.compare:
-        compare(args.compare, reports)
+        compare(args.compare, reports, decompositions)
 
 
 if __name__ == "__main__":
