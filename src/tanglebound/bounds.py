@@ -9,8 +9,8 @@ Three constructions are provided, all driven by one invariant set:
   a product over the other stars.
 * ``bound_unitary_3q``: same idea on the orthogonal three-qubit branch pair,
   with probability-weighted coefficients, on the same stars rescaled.
-* ``bound_grid``: direct minimization of the two-endpoint average over the
-  Riemann sphere of rotation parameters.
+* ``bound_grid``: direct minimization of f = 2 (sqrt|I40| + sqrt|I04|), the
+  sum over both endpoints, on the Riemann sphere of rotation parameters.
 
 A six-way zero-pattern classifier routes sparse invariant sets to closed
 formulas, and the universal cap 4 sqrt(N48 - 2|I48|) tops everything.
@@ -70,7 +70,7 @@ class BoundReport:
 def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
     """(4 w v, x) at the stars and their antipodes of P(x) = sum_m c_m x^m =
     c_d prod_j (x - x_j), with finite stars ``xs``, d = len(xs), and ``lead`` =
-    |c_d|, sorted by _candidate_key.
+    |c_d|, sorted by value, then |x|, then phase.
 
     With I04(x) = P(x) / (1 + |x|^2)^2, |I40(x)| = |x|^4 |P(-1/conj x)| /
     (1 + |x|^2)^2. A star x_i zeroes I04, its antipode -1/conj(x_i) zeroes
@@ -82,27 +82,26 @@ def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
     their antipodes are left out, as quartic.roots would drop them from I40's
     numerator, and so is the antipode of any star at exactly 0.
     """
-    tol = SCALE_TOL * max(abs(a) for a in c)
-    low = next(m for m, a in enumerate(c) if abs(a) >= tol)
-    d = len(xs)
-    cands = [(4.0 * w_antipode * abs(c[0]), 0j)] * (4 - d)
-    xs = sorted(xs, key=abs)
-    for i, x in enumerate(xs):
+    moduli = list(map(abs, c))
+    tol, low, d = SCALE_TOL * max(moduli), 0, len(xs)
+    while moduli[low] < tol:
+        low += 1
+    # sorted as (v, |x|, phase, k, x): the insertion index k keeps ties in order
+    keyed = [(4.0 * w_antipode * moduli[0], 0.0, 0.0, 0, 0j)] * (4 - d)
+    ranked = list(enumerate(sorted(xs, key=abs)))
+    for i, x in ranked:
         xc = x.conjugate()
-        v = 4.0 * lead * abs(x) ** (4 - d) / (1.0 + abs(x) ** 2)
-        for j, y in enumerate(xs):
+        r = abs(x)
+        v = 4.0 * lead * r ** (4 - d) / (1.0 + r ** 2)
+        for j, y in ranked:
             if j != i:
                 v *= abs(1.0 + xc * y)
-        cands.append((w_star * v, x))
+        keyed.append((w_star * v, r, cmath.phase(x), len(keyed), x))
         if i >= low and x:
-            cands.append((w_antipode * v, -1.0 / xc))
-    cands.sort(key=_candidate_key)
-    return cands
-
-
-def _candidate_key(cand):
-    v, x = cand
-    return (v, abs(x), cmath.phase(x))
+            a = -1.0 / xc
+            keyed.append((w_antipode * v, abs(a), cmath.phase(a), len(keyed), a))
+    keyed.sort()
+    return [(v, x) for v, _, _, _, x in keyed]
 
 
 def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, complex]]:
@@ -110,12 +109,12 @@ def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, co
     endpoint quartic (zeroing I04) and at every antipode -1/conj(x) (zeroing
     I40), each value a product over the other stars (_star_candidates).
 
-    The pairs are in _candidate_key order: by value, then |x|, then phase. A
-    star and its antipode carry the same value, so the first pair is the
-    member with |x| <= 1 of the smallest pair, the one that bound_quartic_A4
-    reports and bound_grid's seeds reach first. The stars are the set's own
-    (inv.stars()), solved once per set. A set with no three- or four-way
-    content has no stars and yields none.
+    The pairs are sorted by value, then |x|, then phase. A star and its
+    antipode carry the same value, so the first pair is the member with
+    |x| <= 1 of the smallest pair, the one that bound_quartic_A4 reports and
+    bound_grid's seeds reach first. The stars are the set's own (inv.stars()),
+    solved once per set. A set with no three- or four-way content has no
+    stars and yields none.
     """
     if inv.scale() == 0.0:
         return []
@@ -133,12 +132,12 @@ def bound_quartic_A4(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWi
     ``quartic_root_candidates(inv)`` when the caller already has it; it is
     not modified.
     """
-    if inv.scale() == 0.0:
-        return BoundWitness("quartic_A4", 0.0, None, (), None)
     if candidates is None:
         candidates = quartic_root_candidates(inv)
-    value, x = candidates[0]
-    return BoundWitness("quartic_A4", value, x, tuple(x for _, x in candidates), None)
+    if not candidates:
+        return BoundWitness("quartic_A4", 0.0, None, (), None)
+    _, roots_used = zip(*candidates)
+    return BoundWitness("quartic_A4", *candidates[0], roots_used, None)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,6 @@ def parse_complex(text: str) -> complex:
             re_part, im_part = "", body or "+1"
         if im_part in ("+", "-"):
             im_part += "1"
-        if not im_part:
-            im_part = "1"
         return complex(float(re_part) if re_part else 0.0, float(im_part))
     return complex(float(s), 0.0)
 
@@ -54,22 +52,21 @@ def _emit(obj, output: str | None) -> None:
         print(text)
 
 
-def _cmd_invariants(args) -> int:
+def _load_state4(args) -> qstate.PureState4:
     state = qstate.state_from_json(_load_json(args.state))
     if not isinstance(state, qstate.PureState4):
-        raise TangleboundError("invariants needs a four-qubit state")
-    state = qstate.normalize(state)
-    inv = invariants.invariant_set(state, args.traced)
+        raise TangleboundError(f"{args.verb} needs a four-qubit state")
+    return qstate.normalize(state)
+
+
+def _cmd_invariants(args) -> int:
+    inv = invariants.invariant_set(_load_state4(args), args.traced)
     _emit(invariants.invariants_to_json(inv), args.output)
     return 0
 
 
 def _cmd_bound(args) -> int:
-    state = qstate.state_from_json(_load_json(args.state))
-    if not isinstance(state, qstate.PureState4):
-        raise TangleboundError("bound needs a four-qubit state")
-    state = qstate.normalize(state)
-    _emit(bounds.report_to_json(bounds.best_bound(state, args.triple)), args.output)
+    _emit(bounds.report_to_json(bounds.best_bound(_load_state4(args), args.triple)), args.output)
     return 0
 
 

@@ -10,14 +10,13 @@ tangle bounds) is built from this set.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadQubitLabel, NonFinite
+from .errors import BadQubitLabel
 from .fonts import FontSet4, _fonts4_index, compute_fonts3, compute_fonts4
-from .qstate import PureState3, PureState4, check_normalized
+from .qstate import PureState3, PureState4, _finite_x, check_normalized
 from .quartic import roots
 
 #: triple of kept qubits -> label of the traced qubit
@@ -182,11 +181,15 @@ def _endpoint_coefficients(inv: ThreeQubitInvariantSet):
     """Ascending coefficients of the endpoint numerators: I40 in w = conj(x), I04 in w = x.
 
     The only coding of the binary quartic form: the star solve and the
-    sphere grid in ``bounds`` and transform_endpoints read it.
+    sphere grid in ``bounds`` and transform_endpoints read it. Built on the
+    first call only and kept on the set, as scale() and stars() keep theirs.
     """
-    c40 = (inv.i40, -4.0 * inv.i31, 6.0 * inv.i22, -4.0 * inv.i13, inv.i04)
-    c04 = (inv.i04, 4.0 * inv.i13, 6.0 * inv.i22, 4.0 * inv.i31, inv.i40)
-    return c40, c04
+    pair = inv.__dict__.get("_endpoints")
+    if pair is None:
+        i40, i31, i22, i13, i04 = inv.i40, inv.i31, 6.0 * inv.i22, inv.i13, inv.i04
+        pair = inv.__dict__["_endpoints"] = ((i40, -4.0 * i31, i22, -4.0 * i13, i04),
+                                             (i04, 4.0 * i13, i22, 4.0 * i31, i40))
+    return pair
 
 
 def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[complex, complex]:
@@ -196,12 +199,10 @@ def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[comple
     I^{4,0}(x) is a quartic in conj(x), I^{0,4}(x) a quartic in x, both divided
     by (1+|x|^2)^2: Horner's rule on _endpoint_coefficients, the table that
     the star solve and the sphere grid read too. Raises NonFinite unless x is
-    finite.
+    a finite number.
     """
     c40, c04 = _endpoint_coefficients(inv)
-    x = complex(x)
-    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
-        raise NonFinite(f"x = {x!r}")
+    x = _finite_x(x)
     w = x.conjugate()
     f40 = (((c40[4] * w + c40[3]) * w + c40[2]) * w + c40[1]) * w + c40[0]
     f04 = (((c04[4] * x + c04[3]) * x + c04[2]) * x + c04[1]) * x + c04[0]
@@ -248,21 +249,12 @@ def invariants_to_json(inv: ThreeQubitInvariantSet) -> dict:
     """Invariant report: set entries plus the derived degree-eight quantities."""
     triple = next(t for t, traced in TRIPLES.items() if traced == inv.traced)
     summary = summary_from_set(triple, inv)
+    entries = {"40": inv.i40, "31": inv.i31, "22": inv.i22, "13": inv.i13, "04": inv.i04}
     return {
         "traced": inv.traced,
-        "I": {
-            "40": _pair(inv.i40),
-            "31": _pair(inv.i31),
-            "22": _pair(inv.i22),
-            "13": _pair(inv.i13),
-            "04": _pair(inv.i04),
-        },
+        "I": {k: [float(z.real), float(z.imag)] for k, z in entries.items()},
         "N48": summary.n48,
         "absI48": abs(summary.i48),
         "tau48": summary.tau48,
         "three_way": summary.three_way,
     }
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]

@@ -41,14 +41,20 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise NonFinite(f"non-finite {what} {complex(a.flat[k])!r} at flat index {k}")
 
 
+def _complex_array(values, what: str) -> np.ndarray:
+    """values as a complex array; BadStateFormat where an entry is not a number."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise BadStateFormat(f"{what} must be numbers: {exc}") from None
+
+
 def _as_amps(values, n: int) -> np.ndarray:
-    a = np.asarray(values, dtype=complex).reshape(-1)
+    a = _complex_array(values, "amplitudes").reshape(-1)
     if a.size != n:
         raise BadStateFormat(f"expected {n} amplitudes, got {a.size}")
     _check_finite(a, "amplitude")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
+    return _read_only(a.copy())
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,7 @@ class MixedState3:
     rho: np.ndarray = field()
 
     def __post_init__(self):
-        r = np.asarray(self.rho, dtype=complex)
+        r = _complex_array(self.rho, "density matrix entries")
         if r.shape != (8, 8):
             raise BadStateFormat(f"expected an 8x8 matrix, got shape {r.shape}")
         _check_finite(r, "density matrix entry")
@@ -100,9 +106,7 @@ class MixedState3:
             raise NotDensityMatrix("trace is not 1")
         if np.min(np.linalg.eigvalsh(r)) < EIGENVALUE_FLOOR:
             raise NotDensityMatrix("matrix has a negative eigenvalue")
-        r = r.copy()
-        r.setflags(write=False)
-        object.__setattr__(self, "rho", r)
+        object.__setattr__(self, "rho", _read_only(r.copy()))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order."""
@@ -117,16 +121,14 @@ class Qubit2Unitary:
     special: bool = False
 
     def __post_init__(self):
-        m = np.asarray(self.u, dtype=complex)
+        m = _complex_array(self.u, "unitary entries")
         if m.shape != (2, 2):
             raise BadStateFormat(f"expected a 2x2 matrix, got shape {m.shape}")
         if np.max(np.abs(m @ m.conj().T - np.eye(2))) > UNITARY_TOL:
             raise NotUnitary("u @ u^dagger deviates from the identity")
         if self.special and abs(np.linalg.det(m) - 1.0) > UNITARY_TOL:
             raise NotUnitary("special unitary must have det = 1")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "u", m)
+        object.__setattr__(self, "u", _read_only(m.copy()))
 
 
 #: the largest norm^2 that np.vdot may read for norm_squared() not to
@@ -163,11 +165,20 @@ def check_normalized(state) -> None:
         raise NotNormalized(f"norm^2 = {float(n2)!r}")
 
 
+def _finite_x(x) -> complex:
+    """x as a Python complex; NonFinite unless it is a finite number."""
+    try:
+        z = complex(x)
+    except (TypeError, ValueError):
+        raise NonFinite(f"x = {x!r} is not a number") from None
+    if not cmath.isfinite(z):
+        raise NonFinite(f"x = {z!r}")
+    return z
+
+
 def u_of_x(x: complex) -> Qubit2Unitary:
     """The det-1 unitary (1/sqrt(1+|x|^2)) [[1, -conj(x)], [x, 1]]."""
-    x = complex(x)
-    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
-        raise NonFinite(f"x = {x!r}")
+    x = _finite_x(x)
     s = 1.0 / math.sqrt(1.0 + abs(x) ** 2)
     return Qubit2Unitary(s * np.array([[1.0, -x.conjugate()], [x, 1.0]]), special=True)
 

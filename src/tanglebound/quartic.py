@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -23,6 +24,7 @@ SCALE_TOL = 1e-12
 #: the primitive cube roots of unity
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 _OMEGA2 = _OMEGA.conjugate()
+_REAL_IMAG = operator.attrgetter("real", "imag")    # the roots' sort key
 
 
 def roots(c) -> list[complex]:
@@ -38,49 +40,51 @@ def roots(c) -> list[complex]:
     residual contract.
     """
     try:
-        c = [complex(a) for a in c]
-    except TypeError:
+        c = list(map(complex, c))
+    except (TypeError, ValueError):
         raise BadArity(f"expected 5 coefficients, got {c!r}") from None
     if len(c) != 5:
         raise BadArity(f"expected 5 coefficients, got {len(c)}")
     if not all(map(cmath.isfinite, c)):
         raise NonFinite(f"coefficients {c!r}")
-    moduli = [abs(a) for a in c]
+    moduli = list(map(abs, c))
     scale = max(moduli)
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients are zero")
-    deg = 4
-    while deg > 0 and moduli[deg] < SCALE_TOL * scale:
+    deg, low, tol = 4, 0, SCALE_TOL * scale
+    while deg > 0 and moduli[deg] < tol:
         deg -= 1
-    low = 0
-    while low < deg and c[low] == 0:
+    while low < deg and moduli[low] == 0.0:
         low += 1
     found = [0j] * low + _closed_form(c[low: deg + 1])
 
     # guarded Newton polish on the full polynomial
     c0, c1, c2, c3, c4 = c
-    d0, d1, d2, d3 = c1, c2 * 2, c3 * 3, c4 * 4
+    d1, d2, d3 = c2 * 2, c3 * 3, c4 * 4
+    limit = RESIDUAL_TOL * scale    # the residual bound's least value, at |w| <= 1
     out = []
     for w in found:
         # p(w) is evaluated once per point: its modulus is the residual and
         # the value itself the next step's numerator
         p = c0 + w * (c1 + w * (c2 + w * (c3 + w * c4)))
         r = abs(p)
-        for _ in range(3):
-            d = d0 + w * (d1 + w * (d2 + w * d3))
-            if d == 0:
+        for _ in (0, 1, 2):
+            d = c1 + w * (d1 + w * (d2 + w * d3))
+            if not d:
                 break
             w2 = w - p / d
+            if w2 == w:
+                break    # a step that does not move leaves |p| as it is
             p2 = c0 + w2 * (c1 + w2 * (c2 + w2 * (c3 + w2 * c4)))
             r2 = abs(p2)
             if r2 < r:
                 w, p, r = w2, p2, r2
             else:
                 break
-        if r > RESIDUAL_TOL * scale * max(1.0, abs(w)) ** 4:
+        if r > limit and r > limit * max(1.0, abs(w)) ** 4:
             raise DidNotConverge(f"residual {r:.3e} at root {w!r}")
         out.append(w)
-    out.sort(key=lambda z: (z.real, z.imag))
+    out.sort(key=_REAL_IMAG)
     return out
 
 

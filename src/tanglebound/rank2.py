@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    PROB_FLOOR,
-    BoundWitness,
-    bound_quartic_A4,
-    bound_unitary_3q,
-)
+from .bounds import PROB_FLOOR, BoundWitness, bound_quartic_A4, bound_unitary_3q
 from .errors import BranchMismatch, NotDensityMatrix, OutOfRange
 from .invariants import Stars, invariant_set, three_tangle_pure
 from .qstate import (

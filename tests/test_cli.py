@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tanglebound
-from tanglebound import acceptance, invariants, qstate
+from tanglebound import acceptance, invariants, qstate, quartic
 from tanglebound.cli import _parse_grid_spec, build_parser, main, parse_complex
 from tanglebound.rank2 import ghzw_rho
 
@@ -104,6 +104,16 @@ class TestBoundVerb:
         assert code == 1
         assert out == ""
         assert "norm^2" in err and "overflows" in err
+
+    def test_root_solve_failure_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # closed-form starts that three Newton steps cannot repair break the
+        # residual contract of the set's one root solve
+        monkeypatch.setattr(quartic, "_closed_form", lambda c: [1e3 + 1e3j] * (len(c) - 1))
+        path = write_state_json(tmp_path, qstate.random_state(6).amps)
+        code, out, err = run_cli(capsys, "bound", "--state", path, "--triple", "A1A2A4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure:") and "residual" in err
 
     @pytest.mark.parametrize("flag", ["--n-theta", "--n-phi", "--refine-iters", "--zero-tol"])
     def test_tuning_flag_rejected(self, tmp_path, capsys, flag):

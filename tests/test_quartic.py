@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tanglebound import quartic
 from tanglebound.invariants import _endpoint_coefficients
 from tanglebound.errors import BadArity, DidNotConverge, NonFinite, ZeroPolynomial
 from tanglebound.invariants import invariant_set
@@ -95,6 +96,13 @@ class TestRoots:
             monic = reconstruct_monic(found)
             ref = c / c[4]
             np.testing.assert_allclose(monic, ref, atol=1e-8 * max(1.0, np.max(np.abs(ref))))
+
+    def test_residual_contract_failure_raises(self, monkeypatch):
+        # starts far out: each guarded Newton step shrinks w by about a
+        # quarter, so three leave |p(w)| near |c4| |w|^4, far above the bound
+        monkeypatch.setattr(quartic, "_closed_form", lambda c: [1e3 + 1e3j] * (len(c) - 1))
+        with pytest.raises(DidNotConverge, match="residual"):
+            roots((1.0, -2.0, 0.5, 1j, 1.0))
 
     def test_deterministic_ordering(self):
         c = (0.3 - 1j, 0.7, -0.2j, 1.1, 0.9 + 0.4j)

@@ -4,19 +4,28 @@ After the font gather, an invariant set and everything computed from it run on
 Python complex and float. The oracles below are the numpy-scalar formulas that
 path replaced, kept verbatim: the invariants on the fonts' array entries, the
 endpoint transform's division, the degree-eight pair and the branch-pair
-bound's coefficient division. Values are compared by their bits (float.hex),
-which also tells a signed zero from an unsigned one.
+bound's coefficient division. So are the star solve's polish and ordering and
+the quartic bound's candidates and witness, as they stood before the per-set
+path ran in one pass. Values are compared by their bits (float.hex), which
+also tells a signed zero from an unsigned one.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from tanglebound import bounds
+from tanglebound import bounds, quartic
 from tanglebound.acceptance import class_draws
-from tanglebound.bounds import best_bound, bound_unitary_3q
+from tanglebound.bounds import (
+    best_bound,
+    bound_quartic_A4,
+    bound_unitary_3q,
+    quartic_root_candidates,
+)
 from tanglebound.classes import SUPPORTED_TRIPLES, representative
+from tanglebound.errors import BadArity, DidNotConverge, NonFinite, ZeroPolynomial
 from tanglebound.fonts import compute_fonts4
 from tanglebound.invariants import (
     ThreeQubitInvariantSet,
@@ -28,7 +37,8 @@ from tanglebound.invariants import (
     transform_endpoints,
 )
 from tanglebound.qstate import BRANCH_INDEX, PureState4, normalize, random_state
-from tanglebound.quartic import SCALE_TOL
+from tanglebound.quartic import RESIDUAL_TOL, SCALE_TOL
+from test_quartic import REFERENCE_KINDS, reference_cases
 
 TRACED = ("A4", "A3", "A2")
 
@@ -116,7 +126,105 @@ def numpy_scalar_unitary_3q(inv, p0: float, p1: float):
     d = max(m for m, a in enumerate(c) if abs(a) >= tol)
     ratio = math.sqrt(p1 / p0)
     ts = sorted([ratio / x for x in xs if x] + [0j] * (4 - len(xs)), key=abs)[:d]
-    return bounds._star_candidates(c, abs(c[d]), ts, p0 ** 2, p1 ** 2)
+    return reference_star_candidates(c, abs(c[d]), ts, p0 ** 2, p1 ** 2)
+
+
+def reference_roots(c) -> list[complex]:
+    """quartic.roots with the polish and ordering it had before the one-pass
+    solve, verbatim: every Newton step evaluates its trial point, the
+    residual bound is formed per root and the roots are sorted by a lambda.
+    The closed-form starts are quartic._closed_form's."""
+    try:
+        c = [complex(a) for a in c]
+    except TypeError:
+        raise BadArity(f"expected 5 coefficients, got {c!r}") from None
+    if len(c) != 5:
+        raise BadArity(f"expected 5 coefficients, got {len(c)}")
+    if not all(map(cmath.isfinite, c)):
+        raise NonFinite(f"coefficients {c!r}")
+    moduli = [abs(a) for a in c]
+    scale = max(moduli)
+    if scale == 0.0:
+        raise ZeroPolynomial("all coefficients are zero")
+    deg = 4
+    while deg > 0 and moduli[deg] < SCALE_TOL * scale:
+        deg -= 1
+    low = 0
+    while low < deg and c[low] == 0:
+        low += 1
+    found = [0j] * low + quartic._closed_form(c[low: deg + 1])
+
+    # guarded Newton polish on the full polynomial
+    c0, c1, c2, c3, c4 = c
+    d0, d1, d2, d3 = c1, c2 * 2, c3 * 3, c4 * 4
+    out = []
+    for w in found:
+        # p(w) is evaluated once per point: its modulus is the residual and
+        # the value itself the next step's numerator
+        p = c0 + w * (c1 + w * (c2 + w * (c3 + w * c4)))
+        r = abs(p)
+        for _ in range(3):
+            d = d0 + w * (d1 + w * (d2 + w * d3))
+            if d == 0:
+                break
+            w2 = w - p / d
+            p2 = c0 + w2 * (c1 + w2 * (c2 + w2 * (c3 + w2 * c4)))
+            r2 = abs(p2)
+            if r2 < r:
+                w, p, r = w2, p2, r2
+            else:
+                break
+        if r > RESIDUAL_TOL * scale * max(1.0, abs(w)) ** 4:
+            raise DidNotConverge(f"residual {r:.3e} at root {w!r}")
+        out.append(w)
+    out.sort(key=lambda z: (z.real, z.imag))
+    return out
+
+
+def reference_star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
+    """bounds._star_candidates before the one-pass solve, verbatim: moduli and
+    |x| taken anew at each use, the list sorted by a key function."""
+    tol = SCALE_TOL * max(abs(a) for a in c)
+    low = next(m for m, a in enumerate(c) if abs(a) >= tol)
+    d = len(xs)
+    cands = [(4.0 * w_antipode * abs(c[0]), 0j)] * (4 - d)
+    xs = sorted(xs, key=abs)
+    for i, x in enumerate(xs):
+        xc = x.conjugate()
+        v = 4.0 * lead * abs(x) ** (4 - d) / (1.0 + abs(x) ** 2)
+        for j, y in enumerate(xs):
+            if j != i:
+                v *= abs(1.0 + xc * y)
+        cands.append((w_star * v, x))
+        if i >= low and x:
+            cands.append((w_antipode * v, -1.0 / xc))
+    cands.sort(key=reference_candidate_key)
+    return cands
+
+
+def reference_candidate_key(cand):
+    v, x = cand
+    return (v, abs(x), cmath.phase(x))
+
+
+def reference_quartic_bound(inv):
+    """(stars, candidates, witness) of bound_quartic_A4 before the one-pass
+    solve: the endpoint coefficients built anew, the stars from
+    reference_roots, roots_used through a generator."""
+    if inv.scale() == 0.0:
+        return None, [], bounds.BoundWitness("quartic_A4", 0.0, None, (), None)
+    c04 = (inv.i04, 4.0 * inv.i13, 6.0 * inv.i22, 4.0 * inv.i31, inv.i40)
+    xs = reference_roots(c04)
+    lead = abs(c04[len(xs)])
+    candidates = reference_star_candidates(c04, lead, xs)
+    value, x = candidates[0]
+    witness = bounds.BoundWitness("quartic_A4", value, x, tuple(x for _, x in candidates), None)
+    return (lead, tuple(xs)), candidates, witness
+
+
+def witness_bits(w):
+    x = None if w.witness_x is None else bits(w.witness_x)
+    return w.method, w.value.hex(), x, [bits(y) for y in w.roots_used], w.group_case
 
 
 def numpy_branch_probabilities(state, traced):
@@ -204,3 +312,34 @@ def test_best_bound_reports_python_numbers_and_the_numpy_branch_probabilities():
                 assert repr(report.methods[-2]) == repr(expected), k
                 unitary += 1
     assert unitary > 0
+
+
+@pytest.mark.parametrize("traced", TRACED)
+def test_star_solve_and_quartic_bound_equal_the_reference_path(traced):
+    # the bound on a fresh set makes the set's one solve; its stars, the
+    # candidate list and the witness then match the reference bit for bit
+    solved = 0
+    for k, state in enumerate(CORPUS):
+        inv = invariant_set(state, traced)
+        new = bound_quartic_A4(inv)
+        stars, candidates, old = reference_quartic_bound(invariant_set(state, traced))
+        assert type(new.roots_used) is tuple, k
+        assert witness_bits(new) == witness_bits(old), k
+        assert [(v.hex(), bits(x)) for v, x in quartic_root_candidates(inv)] == [
+            (v.hex(), bits(x)) for v, x in candidates], k
+        if stars is not None:
+            assert (inv.stars().lead.hex(), [bits(x) for x in inv.stars().xs]) == (
+                stars[0].hex(), [bits(x) for x in stars[1]]), k
+            solved += 1
+    assert solved >= len(CORPUS) // 2
+
+
+@pytest.mark.parametrize("kind", REFERENCE_KINDS)
+def test_roots_equal_the_reference_polish(kind):
+    cases = reference_cases(kind)
+    for c in cases:
+        assert [bits(w) for w in quartic.roots(c)] == [bits(w) for w in reference_roots(c)], c
+    if kind in ("degree_drop", "below_scale_tol", "roots_spread_1e16"):
+        assert any(len(quartic.roots(c)) < 4 for c in cases)
+    if kind.startswith("c0_"):
+        assert all(0j in quartic.roots(c) for c in cases)
