@@ -34,7 +34,7 @@ from .invariants import (
     summary_from_set,
     traced_qubit_of,
 )
-from .qstate import BRANCH_INDEX, PureState4
+from .qstate import PureState4, branch_vectors
 from .quartic import SCALE_TOL
 
 PROB_FLOOR = 1e-12
@@ -597,7 +597,7 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
         methods.append(bound_closed_form(inv, case))
     candidates = quartic_root_candidates(inv)
     methods.append(bound_quartic_A4(inv, candidates=candidates))
-    p0, p1 = (np.abs(state.amps[BRANCH_INDEX[traced]]) ** 2).sum(axis=1).tolist()
+    p0, p1 = (np.abs(branch_vectors(state, traced)) ** 2).sum(axis=1).tolist()
     if min(p0, p1) >= PROB_FLOOR and abs(p0 - p1) <= EQUAL_PROB_TOL:
         methods.append(bound_unitary_3q(inv, p0, p1))
     methods.append(bound_grid(inv, candidates=candidates))

@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadArity, BadQubitLabel, NotPrinted
+from .invariants import TRIPLES
 from .qstate import PureState4, normalize
 
-SUPPORTED_TRIPLES = ("A1A2A3", "A1A2A4", "A1A3A4")
+SUPPORTED_TRIPLES = tuple(TRIPLES)
 FIXTURE_TRIPLE = "A2A3A4"
 ALL_TRIPLES = SUPPORTED_TRIPLES + (FIXTURE_TRIPLE,)
 

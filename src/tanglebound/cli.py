@@ -15,27 +15,22 @@ import math
 import sys
 
 from . import acceptance, bounds, classes, invariants, qstate, rank2
-from .errors import DidNotConverge, TangleboundError
+from .errors import BadComplexLiteral, DidNotConverge, TangleboundError
 
 
 def parse_complex(text: str) -> complex:
-    """Parse "re+imi" strings such as 2, 2+0i, 0.5-1.2i, -1.5i, i."""
+    """Parse "re+imi" strings such as 2, 2+0i, 0.5-1.2i, -1.5i, i, inf.
+
+    Spaces are dropped and a trailing i is read as j by complex(). Text with
+    complex()'s own j or parentheses is refused, as is all that it refuses.
+    """
     s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
-    if s.endswith("i"):
-        body = s[:-1]
-        # split into real and imaginary parts at the last sign that is not an exponent sign
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                re_part, im_part = body[:k], body[k:]
-                break
-        else:
-            re_part, im_part = "", body or "+1"
-        if im_part in ("+", "-"):
-            im_part += "1"
-        return complex(float(re_part) if re_part else 0.0, float(im_part))
-    return complex(float(s), 0.0)
+    if not any(c in s for c in "jJ()"):
+        try:
+            return complex(s[:-1] + "j" if s.endswith("i") else s)
+        except ValueError:
+            pass
+    raise BadComplexLiteral(f"not a complex literal such as 0.5-1.2i: {text!r}")
 
 
 def _load_json(path: str):
@@ -273,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_verb("invariants", help="invariant set and correlation report")
     p.add_argument("--state", required=True, help="state JSON path")
-    p.add_argument("--traced", required=True, choices=["A2", "A3", "A4"])
+    p.add_argument("--traced", required=True, choices=sorted(qstate.TRACE_PERMS))
     p.set_defaults(fn=_cmd_invariants)
 
     p = add_verb("bound", help="bound report for one qubit triple")

@@ -61,6 +61,10 @@ class WrongCase(TangleboundError, ValueError):
     """Invariant zero-pattern contradicts the requested classifier case."""
 
 
+class BadComplexLiteral(TangleboundError, ValueError):
+    """Text is not a complex number written as re+imi."""
+
+
 class BadArity(TangleboundError, ValueError):
     """Class parameters missing or superfluous for the requested family."""
 

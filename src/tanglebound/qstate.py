@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     BadPermutation,
     BadQubitIndex,
+    BadQubitLabel,
     BadStateFormat,
     NonFinite,
     NotDensityMatrix,
@@ -233,24 +234,28 @@ TRACED_LAST_INDEX = {
 def partial_trace_last(state: PureState4) -> tuple[MixedState3, float, float]:
     """Trace out qubit A4; returns (rho3, p0, p1) with p_i the branch probabilities."""
     check_normalized(state)
-    phi0, phi1 = branch_vectors(state)
+    branches = branch_vectors(state)
+    phi0, phi1 = branches
     rho = np.outer(phi0, phi0.conj()) + np.outer(phi1, phi1.conj())
-    p0 = float(np.sum(np.abs(phi0) ** 2))
-    p1 = float(np.sum(np.abs(phi1) ** 2))
+    p0, p1 = (np.abs(branches) ** 2).sum(axis=1).tolist()
     return MixedState3(rho), p0, p1
 
 
-def branch_vectors(state: PureState4) -> tuple[np.ndarray, np.ndarray]:
-    """Subnormalized three-qubit branches for A4 = 0 and A4 = 1."""
-    t = state.tensor()
-    return t[:, :, :, 0].reshape(8).copy(), t[:, :, :, 1].reshape(8).copy()
-
-
-#: traced qubit -> (2, 8) flat indices whose rows gather
-#: ``branch_vectors(permute_qubits(state, TRACE_PERMS[traced]))`` from ``state.amps``
+#: traced qubit -> (2, 8) flat indices into ``state.amps``: row b gathers the
+#: branch of ``permute_qubits(state, TRACE_PERMS[traced])`` whose last qubit is b
 BRANCH_INDEX = {
     traced: _read_only(g.reshape(8, 2).T) for traced, g in TRACED_LAST_INDEX.items()
 }
+
+
+def branch_vectors(state: PureState4, traced: str = "A4") -> np.ndarray:
+    """The traced qubit's subnormalized branches phi0, phi1, the rows of a (2, 8)
+    array gathered on BRANCH_INDEX; BadQubitLabel unless traced is A2, A3 or A4."""
+    try:
+        index = BRANCH_INDEX[traced]
+    except KeyError:
+        raise BadQubitLabel(f"traced qubit must be A2, A3 or A4, got {traced!r}") from None
+    return state.amps[index]
 
 
 def _phase_fix(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -32,7 +32,6 @@ from .invariants import Stars, invariant_set, three_tangle_pure
 from .qstate import (
     MixedState3,
     PureState3,
-    PureState4,
     _purification,
     branch_vectors,
     check_normalized,
@@ -270,9 +269,8 @@ def _realized_value(deco: Decomposition) -> float:
     return total ** 2
 
 
-def _two_member_decomposition(state: PureState4, x: complex | None) -> Decomposition:
-    """Branch pair of the x-rotated purification, weights p0(x), p1(x)."""
-    phi0, phi1 = branch_vectors(state)
+def _two_member_decomposition(phi0, phi1, x: complex | None) -> Decomposition:
+    """The branch pair phi0, phi1 rotated by x, weights p0(x), p1(x)."""
     if x is not None and abs(x) > 0.0:
         d = math.sqrt(1.0 + abs(x) ** 2)
         phi0, phi1 = (phi0 - np.conj(x) * phi1) / d, (x * phi0 + phi1) / d
@@ -316,4 +314,4 @@ def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
     quartic = bound_quartic_A4(inv)
     unitary = bound_unitary_3q(inv, p0, p1)
     best = unitary if unitary.value < quartic.value - 1e-15 else quartic
-    return best, _two_member_decomposition(state, quartic.witness_x)
+    return best, _two_member_decomposition(*branch_vectors(state), quartic.witness_x)

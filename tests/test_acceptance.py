@@ -10,22 +10,57 @@ pair realizes, 4 (sqrt|i40| + sqrt|i04|)^2 on the (sum w sqrt(tau))^2 roof,
 computed from the branches' own three-tangles.
 """
 
+import collections
 import hashlib
 
 import pytest
 
-from tanglebound import acceptance, bounds
+from tanglebound import acceptance, bounds, qstate
 
 
 @pytest.fixture(scope="session")
-def results():
-    collected = {}
-    for fn in acceptance.ALL_CRITERIA:
-        res = fn()
-        collected[res["criterion"]] = res
-        status = "PASS" if res["ok"] else "FAIL"
-        print(f"criterion {res['criterion']}: {status} ({res['elapsed_s']}s) {res['name']}")
-    return collected
+def acceptance_run():
+    """One run_acceptance(), the selftest's run, from an empty class-report
+    table, counting the permuted states and the best_bound reports it builds."""
+    calls = collections.Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    acceptance._class_reports.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qstate, "permute_qubits", counted(qstate, "permute_qubits"))
+        mp.setattr(bounds, "best_bound", counted(bounds, "best_bound"))
+        results = acceptance.run_acceptance()
+    return {res["criterion"]: res for res in results}, calls
+
+
+@pytest.fixture(scope="session")
+def results(acceptance_run):
+    return acceptance_run[0]
+
+
+def test_one_run_builds_no_permuted_state(acceptance_run):
+    """Criterion 6 reads the traced qubit's branch pair by one gather
+    (qstate.branch_vectors), not from a permuted copy of the state."""
+    assert acceptance_run[1]["permute_qubits"] == 0
+
+
+def test_one_run_builds_each_class_report_once(acceptance_run):
+    """Criteria 1 and 2 read one table of the 900 class-draw reports."""
+    assert acceptance_run[1]["best_bound"] == 900
+
+
+def test_criterion_2_alone_builds_its_own_table():
+    acceptance._class_reports.cache_clear()
+    res = acceptance.criterion_2(draws=2)
+    assert res["ok"], "\n".join(res["failures"])
+    assert acceptance._class_reports.cache_info().currsize == 1
 
 
 def _assert_ok(res):

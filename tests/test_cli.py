@@ -1,6 +1,7 @@
 """Command-line interface: parsing, verbs, exit codes, determinism."""
 
 import json
+import math
 import os
 import re
 import shlex
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import tanglebound
-from tanglebound import acceptance, invariants, qstate, quartic
+from tanglebound import acceptance, errors, invariants, qstate, quartic
 from tanglebound.cli import _parse_grid_spec, build_parser, main, parse_complex
 from tanglebound.rank2 import ghzw_rho
 
@@ -40,14 +41,22 @@ class TestParseComplex:
         ("-i", -1j),
         ("1e-3+2e+4i", 1e-3 + 2e4j),
         (" 3.5 ", 3.5 + 0j),
+        ("inf", complex(math.inf, 0.0)),
+        ("2+i", 2 + 1j),
     ])
     def test_good(self, text, value):
         assert parse_complex(text) == pytest.approx(value)
 
-    @pytest.mark.parametrize("text", ["", "abc", "1+2j", "2++3i"])
+    @pytest.mark.parametrize("text,sign", [("-i", 1.0), ("-1.5i", 1.0), ("-0", -1.0)])
+    def test_sign_of_a_zero_part(self, text, sign):
+        # a missing real part is +0, as complex(0.0, im) gives it
+        assert math.copysign(1.0, parse_complex(text).real) == sign
+
+    @pytest.mark.parametrize("text", ["", "abc", "1+2j", "2+3J", "(2+3i)", "(2)", "2++3i"])
     def test_bad(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.BadComplexLiteral) as info:
             parse_complex(text)
+        assert isinstance(info.value, errors.TangleboundError) and isinstance(info.value, ValueError)
 
 
 class TestInvariantsVerb:

@@ -216,19 +216,33 @@ class TestPermutation:
 
     @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
     def test_branch_index_gathers_the_permuted_branches(self, traced):
-        # best_bound's branch probabilities: the same sums over the same
-        # values, so bit for bit those of branch_vectors on the permuted state
+        # branch_vectors gathers on BRANCH_INDEX: bit for bit the branches of
+        # the state with the traced qubit moved last, and so are the branch
+        # probabilities best_bound sums from them
         index = qstate.BRANCH_INDEX[traced]
         assert index.shape == (2, 8) and not index.flags.writeable
         rng = np.random.default_rng(61)
-        states = [random_state(70 + seed) for seed in range(20)]
+        states = [random_state(70 + seed) for seed in range(200)]
         states += [normalize(PureState4(rng.standard_normal(16) + 0j)) for _ in range(10)]
         states.append(ghz4())
         for s in states:
-            branches = branch_vectors(permute_qubits(s, qstate.TRACE_PERMS[traced]))
-            for gathered, phi in zip(s.amps[index], branches):
-                assert gathered.tobytes() == phi.tobytes()
-                assert float(np.sum(np.abs(gathered) ** 2)) == float(np.sum(np.abs(phi) ** 2))
+            branches = branch_vectors(s, traced)
+            assert branches.shape == (2, 8)
+            moved = permute_qubits(s, qstate.TRACE_PERMS[traced]).tensor()
+            p = (np.abs(branches) ** 2).sum(axis=1).tolist()
+            for b in (0, 1):
+                phi = moved[:, :, :, b].reshape(8)
+                assert branches[b].tobytes() == phi.tobytes()
+                assert p[b] == float(np.sum(np.abs(phi) ** 2))
+
+    def test_branch_vectors_default_is_a4(self):
+        s = random_state(62)
+        assert branch_vectors(s).tobytes() == branch_vectors(s, "A4").tobytes()
+
+    @pytest.mark.parametrize("label", ["A1", "a4", "A5", ""])
+    def test_branch_vectors_rejects_other_labels(self, label):
+        with pytest.raises(errors.BadQubitLabel, match="A2, A3 or A4"):
+            branch_vectors(random_state(63), label)
 
 
 class TestPartialTrace:
