@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbability, WrongCase
+from .errors import DegenerateProbability, NonFinite, WrongCase
 from .invariants import (
     CorrelationSummary,
     ThreeQubitInvariantSet,
@@ -157,9 +157,11 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
     at infinity), so a star that the set's quartic drops near a degree drop
     reaches the pair at t = 0, whose antipode is infinite, where the pair's
     own solve would find a tiny root t with a finite antipode. Requires both
-    probabilities strictly positive; coincides with bound_quartic_A4 when
-    p0 = p1.
+    probabilities finite and at least PROB_FLOOR; coincides with
+    bound_quartic_A4 when p0 = p1.
     """
+    if not (math.isfinite(p0) and math.isfinite(p1)):
+        raise NonFinite(f"branch probabilities ({p0!r}, {p1!r})")
     if p0 < PROB_FLOOR or p1 < PROB_FLOOR:
         raise DegenerateProbability(
             f"branch probabilities ({p0!r}, {p1!r}): reduced state is pure; "

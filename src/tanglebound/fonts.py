@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadQubitLabel
-from .qstate import TRACED_LAST_INDEX, PureState3, PureState4, _read_only
+from .qstate import TRACED_LAST_INDEX, PureState3, PureState4, _for_traced, _read_only
 
 
 @dataclass(frozen=True)
@@ -104,14 +103,6 @@ def compute_fonts3(state: PureState3) -> FontSet3:
 def compute_fonts4(state: PureState4, traced: str = "A4") -> FontSet4:
     """The two-, three- and four-way determinant families of a four-qubit state
     with qubit ``traced`` (A4, A3 or A2) moved last as in
-    ``qstate.TRACE_PERMS``; the default A4 is the state as given."""
-    return FontSet4(_determinants(state.amps, _fonts4_index(traced)))
-
-
-def _fonts4_index(traced: str) -> np.ndarray:
-    """The font index table of traced qubit ``traced``; BadQubitLabel unless
-    it is A2, A3 or A4."""
-    try:
-        return _FONTS4_INDEX[traced]
-    except KeyError:
-        raise BadQubitLabel(f"traced qubit must be A2, A3 or A4, got {traced!r}") from None
+    ``qstate.TRACE_PERMS``; the default A4 is the state as given. Any other
+    label raises BadQubitLabel."""
+    return FontSet4(_determinants(state.amps, _for_traced(_FONTS4_INDEX, traced)))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadQubitLabel
-from .fonts import FontSet4, _fonts4_index, compute_fonts3, compute_fonts4
-from .qstate import PureState3, PureState4, _finite_x, check_normalized
+from .fonts import FontSet4, compute_fonts3, compute_fonts4
+from .qstate import TRACE_PERMS, PureState3, PureState4, _finite_x, _for_traced, check_normalized
 from .quartic import roots
 
 #: triple of kept qubits -> label of the traced qubit
@@ -130,7 +130,7 @@ def invariant_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
     gather, so that amplitudes far from unit norm raise NotNormalized and
     never reach the font products, where they could overflow.
     """
-    _fonts4_index(traced)
+    _for_traced(TRACE_PERMS, traced)
     check_normalized(state)
     return _set_from_fonts(compute_fonts4(state, traced), traced)
 

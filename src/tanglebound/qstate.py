@@ -11,6 +11,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,58 +37,63 @@ RANK2_TOL = 1e-10        # third-largest eigenvalue below this counts as rank <=
 ZERO_NORM_TOL = 1e-28
 
 
-def _check_finite(a: np.ndarray, what: str) -> None:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
+def _valid_array(values, shape: tuple, what: str) -> np.ndarray:
+    """values as a read-only complex array of the given shape; a one-axis shape
+    (n,) takes any array of n entries, flattened. BadStateFormat where an entry
+    is not a number or the shape is wrong, NonFinite on a NaN or inf entry."""
+    try:
+        a = np.asarray(values, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise BadStateFormat(f"{what} entries must be numbers: {exc}") from None
+    if len(shape) == 1:
+        a = a.reshape(-1)
+    if a.shape != shape:
+        raise BadStateFormat(f"{what} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
         k = int(np.flatnonzero(~np.isfinite(a))[0])
-        raise NonFinite(f"non-finite {what} {complex(a.flat[k])!r} at flat index {k}")
-
-
-def _complex_array(values, what: str) -> np.ndarray:
-    """values as a complex array; BadStateFormat where an entry is not a number."""
-    try:
-        return np.asarray(values, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise BadStateFormat(f"{what} must be numbers: {exc}") from None
-
-
-def _as_amps(values, n: int) -> np.ndarray:
-    a = _complex_array(values, "amplitudes").reshape(-1)
-    if a.size != n:
-        raise BadStateFormat(f"expected {n} amplitudes, got {a.size}")
-    _check_finite(a, "amplitude")
-    return _read_only(a.copy())
+        raise NonFinite(f"non-finite {what} entry {complex(a.flat[k])!r} at flat index {k}")
+    return _read_only(a.copy())     # np.asarray may return the caller's array
 
 
 @dataclass(frozen=True)
-class PureState3:
+class _PureState:
+    """The body of PureState3 and PureState4, which set the shapes of their
+    amplitude vector and tensor."""
+
+    amps: np.ndarray = field()
+    _AMPS: ClassVar[tuple]
+    _TENSOR: ClassVar[tuple]
+
+    def __post_init__(self):
+        object.__setattr__(self, "amps", _valid_array(self.amps, self._AMPS, "amplitude vector"))
+
+    def tensor(self) -> np.ndarray:
+        return self.amps.reshape(self._TENSOR)
+
+    def norm_squared(self) -> float:
+        return float(np.sum(np.abs(self.amps) ** 2))
+
+
+@dataclass(frozen=True)
+class PureState3(_PureState):
     """Three-qubit pure state over (A1, A2, A3)."""
 
-    amps: np.ndarray = field()
-
-    def __post_init__(self):
-        object.__setattr__(self, "amps", _as_amps(self.amps, 8))
-
-    def tensor(self) -> np.ndarray:
-        return self.amps.reshape(2, 2, 2)
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+    _AMPS = (8,)
+    _TENSOR = (2, 2, 2)
 
 
 @dataclass(frozen=True)
-class PureState4:
+class PureState4(_PureState):
     """Four-qubit pure state over (A1, A2, A3, A4)."""
 
-    amps: np.ndarray = field()
-
-    def __post_init__(self):
-        object.__setattr__(self, "amps", _as_amps(self.amps, 16))
-
-    def tensor(self) -> np.ndarray:
-        return self.amps.reshape(2, 2, 2, 2)
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+    _AMPS = (16,)
+    _TENSOR = (2, 2, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -97,17 +103,14 @@ class MixedState3:
     rho: np.ndarray = field()
 
     def __post_init__(self):
-        r = _complex_array(self.rho, "density matrix entries")
-        if r.shape != (8, 8):
-            raise BadStateFormat(f"expected an 8x8 matrix, got shape {r.shape}")
-        _check_finite(r, "density matrix entry")
+        r = _valid_array(self.rho, (8, 8), "density matrix")
         if np.max(np.abs(r - r.conj().T)) > HERMITIAN_TOL:
             raise NotDensityMatrix("matrix is not Hermitian")
         if abs(np.trace(r).real - 1.0) > TRACE_TOL or abs(np.trace(r).imag) > TRACE_TOL:
             raise NotDensityMatrix("trace is not 1")
         if np.min(np.linalg.eigvalsh(r)) < EIGENVALUE_FLOOR:
             raise NotDensityMatrix("matrix has a negative eigenvalue")
-        object.__setattr__(self, "rho", _read_only(r.copy()))
+        object.__setattr__(self, "rho", r)
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order."""
@@ -122,14 +125,12 @@ class Qubit2Unitary:
     special: bool = False
 
     def __post_init__(self):
-        m = _complex_array(self.u, "unitary entries")
-        if m.shape != (2, 2):
-            raise BadStateFormat(f"expected a 2x2 matrix, got shape {m.shape}")
+        m = _valid_array(self.u, (2, 2), "unitary")
         if np.max(np.abs(m @ m.conj().T - np.eye(2))) > UNITARY_TOL:
             raise NotUnitary("u @ u^dagger deviates from the identity")
         if self.special and abs(np.linalg.det(m) - 1.0) > UNITARY_TOL:
             raise NotUnitary("special unitary must have det = 1")
-        object.__setattr__(self, "u", _read_only(m.copy()))
+        object.__setattr__(self, "u", m)
 
 
 #: the largest norm^2 that np.vdot may read for norm_squared() not to
@@ -216,12 +217,6 @@ def permute_qubits(state: PureState4, perm) -> PureState4:
 TRACE_PERMS = {"A4": (1, 2, 3, 4), "A3": (1, 2, 4, 3), "A2": (1, 3, 4, 2)}
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 #: traced qubit -> flat indices g with ``state.amps[g]`` equal to
 #: ``permute_qubits(state, TRACE_PERMS[traced]).amps``: permute_qubits'
 #: transpose applied to the flat indices themselves
@@ -248,14 +243,19 @@ BRANCH_INDEX = {
 }
 
 
+def _for_traced(table: dict, traced: str):
+    """table[traced] for a table keyed by the traced qubits A2, A3 and A4;
+    BadQubitLabel for any other label."""
+    try:
+        return table[traced]
+    except KeyError:
+        raise BadQubitLabel(f"traced qubit must be A2, A3 or A4, got {traced!r}") from None
+
+
 def branch_vectors(state: PureState4, traced: str = "A4") -> np.ndarray:
     """The traced qubit's subnormalized branches phi0, phi1, the rows of a (2, 8)
     array gathered on BRANCH_INDEX; BadQubitLabel unless traced is A2, A3 or A4."""
-    try:
-        index = BRANCH_INDEX[traced]
-    except KeyError:
-        raise BadQubitLabel(f"traced qubit must be A2, A3 or A4, got {traced!r}") from None
-    return state.amps[index]
+    return state.amps[_for_traced(BRANCH_INDEX, traced)]
 
 
 def _phase_fix(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -324,13 +324,27 @@ def random_special_unitary(seed) -> Qubit2Unitary:
 # JSON wire formats
 # ---------------------------------------------------------------------------
 
+def _to_pairs(a: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] pairs of Python floats."""
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def _from_pairs(raw, shape: tuple, what: str) -> list:
+    """Nested lists of [re, im] pairs, ``shape`` lists deep, as nested lists of
+    Python complex; BadStateFormat for any other nesting or a non-number."""
+    if not isinstance(raw, list) or len(raw) != shape[0]:
+        raise BadStateFormat(f"{what} must be {' x '.join(map(str, shape))} [re, im] pairs")
+    if len(shape) > 1:
+        return [_from_pairs(r, shape[1:], what) for r in raw]
+    try:
+        return [complex(re, im) for re, im in raw]
+    except (TypeError, ValueError) as exc:
+        raise BadStateFormat(f"{what} must be [re, im] pairs of numbers: {exc}") from None
+
+
 def state_to_json(state) -> dict:
     """{"n_qubits": 3|4, "amps": [[re, im], ...]} in the module index convention."""
-    n = 3 if isinstance(state, PureState3) else 4
-    return {
-        "n_qubits": n,
-        "amps": [[float(z.real), float(z.imag)] for z in state.amps],
-    }
+    return {"n_qubits": len(state._TENSOR), "amps": _to_pairs(state.amps)}
 
 
 def state_from_json(obj) -> "PureState3 | PureState4":
@@ -339,33 +353,15 @@ def state_from_json(obj) -> "PureState3 | PureState4":
     n = obj["n_qubits"]
     if n not in (3, 4):
         raise BadStateFormat(f"n_qubits must be 3 or 4, got {n!r}")
-    raw = obj["amps"]
-    if not isinstance(raw, list) or len(raw) != 2 ** n:
-        raise BadStateFormat(f"expected {2 ** n} amplitude pairs")
-    try:
-        amps = np.array([complex(re, im) for re, im in raw])
-    except (TypeError, ValueError) as exc:
-        raise BadStateFormat(f"amplitudes must be [re, im] pairs: {exc}") from exc
     cls = PureState3 if n == 3 else PureState4
-    return cls(amps)
+    return cls(_from_pairs(obj["amps"], cls._AMPS, "'amps'"))
 
 
 def density_to_json(rho: MixedState3) -> dict:
-    return {
-        "dim": 8,
-        "rho": [[[float(z.real), float(z.imag)] for z in row] for row in rho.rho],
-    }
+    return {"dim": 8, "rho": _to_pairs(rho.rho)}
 
 
 def density_from_json(obj) -> MixedState3:
     if not isinstance(obj, dict) or obj.get("dim") != 8 or "rho" not in obj:
         raise BadStateFormat("density JSON needs 'dim': 8 and 'rho'")
-    rows = obj["rho"]
-    if not (isinstance(rows, list) and len(rows) == 8
-            and all(isinstance(r, list) and len(r) == 8 for r in rows)):
-        raise BadStateFormat("'rho' must be 8 rows of 8 [re, im] pairs")
-    try:
-        m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise BadStateFormat(f"entries must be [re, im] pairs: {exc}") from exc
-    return MixedState3(m)
+    return MixedState3(_from_pairs(obj["rho"], (8, 8), "'rho'"))

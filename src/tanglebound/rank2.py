@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PROB_FLOOR, BoundWitness, bound_quartic_A4, bound_unitary_3q
-from .errors import BranchMismatch, NotDensityMatrix, OutOfRange
+from .errors import BranchMismatch, NonFinite, NotDensityMatrix, OutOfRange
 from .invariants import Stars, invariant_set, three_tangle_pure
 from .qstate import (
     MixedState3,
@@ -53,8 +53,13 @@ class Decomposition:
 
 
 def make_decomposition(members) -> Decomposition:
-    """Build and validate a decomposition from (weight, state) pairs."""
-    members = tuple((float(w), s) for w, s in members if w > WEIGHT_DROP)
+    """Build and validate a decomposition from (weight, state) pairs; members
+    of weight at most WEIGHT_DROP are left out, NonFinite on a NaN or inf weight."""
+    members = [(float(w), s) for w, s in members]
+    for w, _ in members:
+        if not math.isfinite(w):
+            raise NonFinite(f"weight {w!r} is not finite")
+    members = tuple((w, s) for w, s in members if w > WEIGHT_DROP)
     total = sum(w for w, _ in members)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise BranchMismatch(f"weights sum to {total!r}, expected 1")
@@ -78,10 +83,15 @@ def w_state() -> PureState3:
     return PureState3(a)
 
 
-def ghzw_rho(p: float) -> MixedState3:
-    """p |GHZ><GHZ| + (1-p) |W><W|."""
+def _check_weight(p: float) -> None:
+    """OutOfRange unless the GHZ weight p lies in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
+
+
+def ghzw_rho(p: float) -> MixedState3:
+    """p |GHZ><GHZ| + (1-p) |W><W|."""
+    _check_weight(p)
     g, w = ghz_state().amps, w_state().amps
     return MixedState3(p * np.outer(g, g.conj()) + (1.0 - p) * np.outer(w, w.conj()))
 
@@ -91,8 +101,7 @@ def ghzw_invariants(p: float) -> tuple[float, float]:
 
     The full theta dependence of the second entry is e^{3 i theta} times it.
     """
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
+    _check_weight(p)
     return p ** 2 / 4.0, math.sqrt(p * (1.0 - p) ** 3) / (3.0 * math.sqrt(6.0))
 
 
@@ -110,8 +119,7 @@ def ghzw_threshold() -> float:
 
 def ghzw_bound(p: float) -> float:
     """Tabulated GHZ/W bound: zero up to the threshold, |p^2/4 - 4 sqrt(p(1-p)^3)/(3 sqrt 6)| above."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
+    _check_weight(p)
     if p <= ghzw_threshold():
         return 0.0
     i40, i13 = ghzw_invariants(p)
@@ -132,17 +140,14 @@ def ghzw_decomposition(p: float, branch: str) -> Decomposition:
     p (1 + (3/8) 2^{2/3}) / 3 each plus the W remainder; every member has zero
     tangle. above: three members at (1, theta_n) with weight 1/3.
     """
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
+    _check_weight(p)
     pstar = ghzw_threshold()
     thetas = [2.0 * math.pi * n / 3.0 for n in range(3)]
     if branch == "below":
         if p > pstar + 1e-12:
             raise BranchMismatch(f"p = {p} is above the threshold {pstar:.6f}")
-        weight = p * (1.0 + (3.0 / 8.0) * _CUBE_ROOT_2 ** 2)
-        if weight > 1.0 + 1e-9:
-            raise BranchMismatch(f"mixture weight {weight!r} leaves [0, 1]")
-        weight = min(weight, 1.0)
+        # p / pstar, so at most 1 + 1.6e-12 here; the clamp takes off the rounding
+        weight = min(p * (1.0 + (3.0 / 8.0) * _CUBE_ROOT_2 ** 2), 1.0)
         members = []
         if weight > WEIGHT_DROP:
             x0 = ghzw_x0(p)

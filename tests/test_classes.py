@@ -136,6 +136,25 @@ class TestLiteratureBound:
             literature_bound(ClassSpec("III", a=1 + 0j, b=1 + 0j), "A1A2A3", "regu")
 
 
+#: (call, error, message fragment): one entry per input check of the module
+_BAD_INPUTS = {
+    "class_spec_unknown_id": (lambda: ClassSpec("X"), errors.BadArity, "unknown class id"),
+    "spec_from_values_unknown_id": (lambda: spec_from_values("X", 1 + 0j),
+                                    errors.BadArity, "unknown class id"),
+    "unknown_triple": (lambda: paper_bound(ClassSpec("VII"), "A1A2A5"),
+                       errors.BadQubitLabel, "unknown triple"),
+    "unknown_source": (lambda: literature_bound(ClassSpec("VII"), "A1A2A3", "nature"),
+                       errors.NotPrinted, "unknown source"),
+}
+
+
+@pytest.mark.parametrize("call,error,fragment", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_bad_input_raises_its_error(call, error, fragment):
+    with pytest.raises(error, match=fragment) as info:
+        call()
+    assert isinstance(info.value, errors.TangleboundError)
+
+
 class TestClassBehaviour:
     def test_class_two_same_bound_on_all_supported_triples(self):
         for _ in range(6):

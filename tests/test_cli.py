@@ -305,6 +305,29 @@ class TestSweepVerb:
         assert "norm^2" in err and "overflows" in err
 
 
+#: (argv, with {state3} for a three-qubit state file; a fragment of the error
+#: line): one entry per input check of the verbs
+_BAD_INPUTS = {
+    "bound_on_three_qubits": (["bound", "--state", "{state3}", "--triple", "A1A2A3"],
+                              "four-qubit state"),
+    "grid_count_zero": (["sweep", "--class", "V", "--param-grid", "a=1:2:0"], "grid count"),
+    "sweep_wrong_parameters": (["sweep", "--class", "V", "--param-grid", "b=1:2:2"],
+                               "sweeps over parameters"),
+    "osterloh_class_two_without_triple": (
+        ["sweep", "--class", "II", "--param-grid", "a=1:2:2,d=1:2:2,c=1:2:2",
+         "--compare", "osterloh"], "no default triple"),
+}
+
+
+@pytest.mark.parametrize("argv,fragment", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_bad_input_is_input_error(tmp_path, capsys, argv, fragment):
+    state3 = write_state_json(tmp_path, np.full(8, 8 ** -0.5), n_qubits=3)
+    code, out, err = run_cli(capsys, *[a.format(state3=state3) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and fragment in err
+
+
 class TestSweepAxesAndCells:
     """The sweep verb's axes and cells are Python lists; np.linspace and the
     flat order of np.meshgrid(..., indexing="ij") are their bit-for-bit oracle."""

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from tanglebound import errors, qstate
+from tanglebound import errors, fonts, invariants, qstate
 from tanglebound.qstate import (
     MixedState3,
     PureState3,
@@ -360,6 +361,58 @@ class TestNonFinite:
         rho[1, 2] = rho[2, 1] = np.inf
         with pytest.raises(errors.NonFinite, match="inf"):
             MixedState3(rho)
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
+    def test_unitary_rejects_nan_and_inf_without_a_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.NonFinite, match="non-finite"):
+                Qubit2Unitary([[bad, 0.0], [0.0, 1.0]])
+
+
+_MIXED = np.eye(8, dtype=complex) / 8.0
+_PAIRS8 = [[[0.0, 0.0]] * 8] * 8
+
+#: (call, error, message fragment): one entry per input check of the module
+_BAD_INPUTS = {
+    "15_amplitudes": (lambda: PureState4(np.ones(15)), errors.BadStateFormat, "shape"),
+    "7x8_density": (lambda: MixedState3(np.zeros((7, 8))), errors.BadStateFormat, "shape"),
+    "trace_not_one": (lambda: MixedState3(4.0 * _MIXED), errors.NotDensityMatrix, "trace"),
+    "negative_eigenvalue": (lambda: MixedState3(np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0])),
+                            errors.NotDensityMatrix, "negative eigenvalue"),
+    "3x3_unitary": (lambda: Qubit2Unitary(np.eye(3)), errors.BadStateFormat, "shape"),
+    "det_not_one": (lambda: Qubit2Unitary(np.diag([1.0, -1.0]), special=True),
+                    errors.NotUnitary, "det"),
+    "nan_theta": (lambda: purify_rank2(MixedState3(_MIXED), math.nan), errors.NonFinite, "theta"),
+    "inf_theta": (lambda: purify_rank2(MixedState3(_MIXED), math.inf), errors.NonFinite, "theta"),
+    "state_json_without_keys": (lambda: qstate.state_from_json({"amps": [[1.0, 0.0]] * 16}),
+                                errors.BadStateFormat, "n_qubits"),
+    "state_json_five_qubits": (lambda: qstate.state_from_json({"n_qubits": 5, "amps": []}),
+                               errors.BadStateFormat, "3 or 4"),
+    "state_json_non_pairs": (lambda: qstate.state_from_json({"n_qubits": 4, "amps": [[1.0]] * 16}),
+                             errors.BadStateFormat, "pairs"),
+    "density_json_without_dim": (lambda: qstate.density_from_json({"rho": _PAIRS8}),
+                                 errors.BadStateFormat, "'dim': 8"),
+    "density_json_non_pairs": (lambda: qstate.density_from_json({"dim": 8, "rho": [[0.0] * 8] * 8}),
+                               errors.BadStateFormat, "pairs"),
+}
+
+
+@pytest.mark.parametrize("call,error,fragment", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_bad_input_raises_its_error(call, error, fragment):
+    with pytest.raises(error, match=fragment) as info:
+        call()
+    assert isinstance(info.value, errors.TangleboundError)
+
+
+def test_bad_traced_label_raises_one_error_from_every_entry():
+    state = random_state(3)
+    messages = set()
+    for call in (fonts.compute_fonts4, branch_vectors, invariants.invariant_set):
+        with pytest.raises(errors.BadQubitLabel) as info:
+            call(state, "A1")
+        messages.add(str(info.value))
+    assert messages == {"traced qubit must be A2, A3 or A4, got 'A1'"}
 
 
 class TestRandomGenerators:

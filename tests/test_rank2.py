@@ -153,6 +153,47 @@ class TestGhzwDecomposition:
         ]
         assert np.argmin(values) == len(xs) - 1
 
+    def test_weight_at_the_threshold_edge_stays_in_range(self):
+        # the member weight p (1 + (3/8) 2^(2/3)) is p / pstar, so the largest
+        # p the below branch takes gives at most 1 + 1.6e-12, which is clamped
+        deco = ghzw_decomposition(ghzw_threshold() + 1e-12, "below")
+        assert [w for w, _ in deco.members] == [pytest.approx(1.0 / 3.0, abs=1e-12)] * 3
+
+
+def _invariant_set():
+    return invariant_set(random_state(5), "A4")
+
+
+#: (call, error, message fragment): one entry per input check of the module
+_BAD_INPUTS = {
+    "weights_not_summing_to_one": (lambda: rank2.make_decomposition([(0.5, ghz_state())]),
+                                   errors.BranchMismatch, "sum"),
+    "nan_weight": (lambda: rank2.make_decomposition([(math.nan, w_state()), (1.0, ghz_state())]),
+                   errors.NonFinite, "weight"),
+    "inf_weight": (lambda: rank2.make_decomposition([(math.inf, w_state()), (1.0, ghz_state())]),
+                   errors.NonFinite, "weight"),
+    "ghzw_bound_p_below_0": (lambda: ghzw_bound(-0.1), errors.OutOfRange, r"\[0, 1\]"),
+    "ghzw_bound_p_above_1": (lambda: ghzw_bound(1.5), errors.OutOfRange, r"\[0, 1\]"),
+    "decomposition_p_below_0": (lambda: ghzw_decomposition(-0.1, "below"),
+                                errors.OutOfRange, r"\[0, 1\]"),
+    "decomposition_p_above_1": (lambda: ghzw_decomposition(1.5, "above"),
+                                errors.OutOfRange, r"\[0, 1\]"),
+    "unknown_branch": (lambda: ghzw_decomposition(0.5, "middle"), errors.BranchMismatch, "branch"),
+    "unitary_3q_nan_p0": (lambda: bound_unitary_3q(_invariant_set(), math.nan, 0.5),
+                          errors.NonFinite, "probabilities"),
+    "unitary_3q_nan_p1": (lambda: bound_unitary_3q(_invariant_set(), 0.5, math.nan),
+                          errors.NonFinite, "probabilities"),
+    "unitary_3q_inf_p0": (lambda: bound_unitary_3q(_invariant_set(), math.inf, 0.5),
+                          errors.NonFinite, "probabilities"),
+}
+
+
+@pytest.mark.parametrize("call,error,fragment", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_bad_input_raises_its_error(call, error, fragment):
+    with pytest.raises(error, match=fragment) as info:
+        call()
+    assert isinstance(info.value, errors.TangleboundError)
+
 
 class TestDecomposeRank2:
     def test_pure_ghz(self):
