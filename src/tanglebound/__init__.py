@@ -13,7 +13,7 @@ from .bounds import (
     classify_group,
 )
 from .classes import ClassSpec, literature_bound, paper_bound, representative, spec_from_values
-from .fonts import FontSet3, FontSet4, compute_fonts3, compute_fonts4
+from .fonts import compute_fonts3, compute_fonts4
 from .invariants import (
     CorrelationSummary,
     ThreeQubitInvariantSet,
@@ -55,8 +55,6 @@ __all__ = [
     "ClassSpec",
     "CorrelationSummary",
     "Decomposition",
-    "FontSet3",
-    "FontSet4",
     "MixedState3",
     "PureState3",
     "PureState4",

@@ -9,59 +9,15 @@ row k of a (4, n) table holds the flat indices of the k-th factor of every
 entry, and d = g[0] * g[1] - g[2] * g[3] on g = amps[table]. For a traced
 qubit other than A4 the table is composed with ``qstate.TRACED_LAST_INDEX``,
 so the fonts of the state with that qubit moved last come from the state's
-own amplitudes, without building the permuted state.
+own amplitudes, without building the permuted state. The gather's array is
+what compute_fonts3 and compute_fonts4 return; their docstrings give its layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .qstate import TRACED_LAST_INDEX, PureState3, PureState4, _for_traced, _read_only
-
-
-@dataclass(frozen=True)
-class FontSet3:
-    """Two- and three-way font determinants of a three-qubit state.
-
-    d2way[i3] = a_{00 i3} a_{11 i3} - a_{10 i3} a_{01 i3}
-    d3way[i3] = a_{00 i3} a_{11 i3+1} - a_{10 i3} a_{01 i3+1}
-    """
-
-    d2way: np.ndarray = field()
-    d3way: np.ndarray = field()
-
-
-@dataclass(frozen=True)
-class FontSet4:
-    """The font determinants of a four-qubit state that the invariants read.
-
-    ``flat`` is the gather's one (16,) array: four families of four entries,
-    d2_A3A4, d3_A4, d3_A3 and d4, each in [i3, i4] order. The families are
-    views of it, with array layouts that follow the subscript/superscript labels:
-      d2_A3A4[i3, i4]                 (two-way)
-      d3_A4[i3, i4], d3_A3[i4, i3]    (three-way)
-      d4[i3, i4]                      (four-way)
-    """
-
-    flat: np.ndarray = field()
-
-    @property
-    def d2_A3A4(self) -> np.ndarray:
-        return self.flat[0:4].reshape(2, 2)
-
-    @property
-    def d3_A4(self) -> np.ndarray:
-        return self.flat[4:8].reshape(2, 2)
-
-    @property
-    def d3_A3(self) -> np.ndarray:
-        return self.flat[8:12].reshape(2, 2).T
-
-    @property
-    def d4(self) -> np.ndarray:
-        return self.flat[12:16].reshape(2, 2)
 
 
 def _font_index(n_low: int, flips) -> np.ndarray:
@@ -76,12 +32,9 @@ def _font_index(n_low: int, flips) -> np.ndarray:
     return np.stack([same, 3 * lead + primed, 2 * lead + same, lead + primed])
 
 
-#: d2way[i3] (nothing flips), d3way[i3] (i3 flips)
+#: the rows of compute_fonts3 and the families of compute_fonts4, the latter
+#: per traced qubit, composed with its move last
 _FONTS3_INDEX = _read_only(_font_index(1, (0b0, 0b1)))
-
-#: traced qubit -> the families of the state with that qubit moved last:
-#: d2_A3A4 (nothing flips), d3_A4 (i3 flips), d3_A3 in [i3, i4] order (i4
-#: flips) and d4 (both flip), composed with the move
 _FONTS4_INDEX = {
     traced: _read_only(moved[_font_index(2, (0b00, 0b10, 0b01, 0b11))])
     for traced, moved in TRACED_LAST_INDEX.items()
@@ -94,15 +47,19 @@ def _determinants(amps: np.ndarray, index: np.ndarray) -> np.ndarray:
     return g[0] * g[1] - g[2] * g[3]
 
 
-def compute_fonts3(state: PureState3) -> FontSet3:
-    """The two- and three-way determinants of a three-qubit state (normalization not required)."""
-    d = _determinants(state.amps, _FONTS3_INDEX).reshape(2, 2)
-    return FontSet3(d[0], d[1])
+def compute_fonts3(state: PureState3) -> np.ndarray:
+    """The (2, 2) determinants of a three-qubit state (normalization not
+    required): row d2way (nothing flips) and row d3way (i3 flips), each [i3]."""
+    return _determinants(state.amps, _FONTS3_INDEX).reshape(2, 2)
 
 
-def compute_fonts4(state: PureState4, traced: str = "A4") -> FontSet4:
-    """The two-, three- and four-way determinant families of a four-qubit state
-    with qubit ``traced`` (A4, A3 or A2) moved last as in
-    ``qstate.TRACE_PERMS``; the default A4 is the state as given. Any other
-    label raises BadQubitLabel."""
-    return FontSet4(_determinants(state.amps, _for_traced(_FONTS4_INDEX, traced)))
+def compute_fonts4(state: PureState4, traced: str = "A4") -> np.ndarray:
+    """The (16,) determinants of a four-qubit state with qubit ``traced`` (A4,
+    A3 or A2) moved last as in ``qstate.TRACE_PERMS``; the default A4 is the
+    state as given. Any other label raises BadQubitLabel.
+
+    Four families of four entries, entry 4 * family + 2 * i3 + i4: d2_A3A4
+    (nothing flips), d3_A4 (i3 flips), d3_A3 (i4 flips; labelled [i4, i3], so
+    stored as its transpose) and d4 (both flip).
+    """
+    return _determinants(state.amps, _for_traced(_FONTS4_INDEX, traced))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadQubitLabel
-from .fonts import FontSet4, compute_fonts3, compute_fonts4
+from .fonts import compute_fonts3, compute_fonts4
 from .qstate import TRACE_PERMS, PureState3, PureState4, _finite_x, _for_traced, check_normalized
 from .quartic import roots
 
@@ -114,8 +114,8 @@ class CorrelationSummary:
 def three_tangle_pure(state: PureState3) -> float:
     """Three-tangle of a normalized pure state: 4 |(D000 + D001)^2 - 4 D00_0 D00_1|."""
     check_normalized(state)
-    f = compute_fonts3(state)
-    inv = (f.d3way[0] + f.d3way[1]) ** 2 - 4.0 * f.d2way[0] * f.d2way[1]
+    d2way, d3way = compute_fonts3(state)
+    inv = (d3way[0] + d3way[1]) ** 2 - 4.0 * d2way[0] * d2way[1]
     return 4.0 * abs(inv)
 
 
@@ -148,16 +148,17 @@ def _divide(z: complex, f: float) -> complex:
     return complex((z.real + z.imag * 0.0) * k, (z.imag - z.real * 0.0) * k)
 
 
-def _set_from_fonts(f: FontSet4, traced: str) -> ThreeQubitInvariantSet:
-    """The canonical A4 expressions on the fonts, read with one tolist() into
-    Python complex (d3_A3 is stored in [i3, i4] order, so b10 precedes b01).
+def _set_from_fonts(flat: np.ndarray, traced: str) -> ThreeQubitInvariantSet:
+    """The canonical A4 expressions on compute_fonts4's (16,) array, read with
+    one tolist() into Python complex (d3_A3 is stored in [i3, i4] order, so
+    b10 precedes b01).
 
     Complex sums and products round alike in Python and numpy; squares and
     the division by 6 go through _square and _divide, so every entry is bit
     for bit what numpy scalar arithmetic gives.
     """
     (d00, d01, d10, d11, a00, a01, a10, a11,
-     b00, b10, b01, b11, e00, e01, e10, e11) = f.flat.tolist()
+     b00, b10, b01, b11, e00, e01, e10, e11) = flat.tolist()
     sA4_0 = a00 + a10
     sA4_1 = a01 + a11
     sA3_0 = b00 + b10

@@ -46,9 +46,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _valid_array(values, shape: tuple, what: str) -> np.ndarray:
     """values as a read-only complex array of the given shape; a one-axis shape
     (n,) takes any array of n entries, flattened. BadStateFormat where an entry
-    is not a number or the shape is wrong, NonFinite on a NaN or inf entry."""
+    is not a number or the shape is wrong, NonFinite on a NaN or inf entry or
+    an integer too large for a float."""
     try:
         a = np.asarray(values, dtype=complex)
+    except OverflowError as exc:
+        raise NonFinite(f"{what} entry too large for a float: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise BadStateFormat(f"{what} entries must be numbers: {exc}") from None
     if len(shape) == 1:
@@ -331,15 +334,21 @@ def _to_pairs(a: np.ndarray) -> list:
 
 def _from_pairs(raw, shape: tuple, what: str) -> list:
     """Nested lists of [re, im] pairs, ``shape`` lists deep, as nested lists of
-    Python complex; BadStateFormat for any other nesting or a non-number."""
+    Python complex; BadStateFormat for any other nesting or a non-number (a
+    boolean included), NonFinite for an integer too large for a float."""
     if not isinstance(raw, list) or len(raw) != shape[0]:
         raise BadStateFormat(f"{what} must be {' x '.join(map(str, shape))} [re, im] pairs")
     if len(shape) > 1:
         return [_from_pairs(r, shape[1:], what) for r in raw]
     try:
-        return [complex(re, im) for re, im in raw]
+        pairs = [complex(re, im) for re, im in raw]
+    except OverflowError as exc:
+        raise NonFinite(f"{what} entry too large for a float: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise BadStateFormat(f"{what} must be [re, im] pairs of numbers: {exc}") from None
+    if any(type(x) is bool for pair in raw for x in pair):
+        raise BadStateFormat(f"{what} must be [re, im] pairs of numbers, not booleans")
+    return pairs
 
 
 def state_to_json(state) -> dict:

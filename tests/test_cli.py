@@ -31,6 +31,13 @@ def write_state_json(tmp_path, amps, n_qubits=4, name="state.json"):
     return str(path)
 
 
+def write_pairs_json(tmp_path, name, pairs):
+    """A four-qubit state file whose amplitudes are ``pairs`` as given."""
+    path = tmp_path / name
+    path.write_text(json.dumps({"n_qubits": 4, "amps": pairs}))
+    return str(path)
+
+
 class TestParseComplex:
     @pytest.mark.parametrize("text,value", [
         ("2", 2 + 0j),
@@ -305,11 +312,16 @@ class TestSweepVerb:
         assert "norm^2" in err and "overflows" in err
 
 
-#: (argv, with {state3} for a three-qubit state file; a fragment of the error
-#: line): one entry per input check of the verbs
+#: (argv, with {state3} for a three-qubit state file, {booleans} for a state
+#: file of [true, false] pairs and {huge} for one whose first real part is
+#: 10**400; a fragment of the error line): one entry per input check of the verbs
 _BAD_INPUTS = {
     "bound_on_three_qubits": (["bound", "--state", "{state3}", "--triple", "A1A2A3"],
                               "four-qubit state"),
+    "bound_on_boolean_amplitudes": (["bound", "--state", "{booleans}", "--triple", "A1A2A3"],
+                                    "not booleans"),
+    "invariants_on_an_integer_too_large": (["invariants", "--state", "{huge}", "--traced", "A4"],
+                                           "too large for a float"),
     "grid_count_zero": (["sweep", "--class", "V", "--param-grid", "a=1:2:0"], "grid count"),
     "sweep_wrong_parameters": (["sweep", "--class", "V", "--param-grid", "b=1:2:2"],
                                "sweeps over parameters"),
@@ -321,8 +333,12 @@ _BAD_INPUTS = {
 
 @pytest.mark.parametrize("argv,fragment", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
 def test_bad_input_is_input_error(tmp_path, capsys, argv, fragment):
-    state3 = write_state_json(tmp_path, np.full(8, 8 ** -0.5), n_qubits=3)
-    code, out, err = run_cli(capsys, *[a.format(state3=state3) for a in argv])
+    files = {
+        "state3": write_state_json(tmp_path, np.full(8, 8 ** -0.5), n_qubits=3),
+        "booleans": write_pairs_json(tmp_path, "booleans.json", [[True, False]] * 16),
+        "huge": write_pairs_json(tmp_path, "huge.json", [[10 ** 400, 0]] + [[0, 0]] * 15),
+    }
+    code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and fragment in err

@@ -8,7 +8,7 @@ import pytest
 from tanglebound import errors, fonts
 from tanglebound.acceptance import class_draws
 from tanglebound.classes import ClassSpec, representative
-from tanglebound.fonts import FontSet3, FontSet4, compute_fonts3, compute_fonts4
+from tanglebound.fonts import compute_fonts3, compute_fonts4
 from tanglebound.qstate import (
     TRACE_PERMS,
     PureState3,
@@ -21,21 +21,30 @@ from tanglebound.qstate import (
 
 # Bit-for-bit oracle: each family as a tensor-slice expression on the state
 # with the traced qubit already moved last.
-def reference_fonts4(state: PureState4) -> FontSet4:
+def reference_fonts4(state: PureState4) -> np.ndarray:
     t = state.tensor()
     a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
     d2_a3a4 = a00 * a11 - a10 * a01
     d3_a4 = a00 * a11[::-1] - a10 * a01[::-1]
     d3_a3 = (a00 * a11[:, ::-1] - a10 * a01[:, ::-1]).T
     d4 = a00 * a11[::-1, ::-1] - a10 * a01[::-1, ::-1]
-    # FontSet4 stores every family in [i3, i4] order in one (16,) array
-    return FontSet4(np.stack([d2_a3a4, d3_a4, d3_a3.T, d4]).reshape(16))
+    # compute_fonts4 stores every family in [i3, i4] order in one (16,) array
+    return np.stack([d2_a3a4, d3_a4, d3_a3.T, d4]).reshape(16)
 
 
-def reference_fonts3(state: PureState3) -> FontSet3:
+def reference_fonts3(state: PureState3) -> np.ndarray:
     t = state.tensor()
     a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
-    return FontSet3(a00 * a11 - a10 * a01, a00 * a11[::-1] - a10 * a01[::-1])
+    # compute_fonts3's rows d2way and d3way
+    return np.stack([a00 * a11 - a10 * a01, a00 * a11[::-1] - a10 * a01[::-1]])
+
+
+def families4(flat: np.ndarray) -> dict:
+    """compute_fonts4's families by name, each indexed by its labels: every
+    family is stored in [i3, i4] order, d3_A3 as the transpose of its label
+    order [i4, i3]."""
+    d = flat.reshape(4, 2, 2)
+    return {"d2_A3A4": d[0], "d3_A4": d[1], "d3_A3": d[2].T, "d4": d[3]}
 
 
 def oracle_states() -> dict:
@@ -125,64 +134,58 @@ def class_two_state(a, d, c) -> PureState4:
 class TestFonts3:
     def test_product_state_all_zero(self):
         f = compute_fonts3(PureState3(ket3("000")))
-        np.testing.assert_array_equal(f.d2way, np.zeros(2))
-        np.testing.assert_array_equal(f.d3way, np.zeros(2))
+        np.testing.assert_array_equal(f, np.zeros((2, 2)))
 
     def test_ghz3(self):
-        f = compute_fonts3(PureState3((ket3("000") + ket3("111")) / math.sqrt(2)))
-        assert f.d3way[0] == pytest.approx(0.5, abs=1e-15)
-        assert f.d3way[1] == 0
-        np.testing.assert_array_equal(f.d2way, np.zeros(2))
+        d2way, d3way = compute_fonts3(PureState3((ket3("000") + ket3("111")) / math.sqrt(2)))
+        assert d3way[0] == pytest.approx(0.5, abs=1e-15)
+        assert d3way[1] == 0
+        np.testing.assert_array_equal(d2way, np.zeros(2))
 
     def test_w3(self):
         amps = (ket3("100") + ket3("010") + ket3("001")) / math.sqrt(3)
-        f = compute_fonts3(PureState3(amps))
-        assert f.d2way[0] == pytest.approx(-1.0 / 3.0, abs=1e-14)
-        assert f.d2way[1] == 0
-        np.testing.assert_array_equal(f.d3way, np.zeros(2))
+        d2way, d3way = compute_fonts3(PureState3(amps))
+        assert d2way[0] == pytest.approx(-1.0 / 3.0, abs=1e-14)
+        assert d2way[1] == 0
+        np.testing.assert_array_equal(d3way, np.zeros(2))
 
     def test_random_states_against_brute_force(self):
         rng = np.random.default_rng(34)
         for _ in range(30):
             s = normalize(PureState3(rng.standard_normal(8) + 1j * rng.standard_normal(8)))
-            f = compute_fonts3(s)
             oracle = brute_force_fonts3(s)
-            for name in THREE_QUBIT_RULES:
-                np.testing.assert_allclose(getattr(f, name), oracle[name], atol=1e-15)
+            for name, got in zip(THREE_QUBIT_RULES, compute_fonts3(s)):
+                np.testing.assert_allclose(got, oracle[name], atol=1e-15)
 
 
 class TestFonts4:
     def test_product_state_all_zero(self):
         a = np.zeros(16, dtype=complex)
         a[0] = 1.0
-        f = compute_fonts4(PureState4(a))
-        for field in (f.d2_A3A4, f.d3_A4, f.d3_A3, f.d4):
-            np.testing.assert_array_equal(field, np.zeros((2, 2)))
+        np.testing.assert_array_equal(compute_fonts4(PureState4(a)), np.zeros(16))
 
     def test_ghz4(self):
         a = np.zeros(16, dtype=complex)
         a[0b0000] = a[0b1111] = 1.0 / math.sqrt(2)
         f = compute_fonts4(PureState4(a))
-        assert f.d4[0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert f.d4[0, 1] == f.d4[1, 0] == f.d4[1, 1] == 0
-        for field in (f.d2_A3A4, f.d3_A4, f.d3_A3):
-            np.testing.assert_array_equal(field, np.zeros((2, 2)))
+        assert f[12] == pytest.approx(0.5, abs=1e-15)    # d4[0, 0]
+        np.testing.assert_array_equal(np.delete(f, 12), np.zeros(15))
 
     def test_class_two_against_brute_force(self):
         s = class_two_state(2.0, 1.0, 1.0)
-        f = compute_fonts4(s)
+        f = families4(compute_fonts4(s))
         oracle = brute_force_fonts4(s)
         for name in FOUR_QUBIT_RULES:
-            np.testing.assert_allclose(getattr(f, name), oracle[name], atol=1e-15)
+            np.testing.assert_allclose(f[name], oracle[name], atol=1e-15)
 
     def test_random_states_against_brute_force(self):
         rng = np.random.default_rng(31)
         for _ in range(30):
             s = normalize(PureState4(rng.standard_normal(16) + 1j * rng.standard_normal(16)))
-            f = compute_fonts4(s)
+            f = families4(compute_fonts4(s))
             oracle = brute_force_fonts4(s)
             for name in FOUR_QUBIT_RULES:
-                np.testing.assert_allclose(getattr(f, name), oracle[name], atol=1e-15)
+                np.testing.assert_allclose(f[name], oracle[name], atol=1e-15)
 
     def test_bilinearity_in_the_state(self):
         rng = np.random.default_rng(32)
@@ -190,29 +193,23 @@ class TestFonts4:
         lam = 0.7 - 1.1j
         f1 = compute_fonts4(PureState4(raw))
         f2 = compute_fonts4(PureState4(lam * raw))
-        for name in FOUR_QUBIT_RULES:
-            np.testing.assert_allclose(
-                getattr(f2, name), lam ** 2 * getattr(f1, name), rtol=1e-13
-            )
+        np.testing.assert_allclose(f2, lam ** 2 * f1, rtol=1e-13)
 
     def test_factorized_fourth_qubit_reduces_to_fonts3(self):
         rng = np.random.default_rng(33)
         phi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         phi /= np.linalg.norm(phi)
-        f3 = compute_fonts3(PureState3(phi))
+        d2way, d3way = compute_fonts3(PureState3(phi))
         amps = np.zeros(16, dtype=complex)
         amps[0::2] = phi  # fourth qubit in |0>
-        f4 = compute_fonts4(PureState4(amps))
+        f4 = families4(compute_fonts4(PureState4(amps)))
         for i3 in range(2):
-            assert abs(f4.d3_A4[i3, 0] - f3.d3way[i3]) < 1e-14
-            assert abs(f4.d2_A3A4[i3, 0] - f3.d2way[i3]) < 1e-14
-            assert abs(f4.d3_A4[i3, 1]) < 1e-14
-            assert abs(f4.d2_A3A4[i3, 1]) < 1e-14
-        np.testing.assert_allclose(f4.d4[:, 1], 0.0, atol=1e-14)
-        np.testing.assert_allclose(f4.d3_A3, 0.0, atol=1e-14)
-
-
-FONT4_FIELDS = ("d2_A3A4", "d3_A4", "d3_A3", "d4")
+            assert abs(f4["d3_A4"][i3, 0] - d3way[i3]) < 1e-14
+            assert abs(f4["d2_A3A4"][i3, 0] - d2way[i3]) < 1e-14
+            assert abs(f4["d3_A4"][i3, 1]) < 1e-14
+            assert abs(f4["d2_A3A4"][i3, 1]) < 1e-14
+        np.testing.assert_allclose(f4["d4"][:, 1], 0.0, atol=1e-14)
+        np.testing.assert_allclose(f4["d3_A3"], 0.0, atol=1e-14)
 
 
 class TestGatheredFonts:
@@ -223,32 +220,13 @@ class TestGatheredFonts:
     def test_fonts4_equal_the_permuted_slices_bit_for_bit(self, traced):
         for name, state in ORACLE_STATES.items():
             f = compute_fonts4(state, traced)
+            assert f.shape == (16,) and f.dtype == complex, name
             ref = reference_fonts4(permute_qubits(state, TRACE_PERMS[traced]))
-            for field in FONT4_FIELDS:
-                got, expected = getattr(f, field), getattr(ref, field)
-                assert got.shape == (2, 2) and got.dtype == complex, (name, field)
-                # tobytes() reads in C order, so d3_A3's transposed view compares by value
-                assert got.tobytes() == expected.tobytes(), (name, traced, field)
-
-    @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
-    def test_fonts4_families_equal_the_four_view_packaging(self, traced):
-        # FontSet4 once held four views of the gather reshaped to (4, 2, 2),
-        # the third transposed; its families are now views of the one array
-        for name, state in ORACLE_STATES.items():
-            f = compute_fonts4(state, traced)
-            assert f.flat.shape == (16,) and f.flat.dtype == complex
-            d = fonts._determinants(state.amps, fonts._FONTS4_INDEX[traced]).reshape(4, 2, 2)
-            for field, old in zip(FONT4_FIELDS, (d[0], d[1], d[2].T, d[3])):
-                got = getattr(f, field)
-                assert np.shares_memory(got, f.flat), field
-                assert got.shape == old.shape and got.strides == old.strides, field
-                assert got.tobytes() == old.tobytes(), (name, traced, field)
+            assert f.tobytes() == ref.tobytes(), (name, traced)
 
     def test_fonts4_default_is_the_state_as_given(self):
         state = ORACLE_STATES["random_0"]
-        f, ref = compute_fonts4(state), compute_fonts4(state, "A4")
-        for field in FONT4_FIELDS:
-            assert getattr(f, field).tobytes() == getattr(ref, field).tobytes()
+        assert compute_fonts4(state).tobytes() == compute_fonts4(state, "A4").tobytes()
 
     def test_fonts3_equal_the_slices_bit_for_bit(self):
         rng = np.random.default_rng(36)
@@ -259,10 +237,9 @@ class TestGatheredFonts:
         amps += [state.amps[1::2] for state in ORACLE_STATES.values()]
         for a in amps:
             state = PureState3(a)
-            f, ref = compute_fonts3(state), reference_fonts3(state)
-            for field in ("d2way", "d3way"):
-                assert getattr(f, field).shape == (2,)
-                assert getattr(f, field).tobytes() == getattr(ref, field).tobytes(), a
+            f = compute_fonts3(state)
+            assert f.shape == (2, 2) and f.dtype == complex
+            assert f.tobytes() == reference_fonts3(state).tobytes(), a
 
     def test_index_tables_are_read_only(self):
         for index in (fonts._FONTS3_INDEX, *fonts._FONTS4_INDEX.values()):

@@ -10,6 +10,7 @@ import pytest
 from tanglebound import bounds, errors, invariants
 from tanglebound.classes import ClassSpec, representative, spec_from_values
 from tanglebound.invariants import (
+    _endpoint_coefficients,
     _set_from_fonts,
     correlation_summary,
     invariant_set,
@@ -22,13 +23,16 @@ from tanglebound.qstate import (
     PureState3,
     PureState4,
     apply_local_unitary,
+    branch_vectors,
     normalize,
     permute_qubits,
     random_special_unitary,
     random_state,
     u_of_x,
 )
+from oracles import det3, endpoint_quartic
 from test_fonts import ORACLE_STATES, reference_fonts4
+from test_scalar_path import CORPUS
 
 
 def ket3(bits: str) -> np.ndarray:
@@ -260,6 +264,31 @@ class TestInvarianceProperties:
             assert 4 * abs(inv.i40) == pytest.approx(
                 three_tangle_pure(PureState3(phi)), abs=1e-12
             )
+
+
+class TestHyperdeterminantOracles:
+    """The fonts' invariants against Cayley's hyperdeterminant written out
+    (tests/oracles.py), on random states, class draws and signed-zero states."""
+
+    @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
+    def test_three_tangle_is_four_times_the_hyperdeterminant(self, traced):
+        for k, state in enumerate(CORPUS):
+            for phi in branch_vectors(state, traced):
+                norm = np.linalg.norm(phi)
+                if norm == 0.0:
+                    continue
+                branch = PureState3(phi / norm)
+                assert abs(three_tangle_pure(branch) - 4.0 * abs(det3(branch.amps))) <= 1e-15, k
+
+    @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
+    def test_endpoint_quartic_is_the_hyperdeterminant_of_the_branch_pencil(self, traced):
+        # _endpoint_coefficients(inv)[1] holds the ascending coefficients of
+        # det3(x phi0 + phi1), the I04 numerator
+        for k, state in enumerate(CORPUS):
+            got = np.array(_endpoint_coefficients(invariant_set(state, traced))[1])
+            expected = endpoint_quartic(*branch_vectors(state, traced))
+            tol = 1e-13 * np.max(np.abs(got))
+            assert np.max(np.abs(got - expected)) <= tol, (k, got, expected)
 
 
 def star_states():

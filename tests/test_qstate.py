@@ -395,6 +395,17 @@ _BAD_INPUTS = {
                                  errors.BadStateFormat, "'dim': 8"),
     "density_json_non_pairs": (lambda: qstate.density_from_json({"dim": 8, "rho": [[0.0] * 8] * 8}),
                                errors.BadStateFormat, "pairs"),
+    "state_json_boolean_pairs": (
+        lambda: qstate.state_from_json({"n_qubits": 4, "amps": [[True, False]] * 16}),
+        errors.BadStateFormat, "booleans"),
+    "density_json_boolean_pairs": (
+        lambda: qstate.density_from_json({"dim": 8, "rho": [[[0.0, False]] * 8] * 8}),
+        errors.BadStateFormat, "booleans"),
+    "integer_too_large": (lambda: PureState4([10 ** 400] + [0] * 15), errors.NonFinite,
+                          "too large for a float"),
+    "state_json_integer_too_large": (
+        lambda: qstate.state_from_json({"n_qubits": 4, "amps": [[0, 10 ** 400]] + [[0, 0]] * 15}),
+        errors.NonFinite, "too large for a float"),
 }
 
 

@@ -75,13 +75,13 @@ CORPUS = corpus()
 def numpy_scalar_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
     """The invariants on the fonts' numpy array entries, as computed before the
     set moved to Python complex."""
-    f = compute_fonts4(state, traced)
-    d2 = f.d2_A3A4
-    sA4_0 = f.d3_A4[0, 0] + f.d3_A4[1, 0]
-    sA4_1 = f.d3_A4[0, 1] + f.d3_A4[1, 1]
-    sA3_0 = f.d3_A3[0, 0] + f.d3_A3[1, 0]
-    sA3_1 = f.d3_A3[0, 1] + f.d3_A3[1, 1]
-    s4 = f.d4[0, 0] + f.d4[0, 1] + f.d4[1, 0] + f.d4[1, 1]
+    f = compute_fonts4(state, traced).reshape(4, 2, 2)
+    d2, d3_A4, d3_A3, d4 = f[0], f[1], f[2].T, f[3]    # d3_A3 is stored transposed
+    sA4_0 = d3_A4[0, 0] + d3_A4[1, 0]
+    sA4_1 = d3_A4[0, 1] + d3_A4[1, 1]
+    sA3_0 = d3_A3[0, 0] + d3_A3[1, 0]
+    sA3_1 = d3_A3[0, 1] + d3_A3[1, 1]
+    s4 = d4[0, 0] + d4[0, 1] + d4[1, 0] + d4[1, 1]
 
     i40 = sA4_0 ** 2 - 4.0 * d2[1, 0] * d2[0, 0]
     i31 = 0.5 * sA4_0 * s4 - (d2[1, 0] * sA3_0 + d2[0, 0] * sA3_1)
