@@ -22,6 +22,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,6 +41,10 @@ from .quartic import SCALE_TOL
 PROB_FLOOR = 1e-12
 EQUAL_PROB_TOL = 1e-9
 ZERO_PATTERN_TOL = 1e-10
+#: relative width of a tie between candidate values or witnesses: the twins
+#: of a root pair (the +x and -x of classes I-III) agree in value to about
+#: 1e-14; a value tie's scale term 4 max|c_m| covers rounding of 0 (class I)
+_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,7 @@ class BoundReport:
 def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
     """(4 w v, x) at the stars and their antipodes of P(x) = sum_m c_m x^m =
     c_d prod_j (x - x_j), with finite stars ``xs``, d = len(xs), and ``lead`` =
-    |c_d|, sorted by value, then |x|, then phase.
+    |c_d|, sorted by value (ties in the order listed), except for the witness.
 
     With I04(x) = P(x) / (1 + |x|^2)^2, |I40(x)| = |x|^4 |P(-1/conj x)| /
     (1 + |x|^2)^2. A star x_i zeroes I04, its antipode -1/conj(x_i) zeroes
@@ -81,13 +86,17 @@ def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
     coefficients below SCALE_TOL * max|c| put as many stars at or near x = 0;
     their antipodes are left out, as quartic.roots would drop them from I40's
     numerator, and so is the antipode of any star at exactly 0.
+
+    The head group, the leading candidates within _TIE (v0 + 4 max|c_m|) of
+    the least value v0, is led by its canonical member (_precedes) at value
+    v0, so the last bit of rounding does not pick between a root pair's twins.
     """
     moduli = list(map(abs, c))
-    tol, low, d = SCALE_TOL * max(moduli), 0, len(xs)
+    top = max(moduli)
+    tol, low, d = SCALE_TOL * top, 0, len(xs)
     while moduli[low] < tol:
         low += 1
-    # sorted as (v, |x|, phase, k, x): the insertion index k keeps ties in order
-    keyed = [(4.0 * w_antipode * moduli[0], 0.0, 0.0, 0, 0j)] * (4 - d)
+    cands = [(4.0 * w_antipode * moduli[0], 0j)] * (4 - d)
     ranked = list(enumerate(sorted(xs, key=abs)))
     for i, x in ranked:
         xc = x.conjugate()
@@ -96,12 +105,28 @@ def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
         for j, y in ranked:
             if j != i:
                 v *= abs(1.0 + xc * y)
-        keyed.append((w_star * v, r, cmath.phase(x), len(keyed), x))
+        cands.append((w_star * v, x))
         if i >= low and x:
-            a = -1.0 / xc
-            keyed.append((w_antipode * v, abs(a), cmath.phase(a), len(keyed), a))
-    keyed.sort()
-    return [(v, x) for v, _, _, _, x in keyed]
+            cands.append((w_antipode * v, -1.0 / xc))
+    cands.sort(key=itemgetter(0))
+    v0, head = cands[0][0], 0
+    for k in range(1, len(cands)):
+        if cands[k][0] - v0 > _TIE * (v0 + 4.0 * top):
+            break
+        if _precedes(cands[k][1], cands[head][1]):
+            head = k
+    cands.insert(0, (v0, cands.pop(head)[1]))
+    return cands
+
+
+def _precedes(a: complex, b: complex) -> bool:
+    """Whether witness a is canonical before b: the smaller |x|, then the
+    larger Re x, then the larger Im x, each compared within _TIE max(|a|, |b|)."""
+    tol = _TIE * max(abs(a), abs(b))
+    for p, q in ((abs(b), abs(a)), (a.real, b.real), (a.imag, b.imag)):
+        if abs(p - q) > tol:
+            return p > q
+    return False
 
 
 def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, complex]]:
@@ -109,12 +134,11 @@ def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, co
     endpoint quartic (zeroing I04) and at every antipode -1/conj(x) (zeroing
     I40), each value a product over the other stars (_star_candidates).
 
-    The pairs are sorted by value, then |x|, then phase. A star and its
-    antipode carry the same value, so the first pair is the member with
-    |x| <= 1 of the smallest pair, the one that bound_quartic_A4 reports and
-    bound_grid's seeds reach first. The stars are the set's own (inv.stars()),
-    solved once per set. A set with no three- or four-way content has no
-    stars and yields none.
+    The pairs are sorted by value. The first is the canonical member of the
+    least value's ties (_star_candidates): as a star and its antipode carry
+    the same value, it has |x| <= 1 up to _TIE. bound_quartic_A4 reports it
+    and bound_grid seeds it. The stars are the set's own (inv.stars()), solved
+    once per set. A set with no three- or four-way content yields none.
     """
     if inv.scale() == 0.0:
         return []

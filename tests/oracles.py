@@ -24,3 +24,12 @@ def endpoint_quartic(phi0, phi1) -> np.ndarray:
     xs = np.exp(2j * np.pi * np.arange(5) / 5)
     values = [det3(x * np.asarray(phi0) + np.asarray(phi1)) for x in xs]
     return np.fft.fft(values) / 5
+
+
+def stars_oracle(phi0, phi1) -> np.ndarray:
+    """The roots of endpoint_quartic(phi0, phi1) from numpy.roots, after the
+    leading coefficients below 1e-12 of the largest are dropped, as the
+    package's root solve drops them (the lost roots sit at infinity)."""
+    c = endpoint_quartic(phi0, phi1)
+    kept = np.flatnonzero(np.abs(c) >= 1e-12 * np.abs(c).max())
+    return np.roots(c[: kept[-1] + 1][::-1])

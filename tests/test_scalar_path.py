@@ -3,27 +3,20 @@
 After the font gather, an invariant set and everything computed from it run on
 Python complex and float. The oracles below are the numpy-scalar formulas that
 path replaced, kept verbatim: the invariants on the fonts' array entries, the
-endpoint transform's division, the degree-eight pair and the branch-pair
-bound's coefficient division. So are the star solve's polish and ordering and
-the quartic bound's candidates and witness, as they stood before the per-set
-path ran in one pass. Values are compared by their bits (float.hex), which
-also tells a signed zero from an unsigned one.
+endpoint transform's division and the degree-eight pair. So are the star
+solve's polish and ordering, as they stood before the per-set path ran in one
+pass. Values are compared by their bits (float.hex), which also tells a signed
+zero from an unsigned one.
 """
 
 import cmath
-import math
 
 import numpy as np
 import pytest
 
-from tanglebound import bounds, quartic
+from tanglebound import quartic
 from tanglebound.acceptance import class_draws
-from tanglebound.bounds import (
-    best_bound,
-    bound_quartic_A4,
-    bound_unitary_3q,
-    quartic_root_candidates,
-)
+from tanglebound.bounds import best_bound, bound_unitary_3q
 from tanglebound.classes import SUPPORTED_TRIPLES, representative
 from tanglebound.errors import BadArity, DidNotConverge, NonFinite, ZeroPolynomial
 from tanglebound.fonts import compute_fonts4
@@ -117,18 +110,6 @@ def numpy_scalar_endpoints(inv, x: complex):
     return f40 / den, f04 / den
 
 
-def numpy_scalar_unitary_3q(inv, p0: float, p1: float):
-    """bound_unitary_3q with its coefficients divided as numpy scalars."""
-    xs = inv.stars().xs
-    c04 = _endpoint_coefficients(inv)[1]
-    c = [a / (math.sqrt(p0) ** (4 - m) * math.sqrt(p1) ** m) for m, a in enumerate(c04[::-1])]
-    tol = SCALE_TOL * max(abs(a) for a in c)
-    d = max(m for m, a in enumerate(c) if abs(a) >= tol)
-    ratio = math.sqrt(p1 / p0)
-    ts = sorted([ratio / x for x in xs if x] + [0j] * (4 - len(xs)), key=abs)[:d]
-    return reference_star_candidates(c, abs(c[d]), ts, p0 ** 2, p1 ** 2)
-
-
 def reference_roots(c) -> list[complex]:
     """quartic.roots with the polish and ordering it had before the one-pass
     solve, verbatim: every Newton step evaluates its trial point, the
@@ -181,52 +162,6 @@ def reference_roots(c) -> list[complex]:
     return out
 
 
-def reference_star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
-    """bounds._star_candidates before the one-pass solve, verbatim: moduli and
-    |x| taken anew at each use, the list sorted by a key function."""
-    tol = SCALE_TOL * max(abs(a) for a in c)
-    low = next(m for m, a in enumerate(c) if abs(a) >= tol)
-    d = len(xs)
-    cands = [(4.0 * w_antipode * abs(c[0]), 0j)] * (4 - d)
-    xs = sorted(xs, key=abs)
-    for i, x in enumerate(xs):
-        xc = x.conjugate()
-        v = 4.0 * lead * abs(x) ** (4 - d) / (1.0 + abs(x) ** 2)
-        for j, y in enumerate(xs):
-            if j != i:
-                v *= abs(1.0 + xc * y)
-        cands.append((w_star * v, x))
-        if i >= low and x:
-            cands.append((w_antipode * v, -1.0 / xc))
-    cands.sort(key=reference_candidate_key)
-    return cands
-
-
-def reference_candidate_key(cand):
-    v, x = cand
-    return (v, abs(x), cmath.phase(x))
-
-
-def reference_quartic_bound(inv):
-    """(stars, candidates, witness) of bound_quartic_A4 before the one-pass
-    solve: the endpoint coefficients built anew, the stars from
-    reference_roots, roots_used through a generator."""
-    if inv.scale() == 0.0:
-        return None, [], bounds.BoundWitness("quartic_A4", 0.0, None, (), None)
-    c04 = (inv.i04, 4.0 * inv.i13, 6.0 * inv.i22, 4.0 * inv.i31, inv.i40)
-    xs = reference_roots(c04)
-    lead = abs(c04[len(xs)])
-    candidates = reference_star_candidates(c04, lead, xs)
-    value, x = candidates[0]
-    witness = bounds.BoundWitness("quartic_A4", value, x, tuple(x for _, x in candidates), None)
-    return (lead, tuple(xs)), candidates, witness
-
-
-def witness_bits(w):
-    x = None if w.witness_x is None else bits(w.witness_x)
-    return w.method, w.value.hex(), x, [bits(y) for y in w.roots_used], w.group_case
-
-
 def numpy_branch_probabilities(state, traced):
     phi0, phi1 = state.amps[BRANCH_INDEX[traced]]
     return float(np.sum(np.abs(phi0) ** 2)), float(np.sum(np.abs(phi1) ** 2))
@@ -273,27 +208,6 @@ def test_transform_endpoints_equals_the_numpy_division():
             assert [bits(v) for v in new] == [bits(v) for v in numpy_scalar_endpoints(old, x)], (k, x)
 
 
-def test_branch_pair_bound_equals_the_numpy_division():
-    # class I draws on every traced qubit at their own branch probabilities,
-    # where best_bound reports unitary_3q, and random states at random ones
-    rng = np.random.default_rng(6)
-    cases = [(representative(draw[0]), t, *numpy_branch_probabilities(representative(draw[0]), t))
-             for draw in class_draws(20) for t in TRACED]
-    for state in CORPUS[:40]:
-        p0 = float(rng.uniform(0.05, 0.95))
-        cases.append((state, "A4", p0, 1.0 - p0))
-    for k, (state, traced, p0, p1) in enumerate(cases):
-        inv = invariant_set(state, traced)
-        if inv.scale() == 0.0:
-            continue
-        new = bound_unitary_3q(inv, p0, p1)
-        old = numpy_scalar_unitary_3q(numpy_scalar_set(state, traced), p0, p1)
-        assert type(new.value) is float and type(new.witness_x) is complex, k
-        assert new.value.hex() == float(old[0][0]).hex(), k
-        assert bits(new.witness_x) == bits(old[0][1]), k
-        assert [bits(y) for y in new.roots_used] == [bits(y) for _, y in old], k
-
-
 def test_best_bound_reports_python_numbers_and_the_numpy_branch_probabilities():
     unitary = 0
     for k, state in enumerate(CORPUS):
@@ -312,26 +226,6 @@ def test_best_bound_reports_python_numbers_and_the_numpy_branch_probabilities():
                 assert repr(report.methods[-2]) == repr(expected), k
                 unitary += 1
     assert unitary > 0
-
-
-@pytest.mark.parametrize("traced", TRACED)
-def test_star_solve_and_quartic_bound_equal_the_reference_path(traced):
-    # the bound on a fresh set makes the set's one solve; its stars, the
-    # candidate list and the witness then match the reference bit for bit
-    solved = 0
-    for k, state in enumerate(CORPUS):
-        inv = invariant_set(state, traced)
-        new = bound_quartic_A4(inv)
-        stars, candidates, old = reference_quartic_bound(invariant_set(state, traced))
-        assert type(new.roots_used) is tuple, k
-        assert witness_bits(new) == witness_bits(old), k
-        assert [(v.hex(), bits(x)) for v, x in quartic_root_candidates(inv)] == [
-            (v.hex(), bits(x)) for v, x in candidates], k
-        if stars is not None:
-            assert (inv.stars().lead.hex(), [bits(x) for x in inv.stars().xs]) == (
-                stars[0].hex(), [bits(x) for x in stars[1]]), k
-            solved += 1
-    assert solved >= len(CORPUS) // 2
 
 
 @pytest.mark.parametrize("kind", REFERENCE_KINDS)
