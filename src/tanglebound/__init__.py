@@ -13,7 +13,7 @@ from .bounds import (
     classify_group,
 )
 from .classes import ClassSpec, literature_bound, paper_bound, representative, spec_from_values
-from .fonts import compute_fonts3, compute_fonts4
+from .fonts import compute_fonts4
 from .invariants import (
     CorrelationSummary,
     ThreeQubitInvariantSet,
@@ -68,7 +68,6 @@ __all__ = [
     "bound_quartic_A4",
     "bound_unitary_3q",
     "classify_group",
-    "compute_fonts3",
     "compute_fonts4",
     "correlation_summary",
     "decompose_rank2",

@@ -195,11 +195,7 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
         return BoundWitness("unitary_3q", 0.0, None, (), None)
     xs = inv.stars().xs
     c04 = _endpoint_coefficients(inv)[1]
-    # times the reciprocal, which rounds as numpy divides a complex by a real
-    # (z / f rounds otherwise); only moduli are read, so zero signs do not
-    # matter here as they do in invariants._divide
-    c = [a * (1.0 / (math.sqrt(p0) ** (4 - m) * math.sqrt(p1) ** m))
-         for m, a in enumerate(c04[::-1])]
+    c = [a / (math.sqrt(p0) ** (4 - m) * math.sqrt(p1) ** m) for m, a in enumerate(c04[::-1])]
     # the f40 quartic's own degree drop, as quartic.roots would take it
     tol = SCALE_TOL * max(abs(a) for a in c)
     d = max(m for m, a in enumerate(c) if abs(a) >= tol)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadQubitLabel
-from .fonts import compute_fonts3, compute_fonts4
+from .fonts import compute_fonts4
 from .qstate import TRACE_PERMS, PureState3, PureState4, _finite_x, _for_traced, check_normalized
 from .quartic import roots
 
@@ -59,7 +59,7 @@ class ThreeQubitInvariantSet:
 
     ``invariant_set`` fills the five entries with Python ``complex`` numbers,
     never numpy scalars, and scale() is a Python ``float``: every step after
-    the font gather is scalar arithmetic on Python numbers.
+    the font gather is plain arithmetic on Python numbers.
     """
 
     traced: str
@@ -112,11 +112,14 @@ class CorrelationSummary:
 
 
 def three_tangle_pure(state: PureState3) -> float:
-    """Three-tangle of a normalized pure state: 4 |(D000 + D001)^2 - 4 D00_0 D00_1|."""
+    """Three-tangle of a normalized pure state: 4 |(D000 + D001)^2 - 4 D00_0 D00_1|,
+    Cayley's hyperdeterminant in the fonts' grouping on Python complex, with
+    D00_i = a00i a11i - a10i a01i and D00i = a00i a11j - a10i a01j, j = 1 - i."""
     check_normalized(state)
-    d2way, d3way = compute_fonts3(state)
-    inv = (d3way[0] + d3way[1]) ** 2 - 4.0 * d2way[0] * d2way[1]
-    return 4.0 * abs(inv)
+    a000, a001, a010, a011, a100, a101, a110, a111 = state.amps.tolist()
+    d3 = a000 * a111 - a100 * a011 + (a001 * a110 - a101 * a010)
+    hyperdeterminant = d3 * d3 - 4.0 * (a000 * a110 - a100 * a010) * (a001 * a111 - a101 * a011)
+    return 4.0 * abs(hyperdeterminant)
 
 
 def invariant_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
@@ -135,28 +138,10 @@ def invariant_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
     return _set_from_fonts(compute_fonts4(state, traced), traced)
 
 
-def _square(z: complex) -> complex:
-    """z * z, as numpy squares a complex scalar: +0 for a zero z of either sign."""
-    return z * z if z else 0j
-
-
-def _divide(z: complex, f: float) -> complex:
-    """z / f for a real f > 0, as numpy divides a complex scalar by a real: both
-    parts times 1 / f, where Python's z / f divides them and rounds otherwise,
-    after adding the other part times 0, which decides the sign of a zero."""
-    k = 1.0 / f
-    return complex((z.real + z.imag * 0.0) * k, (z.imag - z.real * 0.0) * k)
-
-
 def _set_from_fonts(flat: np.ndarray, traced: str) -> ThreeQubitInvariantSet:
-    """The canonical A4 expressions on compute_fonts4's (16,) array, read with
-    one tolist() into Python complex (d3_A3 is stored in [i3, i4] order, so
-    b10 precedes b01).
-
-    Complex sums and products round alike in Python and numpy; squares and
-    the division by 6 go through _square and _divide, so every entry is bit
-    for bit what numpy scalar arithmetic gives.
-    """
+    """The canonical A4 expressions, in Python complex arithmetic, on
+    compute_fonts4's (16,) array read with one tolist() (d3_A3 is stored in
+    [i3, i4] order, so b10 precedes b01)."""
     (d00, d01, d10, d11, a00, a01, a10, a11,
      b00, b10, b01, b11, e00, e01, e10, e11) = flat.tolist()
     sA4_0 = a00 + a10
@@ -165,16 +150,16 @@ def _set_from_fonts(flat: np.ndarray, traced: str) -> ThreeQubitInvariantSet:
     sA3_1 = b01 + b11
     s4 = e00 + e01 + e10 + e11
 
-    i40 = _square(sA4_0) - 4.0 * d10 * d00
+    i40 = sA4_0 * sA4_0 - 4.0 * d10 * d00
     i31 = 0.5 * sA4_0 * s4 - (d10 * sA3_0 + d00 * sA3_1)
     i22 = (
-        _divide(_square(s4), 6.0)
+        s4 * s4 / 6.0
         - (2.0 / 3.0) * sA3_1 * sA3_0
         + (1.0 / 3.0) * sA4_0 * sA4_1
         - (2.0 / 3.0) * (d10 * d01 + d00 * d11)
     )
     i13 = 0.5 * s4 * sA4_1 - (d11 * sA3_0 + sA3_1 * d01)
-    i04 = _square(sA4_1) - 4.0 * d11 * d01
+    i04 = sA4_1 * sA4_1 - 4.0 * d11 * d01
     return ThreeQubitInvariantSet(traced, i40, i31, i22, i13, i04)
 
 
@@ -208,7 +193,7 @@ def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[comple
     f40 = (((c40[4] * w + c40[3]) * w + c40[2]) * w + c40[1]) * w + c40[0]
     f04 = (((c04[4] * x + c04[3]) * x + c04[2]) * x + c04[1]) * x + c04[0]
     den = (1.0 + abs(x) ** 2) ** 2
-    return _divide(f40, den), _divide(f04, den)
+    return f40 / den, f04 / den
 
 
 def n48_i48(inv: ThreeQubitInvariantSet) -> tuple[float, complex]:
@@ -220,7 +205,7 @@ def n48_i48(inv: ThreeQubitInvariantSet) -> tuple[float, complex]:
         + abs(inv.i40) ** 2
         + abs(inv.i04) ** 2
     )
-    i48 = 3.0 * _square(inv.i22) - 4.0 * inv.i31 * inv.i13 + inv.i40 * inv.i04
+    i48 = 3.0 * inv.i22 * inv.i22 - 4.0 * inv.i31 * inv.i13 + inv.i40 * inv.i04
     return n48, i48
 
 

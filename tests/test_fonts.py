@@ -8,7 +8,7 @@ import pytest
 from tanglebound import errors, fonts
 from tanglebound.acceptance import class_draws
 from tanglebound.classes import ClassSpec, representative
-from tanglebound.fonts import compute_fonts3, compute_fonts4
+from tanglebound.fonts import compute_fonts4
 from tanglebound.qstate import (
     TRACE_PERMS,
     PureState3,
@@ -30,13 +30,6 @@ def reference_fonts4(state: PureState4) -> np.ndarray:
     d4 = a00 * a11[::-1, ::-1] - a10 * a01[::-1, ::-1]
     # compute_fonts4 stores every family in [i3, i4] order in one (16,) array
     return np.stack([d2_a3a4, d3_a4, d3_a3.T, d4]).reshape(16)
-
-
-def reference_fonts3(state: PureState3) -> np.ndarray:
-    t = state.tensor()
-    a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
-    # compute_fonts3's rows d2way and d3way
-    return np.stack([a00 * a11 - a10 * a01, a00 * a11[::-1] - a10 * a01[::-1]])
 
 
 def families4(flat: np.ndarray) -> dict:
@@ -116,12 +109,6 @@ def brute_force_fonts3(state: PureState3) -> dict:
     return table
 
 
-def ket3(bits: str, coeff=1.0) -> np.ndarray:
-    a = np.zeros(8, dtype=complex)
-    a[int(bits, 2)] = coeff
-    return a
-
-
 def class_two_state(a, d, c) -> PureState4:
     amps = np.zeros(16, dtype=complex)
     amps[0b0000] = amps[0b1111] = (a + d) / 2
@@ -129,33 +116,6 @@ def class_two_state(a, d, c) -> PureState4:
     amps[0b0101] = amps[0b1010] = c
     amps[0b0110] = 1.0
     return normalize(PureState4(amps))
-
-
-class TestFonts3:
-    def test_product_state_all_zero(self):
-        f = compute_fonts3(PureState3(ket3("000")))
-        np.testing.assert_array_equal(f, np.zeros((2, 2)))
-
-    def test_ghz3(self):
-        d2way, d3way = compute_fonts3(PureState3((ket3("000") + ket3("111")) / math.sqrt(2)))
-        assert d3way[0] == pytest.approx(0.5, abs=1e-15)
-        assert d3way[1] == 0
-        np.testing.assert_array_equal(d2way, np.zeros(2))
-
-    def test_w3(self):
-        amps = (ket3("100") + ket3("010") + ket3("001")) / math.sqrt(3)
-        d2way, d3way = compute_fonts3(PureState3(amps))
-        assert d2way[0] == pytest.approx(-1.0 / 3.0, abs=1e-14)
-        assert d2way[1] == 0
-        np.testing.assert_array_equal(d3way, np.zeros(2))
-
-    def test_random_states_against_brute_force(self):
-        rng = np.random.default_rng(34)
-        for _ in range(30):
-            s = normalize(PureState3(rng.standard_normal(8) + 1j * rng.standard_normal(8)))
-            oracle = brute_force_fonts3(s)
-            for name, got in zip(THREE_QUBIT_RULES, compute_fonts3(s)):
-                np.testing.assert_allclose(got, oracle[name], atol=1e-15)
 
 
 class TestFonts4:
@@ -199,7 +159,8 @@ class TestFonts4:
         rng = np.random.default_rng(33)
         phi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         phi /= np.linalg.norm(phi)
-        d2way, d3way = compute_fonts3(PureState3(phi))
+        fonts3 = brute_force_fonts3(PureState3(phi))
+        d2way, d3way = fonts3["d2way"], fonts3["d3way"]
         amps = np.zeros(16, dtype=complex)
         amps[0::2] = phi  # fourth qubit in |0>
         f4 = families4(compute_fonts4(PureState4(amps)))
@@ -228,21 +189,8 @@ class TestGatheredFonts:
         state = ORACLE_STATES["random_0"]
         assert compute_fonts4(state).tobytes() == compute_fonts4(state, "A4").tobytes()
 
-    def test_fonts3_equal_the_slices_bit_for_bit(self):
-        rng = np.random.default_rng(36)
-        amps = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(40)]
-        amps += [rng.standard_normal(8) + 0j for _ in range(10)]
-        # branches of four-qubit states, the rank-2 path's three-qubit states
-        amps += [state.amps[0::2] for state in ORACLE_STATES.values()]
-        amps += [state.amps[1::2] for state in ORACLE_STATES.values()]
-        for a in amps:
-            state = PureState3(a)
-            f = compute_fonts3(state)
-            assert f.shape == (2, 2) and f.dtype == complex
-            assert f.tobytes() == reference_fonts3(state).tobytes(), a
-
     def test_index_tables_are_read_only(self):
-        for index in (fonts._FONTS3_INDEX, *fonts._FONTS4_INDEX.values()):
+        for index in fonts._FONTS4_INDEX.values():
             assert not index.flags.writeable
 
     @pytest.mark.parametrize("traced", ["A1", "a4", "", None])

@@ -290,6 +290,23 @@ class TestHyperdeterminantOracles:
             tol = 1e-13 * np.max(np.abs(got))
             assert np.max(np.abs(got - expected)) <= tol, (k, got, expected)
 
+    @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
+    def test_endpoint_transform_is_the_hyperdeterminant_of_the_rotated_pair(self, traced):
+        # I40(x) = det3(phi0 - conj(x) phi1) and I04(x) = det3(x phi0 + phi1),
+        # both over (1 + |x|^2)^2, within 1e-13 of the bound
+        # 16 scale() max(1, |x|)^4 / (1 + |x|^2)^2 on their moduli (worst seen
+        # 7.7e-15 of it)
+        rng = np.random.default_rng(8)
+        for k, state in enumerate(CORPUS):
+            inv = invariant_set(state, traced)
+            phi0, phi1 = branch_vectors(state, traced)
+            for x in (0j, complex(*rng.standard_normal(2)), 30j * rng.standard_normal()):
+                den = (1.0 + abs(x) ** 2) ** 2
+                expected = (det3(phi0 - x.conjugate() * phi1) / den, det3(x * phi0 + phi1) / den)
+                tol = 1.6e-12 * inv.scale() * max(1.0, abs(x)) ** 4 / den
+                for got, value in zip(transform_endpoints(inv, x), expected):
+                    assert abs(got - value) <= tol, (k, x, got, value)
+
     def test_stars_are_the_roots_of_the_hyperdeterminant_quartic(self):
         # Every set with content has as many stars as stars_oracle has roots.
         # Where the oracle's roots lie at least 1e-3 (1 + |x|) apart, each star

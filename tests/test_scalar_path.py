@@ -1,12 +1,13 @@
-"""The per-set scalar path on Python numbers, bit for bit against numpy scalars.
+"""The per-set scalar path on Python numbers, and the star solve's polish bit
+for bit against its reference.
 
 After the font gather, an invariant set and everything computed from it run on
-Python complex and float. The oracles below are the numpy-scalar formulas that
-path replaced, kept verbatim: the invariants on the fonts' array entries, the
-endpoint transform's division and the degree-eight pair. So are the star
-solve's polish and ordering, as they stood before the per-set path ran in one
-pass. Values are compared by their bits (float.hex), which also tells a signed
-zero from an unsigned one.
+Python complex and float. CORPUS (random states, class draws and states with
+signed zeros) is also the corpus of the hyperdeterminant oracles
+(test_invariants.TestHyperdeterminantOracles), which check the values.
+reference_roots is the star solve's polish and ordering as they stood before
+the per-set path ran in one pass, kept verbatim; roots are compared by their
+bits (float.hex), which also tells a signed zero from an unsigned one.
 """
 
 import cmath
@@ -19,10 +20,7 @@ from tanglebound.acceptance import class_draws
 from tanglebound.bounds import best_bound, bound_unitary_3q
 from tanglebound.classes import SUPPORTED_TRIPLES, representative
 from tanglebound.errors import BadArity, DidNotConverge, NonFinite, ZeroPolynomial
-from tanglebound.fonts import compute_fonts4
 from tanglebound.invariants import (
-    ThreeQubitInvariantSet,
-    _endpoint_coefficients,
     invariant_set,
     n48_i48,
     summary_from_set,
@@ -63,51 +61,6 @@ def corpus() -> list[PureState4]:
 
 
 CORPUS = corpus()
-
-
-def numpy_scalar_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
-    """The invariants on the fonts' numpy array entries, as computed before the
-    set moved to Python complex."""
-    f = compute_fonts4(state, traced).reshape(4, 2, 2)
-    d2, d3_A4, d3_A3, d4 = f[0], f[1], f[2].T, f[3]    # d3_A3 is stored transposed
-    sA4_0 = d3_A4[0, 0] + d3_A4[1, 0]
-    sA4_1 = d3_A4[0, 1] + d3_A4[1, 1]
-    sA3_0 = d3_A3[0, 0] + d3_A3[1, 0]
-    sA3_1 = d3_A3[0, 1] + d3_A3[1, 1]
-    s4 = d4[0, 0] + d4[0, 1] + d4[1, 0] + d4[1, 1]
-
-    i40 = sA4_0 ** 2 - 4.0 * d2[1, 0] * d2[0, 0]
-    i31 = 0.5 * sA4_0 * s4 - (d2[1, 0] * sA3_0 + d2[0, 0] * sA3_1)
-    i22 = (
-        s4 ** 2 / 6.0
-        - (2.0 / 3.0) * sA3_1 * sA3_0
-        + (1.0 / 3.0) * sA4_0 * sA4_1
-        - (2.0 / 3.0) * (d2[1, 0] * d2[0, 1] + d2[0, 0] * d2[1, 1])
-    )
-    i13 = 0.5 * s4 * sA4_1 - (d2[1, 1] * sA3_0 + sA3_1 * d2[0, 1])
-    i04 = sA4_1 ** 2 - 4.0 * d2[1, 1] * d2[0, 1]
-    return ThreeQubitInvariantSet(traced, i40, i31, i22, i13, i04)
-
-
-def numpy_scalar_n48_i48(inv):
-    n48 = float(
-        6.0 * abs(inv.i22) ** 2
-        + 4.0 * abs(inv.i31) ** 2
-        + 4.0 * abs(inv.i13) ** 2
-        + abs(inv.i40) ** 2
-        + abs(inv.i04) ** 2
-    )
-    i48 = 3.0 * inv.i22 ** 2 - 4.0 * inv.i31 * inv.i13 + inv.i40 * inv.i04
-    return n48, i48
-
-
-def numpy_scalar_endpoints(inv, x: complex):
-    c40, c04 = _endpoint_coefficients(inv)
-    w = x.conjugate()
-    f40 = (((c40[4] * w + c40[3]) * w + c40[2]) * w + c40[1]) * w + c40[0]
-    f04 = (((c04[4] * x + c04[3]) * x + c04[2]) * x + c04[1]) * x + c04[0]
-    den = (1.0 + abs(x) ** 2) ** 2
-    return f40 / den, f04 / den
 
 
 def reference_roots(c) -> list[complex]:
@@ -167,45 +120,21 @@ def numpy_branch_probabilities(state, traced):
     return float(np.sum(np.abs(phi0) ** 2)), float(np.sum(np.abs(phi1) ** 2))
 
 
-def assert_same_set(new, old, tag):
-    for name in ("i40", "i31", "i22", "i13", "i04"):
-        assert type(getattr(new, name)) is complex, (tag, name)
-        assert bits(getattr(new, name)) == bits(getattr(old, name)), (tag, name)
-
-
 @pytest.mark.parametrize("traced", TRACED)
-def test_invariant_set_equals_the_numpy_scalar_formulas(traced):
-    for k, state in enumerate(CORPUS):
-        old = numpy_scalar_set(state, traced)
-        assert isinstance(old.i40, np.complexfloating)
-        assert_same_set(invariant_set(state, traced), old, k)
-
-
-@pytest.mark.parametrize("traced", TRACED)
-def test_degree_eight_pair_and_summary_equal_the_numpy_scalar_formulas(traced):
+def test_sets_and_summaries_hold_python_numbers(traced):
     triple = next(t for t in SUPPORTED_TRIPLES if traced_qubit_of(t) == traced)
     for k, state in enumerate(CORPUS):
         inv = invariant_set(state, traced)
+        for name in ("i40", "i31", "i22", "i13", "i04"):
+            assert type(getattr(inv, name)) is complex, (k, name)
         n48, i48 = n48_i48(inv)
-        old_n48, old_i48 = numpy_scalar_n48_i48(numpy_scalar_set(state, traced))
         assert type(n48) is float and type(i48) is complex, k
-        assert (n48.hex(), bits(i48)) == (old_n48.hex(), bits(old_i48)), k
         summary = summary_from_set(triple, inv)
         for name in ("n48", "tau48", "three_way"):
             assert type(getattr(summary, name)) is float, (k, name)
         assert type(summary.i48) is complex, k
         assert type(inv.scale()) is float, k
-
-
-def test_transform_endpoints_equals_the_numpy_division():
-    rng = np.random.default_rng(5)
-    for k, state in enumerate(CORPUS):
-        inv = invariant_set(state, "A4")
-        old = numpy_scalar_set(state, "A4")
-        for x in (0j, complex(*rng.standard_normal(2)), 1j * rng.standard_normal()):
-            new = transform_endpoints(inv, x)
-            assert all(type(v) is complex for v in new), k
-            assert [bits(v) for v in new] == [bits(v) for v in numpy_scalar_endpoints(old, x)], (k, x)
+        assert all(type(v) is complex for v in transform_endpoints(inv, 0.5 - 1j)), k
 
 
 def test_best_bound_reports_python_numbers_and_the_numpy_branch_probabilities():
