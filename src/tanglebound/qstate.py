@@ -43,11 +43,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _holds_bool(values) -> bool:
+    """Whether values is a bool or a boolean array, or nests one in its lists."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind == "b"
+    if isinstance(values, (list, tuple)):
+        return not {int, float, complex}.issuperset(map(type, values)) and any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_))
+
+
 def _valid_array(values, shape: tuple, what: str) -> np.ndarray:
     """values as a read-only complex array of the given shape; a one-axis shape
     (n,) takes any array of n entries, flattened. BadStateFormat where an entry
-    is not a number or the shape is wrong, NonFinite on a NaN or inf entry or
-    an integer too large for a float."""
+    is not a number (a bool, which np.asarray reads as 0 or 1, included) or the
+    shape is wrong, NonFinite on a NaN or inf entry or an integer too large for
+    a float."""
+    if _holds_bool(values):
+        raise BadStateFormat(f"{what} entries must be numbers, not booleans")
     try:
         a = np.asarray(values, dtype=complex)
     except OverflowError as exc:

@@ -401,6 +401,13 @@ _BAD_INPUTS = {
     "density_json_boolean_pairs": (
         lambda: qstate.density_from_json({"dim": 8, "rho": [[[0.0, False]] * 8] * 8}),
         errors.BadStateFormat, "booleans"),
+    "boolean_array": (lambda: PureState4(np.array([True] + [False] * 15)),
+                      errors.BadStateFormat, "booleans"),
+    "boolean_in_a_list": (lambda: PureState4([True] + [0] * 15), errors.BadStateFormat, "booleans"),
+    "boolean_unitary": (lambda: Qubit2Unitary([[True, False], [False, True]]),
+                        errors.BadStateFormat, "booleans"),
+    "boolean_in_a_nested_density": (lambda: MixedState3([[True] + [0.0] * 7] + [[0.0] * 8] * 7),
+                                    errors.BadStateFormat, "booleans"),
     "integer_too_large": (lambda: PureState4([10 ** 400] + [0] * 15), errors.NonFinite,
                           "too large for a float"),
     "state_json_integer_too_large": (
