@@ -18,6 +18,8 @@ SIZES = {"random_states": 20, "draws_per_class": 2}
 #: the rank-2 corpus: 99 GHZ/W mixtures, 30 random, 60 real-amplitude and
 #: 5 x 4 class I states
 DECOMPOSITIONS = 209
+#: --compare's last line, with the grid's and quartic_A4's flip counts
+FLIPS = "witnesses flipped to the twin or the antipode: grid {}, quartic_A4 {}, unitary_3q 0"
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +40,7 @@ def tables(out: list[str]) -> tuple[dict, dict]:
     (group, field)."""
     split = next(k for k, line in enumerate(out) if "decompositions changed" in line)
     rows = [{tuple(line.split()[:2]): line.split()[2:] for line in lines}
-            for lines in (out[5:split], out[split + 2:])]
+            for lines in (out[5:split], out[split + 2:-1])]
     return rows[0], rows[1]
 
 
@@ -62,9 +64,10 @@ def test_compare_against_its_own_dump_changes_nothing(report_digest, capsys, tmp
     assert second[:3] == first[:3]
     assert second[3] == "0 of 114 reports changed"
     assert second[5] == f"0 of {DECOMPOSITIONS} decompositions changed, 0 in method, 0 in member count"
-    # both tables have their header and no rows
-    assert len(second) == 7
+    # both tables have their header and no rows, and no witness flipped
+    assert len(second) == 8
     assert second[4].split()[:2] == second[6].split()[:2] == ["group", "field"]
+    assert second[7] == FLIPS.format(0, 0)
 
 
 def test_compare_reports_a_moved_value(report_digest, capsys, tmp_path):
@@ -82,6 +85,29 @@ def test_compare_reports_a_moved_value(report_digest, capsys, tmp_path):
     assert set(rows) == {("all", "best"), ("random", "best")}
     count, _, rel = rows[("random", "best")]
     assert count == "1" and float(rel) == pytest.approx(1e-9, rel=1e-3)
+
+
+@pytest.mark.parametrize("flip,moved", [
+    (lambda x: -x, True),
+    (lambda x: -1.0 / x.conjugate(), True),
+    (lambda x: x * (1.0 + 1e-12), False),
+], ids=["twin", "antipode", "rounding"])
+def test_compare_counts_witnesses_flipped_to_the_twin_or_the_antipode(
+        report_digest, capsys, tmp_path, flip, moved):
+    # the first dumped report's quartic_A4 witness moved as ``flip`` says: to
+    # its twin -x or its antipode -1/conj(x) counts, a rounding move does not
+    dump = tmp_path / "reports.jsonl"
+    run(report_digest, capsys, "--dump", str(dump))
+
+    def change(report):
+        method = next(m for m in report["methods"] if m["method"] == "quartic_A4")
+        x = flip(complex(*method["x"]))
+        method["x"] = [x.real, x.imag]
+
+    move_in_dump(dump, "report", change)
+    out = run(report_digest, capsys, "--compare", str(dump))
+    assert out[3] == "1 of 114 reports changed"
+    assert out[-1] == FLIPS.format(0, int(moved))
 
 
 def test_sweep_digest_line(report_digest, capsys):

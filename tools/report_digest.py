@@ -40,7 +40,10 @@ method's value and of each method's witness x; then how many decompositions
 changed, how many of them changed method or member count, and the same table
 for the value, the weights and the amplitudes of the others. A relative move
 is taken where the old value is nonzero (a witness: |dx| / |x|; amplitudes
-have none).
+have none). A last line counts, per method, the witnesses that moved to their
+twin -x (|x_new + x_old| <= 1e-9 |x_old|) or to their antipode -1/conj(x)
+(|x_new conj(x_old) + 1| <= 1e-9 |x_old|): in the table such a flip reads as
+a relative move of about 2, among rounding moves.
 """
 
 from __future__ import annotations
@@ -161,6 +164,16 @@ def moves(old: dict, new: dict):
         yield field, move, move / abs(a) if a != 0 else None
 
 
+def flips(old: dict, new: dict):
+    """The methods of two reports on the same state and triple whose witness
+    moved to its twin -x or to its antipode -1/conj(x), within 1e-9 |x|."""
+    for a, b in zip(old["methods"], new["methods"]):
+        if a["x"] is not None and a["x"] != b["x"]:
+            x, y = complex(*a["x"]), complex(*b["x"])
+            if min(abs(y + x), abs(y * x.conjugate() + 1.0)) <= 1e-9 * abs(x):
+                yield a["method"]
+
+
 def decomposition_moves(old: dict, new: dict):
     """(field, absolute move, relative move or None) for every number of two
     decompositions of the same state with the same method and member count;
@@ -214,6 +227,12 @@ def compare(dump_path: str, reports: list, decompositions: list) -> None:
     print_moves([(g, o, d) for g, o, d in pairs
                  if o["method"] == d["method"] and len(o["members"]) == len(d["members"])],
                 decomposition_moves)
+    counts = {m["method"]: 0 for _, r in reports for m in r["methods"] if m["x"] is not None}
+    for (_, o), (_, r) in zip(old_reports, reports):
+        for method in flips(o, r):
+            counts[method] += 1
+    print("witnesses flipped to the twin or the antipode: "
+          + ", ".join(f"{method} {n}" for method, n in sorted(counts.items())))
 
 
 def main(argv=None, **sizes) -> None:
