@@ -358,7 +358,7 @@ def _from_pairs(raw, shape: tuple, what: str) -> list:
         raise NonFinite(f"{what} entry too large for a float: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise BadStateFormat(f"{what} must be [re, im] pairs of numbers: {exc}") from None
-    if any(type(x) is bool for pair in raw for x in pair):
+    if _holds_bool(raw):
         raise BadStateFormat(f"{what} must be [re, im] pairs of numbers, not booleans")
     return pairs
 
