@@ -1160,8 +1160,8 @@ class TestCap:
         # where N48 - 2|I48| is 0 its rounding, at most 4 u N48 here (3.53 u
         # N48 at worst), would print as a cap of 2.9e-11 to 3.7e-9 on 120 of
         # the class-draw reports (classes I, III and VI); every other cap is
-        # the unclamped formula
-        # bit for bit, on a difference far above the clamp
+        # the unclamped formula bit for bit, on a difference far above the
+        # clamp
         clamped = []
         for draw in class_draws(50):
             for spec in draw:

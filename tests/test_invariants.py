@@ -295,7 +295,7 @@ class TestHyperdeterminantOracles:
         # I40(x) = det3(phi0 - conj(x) phi1) and I04(x) = det3(x phi0 + phi1),
         # both over (1 + |x|^2)^2, within 1e-13 of the bound
         # 16 scale() max(1, |x|)^4 / (1 + |x|^2)^2 on their moduli (worst seen
-        # 7.7e-15 of it)
+        # 9.5e-16 of it)
         rng = np.random.default_rng(8)
         for k, state in enumerate(CORPUS):
             inv = invariant_set(state, traced)
