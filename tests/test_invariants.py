@@ -31,7 +31,7 @@ from tanglebound.qstate import (
     u_of_x,
 )
 from oracles import det3, endpoint_quartic, stars_oracle
-from test_fonts import ORACLE_STATES, reference_fonts4
+from test_fonts import ORACLE_STATES, brute_force_fonts3, reference_fonts4
 from test_scalar_path import CORPUS
 
 
@@ -60,6 +60,30 @@ class TestThreeTanglePure:
         for _ in range(100):
             s = normalize(PureState3(rng.standard_normal(8) + 1j * rng.standard_normal(8)))
             assert -1e-12 <= three_tangle_pure(s) <= 1.0 + 1e-12
+
+    def test_random_states_against_the_brute_force_fonts(self):
+        # the grouping (d3way[0] + d3way[1])^2 - 4 d2way[0] d2way[1] on the
+        # fonts of test_fonts.THREE_QUBIT_RULES, read off the tensor by rule
+        rng = np.random.default_rng(34)
+        for _ in range(30):
+            s = normalize(PureState3(rng.standard_normal(8) + 1j * rng.standard_normal(8)))
+            fonts = brute_force_fonts3(s)
+            d2way, d3way = fonts["d2way"], fonts["d3way"]
+            expected = 4.0 * abs((d3way[0] + d3way[1]) ** 2 - 4.0 * d2way[0] * d2way[1])
+            assert abs(three_tangle_pure(s) - expected) <= 1e-15
+
+    def test_local_special_unitary_and_permutation_invariance(self):
+        # the fonts' grouping singles out qubit 3; the tangle must not
+        for seed in range(30):
+            s = normalize(PureState3(np.asarray(random_state(seed + 900).amps)[0::2]))
+            base = three_tangle_pure(s)
+            rotated = s
+            for q in (1, 2, 3):
+                rotated = apply_local_unitary(rotated, q, random_special_unitary(11 * seed + q))
+            assert abs(three_tangle_pure(rotated) - base) <= 1e-13
+            for perm in ((1, 0, 2), (0, 2, 1), (2, 0, 1)):
+                permuted = PureState3(s.tensor().transpose(perm).reshape(8))
+                assert abs(three_tangle_pure(permuted) - base) <= 1e-14
 
     def test_requires_normalized(self):
         with pytest.raises(errors.NotNormalized):
