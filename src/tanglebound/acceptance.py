@@ -259,12 +259,11 @@ def criterion_6(count: int = 500) -> dict:
     upthree_bad = 0
     states = _random_states(50, count)
     for idx, state in enumerate(states):
-        for triple, traced in invariants.TRIPLES.items():
+        for traced in invariants.TRIPLES.values():
             inv = invariants.invariant_set(state, traced)
-            cap = bounds.bound_cap(invariants.summary_from_set(triple, inv)).value
-            candidates = bounds.quartic_root_candidates(inv)
-            q = bounds.bound_quartic_A4(inv, candidates=candidates).value
-            g = bounds.bound_grid(inv, candidates=candidates).value
+            cap = bounds.bound_cap(invariants.summary_from_set(inv)).value
+            q = bounds.bound_quartic_A4(inv).value
+            g = bounds.bound_grid(inv).value
             if not (g <= q + 1e-8 and q <= cap + 1e-8):
                 chain_bad += 1
                 if chain_bad <= 5:

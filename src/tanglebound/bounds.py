@@ -36,7 +36,7 @@ from .invariants import (
     traced_qubit_of,
 )
 from .qstate import PureState4, branch_vectors
-from .quartic import SCALE_TOL
+from .quartic import _degree
 
 PROB_FLOOR = 1e-12
 EQUAL_PROB_TOL = 1e-9
@@ -54,7 +54,6 @@ class BoundWitness:
     method: str
     value: float
     witness_x: complex | None = None
-    roots_used: tuple[complex, ...] = ()
     group_case: str | None = None
 
 
@@ -83,9 +82,9 @@ def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
     v_i = |c_d| |x_i|^(4-d) prod_{j != i} |1 + conj(x_i) x_j| / (1 + |x_i|^2),
     weighted ``w_star`` at the star and ``w_antipode`` at its antipode. A star
     at infinity has the antipode x = 0, valued |P(0)| = |c_0|. The lowest
-    coefficients below SCALE_TOL * max|c| put as many stars at or near x = 0;
-    their antipodes are left out, as quartic.roots would drop them from I40's
-    numerator, and so is the antipode of any star at exactly 0.
+    coefficients that do not count (quartic._degree) put as many stars at or
+    near x = 0; their antipodes are left out, as quartic.roots would drop them
+    from I40's numerator, and so is the antipode of any star at exactly 0.
 
     The head group, the leading candidates within _TIE (v0 + 4 max|c_m|) of
     the least value v0, is led by its canonical member (_precedes) at value
@@ -93,9 +92,7 @@ def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
     """
     moduli = list(map(abs, c))
     top = max(moduli)
-    tol, low, d = SCALE_TOL * top, 0, len(xs)
-    while moduli[low] < tol:
-        low += 1
+    low, d = 4 - _degree(moduli[::-1]), len(xs)
     cands = [(4.0 * w_antipode * moduli[0], 0j)] * (4 - d)
     ranked = list(enumerate(sorted(xs, key=abs)))
     for i, x in ranked:
@@ -116,7 +113,7 @@ def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
         if _precedes(cands[k][1], cands[head][1]):
             head = k
     cands.insert(0, (v0, cands.pop(head)[1]))
-    return cands
+    return tuple(cands)
 
 
 def _precedes(a: complex, b: complex) -> bool:
@@ -129,7 +126,7 @@ def _precedes(a: complex, b: complex) -> bool:
     return False
 
 
-def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, complex]]:
+def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> tuple[tuple[float, complex], ...]:
     """(value, x) pairs: 4 |complementary endpoint| at every star x of the
     endpoint quartic (zeroing I04) and at every antipode -1/conj(x) (zeroing
     I40), each value a product over the other stars (_star_candidates).
@@ -138,30 +135,25 @@ def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> list[tuple[float, co
     least value's ties (_star_candidates): as a star and its antipode carry
     the same value, it has |x| <= 1 up to _TIE. bound_quartic_A4 reports it
     and bound_grid seeds it. The stars are the set's own (inv.stars()), solved
-    once per set. A set with no three- or four-way content yields none.
+    once per set, and the pairs are kept on the set, as its stars are. A set
+    with no three- or four-way content yields none.
     """
-    if inv.scale() == 0.0:
-        return []
-    stars = inv.stars()
-    return _star_candidates(_endpoint_coefficients(inv)[1], stars.lead, stars.xs)
+    if "_candidates" not in inv.__dict__:
+        inv.__dict__["_candidates"] = () if inv.scale() == 0.0 else _star_candidates(
+            _endpoint_coefficients(inv)[1], inv.stars().lead, inv.stars().xs)
+    return inv.__dict__["_candidates"]
 
 
-def bound_quartic_A4(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
+def bound_quartic_A4(inv: ThreeQubitInvariantSet) -> BoundWitness:
     """Zero one endpoint invariant exactly, read off the other: 4 min over roots.
 
     The roots are the stars of the one endpoint quartic solve and their
     antipodes (multiple roots exist even though a single witness suffices in
     principle); the witness is the first of quartic_root_candidates. A set
-    with no three- or four-way content yields zero directly. ``candidates`` is
-    ``quartic_root_candidates(inv)`` when the caller already has it; it is
-    not modified.
+    with no three- or four-way content yields zero directly.
     """
-    if candidates is None:
-        candidates = quartic_root_candidates(inv)
-    if not candidates:
-        return BoundWitness("quartic_A4", 0.0, None, (), None)
-    _, roots_used = zip(*candidates)
-    return BoundWitness("quartic_A4", *candidates[0], roots_used, None)
+    candidates = quartic_root_candidates(inv)
+    return BoundWitness("quartic_A4", *(candidates[0] if candidates else (0.0, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +183,24 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
             f"branch probabilities ({p0!r}, {p1!r}): reduced state is pure; "
             "use three_tangle_pure on the surviving branch"
         )
+    candidates = _unitary_3q_candidates(inv, p0, p1)
+    return BoundWitness("unitary_3q", *(candidates[0] if candidates else (0.0, None)))
+
+
+def _unitary_3q_candidates(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> tuple:
+    """bound_unitary_3q's (value, t) pairs, sorted by _star_candidates: the
+    first is its witness. A set with no content yields none."""
     if inv.scale() == 0.0:
-        return BoundWitness("unitary_3q", 0.0, None, (), None)
+        return ()
     xs = inv.stars().xs
     c04 = _endpoint_coefficients(inv)[1]
     c = [a / (math.sqrt(p0) ** (4 - m) * math.sqrt(p1) ** m) for m, a in enumerate(c04[::-1])]
     # the f40 quartic's own degree drop, as quartic.roots would take it
-    tol = SCALE_TOL * max(abs(a) for a in c)
-    d = max(m for m, a in enumerate(c) if abs(a) >= tol)
+    d = _degree(list(map(abs, c)))
     ratio = math.sqrt(p1 / p0)
     ts = sorted([ratio / x for x in xs if x] + [0j] * (4 - len(xs)), key=abs)[:d]
     # zeroing f40 leaves weight p0^2 on f04, zeroing f04 leaves p1^2 on f40
-    cands = _star_candidates(c, abs(c[d]), ts, p0 ** 2, p1 ** 2)
-    value, y = cands[0]
-    return BoundWitness("unitary_3q", value, y, tuple(y for _, y in cands), None)
+    return _star_candidates(c, abs(c[d]), ts, p0 ** 2, p1 ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +425,11 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     once, one endpoint at a time. Since f(x) = f(-1/conj(x)), grid point
     (j, l) has the value of (GRID_POINTS-1-j, l+GRID_POINTS/2), so only the
     rows j < GRID_POINTS/2 are evaluated. The quartic endpoint roots
-    (``candidates``, solved here when not given) come sorted by value, and
-    f = 2 sqrt(value/4) is monotone in it, so the first, quartic_A4's
-    witness, is the one seed: the value is min(grid minimum, pole, seed)^2,
-    and the witness is tan(theta/2) e^{i phi} at the point that attains it.
+    (``candidates``: the set's own unless given; [] searches unseeded) come
+    sorted by value, and f = 2 sqrt(value/4) is monotone in it, so the first,
+    quartic_A4's witness, is the one seed: the value is min(grid minimum,
+    pole, seed)^2, and the witness is tan(theta/2) e^{i phi} at the point
+    that attains it.
 
     The pole and seed values are computed first, and their minimum T is the
     threshold of the sphere search, which skips every tile (a block's rows x
@@ -465,7 +462,7 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
     A1A2A3 and A1A3A4, IV, V on A1A2A3 and A1A3A4, VI, VII and VIII.
     """
     if inv.scale() == 0.0:
-        return BoundWitness("grid", 0.0, None, (), None)
+        return BoundWitness("grid", 0.0)
     # endpoints of the theta range: x = 0 and the pole give the same f value
     pole = 2.0 * (math.sqrt(abs(inv.i04)) + math.sqrt(abs(inv.i40)))
     # exact quartic witnesses are feasible points; the least one is the seed
@@ -496,7 +493,7 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
         best_phi = cmath.phase(x) % (2.0 * math.pi)
 
     witness = math.tan(best_theta / 2.0) * cmath.exp(1j * best_phi)
-    return BoundWitness("grid", best ** 2, witness, (), None)
+    return BoundWitness("grid", best ** 2, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +520,8 @@ def classify_group(inv: ThreeQubitInvariantSet, three_way: float) -> str:
     An invariant counts as zero when its modulus is below ZERO_PATTERN_TOL times
     the largest modulus in the set (scale-free), the tolerance that
     bound_closed_form checks its case against. Vanishing three-way correlation
-    short-circuits to case "i"; the others are the supports in _CASE_SUPPORT.
+    short-circuits to case "i", which bound_closed_form checks here too; the
+    others are the supports in _CASE_SUPPORT.
     """
     scale = inv.scale()
     if scale == 0.0 or three_way < ZERO_PATTERN_TOL * 16.0 * scale ** 2:
@@ -544,9 +542,12 @@ def bound_closed_form(inv: ThreeQubitInvariantSet, case: str) -> BoundWitness:
     (iv) 4|i40| ||6 i22| - |i40|| / (|6 i22| + |i40|),
     (v)  4|i04| ||6 i22| - |i04|| / (|6 i22| + |i04|),
     (vi) 4|i04|^3 / (|4 i13|^2 + |i04|^2).
+    Case i needs what classify_group reads as vanishing three-way correlation.
     """
     if case not in _CASE_SUPPORT:
         raise WrongCase(f"unknown case {case!r}")
+    if case == "i" and classify_group(inv, summary_from_set(inv).three_way) != "i":
+        raise WrongCase("case 'i' needs a vanishing three-way correlation")
     if case != "i" and not _nonzero_pattern(inv) <= _CASE_SUPPORT[case]:
         raise WrongCase(
             f"case {case!r} incompatible with nonzero pattern {sorted(_nonzero_pattern(inv))}"
@@ -564,7 +565,7 @@ def bound_closed_form(inv: ThreeQubitInvariantSet, case: str) -> BoundWitness:
         value = 4.0 * a04 * abs(a22 - a04) / (a22 + a04) if a22 + a04 > 0.0 else 0.0
     else:  # vi
         value = 4.0 * a04 ** 3 / (a13 ** 2 + a04 ** 2) if a13 + a04 > 0.0 else 0.0
-    return BoundWitness("closed_form", value, None, (), case)
+    return BoundWitness("closed_form", value, None, case)
 
 
 #: relative tolerance on N48 below which bound_cap reads N48 - 2|I48| as 0:
@@ -590,7 +591,7 @@ def bound_cap(summary: CorrelationSummary) -> BoundWitness:
     """
     residual = summary.n48 - 2.0 * abs(summary.i48)
     value = 4.0 * math.sqrt(residual) if residual > _CAP_TOL * summary.n48 else 0.0
-    return BoundWitness("cap", value, None, (), None)
+    return BoundWitness("cap", value)
 
 
 # ---------------------------------------------------------------------------
@@ -612,36 +613,37 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
     """
     traced = traced_qubit_of(triple)
     inv = invariant_set(state, traced)
-    summary = summary_from_set(triple, inv)
+    summary = summary_from_set(inv)
     methods = [bound_cap(summary)]
     case = classify_group(inv, summary.three_way)
     if case != "generic":
         methods.append(bound_closed_form(inv, case))
-    candidates = quartic_root_candidates(inv)
-    methods.append(bound_quartic_A4(inv, candidates=candidates))
+    methods.append(bound_quartic_A4(inv))
     p0, p1 = (np.abs(branch_vectors(state, traced)) ** 2).sum(axis=1).tolist()
     if min(p0, p1) >= PROB_FLOOR and abs(p0 - p1) <= EQUAL_PROB_TOL:
         methods.append(bound_unitary_3q(inv, p0, p1))
-    methods.append(bound_grid(inv, candidates=candidates))
+    methods.append(bound_grid(inv))
     best = min(m.value for m in methods)
     cap = methods[0].value
     tightness = best / cap if cap > 0.0 else 0.0
     return BoundReport(triple, tuple(methods), best, tightness)
 
 
+def witness_to_json(w: BoundWitness) -> dict:
+    """One method's entry: its name, value, witness x as [re, im] or None, and
+    its case where it has one."""
+    return {
+        "method": w.method,
+        "value": w.value,
+        "x": None if w.witness_x is None else [float(w.witness_x.real), float(w.witness_x.imag)],
+        **({"case": w.group_case} if w.group_case is not None else {}),
+    }
+
+
 def report_to_json(report: BoundReport) -> dict:
     return {
         "triple": report.triple,
-        "methods": [
-            {
-                "method": m.method,
-                "value": m.value,
-                "x": None if m.witness_x is None
-                else [float(m.witness_x.real), float(m.witness_x.imag)],
-                **({"case": m.group_case} if m.group_case is not None else {}),
-            }
-            for m in report.methods
-        ],
+        "methods": [witness_to_json(m) for m in report.methods],
         "best": report.best,
         "F": report.tightness_f,
     }

@@ -122,15 +122,7 @@ def _cmd_ghzw(args) -> int:
 def _cmd_decompose(args) -> int:
     rho = qstate.density_from_json(_load_json(args.rho))
     witness, deco = rank2.decompose_rank2(rho)
-    out = {
-        "bound": {
-            "method": witness.method,
-            "value": witness.value,
-            "x": None if witness.witness_x is None
-            else [witness.witness_x.real, witness.witness_x.imag],
-        },
-        "decomposition": _deco_json(deco),
-    }
+    out = {"bound": bounds.witness_to_json(witness), "decomposition": _deco_json(deco)}
     _emit(out, args.output)
     return 0
 

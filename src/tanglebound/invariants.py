@@ -104,7 +104,6 @@ class CorrelationSummary:
     tau48 = 16 |12 I_{4,8}| is the associated four-tangle.
     """
 
-    triple: str
     n48: float
     i48: complex
     tau48: float
@@ -218,23 +217,20 @@ def traced_qubit_of(triple: str) -> str:
     return TRIPLES[triple]
 
 
-def summary_from_set(triple: str, inv: ThreeQubitInvariantSet) -> CorrelationSummary:
+def summary_from_set(inv: ThreeQubitInvariantSet) -> CorrelationSummary:
     """N48, I48, tau48 and the three-way correlation measure of one invariant set."""
     n48, i48 = n48_i48(inv)
-    return CorrelationSummary(
-        triple, n48, i48, 16.0 * abs(12.0 * i48), 16.0 * (n48 - 2.0 * abs(i48))
-    )
+    return CorrelationSummary(n48, i48, 16.0 * abs(12.0 * i48), 16.0 * (n48 - 2.0 * abs(i48)))
 
 
 def correlation_summary(state: PureState4, triple: str) -> CorrelationSummary:
     """N48, I48, tau48 and the three-way correlation measure for one qubit triple."""
-    return summary_from_set(triple, invariant_set(state, traced_qubit_of(triple)))
+    return summary_from_set(invariant_set(state, traced_qubit_of(triple)))
 
 
 def invariants_to_json(inv: ThreeQubitInvariantSet) -> dict:
     """Invariant report: set entries plus the derived degree-eight quantities."""
-    triple = next(t for t, traced in TRIPLES.items() if traced == inv.traced)
-    summary = summary_from_set(triple, inv)
+    summary = summary_from_set(inv)
     entries = {"40": inv.i40, "31": inv.i31, "22": inv.i22, "13": inv.i13, "04": inv.i04}
     return {
         "traced": inv.traced,

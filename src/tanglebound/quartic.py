@@ -31,13 +31,13 @@ def roots(c) -> list[complex]:
     """All roots of c0 + c1 w + c2 w^2 + c3 w^3 + c4 w^4, with multiplicity, from
     the ascending coefficients c; the length equals the effective degree.
 
-    Leading coefficients below SCALE_TOL * max|c_i| are dropped (the lost roots
-    sit at infinity), and exact zeros among the lowest coefficients are roots
-    at 0. The other roots start from the closed forms and get up to three
-    Newton steps, each kept only if it lowers |p|. Raises BadArity unless there
-    are five coefficients, NonFinite on a NaN or infinite one, ZeroPolynomial
-    when every coefficient vanishes and DidNotConverge if a root fails the
-    residual contract.
+    Leading coefficients that do not count (_degree) are dropped (the lost
+    roots sit at infinity), and exact zeros among the lowest are roots at 0.
+    The other roots start from the closed forms and get up to three Newton
+    steps, each kept only if it lowers |p|. Raises BadArity unless there are
+    five coefficients, NonFinite on a NaN or infinite one, ZeroPolynomial when
+    every coefficient vanishes and DidNotConverge if a root fails the residual
+    contract.
     """
     try:
         c = list(map(complex, c))
@@ -51,9 +51,7 @@ def roots(c) -> list[complex]:
     scale = max(moduli)
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients are zero")
-    deg, low, tol = 4, 0, SCALE_TOL * scale
-    while deg > 0 and moduli[deg] < tol:
-        deg -= 1
+    deg, low = _degree(moduli), 0
     while low < deg and moduli[low] == 0.0:
         low += 1
     found = [0j] * low + _closed_form(c[low: deg + 1])
@@ -86,6 +84,16 @@ def roots(c) -> list[complex]:
         out.append(w)
     out.sort(key=_REAL_IMAG)
     return out
+
+
+def _degree(moduli) -> int:
+    """The index of the last of the ascending coefficient moduli, not all 0,
+    that counts: nonzero and at least SCALE_TOL times the largest. The one
+    coding of the degree-drop rule, which bounds reads too."""
+    deg, tol = len(moduli) - 1, SCALE_TOL * max(moduli)
+    while moduli[deg] < tol or not moduli[deg]:
+        deg -= 1
+    return deg
 
 
 def _closed_form(c: list) -> list[complex]:
@@ -167,10 +175,11 @@ def _quartic(c: list) -> list[complex]:
 
 def _pair(h: complex, d: complex, product: complex) -> tuple[complex, complex]:
     """(h - d, h + d), the one of smaller modulus taken as product / the other:
-    a difference of nearly equal terms would cancel, the quotient does not."""
+    a difference of nearly equal terms would cancel, the quotient does not.
+    Both 0 (h = d = 0) gives (0, 0): their product is 0."""
     minus, plus = h - d, h + d
     if abs(plus) >= abs(minus):
-        return product / plus, plus
+        return (product / plus if plus else 0j), plus
     return minus, product / minus
 
 

@@ -302,7 +302,7 @@ def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
     if p1 < PROB_FLOOR:
         member = PureState3(v0)
         value = three_tangle_pure(member)
-        witness = BoundWitness("quartic_A4", value, 0j, (), None)
+        witness = BoundWitness("quartic_A4", value, 0j)
         return witness, make_decomposition([(1.0, member)])
 
     state = _purification(p0, p1, v0, v1, 0.0)
@@ -315,7 +315,7 @@ def decompose_rank2(rho: MixedState3) -> tuple[BoundWitness, Decomposition]:
     if zero_mixture is not None:
         # report what the mixture actually certifies (tiny but not forced to 0
         # when a root carries floating-point error)
-        return BoundWitness("root_mixture", _realized_value(zero_mixture), None, (), None), zero_mixture
+        return BoundWitness("root_mixture", _realized_value(zero_mixture)), zero_mixture
     quartic = bound_quartic_A4(inv)
     unitary = bound_unitary_3q(inv, p0, p1)
     best = unitary if unitary.value < quartic.value - 1e-15 else quartic

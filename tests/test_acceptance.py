@@ -124,12 +124,10 @@ def test_criterion_6_branch_pair_clause_catches_a_loose_bound(monkeypatch):
     """A quartic bound that takes the largest root candidate instead of the
     smallest breaks the branch-pair clause on the first ten states."""
 
-    def largest_candidate(inv, *, candidates=None):
+    def largest_candidate(inv):
         if inv.scale() == 0.0:
             return bounds.BoundWitness("quartic_A4", 0.0)
-        if candidates is None:
-            candidates = bounds.quartic_root_candidates(inv)
-        value, x = max(candidates, key=lambda c: c[0])
+        value, x = max(bounds.quartic_root_candidates(inv), key=lambda c: c[0])
         return bounds.BoundWitness("quartic_A4", value, x)
 
     monkeypatch.setattr(bounds, "bound_quartic_A4", largest_candidate)

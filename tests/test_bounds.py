@@ -156,7 +156,7 @@ class TestUnitary3q:
             wit = bound_unitary_3q(inv, p0, 1.0 - p0)
             g = branch_coefficients(inv, p0, 1.0 - p0)
             cands = []
-            for y in wit.roots_used:
+            for _, y in bounds._unitary_3q_candidates(inv, p0, 1.0 - p0):
                 f40, f04 = reference_branch_endpoints(g, y)
                 if abs(f40) < abs(f04):
                     cands.append(4.0 * p0 ** 2 * abs(f04))
@@ -313,7 +313,9 @@ class TestOneEndpointSolve:
             old = [4.0 * p0 ** 2 * a for a, _ in zero_f40] + [4.0 * p1 ** 2 * a for a, _ in zero_f04]
             wit = bound_unitary_3q(inv, p0, p1)
             abs_ = (1e-10 if near_drop(inv) else 1e-14) * inv.scale()
-            assert len(wit.roots_used) == len(old) or near_drop(inv), inv
+            used = bounds._unitary_3q_candidates(inv, p0, p1)
+            assert used[0] == (wit.value, wit.witness_x), inv
+            assert len(used) == len(old) or near_drop(inv), inv
             assert values_agree(wit.value, min(old), abs_=abs_), (inv, wit.value, min(old))
 
     def test_quartic_bound_solves_one_quartic(self, monkeypatch):
@@ -423,7 +425,7 @@ def reference_bound_grid(inv, n_theta=256, n_phi=256):
     """The pointwise grid search that bound_grid replaced: a meshgrid of x
     values and one array evaluation, then the pole and the quartic seeds."""
     if inv.scale() == 0.0:
-        return BoundWitness("grid", 0.0, None, (), None)
+        return BoundWitness("grid", 0.0)
     theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     tg, pg = np.meshgrid(theta, phi, indexing="ij")
@@ -448,7 +450,7 @@ def reference_bound_grid(inv, n_theta=256, n_phi=256):
             best_phi = cmath.phase(x) % (2.0 * math.pi)
 
     witness = math.tan(best_theta / 2.0) * cmath.exp(1j * best_phi)
-    return BoundWitness("grid", best ** 2, witness, (), None)
+    return BoundWitness("grid", best ** 2, witness)
 
 
 def values_agree(a, b, rel=1e-12, abs_=1e-15):
@@ -584,6 +586,29 @@ class TestGridMatchesReference:
             assert bound_grid(inv, candidates=[]).value >= q - 1e-8, (inv, q)
 
 
+def test_subnormal_parts_in_place_of_zeros_raise_nothing():
+    # each zero real or imaginary part of the grid comparison and class draw
+    # sets' invariants, moved alone to +5e-324 and to -5e-324: 640 parts, 1,280
+    # sets. There SCALE_TOL times the largest coefficient can underflow to 0,
+    # which kept exact-zero leading coefficients, and Ferrari's factor pair
+    # can be 0 / 0; every bound must return a number
+    sets = [inv for inv, _ in grid_comparison_sets()] + [inv for _, _, inv in class_draw_sets()]
+    assert len(sets) == 138
+    moved = []
+    for inv in sets:
+        entries = [complex(z) for z in inv.as_array()]
+        for k, z in enumerate(entries):
+            parts = [complex(t, z.imag) for t in (5e-324, -5e-324) if z.real == 0.0]
+            parts += [complex(z.real, t) for t in (5e-324, -5e-324) if z.imag == 0.0]
+            moved += [ThreeQubitInvariantSet(inv.traced, *entries[:k], part, *entries[k + 1:])
+                      for part in parts]
+    assert len(moved) == 1280
+    for inv in moved:
+        for wit in (bound_quartic_A4(inv), bound_grid(inv), bound_unitary_3q(inv, 0.5, 0.5),
+                    bound_unitary_3q(inv, 0.3, 0.7)):
+            assert math.isfinite(wit.value), (inv, wit)
+
+
 class TestSphereMin:
     """_sphere_min finds the full grid's first minimum over its live region, bit for bit."""
 
@@ -667,7 +692,7 @@ def full_grid_bound(inv, n_theta, n_phi, candidates=None, sphere=True) -> BoundW
     argmin, then the pole, then the quartic seeds, value = min^2. With
     ``sphere`` false the grid is left out: min(pole, seeds)^2."""
     if inv.scale() == 0.0:
-        return BoundWitness("grid", 0.0, None, (), None)
+        return BoundWitness("grid", 0.0)
     best, best_theta, best_phi = math.inf, 0.0, 0.0
     if sphere:
         theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
@@ -688,7 +713,7 @@ def full_grid_bound(inv, n_theta, n_phi, candidates=None, sphere=True) -> BoundW
             best_theta = 2.0 * math.atan(abs(x))
             best_phi = cmath.phase(x) % (2.0 * math.pi)
     witness = math.tan(best_theta / 2.0) * cmath.exp(1j * best_phi)
-    return BoundWitness("grid", best ** 2, witness, (), None)
+    return BoundWitness("grid", best ** 2, witness)
 
 
 def pole_and_seed(inv, candidates=None):
@@ -1101,6 +1126,17 @@ class TestClassifier:
 class TestClosedForm:
     def test_case_i_is_zero(self):
         assert bound_closed_form(synthetic_set(i22=1.0), "i").value == 0.0
+
+    def test_case_i_needs_a_vanishing_three_way_correlation(self):
+        # a random state's set has three-way content (its quartic bound is
+        # 0.018), so case i does not hold there; class I sets, whose
+        # three-way correlation vanishes, keep their 0
+        with pytest.raises(errors.WrongCase, match="three-way"):
+            bound_closed_form(invariant_set(random_state(1), "A4"), "i")
+        class_one = [inv for cid, _, inv in class_draw_sets() if cid == "I"]
+        assert len(class_one) == 6
+        for inv in class_one:
+            assert bound_closed_form(inv, "i").value == 0.0, inv
 
     def test_case_v_matches_class_three(self):
         a, b = 1.3 - 0.2j, 0.4 + 0.7j

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from tanglebound.qstate import (
     random_state,
     u_of_x,
 )
-from oracles import det3, endpoint_quartic, stars_oracle
+from oracles import ExactComplex, det3, endpoint_quartic, stars_oracle
 from test_fonts import ORACLE_STATES, brute_force_fonts3, reference_fonts4
 from test_scalar_path import CORPUS
 
@@ -303,6 +304,27 @@ class TestHyperdeterminantOracles:
                     continue
                 branch = PureState3(phi / norm)
                 assert abs(three_tangle_pure(branch) - 4.0 * abs(det3(branch.amps))) <= 1e-15, k
+
+    @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
+    def test_three_tangle_against_the_exact_hyperdeterminant(self, traced):
+        # tau^2 against 16 |det3|^2 in exact rational arithmetic on the same
+        # float amplitudes; squares avoid the square root. Tolerance 64 u,
+        # u = 2^-53, to first order in u: three_tangle_pure's Det is
+        # d3^2 - 4 P Q from eight complex products (each within sqrt(5) u of
+        # the product of the moduli) and a few sums, within 14 u M, where M is
+        # the same expression on the moduli of the terms. For a unit vector
+        # M <= 1/2: d3's four pairs of amplitudes, and P's and Q's two each,
+        # have products of moduli summing to at most half their norm^2. So tau
+        # = 4|Det| is within 4 (7 u + 2 u |Det|) <= 32 u, as 4 |Det| <= 1, and
+        # tau^2 within 2 x 32 u. Worst seen 3.0 u
+        for k, state in enumerate(CORPUS):
+            for phi in branch_vectors(state, traced):
+                norm = np.linalg.norm(phi)
+                if norm == 0.0:
+                    continue
+                branch = PureState3(phi / norm)
+                exact = 16 * det3(branch.amps, ExactComplex).abs2()
+                assert abs(Fraction(three_tangle_pure(branch)) ** 2 - exact) <= 64 * 2.0 ** -53, k
 
     @pytest.mark.parametrize("traced", ["A4", "A3", "A2"])
     def test_endpoint_quartic_is_the_hyperdeterminant_of_the_branch_pencil(self, traced):

@@ -6,7 +6,8 @@ import pytest
 from tanglebound import quartic
 from tanglebound.invariants import _endpoint_coefficients
 from tanglebound.errors import BadArity, DidNotConverge, NonFinite, ZeroPolynomial
-from tanglebound.invariants import invariant_set
+from tanglebound.bounds import bound_quartic_A4
+from tanglebound.invariants import ThreeQubitInvariantSet, invariant_set
 from tanglebound.qstate import random_state
 from tanglebound.quartic import RESIDUAL_TOL, SCALE_TOL, reconstruct_monic, roots
 
@@ -103,6 +104,24 @@ class TestRoots:
         monkeypatch.setattr(quartic, "_closed_form", lambda c: [1e3 + 1e3j] * (len(c) - 1))
         with pytest.raises(DidNotConverge, match="residual"):
             roots((1.0, -2.0, 0.5, 1j, 1.0))
+
+    @pytest.mark.parametrize("c", [
+        (1e-300, 0, 0, 0, 1),           # Cardano's p^3 / 27 underflows to 0: the
+        (5e-324, 0, 0, 0, 0.0625),      # resolvent root is 0, Ferrari's pair 0 / 0
+        (0, 0, 0, 2e-323, 0),           # SCALE_TOL * 2e-323 underflows to 0
+    ])
+    def test_underflow_keeps_the_residual_contract(self, c):
+        found = roots(c)
+        assert len(found) == (4 if c[4] else 3)
+        assert_residual_contract(c, found)
+
+    def test_subnormal_invariant_set_has_three_stars_at_zero(self):
+        # its I04 numerator is (0, 0, 0, 2e-323, 0): the exact-zero leading
+        # coefficient does not count, though it is not below SCALE_TOL * 2e-323
+        inv = ThreeQubitInvariantSet("A4", 0j, 5e-324 + 0j, 0j, 0j, 0j)
+        assert _endpoint_coefficients(inv)[1] == (0j, 0j, 0j, 2e-323 + 0j, 0j)
+        assert inv.stars().xs == (0j, 0j, 0j)
+        assert bound_quartic_A4(inv).value == 0.0
 
     def test_deterministic_ordering(self):
         c = (0.3 - 1j, 0.7, -0.2j, 1.1, 0.9 + 0.4j)

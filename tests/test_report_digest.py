@@ -35,13 +35,16 @@ def run(report_digest, capsys, *argv) -> list[str]:
     return capsys.readouterr().out.splitlines()
 
 
+def table_rows(lines: list[str]) -> dict:
+    """The rows of one --compare table, keyed by (group, field): the group and
+    field columns are 8 and 22 wide, and a field may hold a space."""
+    return {(line[:8].strip(), line[9:31].strip()): line[31:].split() for line in lines}
+
+
 def tables(out: list[str]) -> tuple[dict, dict]:
-    """The rows of --compare's report and decomposition tables, keyed by
-    (group, field)."""
+    """The rows of --compare's report and decomposition tables."""
     split = next(k for k, line in enumerate(out) if "decompositions changed" in line)
-    rows = [{tuple(line.split()[:2]): line.split()[2:] for line in lines}
-            for lines in (out[5:split], out[split + 2:-1])]
-    return rows[0], rows[1]
+    return table_rows(out[5:split]), table_rows(out[split + 2:-1])
 
 
 def move_in_dump(dump, key, change):
@@ -62,7 +65,7 @@ def test_compare_against_its_own_dump_changes_nothing(report_digest, capsys, tmp
     assert len(dump.read_text().splitlines()) == 114 + DECOMPOSITIONS
     second = run(report_digest, capsys, "--compare", str(dump))
     assert second[:3] == first[:3]
-    assert second[3] == "0 of 114 reports changed"
+    assert second[3] == "0 of 114 reports changed, 0 in method list"
     assert second[5] == f"0 of {DECOMPOSITIONS} decompositions changed, 0 in method, 0 in member count"
     # both tables have their header and no rows, and no witness flipped
     assert len(second) == 8
@@ -79,7 +82,7 @@ def test_compare_reports_a_moved_value(report_digest, capsys, tmp_path):
 
     move_in_dump(dump, "report", change)
     out = run(report_digest, capsys, "--compare", str(dump))
-    assert out[3] == "1 of 114 reports changed"
+    assert out[3] == "1 of 114 reports changed, 0 in method list"
     rows, decomposition_rows = tables(out)
     assert decomposition_rows == {}
     assert set(rows) == {("all", "best"), ("random", "best")}
@@ -106,7 +109,7 @@ def test_compare_counts_witnesses_flipped_to_the_twin_or_the_antipode(
 
     move_in_dump(dump, "report", change)
     out = run(report_digest, capsys, "--compare", str(dump))
-    assert out[3] == "1 of 114 reports changed"
+    assert out[3] == "1 of 114 reports changed, 0 in method list"
     assert out[-1] == FLIPS.format(0, int(moved))
 
 
@@ -180,3 +183,34 @@ def test_compare_reports_moved_decompositions(report_digest, capsys, tmp_path):
     out = run(report_digest, capsys, "--compare", str(dump))
     assert out[5] == f"1 of {DECOMPOSITIONS} decompositions changed, 1 in method, 0 in member count"
     assert tables(out) == ({}, {})
+
+
+def test_compare_matches_methods_by_name_when_a_method_list_changed(
+        report_digest, capsys, tmp_path):
+    # two hand-made reports: the first drops its grid method and moves its
+    # quartic value, the second gains a unitary_3q method; both lists are
+    # counted apart and the methods both list are compared by name
+    def report(methods, best):
+        return {"triple": "A1A2A3", "best": best, "F": best,
+                "methods": [{"method": m, "value": v, "x": x} for m, v, x in methods]}
+
+    old = [("random", report([("cap", 1.0, None), ("quartic_A4", 0.5, [0.5, 0.0]),
+                              ("grid", 0.5, [0.5, 0.0])], 0.5)),
+           ("II", report([("cap", 1.0, None), ("quartic_A4", 0.25, [0.0, 1.0])], 0.25))]
+    new = [("random", report([("cap", 1.0, None), ("quartic_A4", 0.5 * (1.0 + 1e-9), [0.5, 0.0])],
+                             0.5)),
+           ("II", report([("cap", 1.0, None), ("unitary_3q", 0.25, [0.0, 1.0]),
+                          ("quartic_A4", 0.25, [0.0, -1.0])], 0.25))]
+    dump = tmp_path / "reports.jsonl"
+    dump.write_text("".join(json.dumps({"group": g, "report": r}) + "\n" for g, r in old))
+    report_digest.compare(str(dump), new, [])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "2 of 2 reports changed, 2 in method list (II 1, random 1)"
+    table = table_rows(out[2:-3])
+    assert set(table) == {("all", "quartic_A4 value"), ("random", "quartic_A4 value"),
+                          ("all", "quartic_A4 x"), ("II", "quartic_A4 x")}
+    count, _, rel = table[("random", "quartic_A4 value")]
+    assert count == "1" and float(rel) == pytest.approx(1e-9, rel=1e-3)
+    assert out[-3] == "0 of 0 decompositions changed, 0 in method, 0 in member count"
+    assert out[-1] == ("witnesses flipped to the twin or the antipode: "
+                       "quartic_A4 1, unitary_3q 0")

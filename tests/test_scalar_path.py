@@ -122,14 +122,13 @@ def numpy_branch_probabilities(state, traced):
 
 @pytest.mark.parametrize("traced", TRACED)
 def test_sets_and_summaries_hold_python_numbers(traced):
-    triple = next(t for t in SUPPORTED_TRIPLES if traced_qubit_of(t) == traced)
     for k, state in enumerate(CORPUS):
         inv = invariant_set(state, traced)
         for name in ("i40", "i31", "i22", "i13", "i04"):
             assert type(getattr(inv, name)) is complex, (k, name)
         n48, i48 = n48_i48(inv)
         assert type(n48) is float and type(i48) is complex, k
-        summary = summary_from_set(triple, inv)
+        summary = summary_from_set(inv)
         for name in ("n48", "tau48", "three_way"):
             assert type(getattr(summary, name)) is float, (k, name)
         assert type(summary.i48) is complex, k

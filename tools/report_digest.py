@@ -34,16 +34,18 @@ Run from the repository root, against this checkout's src/:
 where the group is "random" or the class id, then one per decomposition,
 {"group": ..., "decomposition": ...}, where the group is "ghzw", "random",
 "real" or "classI". ``--compare`` reads such a file, made in another
-checkout, and prints how many reports changed and, per group and over all,
-the largest absolute and relative move of ``best``, of ``F``, of each
-method's value and of each method's witness x; then how many decompositions
-changed, how many of them changed method or member count, and the same table
-for the value, the weights and the amplitudes of the others. A relative move
-is taken where the old value is nonzero (a witness: |dx| / |x|; amplitudes
-have none). A last line counts, per method, the witnesses that moved to their
-twin -x (|x_new + x_old| <= 1e-9 |x_old|) or to their antipode -1/conj(x)
-(|x_new conj(x_old) + 1| <= 1e-9 |x_old|): in the table such a flip reads as
-a relative move of about 2, among rounding moves.
+checkout, and prints how many reports changed, how many of them changed
+their method list (per group), and, per group and over all, the largest
+absolute and relative move of ``best``, of ``F``, of each method's value and
+of each method's witness x, the methods matched by name; then how many
+decompositions changed, how many of them changed method or member count,
+and the same table for the value, the weights and the amplitudes of the
+others. A relative move is taken where the old value is nonzero (a witness:
+|dx| / |x|; amplitudes have none). A last line counts, per method, the
+witnesses that moved to their twin -x (|x_new + x_old| <= 1e-9 |x_old|) or
+to their antipode -1/conj(x) (|x_new conj(x_old) + 1| <= 1e-9 |x_old|): in
+the table such a flip reads as a relative move of about 2, among rounding
+moves.
 """
 
 from __future__ import annotations
@@ -148,16 +150,21 @@ def sweep_digest(sweeps=SWEEPS) -> tuple[int, str]:
     return cells, digest.hexdigest()
 
 
+def matched(old: dict, new: dict):
+    """(old entry, new entry) of every method that both reports list, matched
+    by name, in the old report's order."""
+    theirs = {m["method"]: m for m in new["methods"]}
+    return [(a, theirs[a["method"]]) for a in old["methods"] if a["method"] in theirs]
+
+
 def moves(old: dict, new: dict):
     """(field, absolute move, relative move or None) for every number of two
-    reports on the same state and triple; the fields are "best", "F",
-    "<method> value" and "<method> x"."""
-    if [m["method"] for m in old["methods"]] != [m["method"] for m in new["methods"]]:
-        raise ValueError(f"method lists differ: {old} / {new}")
+    reports on the same state and triple; the fields are "best", "F", and
+    "<method> value" and "<method> x" of the methods both list (matched)."""
     pairs = [("best", old["best"], new["best"]), ("F", old["F"], new["F"])]
-    for a, b in zip(old["methods"], new["methods"]):
+    for a, b in matched(old, new):
         pairs.append((f"{a['method']} value", a["value"], b["value"]))
-        if a["x"] is not None:
+        if a["x"] is not None and b["x"] is not None:
             pairs.append((f"{a['method']} x", complex(*a["x"]), complex(*b["x"])))
     for field, a, b in pairs:
         move = abs(b - a)
@@ -167,8 +174,8 @@ def moves(old: dict, new: dict):
 def flips(old: dict, new: dict):
     """The methods of two reports on the same state and triple whose witness
     moved to its twin -x or to its antipode -1/conj(x), within 1e-9 |x|."""
-    for a, b in zip(old["methods"], new["methods"]):
-        if a["x"] is not None and a["x"] != b["x"]:
+    for a, b in matched(old, new):
+        if a["x"] is not None and b["x"] is not None and a["x"] != b["x"]:
             x, y = complex(*a["x"]), complex(*b["x"])
             if min(abs(y + x), abs(y * x.conjugate() + 1.0)) <= 1e-9 * abs(x):
                 yield a["method"]
@@ -215,7 +222,13 @@ def compare(dump_path: str, reports: list, decompositions: list) -> None:
         if [g for g, _ in mine] != [g for g, _ in theirs]:
             raise SystemExit(f"{dump_path} does not hold this corpus")
     changed = sum(o != r for (_, o), (_, r) in zip(old_reports, reports))
-    print(f"{changed} of {len(reports)} reports changed")
+    listed: dict = {}
+    for (group, o), (_, r) in zip(old_reports, reports):
+        if [m["method"] for m in o["methods"]] != [m["method"] for m in r["methods"]]:
+            listed[group] = listed.get(group, 0) + 1
+    groups = " (" + ", ".join(f"{g} {n}" for g, n in sorted(listed.items())) + ")" if listed else ""
+    print(f"{changed} of {len(reports)} reports changed, "
+          f"{sum(listed.values())} in method list{groups}")
     print_moves([(g, o, r) for (g, o), (_, r) in zip(old_reports, reports)], moves)
     pairs = [(g, o, d) for (g, o), (_, d) in zip(old_decompositions, decompositions)]
     changed = sum(o != d for _, o, d in pairs)
