@@ -69,8 +69,9 @@ def _class_reports(draws: int) -> tuple:
     )
 
 
-def criterion_1(draws: int = 50) -> dict:
-    """Class closed forms: best_bound reproduces every printed (class, triple) value.
+def criterion_1() -> dict:
+    """Class closed forms: best_bound reproduces every printed (class, triple)
+    value on 50 class draws.
 
     Classes I and VI (and the other printed zeros) must come out below 1e-10
     absolute; nonzero values match to 1e-8 relative. Runtime must stay under
@@ -79,7 +80,7 @@ def criterion_1(draws: int = 50) -> dict:
     t0 = time.time()
     failures = []
     checked = 0
-    for spec, triple, best in _class_reports(draws):
+    for spec, triple, best in _class_reports(50):
         printed = classes.paper_bound(spec, triple)
         if printed is None:
             continue
@@ -117,19 +118,22 @@ def criterion_2(draws: int = 50) -> dict:
     return _result(2, "literature dominance", failures, time.time() - t0)
 
 
-def criterion_3(per_case: int = 200) -> dict:
-    """Quartic bound equals the closed form on synthetic case (iv)/(v)/(vi) sets."""
+def criterion_3() -> dict:
+    """Quartic bound equals the closed form, read as its case, on 200 sets per case iv/v/vi."""
     t0 = time.time()
     rng = _rng(3)
     failures = []
     for case, slots in (("iv", ("i40", "i22")), ("v", ("i04", "i22")), ("vi", ("i04", "i13"))):
-        for k in range(per_case):
+        for k in range(200):
             entries = {"i40": 0j, "i31": 0j, "i22": 0j, "i13": 0j, "i04": 0j}
             for slot in slots:
                 entries[slot] = complex(rng.standard_normal() + 1j * rng.standard_normal())
             inv = invariants.ThreeQubitInvariantSet("A4", **entries)
-            closed = bounds.bound_closed_form(inv, case).value
-            quartic_value = bounds.bound_quartic_A4(inv).value
+            witness = bounds.bound_closed_form(inv)
+            if witness is None or witness.group_case != case:
+                failures.append(f"case {case} draw {k}: read as {witness and witness.group_case}")
+                continue
+            closed, quartic_value = witness.value, bounds.bound_quartic_A4(inv).value
             if abs(quartic_value - closed) > 1e-9 * max(closed, 1e-30):
                 failures.append(
                     f"case {case} draw {k}: closed {closed:.12g}, quartic {quartic_value:.12g}"
@@ -185,12 +189,12 @@ def criterion_4() -> dict:
     return _result(4, "GHZ/W reference", failures, elapsed)
 
 
-def criterion_5(count: int = 500) -> dict:
-    """Invariance suites on random states (tolerances relative to the set scale)."""
+def criterion_5() -> dict:
+    """Invariance suites on 500 random states (tolerances relative to the set scale)."""
     t0 = time.time()
     rng = _rng(5)
     failures = []
-    states = _random_states(50, count)
+    states = _random_states(50, 500)
     for idx, state in enumerate(states):
         base = invariants.invariant_set(state, "A4")
         scale = max(base.scale(), 1e-30)
@@ -216,13 +220,13 @@ def criterion_5(count: int = 500) -> dict:
             phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
             u = qstate.Qubit2Unitary(phase * qstate.random_special_unitary(rng).u)
             rotated = qstate.apply_local_unitary(rotated, qubit, u)
-        n48_base, _ = invariants.n48_i48(base)
-        n48_rot, _ = invariants.n48_i48(invariants.invariant_set(rotated, "A4"))
+        n48_base = invariants.summary_from_set(base).n48
+        n48_rot = invariants.summary_from_set(invariants.invariant_set(rotated, "A4")).n48
         if abs(n48_rot - n48_base) > 1e-10 * max(n48_base, 1e-30):
             failures.append(f"state {idx}: N48 not invariant under local unitaries")
 
         sets = [base if t == "A4" else invariants.invariant_set(state, t) for t in qstate.TRACE_PERMS]
-        mags = [abs(invariants.n48_i48(inv)[1]) for inv in sets]
+        mags = [abs(invariants.summary_from_set(inv).i48) for inv in sets]
         if max(mags) - min(mags) > 1e-9 * max(max(mags), 1e-30):
             failures.append(f"state {idx}: |I48| depends on the traced qubit: {mags}")
     return _result(5, "invariance suites", failures, time.time() - t0)
@@ -285,13 +289,14 @@ def criterion_6(count: int = 500) -> dict:
                    chain_violations=chain_bad, endpoint_sum_violations=upthree_bad)
 
 
-def criterion_7(count: int = 1000) -> dict:
-    """Quartic solver: residual contract on every root; monic reconstruction where
-    the roots are well separated (skipped when the discriminant is tiny)."""
+def criterion_7() -> dict:
+    """Quartic solver on 1000 random polynomials: residual contract on every
+    root; monic reconstruction where the roots are well separated (skipped
+    when the discriminant is tiny)."""
     t0 = time.time()
     rng = _rng(7)
     failures = []
-    for k in range(count):
+    for k in range(1000):
         degree = int(rng.integers(1, 5))
         c = np.zeros(5, dtype=complex)
         c[: degree + 1] = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
@@ -326,12 +331,12 @@ def criterion_7(count: int = 1000) -> dict:
     return _result(7, "quartic solver contracts", failures, time.time() - t0)
 
 
-def criterion_8(count: int = 200) -> dict:
-    """Endpoint transformation agrees with rotating qubit A4 and recomputing."""
+def criterion_8() -> dict:
+    """Endpoint transformation agrees with rotating qubit A4 and recomputing, on 200 states."""
     t0 = time.time()
     rng = _rng(8)
     failures = []
-    states = _random_states(80, count)
+    states = _random_states(80, 200)
     for idx, state in enumerate(states):
         x = complex(rng.standard_normal() + 1j * rng.standard_normal())
         inv = invariants.invariant_set(state, "A4")

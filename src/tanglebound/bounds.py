@@ -26,7 +26,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateProbability, NonFinite, WrongCase
+from .errors import DegenerateProbability, NonFinite
 from .invariants import (
     CorrelationSummary,
     ThreeQubitInvariantSet,
@@ -71,10 +71,10 @@ class BoundReport:
 # quartic bound on the traced qubit
 # ---------------------------------------------------------------------------
 
-def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
+def _star_candidates(c, xs, w_star=1.0, w_antipode=1.0):
     """(4 w v, x) at the stars and their antipodes of P(x) = sum_m c_m x^m =
-    c_d prod_j (x - x_j), with finite stars ``xs``, d = len(xs), and ``lead`` =
-    |c_d|, sorted by value (ties in the order listed), except for the witness.
+    c_d prod_j (x - x_j), with finite stars ``xs`` and d = len(xs), sorted by
+    value (ties in the order listed), except for the witness.
 
     With I04(x) = P(x) / (1 + |x|^2)^2, |I40(x)| = |x|^4 |P(-1/conj x)| /
     (1 + |x|^2)^2. A star x_i zeroes I04, its antipode -1/conj(x_i) zeroes
@@ -98,7 +98,7 @@ def _star_candidates(c, lead, xs, w_star=1.0, w_antipode=1.0):
     for i, x in ranked:
         xc = x.conjugate()
         r = abs(x)
-        v = 4.0 * lead * r ** (4 - d) / (1.0 + r ** 2)
+        v = 4.0 * moduli[d] * r ** (4 - d) / (1.0 + r ** 2)
         for j, y in ranked:
             if j != i:
                 v *= abs(1.0 + xc * y)
@@ -140,7 +140,7 @@ def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> tuple[tuple[float, c
     """
     if "_candidates" not in inv.__dict__:
         inv.__dict__["_candidates"] = () if inv.scale() == 0.0 else _star_candidates(
-            _endpoint_coefficients(inv)[1], inv.stars().lead, inv.stars().xs)
+            _endpoint_coefficients(inv)[1], inv.stars().xs)
     return inv.__dict__["_candidates"]
 
 
@@ -200,7 +200,7 @@ def _unitary_3q_candidates(inv: ThreeQubitInvariantSet, p0: float, p1: float) ->
     ratio = math.sqrt(p1 / p0)
     ts = sorted([ratio / x for x in xs if x] + [0j] * (4 - len(xs)), key=abs)[:d]
     # zeroing f40 leaves weight p0^2 on f04, zeroing f04 leaves p1^2 on f40
-    return _star_candidates(c, abs(c[d]), ts, p0 ** 2, p1 ** 2)
+    return _star_candidates(c, ts, p0 ** 2, p1 ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -500,58 +500,45 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
 # zero-pattern classifier and closed forms
 # ---------------------------------------------------------------------------
 
-#: case -> invariants allowed to be nonzero
-_CASE_SUPPORT = {
-    "i": frozenset({"40", "31", "22", "13", "04"}),
-    "ii": frozenset({"40"}),
-    "iii": frozenset({"04"}),
-    "iv": frozenset({"40", "22"}),
-    "v": frozenset({"04", "22"}),
-    "vi": frozenset({"04", "13"}),
+#: nonzero pattern -> sparse case; case "i" is decided by the three-way correlation
+_CASE_OF_PATTERN = {
+    frozenset({"40"}): "ii",
+    frozenset({"04"}): "iii",
+    frozenset({"40", "22"}): "iv",
+    frozenset({"04", "22"}): "v",
+    frozenset({"04", "13"}): "vi",
 }
 
-#: nonzero pattern -> sparse case; case "i" is decided by the three-way correlation
-_CASE_OF_PATTERN = {support: case for case, support in _CASE_SUPPORT.items() if case != "i"}
 
-
-def classify_group(inv: ThreeQubitInvariantSet, three_way: float) -> str:
+def classify_group(inv: ThreeQubitInvariantSet) -> str:
     """Assign one of the six sparse groups, or "generic".
 
-    An invariant counts as zero when its modulus is below ZERO_PATTERN_TOL times
-    the largest modulus in the set (scale-free), the tolerance that
-    bound_closed_form checks its case against. Vanishing three-way correlation
-    short-circuits to case "i", which bound_closed_form checks here too; the
-    others are the supports in _CASE_SUPPORT.
+    A vanishing three-way correlation (summary_from_set) is case "i". Else an
+    invariant counts as zero when its modulus is below ZERO_PATTERN_TOL times
+    the largest modulus in the set (scale-free), and the nonzero pattern picks
+    the case in _CASE_OF_PATTERN.
     """
     scale = inv.scale()
-    if scale == 0.0 or three_way < ZERO_PATTERN_TOL * 16.0 * scale ** 2:
+    if scale == 0.0 or summary_from_set(inv).three_way < ZERO_PATTERN_TOL * 16.0 * scale ** 2:
         return "i"
-    return _CASE_OF_PATTERN.get(_nonzero_pattern(inv), "generic")
-
-
-def _nonzero_pattern(inv: ThreeQubitInvariantSet) -> frozenset:
-    tol = ZERO_PATTERN_TOL * inv.scale()
+    tol = ZERO_PATTERN_TOL * scale
     entries = {"40": inv.i40, "31": inv.i31, "22": inv.i22, "13": inv.i13, "04": inv.i04}
-    return frozenset(lab for lab, z in entries.items() if abs(z) >= tol)
+    pattern = frozenset(lab for lab, z in entries.items() if abs(z) >= tol)
+    return _CASE_OF_PATTERN.get(pattern, "generic")
 
 
-def bound_closed_form(inv: ThreeQubitInvariantSet, case: str) -> BoundWitness:
-    """Closed-form bound for one of the six sparse groups.
+def bound_closed_form(inv: ThreeQubitInvariantSet) -> BoundWitness | None:
+    """Closed-form bound for the set's sparse group (classify_group), None
+    for a generic set.
 
     (i) 0, (ii) 4|i40|, (iii) 4|i04|,
     (iv) 4|i40| ||6 i22| - |i40|| / (|6 i22| + |i40|),
     (v)  4|i04| ||6 i22| - |i04|| / (|6 i22| + |i04|),
     (vi) 4|i04|^3 / (|4 i13|^2 + |i04|^2).
-    Case i needs what classify_group reads as vanishing three-way correlation.
     """
-    if case not in _CASE_SUPPORT:
-        raise WrongCase(f"unknown case {case!r}")
-    if case == "i" and classify_group(inv, summary_from_set(inv).three_way) != "i":
-        raise WrongCase("case 'i' needs a vanishing three-way correlation")
-    if case != "i" and not _nonzero_pattern(inv) <= _CASE_SUPPORT[case]:
-        raise WrongCase(
-            f"case {case!r} incompatible with nonzero pattern {sorted(_nonzero_pattern(inv))}"
-        )
+    case = classify_group(inv)
+    if case == "generic":
+        return None
     a40, a22, a13, a04 = abs(inv.i40), abs(6.0 * inv.i22), abs(4.0 * inv.i13), abs(inv.i04)
     if case == "i":
         value = 0.0
@@ -569,7 +556,7 @@ def bound_closed_form(inv: ThreeQubitInvariantSet, case: str) -> BoundWitness:
 
 
 #: relative tolerance on N48 below which bound_cap reads N48 - 2|I48| as 0:
-#: 32 u, above the 18 u that n48_i48's rounding can take
+#: 32 u, above the 18 u that summary_from_set's rounding can take
 _CAP_TOL = 32.0 * _U
 
 
@@ -577,7 +564,7 @@ def bound_cap(summary: CorrelationSummary) -> BoundWitness:
     """Universal cap 4 sqrt(N48 - 2|I48|); every other bound sits below it.
 
     N48 - 2|I48| >= 0 exactly: 2|I48| <= 6|i22|^2 + 8|i31||i13| + 2|i40||i04|,
-    which is at most N48 by 2ab <= a^2 + b^2. n48_i48 computes it within
+    which is at most N48 by 2ab <= a^2 + b^2. summary_from_set computes it within
     18 u N48 (u = 2^-53). Each term of N48 is within 6 u (abs, the square, the
     product by 6), and the four sums of nonnegative terms add 4 u, so N48 is
     within 10 u N48. Each product in I48 is within 4 u of the product of the
@@ -613,11 +600,10 @@ def best_bound(state: PureState4, triple: str) -> BoundReport:
     """
     traced = traced_qubit_of(triple)
     inv = invariant_set(state, traced)
-    summary = summary_from_set(inv)
-    methods = [bound_cap(summary)]
-    case = classify_group(inv, summary.three_way)
-    if case != "generic":
-        methods.append(bound_closed_form(inv, case))
+    methods = [bound_cap(summary_from_set(inv))]
+    closed = bound_closed_form(inv)
+    if closed is not None:
+        methods.append(closed)
     methods.append(bound_quartic_A4(inv))
     p0, p1 = (np.abs(branch_vectors(state, traced)) ** 2).sum(axis=1).tolist()
     if min(p0, p1) >= PROB_FLOOR and abs(p0 - p1) <= EQUAL_PROB_TOL:

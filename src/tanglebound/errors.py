@@ -57,10 +57,6 @@ class DegenerateProbability(TangleboundError):
     """A branch probability is numerically zero; the reduced state is pure."""
 
 
-class WrongCase(TangleboundError, ValueError):
-    """Invariant zero-pattern contradicts the requested classifier case."""
-
-
 class BadComplexLiteral(TangleboundError, ValueError):
     """Text is not a complex number written as re+imi."""
 

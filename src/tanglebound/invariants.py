@@ -29,8 +29,8 @@ class Stars:
 
     The I04 numerator sum_m c04[m] x^m (_endpoint_coefficients) is
     c_d prod_j (x - x_j): ``xs`` are its d finite roots, in quartic.roots'
-    order, and ``lead`` is |c_d|, its leading kept coefficient. The 4 - d
-    roots that quartic.roots drops are stars at x = infinity.
+    order, so c_d is c04[len(xs)]. The 4 - d roots that quartic.roots drops
+    are stars at x = infinity.
 
     A star's point n on the unit sphere follows the one convention
     (x, 1)(x, 1)^dagger / (1 + |x|^2) = (I + n.sigma) / 2, that is
@@ -38,7 +38,6 @@ class Stars:
     limit (1, 0), sits at the pole (0, 0, 1).
     """
 
-    lead: float
     xs: tuple[complex, ...]
 
     @functools.cached_property
@@ -90,9 +89,7 @@ class ThreeQubitInvariantSet:
         """
         stars = self.__dict__.get("_stars")
         if stars is None:
-            c04 = _endpoint_coefficients(self)[1]
-            xs = roots(c04)
-            stars = self.__dict__["_stars"] = Stars(abs(c04[len(xs)]), tuple(xs))
+            stars = self.__dict__["_stars"] = Stars(tuple(roots(_endpoint_coefficients(self)[1])))
         return stars
 
 
@@ -195,19 +192,6 @@ def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[comple
     return f40 / den, f04 / den
 
 
-def n48_i48(inv: ThreeQubitInvariantSet) -> tuple[float, complex]:
-    """Degree-eight norm and the four-body invariant of one invariant set."""
-    n48 = float(
-        6.0 * abs(inv.i22) ** 2
-        + 4.0 * abs(inv.i31) ** 2
-        + 4.0 * abs(inv.i13) ** 2
-        + abs(inv.i40) ** 2
-        + abs(inv.i04) ** 2
-    )
-    i48 = 3.0 * inv.i22 * inv.i22 - 4.0 * inv.i31 * inv.i13 + inv.i40 * inv.i04
-    return n48, i48
-
-
 def traced_qubit_of(triple: str) -> str:
     if triple not in TRIPLES:
         raise BadQubitLabel(
@@ -218,9 +202,23 @@ def traced_qubit_of(triple: str) -> str:
 
 
 def summary_from_set(inv: ThreeQubitInvariantSet) -> CorrelationSummary:
-    """N48, I48, tau48 and the three-way correlation measure of one invariant set."""
-    n48, i48 = n48_i48(inv)
-    return CorrelationSummary(n48, i48, 16.0 * abs(12.0 * i48), 16.0 * (n48 - 2.0 * abs(i48)))
+    """N48, I48, tau48 and the three-way correlation measure of one invariant
+    set: the one coding of N48 and I48. Built on the first call only and kept
+    on the set, as scale() and stars() keep theirs, so every later call
+    returns the same object."""
+    summary = inv.__dict__.get("_summary")
+    if summary is None:
+        n48 = float(
+            6.0 * abs(inv.i22) ** 2
+            + 4.0 * abs(inv.i31) ** 2
+            + 4.0 * abs(inv.i13) ** 2
+            + abs(inv.i40) ** 2
+            + abs(inv.i04) ** 2
+        )
+        i48 = 3.0 * inv.i22 * inv.i22 - 4.0 * inv.i31 * inv.i13 + inv.i40 * inv.i04
+        summary = inv.__dict__["_summary"] = CorrelationSummary(
+            n48, i48, 16.0 * abs(12.0 * i48), 16.0 * (n48 - 2.0 * abs(i48)))
+    return summary
 
 
 def correlation_summary(state: PureState4, triple: str) -> CorrelationSummary:

@@ -273,10 +273,10 @@ def branch_vectors(state: PureState4, traced: str = "A4") -> np.ndarray:
     return state.amps[_for_traced(BRANCH_INDEX, traced)]
 
 
-def _phase_fix(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate a vector's global phase so its first non-negligible entry is real positive."""
+def _phase_fix(v: np.ndarray) -> np.ndarray:
+    """Rotate a vector's global phase so its first entry above 1e-12 in modulus is real positive."""
     for z in v:
-        if abs(z) > tol:
+        if abs(z) > 1e-12:
             return v * cmath.exp(-1j * cmath.phase(z))
     return v
 

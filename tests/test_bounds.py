@@ -34,7 +34,6 @@ from tanglebound.invariants import (
     _endpoint_coefficients,
     correlation_summary,
     invariant_set,
-    n48_i48,
     traced_qubit_of,
     transform_endpoints,
 )
@@ -58,11 +57,6 @@ def synthetic_set(**entries) -> ThreeQubitInvariantSet:
 def random_set(rng) -> ThreeQubitInvariantSet:
     z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     return ThreeQubitInvariantSet("A4", *z)
-
-
-def three_way_of(inv) -> float:
-    n48, i48 = n48_i48(inv)
-    return 16.0 * (n48 - 2.0 * abs(i48))
 
 
 class TestQuarticBound:
@@ -944,7 +938,7 @@ class TestSphereSkipping:
             skipped = not calls and class_id != "IX"
             assert skipped == ((class_id, triple) in flat | zero | rounding), (class_id, triple)
             if (class_id, triple) in flat:
-                assert bounds._nonzero_pattern(inv) in ({"40"}, {"04"}), (class_id, triple)
+                assert classify_group(inv) in ("ii", "iii"), (class_id, triple)
             if (class_id, triple) in zero:
                 assert min(pole_and_seed(inv)) == 0.0, (class_id, triple)
             if (class_id, triple) in rounding:
@@ -1097,19 +1091,19 @@ class TestClassifier:
     def test_class_one_is_case_i(self):
         spec = spec_from_values("I", *[complex(v) for v in RNG.uniform(0.2, 2, 4)])
         inv = invariant_set(representative(spec), "A4")
-        assert classify_group(inv, three_way_of(inv)) == "i"
+        assert classify_group(inv) == "i"
 
     def test_class_two_is_case_iv(self):
         inv = invariant_set(representative(ClassSpec("II", a=1.7 + 0.4j, d=0.9 - 0.2j, c=0.5 + 0.1j)), "A4")
-        assert classify_group(inv, three_way_of(inv)) == "iv"
+        assert classify_group(inv) == "iv"
 
     def test_class_five_traced_a3_is_case_vi(self):
         inv = invariant_set(representative(ClassSpec("V", a=0.8 + 0.1j)), "A3")
-        assert classify_group(inv, three_way_of(inv)) == "vi"
+        assert classify_group(inv) == "vi"
 
     def test_generic_set(self):
         inv = random_set(np.random.default_rng(3))
-        assert classify_group(inv, three_way_of(inv)) == "generic"
+        assert classify_group(inv) == "generic"
 
     @pytest.mark.parametrize("entries,case", [
         ({"i40": 1 + 1j}, "ii"),
@@ -1120,29 +1114,32 @@ class TestClassifier:
     ])
     def test_synthetic_patterns(self, entries, case):
         inv = synthetic_set(**{k: complex(v) for k, v in entries.items()})
-        assert classify_group(inv, three_way_of(inv)) == case
+        assert classify_group(inv) == case
 
 
 class TestClosedForm:
     def test_case_i_is_zero(self):
-        assert bound_closed_form(synthetic_set(i22=1.0), "i").value == 0.0
+        assert bound_closed_form(synthetic_set(i22=1.0)) == BoundWitness("closed_form", 0.0, None, "i")
 
     def test_case_i_needs_a_vanishing_three_way_correlation(self):
         # a random state's set has three-way content (its quartic bound is
-        # 0.018), so case i does not hold there; class I sets, whose
-        # three-way correlation vanishes, keep their 0
-        with pytest.raises(errors.WrongCase, match="three-way"):
-            bound_closed_form(invariant_set(random_state(1), "A4"), "i")
+        # 0.018) and no sparse pattern, so it has no closed form; class I
+        # sets, whose three-way correlation vanishes, read as case i with 0
+        inv = invariant_set(random_state(1), "A4")
+        assert bound_closed_form(inv) is None
+        assert bound_quartic_A4(inv).value > 0.01
         class_one = [inv for cid, _, inv in class_draw_sets() if cid == "I"]
         assert len(class_one) == 6
         for inv in class_one:
-            assert bound_closed_form(inv, "i").value == 0.0, inv
+            assert bound_closed_form(inv) == BoundWitness("closed_form", 0.0, None, "i"), inv
 
     def test_case_v_matches_class_three(self):
         a, b = 1.3 - 0.2j, 0.4 + 0.7j
         state = representative(ClassSpec("III", a=a, b=b))
         inv = invariant_set(state, "A3")
-        value = bound_closed_form(inv, "v").value
+        witness = bound_closed_form(inv)
+        assert witness.group_case == "v"
+        value = witness.value
         ab = abs(a * b)
         w = abs(a ** 2 - b ** 2) ** 2
         k = (abs(a) ** 2 + abs(b) ** 2 + 1) ** 2
@@ -1152,13 +1149,17 @@ class TestClosedForm:
         a = 0.9 - 0.6j
         inv = invariant_set(representative(ClassSpec("V", a=a)), "A3")
         k = (3 + 4 * abs(a) ** 2) ** 2
-        assert bound_closed_form(inv, "vi").value == pytest.approx(
-            (4.0 / k) / (1.0 + 64.0 * abs(a) ** 4), rel=1e-10
-        )
+        witness = bound_closed_form(inv)
+        assert witness.group_case == "vi"
+        assert witness.value == pytest.approx((4.0 / k) / (1.0 + 64.0 * abs(a) ** 4), rel=1e-10)
 
-    def test_wrong_case_rejected(self):
-        with pytest.raises(errors.WrongCase):
-            bound_closed_form(synthetic_set(i40=1.0, i04=1.0), "ii")
+    def test_the_set_decides_its_own_case(self):
+        # {i40, i04} fits no sparse pattern of cases ii-vi, but N48 = 2 and
+        # |I48| = 1 make its three-way correlation vanish: it is case i, with
+        # value 0, which its quartic bound confirms
+        inv = synthetic_set(i40=1.0, i04=1.0)
+        assert bound_closed_form(inv) == BoundWitness("closed_form", 0.0, None, "i")
+        assert bound_quartic_A4(inv).value == pytest.approx(0.0, abs=1e-12)
 
     def test_quartic_matches_closed_form_on_sparse_sets(self):
         rng = np.random.default_rng(11)
@@ -1166,8 +1167,9 @@ class TestClosedForm:
             for _ in range(25):
                 entries = {s: complex(rng.standard_normal(), rng.standard_normal()) for s in slots}
                 inv = synthetic_set(**entries)
-                closed = bound_closed_form(inv, case).value
-                assert bound_quartic_A4(inv).value == pytest.approx(closed, rel=1e-9)
+                closed = bound_closed_form(inv)
+                assert closed.group_case == case
+                assert bound_quartic_A4(inv).value == pytest.approx(closed.value, rel=1e-9)
 
 
 class TestCap:
@@ -1239,6 +1241,25 @@ class TestBestBound:
     def test_triple_without_focus_rejected(self):
         with pytest.raises(errors.BadQubitLabel):
             best_bound(representative(ClassSpec("VII")), "A2A3A4")
+
+    def test_one_classification_and_one_summary_per_report(self, monkeypatch):
+        # the closed form classifies the set itself, and the classifier and
+        # the cap read the summary kept on the set
+        calls = {"classify_group": 0, "CorrelationSummary": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+        counted(bounds, "classify_group")
+        counted(invariants, "CorrelationSummary")
+        report = best_bound(representative(ClassSpec("II", a=2 + 0j, d=1 + 0j, c=1 + 0j)), "A1A2A3")
+        assert calls == {"classify_group": 1, "CorrelationSummary": 1}
+        assert [m.method for m in report.methods][:2] == ["cap", "closed_form"]
+        assert report.methods[1].group_case == "ii"
 
     def test_report_structure(self):
         report = best_bound(random_state(77), "A1A2A4")

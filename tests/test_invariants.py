@@ -15,7 +15,7 @@ from tanglebound.invariants import (
     _set_from_fonts,
     correlation_summary,
     invariant_set,
-    n48_i48,
+    summary_from_set,
     three_tangle_pure,
     transform_endpoints,
 )
@@ -245,6 +245,15 @@ class TestCorrelationSummary:
         with pytest.raises(errors.BadQubitLabel):
             correlation_summary(random_state(0), "A2A3A4")
 
+    def test_summary_is_built_once_and_kept_on_the_set(self):
+        inv = invariant_set(random_state(5), "A3")
+        twin = dataclasses.replace(inv)
+        summary = summary_from_set(inv)
+        assert summary_from_set(inv) is summary
+        # kept outside the fields: equality and repr do not see it
+        assert inv == twin and repr(inv) == repr(twin)
+        assert summary_from_set(twin) == summary and summary_from_set(twin) is not summary
+
     def test_tau48_ghz4(self):
         a = np.zeros(16, dtype=complex)
         a[0b0000] = a[0b1111] = 1 / math.sqrt(2)
@@ -275,7 +284,7 @@ class TestInvarianceProperties:
     def test_focus_independence_of_i48(self):
         for seed in range(40):
             s = random_state(seed + 500)
-            mags = [abs(n48_i48(invariant_set(s, traced))[1]) for traced in ("A4", "A3", "A2")]
+            mags = [abs(summary_from_set(invariant_set(s, traced)).i48) for traced in ("A4", "A3", "A2")]
             assert max(mags) - min(mags) < 1e-9 * max(mags)
 
     def test_embedding_matches_three_tangle(self):

@@ -22,7 +22,6 @@ from tanglebound.classes import SUPPORTED_TRIPLES, representative
 from tanglebound.errors import BadArity, DidNotConverge, NonFinite, ZeroPolynomial
 from tanglebound.invariants import (
     invariant_set,
-    n48_i48,
     summary_from_set,
     traced_qubit_of,
     transform_endpoints,
@@ -126,8 +125,6 @@ def test_sets_and_summaries_hold_python_numbers(traced):
         inv = invariant_set(state, traced)
         for name in ("i40", "i31", "i22", "i13", "i04"):
             assert type(getattr(inv, name)) is complex, (k, name)
-        n48, i48 = n48_i48(inv)
-        assert type(n48) is float and type(i48) is complex, k
         summary = summary_from_set(inv)
         for name in ("n48", "tau48", "three_way"):
             assert type(getattr(summary, name)) is float, (k, name)
