@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .errors import BadArity, DidNotConverge, NonFinite, ZeroPolynomial
 
 RESIDUAL_TOL = 1e-9
 SCALE_TOL = 1e-12
+#: the least normal float: a part below it has lost precision
+_NORMAL = sys.float_info.min
 
 #: the primitive cube roots of unity
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -34,10 +37,11 @@ def roots(c) -> list[complex]:
     Leading coefficients that do not count (_degree) are dropped (the lost
     roots sit at infinity), and exact zeros among the lowest are roots at 0.
     The other roots start from the closed forms and get up to three Newton
-    steps, each kept only if it lowers |p|. Raises BadArity unless there are
-    five coefficients, NonFinite on a NaN or infinite one, ZeroPolynomial when
-    every coefficient vanishes and DidNotConverge if a root fails the residual
-    contract.
+    steps, each kept only if it lowers |p|. Coefficients with a nonzero
+    modulus outside [2^-500, 2^500] are solved _rescaled. Raises
+    BadArity unless there are five coefficients, NonFinite on a NaN or
+    infinite one, ZeroPolynomial when every coefficient vanishes and
+    DidNotConverge if a root fails the residual contract.
     """
     try:
         c = list(map(complex, c))
@@ -51,6 +55,11 @@ def roots(c) -> list[complex]:
     scale = max(moduli)
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients are zero")
+    if scale > 2.0 ** 500 or (
+            min(moduli) < 2.0 ** -500 and any(0.0 < m < 2.0 ** -500 for m in moduli)):
+        c = _rescaled(c, scale)
+        moduli = list(map(abs, c))
+        scale = max(moduli)
     deg, low = _degree(moduli), 0
     while low < deg and moduli[low] == 0.0:
         low += 1
@@ -83,6 +92,29 @@ def roots(c) -> list[complex]:
             raise DidNotConverge(f"residual {r:.3e} at root {w!r}")
         out.append(w)
     out.sort(key=_REAL_IMAG)
+    return out
+
+
+def _rescaled(c: list, scale: float) -> list:
+    """c times the power of two that puts the largest modulus ``scale`` in
+    [1/2, 1), with every part below _NORMAL then set to a zero of its sign.
+
+    The scaling is exact and the closed forms and the polish are homogeneous
+    in c, so the roots do not change where no part is subnormal; the guard in
+    roots lets nonzero moduli in [2^-500, 2^500] skip it, as no product of
+    two of them leaves the normal range. Scaled, the products of the closed
+    forms (the quadratic formula's c1^2 and c2 c0, Ferrari's 4 b f) stay
+    normal where their terms count, and a subnormal part, which they would
+    flush in part, goes whole. The residual contract then holds for c too:
+    the parts set to 0 add at most 10 _NORMAL max(1, |w|)^4 to |p(w)|,
+    beside a bound of at least RESIDUAL_TOL / 2 max(1, |w|)^4.
+    """
+    k = -math.frexp(scale)[1]
+    out = []
+    for z in c:
+        re, im = math.ldexp(z.real, k), math.ldexp(z.imag, k)
+        out.append(complex(re if abs(re) >= _NORMAL else 0.0 * re,
+                           im if abs(im) >= _NORMAL else 0.0 * im))
     return out
 
 

@@ -1242,6 +1242,19 @@ class TestBestBound:
         with pytest.raises(errors.BadQubitLabel):
             best_bound(representative(ClassSpec("VII")), "A2A3A4")
 
+    def test_a_state_a_hair_from_class_nine_is_bounded(self):
+        # class IX plus 1e-160 noise: invariants of order 1e-320, where
+        # RESIDUAL_TOL times the set's scale underflows and every triple's
+        # star solve raised DidNotConverge
+        g = np.random.default_rng(0)
+        noise = 1e-160 * (g.standard_normal(16) + 1j * g.standard_normal(16))
+        state = qstate.normalize(PureState4(representative(spec_from_values("IX")).amps + noise))
+        for triple in SUPPORTED_TRIPLES:
+            inv = invariant_set(state, traced_qubit_of(triple))
+            assert 0.0 < inv.scale() < 1e-300
+            report = best_bound(state, triple)
+            assert all(0.0 <= m.value < 1e-300 for m in report.methods), report
+
     def test_one_classification_and_one_summary_per_report(self, monkeypatch):
         # the closed form classifies the set itself, and the classifier and
         # the cap read the summary kept on the set

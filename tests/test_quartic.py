@@ -1,5 +1,7 @@
 """Root finder contracts: residuals, degree handling, reconstruction."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,31 @@ class TestRoots:
         found = roots(c)
         assert len(found) == (4 if c[4] else 3)
         assert_residual_contract(c, found)
+
+    @pytest.mark.parametrize("c,count", [
+        ((5e-324, 0, 1e-3, 0, 0.75), 4),    # a subnormal constant: Ferrari's
+        ((1e-322, 0, 1e-3, 0, 0.6), 4),     # resolvent term 4 b f underflows
+        ((5e-324, 0, 1e-3, 0, 1), 4),       # in part and a root is lost
+        # degree 2 after the drop: the quadratic formula's c2 c0 underflows
+        ((6.3e-291, 1.7e-294, 7.1e-65, 5e-223, 9.6e-228), 2),
+        # every part subnormal: RESIDUAL_TOL * max|c_i| underflows
+        ((8e-321, 3e-321j, 1.4e-320, -5e-322, 2.5e-321 + 1e-321j), 4),
+    ])
+    def test_tiny_and_subnormal_coefficients_keep_the_residual_contract(self, c, count):
+        found = roots(c)
+        assert len(found) == count
+        for w in found:
+            assert within_residual_contract_exactly(c, w), (c, w)
+
+    @pytest.mark.parametrize("k", [-700, -520, 520, 700])
+    def test_rescaling_by_a_power_of_two_keeps_the_roots_bit_for_bit(self, k):
+        # outside [2^-500, 2^500] roots solves the coefficients times a power
+        # of two, which is exact where no part is subnormal
+        for kind in REFERENCE_KINDS:
+            for c in reference_cases(kind)[:20]:
+                scaled = np.asarray(c, dtype=complex) * 2.0 ** k
+                assert [w.hex() for z in roots(scaled) for w in (z.real, z.imag)] == [
+                    w.hex() for z in roots(c) for w in (z.real, z.imag)], (kind, c)
 
     def test_subnormal_invariant_set_has_three_stars_at_zero(self):
         # its I04 numerator is (0, 0, 0, 2e-323, 0): the exact-zero leading
@@ -246,6 +273,19 @@ def assert_residual_contract(c, found):
     for w in found:
         residual = abs(np.polynomial.polynomial.polyval(w, np.asarray(c, dtype=complex)))
         assert residual <= RESIDUAL_TOL * scale * max(1.0, abs(w)) ** 4, (c, w)
+
+
+def within_residual_contract_exactly(c, w) -> bool:
+    """|p(w)| <= RESIDUAL_TOL max|c_i| max(1, |w|)^4, squared, in exact
+    rational arithmetic, where no bound or residual underflows."""
+    c = [complex(a) for a in c]
+    wr, wi = Fraction(w.real), Fraction(w.imag)
+    pr = pi = Fraction(0)
+    for a in reversed(c):
+        pr, pi = pr * wr - pi * wi + Fraction(a.real), pr * wi + pi * wr + Fraction(a.imag)
+    scale2 = max(Fraction(a.real) ** 2 + Fraction(a.imag) ** 2 for a in c)
+    m2 = max(Fraction(1), wr * wr + wi * wi)
+    return pr * pr + pi * pi <= Fraction(RESIDUAL_TOL) ** 2 * scale2 * m2 ** 4
 
 
 class TestRootsMatchReference:
