@@ -88,8 +88,12 @@ def roots(c) -> list[complex]:
                 w, p, r = w2, p2, r2
             else:
                 break
-        if r > limit and r > limit * max(1.0, abs(w)) ** 4:
-            raise DidNotConverge(f"residual {r:.3e} at root {w!r}")
+        if not r <= limit:
+            # divided, as limit m^4 overflows at |w| > 1e77; a NaN or
+            # infinite residual fails both tests
+            m = max(1.0, abs(w))
+            if not r / m / m / m / m <= limit:
+                raise DidNotConverge(f"residual {r:.3e} at root {w!r}")
         out.append(w)
     out.sort(key=_REAL_IMAG)
     return out

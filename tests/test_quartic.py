@@ -1,5 +1,6 @@
 """Root finder contracts: residuals, degree handling, reconstruction."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +142,28 @@ class TestRoots:
                 scaled = np.asarray(c, dtype=complex) * 2.0 ** k
                 assert [w.hex() for z in roots(scaled) for w in (z.real, z.imag)] == [
                     w.hex() for z in roots(c) for w in (z.real, z.imag)], (kind, c)
+
+    def test_residual_check_fails_closed(self):
+        # a spurious root of modulus 2.4e86 with an infinite residual, where
+        # the bound RESIDUAL_TOL max|c_i| |w|^4 would overflow
+        c = (8.186502560247832e-152 - 1.0332962752854048e-151j, -0j, 1e-323 - 1e-323j,
+             -1.0906010060992527e-229 - 6.040176823648332e-230j,
+             -2.395660969644241e-34 + 1.1930259183601944e-33j)
+        with pytest.raises(DidNotConverge, match="residual inf"):
+            roots(c)
+
+    def test_coefficients_over_330_decades_raise_only_package_errors(self):
+        # 20,000 polynomials whose coefficient moduli span up to 330 decades:
+        # no bare OverflowError (the parent raised 28), and DidNotConverge on
+        # 41 of them here, whose kept coefficients span hundreds of decades
+        rng = random.Random(1)
+        for _ in range(20000):
+            c = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** -rng.randint(0, 330)
+                 for _ in range(5)]
+            try:
+                roots(c)
+            except (DidNotConverge, ZeroPolynomial):
+                pass
 
     def test_subnormal_invariant_set_has_three_stars_at_zero(self):
         # its I04 numerator is (0, 0, 0, 2e-323, 0): the exact-zero leading
