@@ -10,6 +10,7 @@ tangle bounds) is built from this set.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,15 +181,26 @@ def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[comple
 
     I^{4,0}(x) is a quartic in conj(x), I^{0,4}(x) a quartic in x, both divided
     by (1+|x|^2)^2: Horner's rule on _endpoint_coefficients, the table that
-    the star solve and the sphere grid read too. Raises NonFinite unless x is
-    a finite number.
+    the star solve and the sphere grid read too. For |x| > 1 the same value
+    is x^4 / |x|^4 times the reversed coefficients at y = 1/x, divided by
+    (1+|y|^2)^2 (and conjugated for I^{4,0}), which stays finite however
+    large x is. Raises NonFinite unless x is a finite number.
     """
     c40, c04 = _endpoint_coefficients(inv)
     x = _finite_x(x)
-    w = x.conjugate()
-    f40 = (((c40[4] * w + c40[3]) * w + c40[2]) * w + c40[1]) * w + c40[0]
-    f04 = (((c04[4] * x + c04[3]) * x + c04[2]) * x + c04[1]) * x + c04[0]
-    den = (1.0 + abs(x) ** 2) ** 2
+    if math.hypot(x.real, x.imag) <= 1.0:    # abs(x) raises past 1.8e308
+        w = x.conjugate()
+        f40 = (((c40[4] * w + c40[3]) * w + c40[2]) * w + c40[1]) * w + c40[0]
+        f04 = (((c04[4] * x + c04[3]) * x + c04[2]) * x + c04[1]) * x + c04[0]
+        den = (1.0 + abs(x) ** 2) ** 2
+        return f40 / den, f04 / den
+    y = 0.5 / (0.5 * x)     # 1 / x, halved as the division overflows at |Re x| + |Im x| = 1.8e308
+    v = y.conjugate()
+    u = v / abs(y)          # x / |x|
+    u4 = u * u * (u * u)
+    f40 = ((((c40[0] * v + c40[1]) * v + c40[2]) * v + c40[3]) * v + c40[4]) * u4.conjugate()
+    f04 = ((((c04[0] * y + c04[1]) * y + c04[2]) * y + c04[3]) * y + c04[4]) * u4
+    den = (1.0 + abs(y) ** 2) ** 2
     return f40 / den, f04 / den
 
 

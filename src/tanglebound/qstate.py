@@ -196,8 +196,9 @@ def _finite_x(x) -> complex:
 def u_of_x(x: complex) -> Qubit2Unitary:
     """The det-1 unitary (1/sqrt(1+|x|^2)) [[1, -conj(x)], [x, 1]]."""
     x = _finite_x(x)
-    s = 1.0 / math.sqrt(1.0 + abs(x) ** 2)
-    return Qubit2Unitary(s * np.array([[1.0, -x.conjugate()], [x, 1.0]]), special=True)
+    # halved, as 1 + |x|^2 overflows at |x| = 1.3e154 and sqrt(1 + |x|^2) at 1.8e308
+    h = math.hypot(0.5, 0.5 * x.real, 0.5 * x.imag)
+    return Qubit2Unitary(np.array([[0.5, -0.5 * x.conjugate()], [0.5 * x, 0.5]]) / h, special=True)
 
 
 def apply_local_unitary(state, qubit: int, u) -> "PureState4 | PureState3":

@@ -1,5 +1,6 @@
 """Invariant sets, endpoint transforms, and degree-eight correlation measures."""
 
+import cmath
 import dataclasses
 import math
 import warnings
@@ -211,6 +212,37 @@ class TestTransformEndpoints:
         inv = invariant_set(random_state(0), "A4")
         with pytest.raises(errors.NonFinite):
             transform_endpoints(inv, complex("nan"))
+
+    @pytest.mark.parametrize("modulus", [1e80, 1e300])
+    def test_large_x_matches_the_antipode(self, modulus):
+        # |I40(x)| = |I04(-1/conj x)|, and -1/conj x lies inside the unit disk,
+        # where the direct form runs; at |x| = 1.2e77 that form overflowed
+        rng = np.random.default_rng(int(math.log10(modulus)) + 3)
+        for k in range(10):
+            inv = invariant_set(random_state(60 + k), ("A4", "A3", "A2")[k % 3])
+            x = modulus * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            i40x, i04x = transform_endpoints(inv, x)
+            i40y, i04y = transform_endpoints(inv, -1.0 / x.conjugate())
+            assert abs(i40x) == pytest.approx(abs(i04y), rel=1e-14)
+            assert abs(i04x) == pytest.approx(abs(i40y), rel=1e-14)
+
+    def test_large_x_keeps_the_phase_of_the_direct_form(self):
+        # beyond the unit disk the reversed form equals the direct one, phase
+        # included, to rounding: at 3 + 4j and along a ray to 1e300, where the
+        # limit is conj(u)^4 i04 and u^4 i40 with u = x / |x|
+        for k in range(10):
+            inv = invariant_set(random_state(70 + k), "A4")
+            x = 3.0 + 4.0j
+            den = (1.0 + abs(x) ** 2) ** 2
+            c40, c04 = _endpoint_coefficients(inv)
+            direct = (sum(c * x.conjugate() ** m for m, c in enumerate(c40)) / den,
+                      sum(c * x ** m for m, c in enumerate(c04)) / den)
+            for got, want in zip(transform_endpoints(inv, x), direct):
+                assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+            u = 0.6 + 0.8j
+            i40x, i04x = transform_endpoints(inv, 1e300 * u)
+            assert abs(i40x - u.conjugate() ** 4 * inv.i04) <= 1e-15
+            assert abs(i04x - u ** 4 * inv.i40) <= 1e-15
 
 
 class TestCorrelationSummary:

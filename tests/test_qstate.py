@@ -167,6 +167,15 @@ class TestUOfX:
         with pytest.raises(errors.NonFinite):
             u_of_x(complex("inf"))
 
+    @pytest.mark.parametrize("x", [1.35e154, -2e200j, 1e300 * (0.6 - 0.8j), complex(1.7e308, -1.7e308)])
+    def test_large_x_is_the_limit_unitary(self, x):
+        # 1 + |x|^2 overflows from |x| = 1.3e154: the diagonal is 1/|x| and
+        # the off-diagonal the unit phases -conj(x)/|x| and x/|x|, to rounding
+        u = u_of_x(x).u
+        phase = x / abs(complex(0.5 * x)) / 2.0
+        np.testing.assert_allclose(u, [[0.0, -phase.conjugate()], [phase, 0.0]], rtol=0, atol=1e-15)
+        assert u[0, 0].real == pytest.approx(0.5 / abs(complex(0.5 * x)), rel=1e-15)
+
 
 class TestPermutation:
     def test_identity(self):
