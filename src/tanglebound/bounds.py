@@ -31,6 +31,7 @@ from .invariants import (
     CorrelationSummary,
     ThreeQubitInvariantSet,
     _endpoint_coefficients,
+    _kept,
     invariant_set,
     summary_from_set,
     traced_qubit_of,
@@ -126,6 +127,7 @@ def _precedes(a: complex, b: complex) -> bool:
     return False
 
 
+@_kept
 def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> tuple[tuple[float, complex], ...]:
     """(value, x) pairs: 4 |complementary endpoint| at every star x of the
     endpoint quartic (zeroing I04) and at every antipode -1/conj(x) (zeroing
@@ -135,13 +137,11 @@ def quartic_root_candidates(inv: ThreeQubitInvariantSet) -> tuple[tuple[float, c
     least value's ties (_star_candidates): as a star and its antipode carry
     the same value, it has |x| <= 1 up to _TIE. bound_quartic_A4 reports it
     and bound_grid seeds it. The stars are the set's own (inv.stars()), solved
-    once per set, and the pairs are kept on the set, as its stars are. A set
-    with no three- or four-way content yields none.
+    once per set. A set with no three- or four-way content yields none.
     """
-    if "_candidates" not in inv.__dict__:
-        inv.__dict__["_candidates"] = () if inv.scale() == 0.0 else _star_candidates(
-            _endpoint_coefficients(inv)[1], inv.stars().xs)
-    return inv.__dict__["_candidates"]
+    if inv.scale() == 0.0:
+        return ()
+    return _star_candidates(_endpoint_coefficients(inv)[1], inv.stars().xs)
 
 
 def bound_quartic_A4(inv: ThreeQubitInvariantSet) -> BoundWitness:

@@ -10,7 +10,6 @@ tangle bounds) is built from this set.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,22 @@ from .quartic import roots
 
 #: triple of kept qubits -> label of the traced qubit
 TRIPLES = {"A1A2A3": "A4", "A1A2A4": "A3", "A1A3A4": "A2"}
+
+
+def _kept(compute):
+    """compute(inv), never None, built on the first call and kept in the set's
+    __dict__, from where every later call returns the same object. The value
+    is not a field: equality, hashing and repr do not see it."""
+    key = "_" + compute.__name__
+
+    @functools.wraps(compute)
+    def kept(inv):
+        value = inv.__dict__.get(key)
+        if value is None:
+            value = inv.__dict__[key] = compute(inv)
+        return value
+
+    return kept
 
 
 @dataclass(frozen=True)
@@ -72,26 +87,18 @@ class ThreeQubitInvariantSet:
     def as_array(self) -> np.ndarray:
         return np.array([self.i40, self.i31, self.i22, self.i13, self.i04])
 
+    @_kept
     def scale(self) -> float:
-        """Largest modulus in the set, computed on the first call only."""
-        scale = self.__dict__.get("_scale")
-        if scale is None:
-            # not a field: equality, hashing and repr are unchanged
-            scale = self.__dict__["_scale"] = float(max(
-                abs(self.i40), abs(self.i31), abs(self.i22), abs(self.i13), abs(self.i04)
-            ))
-        return scale
+        """Largest modulus in the set."""
+        return float(max(abs(self.i40), abs(self.i31), abs(self.i22), abs(self.i13), abs(self.i04)))
 
+    @_kept
     def stars(self) -> Stars:
         """The Majorana stars of the set's endpoint quartic, from its one
-        quartic.roots call, made on the first call only: every later call
-        returns the same object. Raises ZeroPolynomial on a set with no
-        three- or four-way content (scale() == 0), whose form has no stars.
+        quartic.roots call. Raises ZeroPolynomial on a set with no three- or
+        four-way content (scale() == 0), whose form has no stars.
         """
-        stars = self.__dict__.get("_stars")
-        if stars is None:
-            stars = self.__dict__["_stars"] = Stars(tuple(roots(_endpoint_coefficients(self)[1])))
-        return stars
+        return Stars(tuple(roots(_endpoint_coefficients(self)[1])))
 
 
 @dataclass(frozen=True)
@@ -160,19 +167,16 @@ def _set_from_fonts(flat: np.ndarray, traced: str) -> ThreeQubitInvariantSet:
     return ThreeQubitInvariantSet(traced, i40, i31, i22, i13, i04)
 
 
+@_kept
 def _endpoint_coefficients(inv: ThreeQubitInvariantSet):
     """Ascending coefficients of the endpoint numerators: I40 in w = conj(x), I04 in w = x.
 
     The only coding of the binary quartic form: the star solve and the
-    sphere grid in ``bounds`` and transform_endpoints read it. Built on the
-    first call only and kept on the set, as scale() and stars() keep theirs.
+    sphere grid in ``bounds`` and transform_endpoints read it.
     """
-    pair = inv.__dict__.get("_endpoints")
-    if pair is None:
-        i40, i31, i22, i13, i04 = inv.i40, inv.i31, 6.0 * inv.i22, inv.i13, inv.i04
-        pair = inv.__dict__["_endpoints"] = ((i40, -4.0 * i31, i22, -4.0 * i13, i04),
-                                             (i04, 4.0 * i13, i22, 4.0 * i31, i40))
-    return pair
+    i40, i31, i22, i13, i04 = inv.i40, inv.i31, 6.0 * inv.i22, inv.i13, inv.i04
+    return ((i40, -4.0 * i31, i22, -4.0 * i13, i04),
+            (i04, 4.0 * i13, i22, 4.0 * i31, i40))
 
 
 def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[complex, complex]:
@@ -180,27 +184,26 @@ def transform_endpoints(inv: ThreeQubitInvariantSet, x: complex) -> tuple[comple
     acts on the traced qubit.
 
     I^{4,0}(x) is a quartic in conj(x), I^{0,4}(x) a quartic in x, both divided
-    by (1+|x|^2)^2: Horner's rule on _endpoint_coefficients, the table that
-    the star solve and the sphere grid read too. For |x| > 1 the same value
-    is x^4 / |x|^4 times the reversed coefficients at y = 1/x, divided by
-    (1+|y|^2)^2 (and conjugated for I^{4,0}), which stays finite however
-    large x is. Raises NonFinite unless x is a finite number.
+    by (1+|x|^2)^2: _endpoint_coefficients, the table that the star solve and
+    the sphere grid read too, taken as binary forms at the point
+    (u, v) = (x, 1) / m, m = max(1, |Re x|, |Im x|), by Horner's rule in u with
+    powers of v, over (|u|^2 + v^2)^2. The form is homogeneous of degree
+    four, so m cancels, and as |u| <= sqrt(2) and v <= 1 every power stays
+    finite however large x is. Inside the unit square m = 1 and v = 1.0, so
+    each product by a power of v is exact. Raises NonFinite unless x is a
+    finite number.
     """
     c40, c04 = _endpoint_coefficients(inv)
     x = _finite_x(x)
-    if math.hypot(x.real, x.imag) <= 1.0:    # abs(x) raises past 1.8e308
-        w = x.conjugate()
-        f40 = (((c40[4] * w + c40[3]) * w + c40[2]) * w + c40[1]) * w + c40[0]
-        f04 = (((c04[4] * x + c04[3]) * x + c04[2]) * x + c04[1]) * x + c04[0]
-        den = (1.0 + abs(x) ** 2) ** 2
-        return f40 / den, f04 / den
-    y = 0.5 / (0.5 * x)     # 1 / x, halved as the division overflows at |Re x| + |Im x| = 1.8e308
-    v = y.conjugate()
-    u = v / abs(y)          # x / |x|
-    u4 = u * u * (u * u)
-    f40 = ((((c40[0] * v + c40[1]) * v + c40[2]) * v + c40[3]) * v + c40[4]) * u4.conjugate()
-    f04 = ((((c04[0] * y + c04[1]) * y + c04[2]) * y + c04[3]) * y + c04[4]) * u4
-    den = (1.0 + abs(y) ** 2) ** 2
+    m = max(1.0, abs(x.real), abs(x.imag))
+    u = complex(x.real / m, x.imag / m)
+    v = 1.0 / m
+    v2 = v * v
+    v3, v4 = v2 * v, v2 * v2
+    w = u.conjugate()
+    f40 = (((c40[4] * w + c40[3] * v) * w + c40[2] * v2) * w + c40[1] * v3) * w + c40[0] * v4
+    f04 = (((c04[4] * u + c04[3] * v) * u + c04[2] * v2) * u + c04[1] * v3) * u + c04[0] * v4
+    den = (abs(u) ** 2 + v2) ** 2
     return f40 / den, f04 / den
 
 
@@ -213,24 +216,19 @@ def traced_qubit_of(triple: str) -> str:
     return TRIPLES[triple]
 
 
+@_kept
 def summary_from_set(inv: ThreeQubitInvariantSet) -> CorrelationSummary:
     """N48, I48, tau48 and the three-way correlation measure of one invariant
-    set: the one coding of N48 and I48. Built on the first call only and kept
-    on the set, as scale() and stars() keep theirs, so every later call
-    returns the same object."""
-    summary = inv.__dict__.get("_summary")
-    if summary is None:
-        n48 = float(
-            6.0 * abs(inv.i22) ** 2
-            + 4.0 * abs(inv.i31) ** 2
-            + 4.0 * abs(inv.i13) ** 2
-            + abs(inv.i40) ** 2
-            + abs(inv.i04) ** 2
-        )
-        i48 = 3.0 * inv.i22 * inv.i22 - 4.0 * inv.i31 * inv.i13 + inv.i40 * inv.i04
-        summary = inv.__dict__["_summary"] = CorrelationSummary(
-            n48, i48, 16.0 * abs(12.0 * i48), 16.0 * (n48 - 2.0 * abs(i48)))
-    return summary
+    set: the one coding of N48 and I48."""
+    n48 = float(
+        6.0 * abs(inv.i22) ** 2
+        + 4.0 * abs(inv.i31) ** 2
+        + 4.0 * abs(inv.i13) ** 2
+        + abs(inv.i40) ** 2
+        + abs(inv.i04) ** 2
+    )
+    i48 = 3.0 * inv.i22 * inv.i22 - 4.0 * inv.i31 * inv.i13 + inv.i40 * inv.i04
+    return CorrelationSummary(n48, i48, 16.0 * abs(12.0 * i48), 16.0 * (n48 - 2.0 * abs(i48)))
 
 
 def correlation_summary(state: PureState4, triple: str) -> CorrelationSummary:

@@ -243,6 +243,9 @@ class TestTransformEndpoints:
             i40x, i04x = transform_endpoints(inv, 1e300 * u)
             assert abs(i40x - u.conjugate() ** 4 * inv.i04) <= 1e-15
             assert abs(i04x - u ** 4 * inv.i40) <= 1e-15
+            # |x| = 2.1e308 is past the largest float, though both parts are finite
+            i40x, i04x = transform_endpoints(inv, 1.5e308 + 1.5e308j)
+            assert abs(i40x + inv.i04) <= 1e-15 and abs(i04x + inv.i40) <= 1e-15
 
 
 class TestCorrelationSummary:
