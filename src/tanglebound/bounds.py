@@ -534,7 +534,8 @@ def bound_closed_form(inv: ThreeQubitInvariantSet) -> BoundWitness | None:
     (i) 0, (ii) 4|i40|, (iii) 4|i04|,
     (iv) 4|i40| ||6 i22| - |i40|| / (|6 i22| + |i40|),
     (v)  4|i04| ||6 i22| - |i04|| / (|6 i22| + |i04|),
-    (vi) 4|i04|^3 / (|4 i13|^2 + |i04|^2).
+    (vi) 4|i04|^3 / (|4 i13|^2 + |i04|^2), taken as
+         4|i04| (|i04| / hypot(|4 i13|, |i04|))^2, whose square cannot underflow.
     """
     case = classify_group(inv)
     if case == "generic":
@@ -551,7 +552,7 @@ def bound_closed_form(inv: ThreeQubitInvariantSet) -> BoundWitness | None:
     elif case == "v":
         value = 4.0 * a04 * abs(a22 - a04) / (a22 + a04) if a22 + a04 > 0.0 else 0.0
     else:  # vi
-        value = 4.0 * a04 ** 3 / (a13 ** 2 + a04 ** 2) if a13 + a04 > 0.0 else 0.0
+        value = 4.0 * a04 * (a04 / math.hypot(a13, a04)) ** 2 if a04 > 0.0 else 0.0
     return BoundWitness("closed_form", value, None, case)
 
 

@@ -9,10 +9,11 @@ computed by the bound pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .errors import BadArity, BadQubitLabel, NotPrinted
+from .errors import BadArity, BadQubitLabel, NotPrinted, OutOfRange
 from .invariants import TRIPLES
 from .qstate import PureState4, normalize
 
@@ -121,6 +122,23 @@ def _check_triple(triple: str) -> None:
         raise BadQubitLabel(f"unknown triple {triple!r}")
 
 
+def _in_range(tabulated):
+    """tabulated(spec, triple, ...), raising OutOfRange, which names the class
+    and its parameters, where a power of a parameter overflows a float."""
+
+    @functools.wraps(tabulated)
+    def checked(spec: ClassSpec, triple: str, *args):
+        try:
+            return tabulated(spec, triple, *args)
+        except OverflowError:
+            params = ", ".join(f"{k}={v!r}" for k, v in spec.params().items())
+            raise OutOfRange(f"class {spec.id} at {params}: the tabulated {triple} "
+                             f"value overflows") from None
+
+    return checked
+
+
+@_in_range
 def paper_bound(spec: ClassSpec, triple: str) -> float | None:
     """Tabulated closed-form bound for (class, triple); None where not printed.
 
@@ -162,6 +180,7 @@ def paper_bound(spec: ClassSpec, triple: str) -> float | None:
     return 0.25 if triple == FIXTURE_TRIPLE else None
 
 
+@_in_range
 def literature_bound(spec: ClassSpec, triple: str, source: str) -> float:
     """Comparison value quoted from earlier work ("regu" or "osterloh")."""
     _check_triple(triple)

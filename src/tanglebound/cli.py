@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import acceptance, bounds, classes, invariants, qstate, rank2
-from .errors import BadComplexLiteral, DidNotConverge, TangleboundError
+from .errors import BadComplexLiteral, DidNotConverge, NotPrinted, TangleboundError
 
 
 def parse_complex(text: str) -> complex:
@@ -77,7 +77,7 @@ def _class_cell(spec: classes.ClassSpec, triple: str) -> dict:
     for source in ("regu", "osterloh"):
         try:
             literature[source] = classes.literature_bound(spec, triple, source)
-        except TangleboundError:
+        except NotPrinted:
             pass
     cell["literature"] = literature
     if triple == classes.FIXTURE_TRIPLE:
@@ -226,7 +226,7 @@ def _cmd_sweep(args) -> int:
             ref = classes.literature_bound(spec, triple, args.compare)
             cell["compare"] = ref
             cell["delta"] = best - ref
-        except TangleboundError:
+        except NotPrinted:
             cell["compare"] = None
         cells.append(cell)
     _emit({"class": cid, "triple": triple, "compare": args.compare, "cells": cells},

@@ -37,8 +37,10 @@ def roots(c) -> list[complex]:
     Leading coefficients that do not count (_degree) are dropped (the lost
     roots sit at infinity), and exact zeros among the lowest are roots at 0.
     The other roots start from the closed forms and get up to three Newton
-    steps, each kept only if it lowers |p|. Coefficients with a nonzero
-    modulus outside [2^-500, 2^500] are solved _rescaled. Raises
+    steps, each kept only if it lowers |p|; where the polished root fails the
+    residual contract and its start meets it, the start is returned.
+    Coefficients with a nonzero modulus outside [2^-500, 2^500] are solved
+    _rescaled. Raises
     BadArity unless there are five coefficients, NonFinite on a NaN or
     infinite one, ZeroPolynomial when every coefficient vanishes and
     DidNotConverge if a root fails the residual contract.
@@ -70,11 +72,11 @@ def roots(c) -> list[complex]:
     d1, d2, d3 = c2 * 2, c3 * 3, c4 * 4
     limit = RESIDUAL_TOL * scale    # the residual bound's least value, at |w| <= 1
     out = []
-    for w in found:
+    for start in found:
         # p(w) is evaluated once per point: its modulus is the residual and
         # the value itself the next step's numerator
-        p = c0 + w * (c1 + w * (c2 + w * (c3 + w * c4)))
-        r = abs(p)
+        w, p = start, c0 + start * (c1 + start * (c2 + start * (c3 + start * c4)))
+        r = start_r = abs(p)
         for _ in (0, 1, 2):
             d = c1 + w * (d1 + w * (d2 + w * d3))
             if not d:
@@ -88,15 +90,23 @@ def roots(c) -> list[complex]:
                 w, p, r = w2, p2, r2
             else:
                 break
-        if not r <= limit:
-            # divided, as limit m^4 overflows at |w| > 1e77; a NaN or
-            # infinite residual fails both tests
-            m = max(1.0, abs(w))
-            if not r / m / m / m / m <= limit:
+        if not (r <= limit or _weighted(r, w) <= limit):
+            # a step is kept when it lowers |p|, but the contract weighs |p|
+            # by max(1, |w|)^-4: a start that met it can be polished past it
+            if not (start_r <= limit or _weighted(start_r, start) <= limit):
                 raise DidNotConverge(f"residual {r:.3e} at root {w!r}")
+            w = start
         out.append(w)
     out.sort(key=_REAL_IMAG)
     return out
+
+
+def _weighted(r: float, w: complex) -> float:
+    """The residual r at w over max(1, |w|)^4, which the contract bounds by
+    RESIDUAL_TOL times the largest coefficient modulus: divided, as that
+    bound times m^4 overflows at |w| > 1e77. A NaN or infinite r stays one."""
+    m = max(1.0, abs(w))
+    return r / m / m / m / m
 
 
 def _rescaled(c: list, scale: float) -> list:

@@ -1153,6 +1153,16 @@ class TestClosedForm:
         assert witness.group_case == "vi"
         assert witness.value == pytest.approx((4.0 / k) / (1.0 + 64.0 * abs(a) ** 4), rel=1e-10)
 
+    def test_case_vi_reads_through_an_underflowing_square(self):
+        # |i04|^3 and |4 i13|^2 + |i04|^2 underflow to 0 at 2^-600 times a
+        # case-vi set, where 0 / 0 raised a bare ZeroDivisionError
+        inv = synthetic_set(i13=0.2 - 0.1j, i04=0.3 + 0.4j)
+        value = bound_closed_form(inv).value
+        assert value == pytest.approx(4.0 * 0.125 / (16.0 * 0.05 + 0.25), rel=1e-15)
+        tiny = synthetic_set(i13=2.0 ** -600 * inv.i13, i04=2.0 ** -600 * inv.i04)
+        assert bound_closed_form(tiny) == BoundWitness("closed_form", math.ldexp(value, -600),
+                                                       None, "vi")
+
     def test_the_set_decides_its_own_case(self):
         # {i40, i04} fits no sparse pattern of cases ii-vi, but N48 = 2 and
         # |I48| = 1 make its three-way correlation vanish: it is case i, with
@@ -1254,6 +1264,42 @@ class TestBestBound:
             assert 0.0 < inv.scale() < 1e-300
             report = best_bound(state, triple)
             assert all(0.0 <= m.value < 1e-300 for m in report.methods), report
+
+    def test_a_case_vi_set_of_order_1e_240_is_bounded(self):
+        # the A4 set is (0, 0, 0, 1e-240j, 4e-240j), case vi, whose closed form
+        # raised ZeroDivisionError; the A3 set is i40 = 1e-320 alone
+        a = np.zeros(16, dtype=complex)
+        a[11] = 1.0
+        a[0] = a[1] = a[13] = 1e-80
+        a[7] = 1e-80j
+        state = qstate.normalize(PureState4(a))
+        assert classify_group(invariant_set(state, "A4")) == "vi"
+        for triple in SUPPORTED_TRIPLES:
+            report = best_bound(state, triple)
+            assert all(math.isfinite(m.value) for m in report.methods), report
+
+    def test_a_start_that_meets_the_residual_contract_is_kept(self):
+        # the A3 endpoint quartic drops to degree 3 (roots, test_quartic); its
+        # polished root met the residual bound in |p| but not in the contract's
+        # |p| / max(1, |w|)^4, and best_bound raised DidNotConverge
+        a = np.zeros(16, dtype=complex)
+        a[0], a[3], a[4], a[10], a[12], a[13] = -1e-7j, 1e-4, 1e-4j, 0.1j, 1e-3j, 1e-6
+        report = best_bound(qstate.normalize(PureState4(a)), "A1A2A4")
+        assert all(math.isfinite(m.value) for m in report.methods), report
+
+    def test_wide_dynamic_range_states_are_bounded(self):
+        # amplitudes spread over up to 20, 80, 160 and 300 decades, one of
+        # them 1: 2,500 states per span, 30,000 reports, raised 65
+        # ZeroDivisionError (case vi) and 1 DidNotConverge, and raise nothing
+        # now; the first 400 states per span here, 9 of whose reports raised
+        for i, span in enumerate((20, 80, 160, 300)):
+            g = np.random.default_rng(100 + i)
+            for _ in range(400):
+                a = (g.standard_normal(16) + 1j * g.standard_normal(16)) * 10.0 ** -g.integers(0, span, 16)
+                a[g.integers(16)] = 1
+                state = qstate.normalize(PureState4(a))
+                for triple in SUPPORTED_TRIPLES:
+                    assert math.isfinite(best_bound(state, triple).best), (span, a, triple)
 
     def test_one_classification_and_one_summary_per_report(self, monkeypatch):
         # the closed form classifies the set itself, and the classifier and

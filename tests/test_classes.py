@@ -136,6 +136,27 @@ class TestLiteratureBound:
             literature_bound(ClassSpec("III", a=1 + 0j, b=1 + 0j), "A1A2A3", "regu")
 
 
+class TestOverflow:
+    # a float power of a parameter past 1.8e308 raised a bare OverflowError
+    @pytest.mark.parametrize("spec,triple", [
+        (ClassSpec("V", a=1e140 + 0j), "A1A2A3"),
+        (ClassSpec("V", a=1e80 + 0j), "A1A2A4"),
+        (ClassSpec("II", a=1e80 + 0j, d=1 + 0j, c=1 + 0j), "A1A2A3"),
+    ])
+    def test_paper_bound_raises_out_of_range(self, spec, triple):
+        with pytest.raises(errors.OutOfRange, match=rf"class {spec.id} at a=\(1e\+\d+\+0j\)"):
+            paper_bound(spec, triple)
+
+    @pytest.mark.parametrize("spec,triple,source", [
+        (ClassSpec("V", a=1e40 + 0j), "A1A2A4", "osterloh"),
+        (ClassSpec("V", a=1e140 + 0j), "A1A2A3", "regu"),
+        (ClassSpec("II", a=1e80 + 0j, d=1 + 0j, c=1 + 0j), "A1A2A3", "regu"),
+    ])
+    def test_literature_bound_raises_out_of_range(self, spec, triple, source):
+        with pytest.raises(errors.OutOfRange, match=rf"class {spec.id} at a=\(1e\+\d+\+0j\)"):
+            literature_bound(spec, triple, source)
+
+
 #: (call, error, message fragment): one entry per input check of the module
 _BAD_INPUTS = {
     "class_spec_unknown_id": (lambda: ClassSpec("X"), errors.BadArity, "unknown class id"),

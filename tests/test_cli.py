@@ -131,6 +131,17 @@ class TestBoundVerb:
         assert out == ""
         assert err.startswith("numerical failure:") and "residual" in err
 
+    def test_case_vi_set_of_order_1e_240_is_reported(self, tmp_path, capsys):
+        # the A4 set's closed form divided by an underflowed square: exit 2
+        a = np.zeros(16, dtype=complex)
+        a[11] = 1.0
+        a[0] = a[1] = a[13] = 1e-80
+        a[7] = 1e-80j
+        path = write_state_json(tmp_path, a)
+        code, out, err = run_cli(capsys, "bound", "--state", path, "--triple", "A1A2A3")
+        assert code == 0 and err == ""
+        assert json.loads(out)["best"] == 0.0
+
     @pytest.mark.parametrize("flag", ["--n-theta", "--n-phi", "--refine-iters", "--zero-tol"])
     def test_tuning_flag_rejected(self, tmp_path, capsys, flag):
         path = write_state_json(tmp_path, qstate.random_state(6).amps)
@@ -150,6 +161,14 @@ class TestClassesVerb:
         assert cell["best_bound"] == pytest.approx(16.0 / 49.0, abs=1e-9)
         assert cell["paper_bound"] == pytest.approx(16.0 / 49.0, abs=1e-12)
         assert cell["delta_vs_paper"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("a,triple", [("1e140", "A1A2A3"), ("1e40", "A1A2A4")])
+    def test_overflowing_tabulated_value_is_input_error(self, capsys, a, triple):
+        # the paper's value overflows at 1e140, osterloh's A1A2A4 value at 1e40
+        code, out, err = run_cli(capsys, "classes", "--id", "V", "--a", a, "--triple", triple)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: class V at a={complex(a)!r}") and "overflows" in err
 
     def test_fixture_triple_not_computed(self, capsys):
         code, out, _ = run_cli(
@@ -301,6 +320,13 @@ class TestSweepVerb:
         assert code == 1
         assert out == ""
         assert repr(spec) in err
+
+    def test_overflowing_tabulated_value_is_input_error(self, capsys):
+        # best_bound bounds each representative; the comparison value overflowed
+        code, out, err = run_cli(capsys, "sweep", "--class", "V", "--param-grid", "a=1e140:1e150:3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: class V at a=(1e+140+0j)") and "overflows" in err
 
     def test_overflowing_norm_is_input_error(self, capsys):
         # finite amplitudes of about 1e200 whose norm^2 overflows

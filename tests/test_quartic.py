@@ -173,6 +173,16 @@ class TestRoots:
         assert inv.stars().xs == (0j, 0j, 0j)
         assert bound_quartic_A4(inv).value == 0.0
 
+    def test_a_start_that_meets_the_contract_is_kept(self):
+        # an endpoint quartic that drops to degree 3: Newton steps on the full
+        # quartic lowered |p| from the start -7e5 to -19739, where
+        # |p| / max(1, |w|)^4 is past the contract's bound, and roots raised
+        c = (0j, 0j, -1.399714443408144e-10, -1.9995920620116346e-16, -9.99796031005817e-23)
+        found = roots(c)
+        assert found[1:] == [0j, 0j]
+        assert found[0] == pytest.approx(-7e5, rel=1e-12)
+        assert all(within_residual_contract_exactly(c, w) for w in found)
+
     def test_deterministic_ordering(self):
         c = (0.3 - 1j, 0.7, -0.2j, 1.1, 0.9 + 0.4j)
         assert roots(c) == roots(c)
