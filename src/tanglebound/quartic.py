@@ -40,10 +40,9 @@ def roots(c) -> list[complex]:
     steps, each kept only if it lowers |p|; where the polished root fails the
     residual contract and its start meets it, the start is returned.
     Coefficients with a nonzero modulus outside [2^-500, 2^500] are solved
-    _rescaled. Raises
-    BadArity unless there are five coefficients, NonFinite on a NaN or
-    infinite one, ZeroPolynomial when every coefficient vanishes and
-    DidNotConverge if a root fails the residual contract.
+    _rescaled. Raises BadArity unless there are five coefficients, NonFinite
+    on a NaN or infinite one, ZeroPolynomial when every coefficient vanishes
+    and DidNotConverge if a root and its start fail the residual contract.
     """
     try:
         c = list(map(complex, c))
