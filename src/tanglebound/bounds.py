@@ -515,21 +515,22 @@ def classify_group(inv: ThreeQubitInvariantSet) -> str:
 
     A vanishing three-way correlation (summary_from_set) is case "i". Else an
     invariant counts as zero when its modulus is below ZERO_PATTERN_TOL times
-    the largest modulus in the set (scale-free), and the nonzero pattern picks
-    the case in _CASE_OF_PATTERN.
+    the largest modulus in the set, and the nonzero pattern picks the case in
+    _CASE_OF_PATTERN. Both read the set's unit copy (inv.unit()).
     """
-    scale = inv.scale()
-    if scale == 0.0 or summary_from_set(inv).three_way < ZERO_PATTERN_TOL * 16.0 * scale ** 2:
+    unit = inv.unit()[0]
+    scale = unit.scale()
+    if scale == 0.0 or summary_from_set(unit).three_way < ZERO_PATTERN_TOL * 16.0 * scale ** 2:
         return "i"
     tol = ZERO_PATTERN_TOL * scale
-    entries = {"40": inv.i40, "31": inv.i31, "22": inv.i22, "13": inv.i13, "04": inv.i04}
+    entries = {"40": unit.i40, "31": unit.i31, "22": unit.i22, "13": unit.i13, "04": unit.i04}
     pattern = frozenset(lab for lab, z in entries.items() if abs(z) >= tol)
     return _CASE_OF_PATTERN.get(pattern, "generic")
 
 
 def bound_closed_form(inv: ThreeQubitInvariantSet) -> BoundWitness | None:
     """Closed-form bound for the set's sparse group (classify_group), None
-    for a generic set.
+    for a generic set: read off the set's unit copy and multiplied back.
 
     (i) 0, (ii) 4|i40|, (iii) 4|i04|,
     (iv) 4|i40| ||6 i22| - |i40|| / (|6 i22| + |i40|),
@@ -540,7 +541,8 @@ def bound_closed_form(inv: ThreeQubitInvariantSet) -> BoundWitness | None:
     case = classify_group(inv)
     if case == "generic":
         return None
-    a40, a22, a13, a04 = abs(inv.i40), abs(6.0 * inv.i22), abs(4.0 * inv.i13), abs(inv.i04)
+    unit, e = inv.unit()
+    a40, a22, a13, a04 = abs(unit.i40), abs(6.0 * unit.i22), abs(4.0 * unit.i13), abs(unit.i04)
     if case == "i":
         value = 0.0
     elif case == "ii":
@@ -548,12 +550,12 @@ def bound_closed_form(inv: ThreeQubitInvariantSet) -> BoundWitness | None:
     elif case == "iii":
         value = 4.0 * a04
     elif case == "iv":
-        value = 4.0 * a40 * abs(a22 - a40) / (a22 + a40) if a22 + a40 > 0.0 else 0.0
+        value = 4.0 * a40 * abs(a22 - a40) / (a22 + a40)
     elif case == "v":
-        value = 4.0 * a04 * abs(a22 - a04) / (a22 + a04) if a22 + a04 > 0.0 else 0.0
+        value = 4.0 * a04 * abs(a22 - a04) / (a22 + a04)
     else:  # vi
-        value = 4.0 * a04 * (a04 / math.hypot(a13, a04)) ** 2 if a04 > 0.0 else 0.0
-    return BoundWitness("closed_form", value, None, case)
+        value = 4.0 * a04 * (a04 / math.hypot(a13, a04)) ** 2
+    return BoundWitness("closed_form", math.ldexp(value, e), None, case)
 
 
 #: relative tolerance on N48 below which bound_cap reads N48 - 2|I48| as 0:
@@ -589,19 +591,20 @@ def bound_cap(summary: CorrelationSummary) -> BoundWitness:
 def best_bound(state: PureState4, triple: str) -> BoundReport:
     """Run every applicable method for one triple and report the minimum.
 
-    Methods: cap, classifier + closed form (sparse patterns only), the quartic
-    bound, the branch-pair bound, and the grid minimization. The branch-pair
-    method enters the comparison only when the traced qubit's branch
-    probabilities are equal: that is its regime of validity (it then coincides
-    with the quartic bound), whereas at unequal probabilities its
-    probability-weighted value can drop below what any decomposition of the
-    reduced state realizes. The endpoint quartic is solved once
+    Methods: cap (on the set's unit copy), classifier + closed form (sparse
+    patterns only), the quartic bound, the branch-pair bound, and the grid
+    minimization. The branch-pair method enters the comparison only when the
+    traced qubit's branch probabilities are equal: that is its regime of
+    validity (it then coincides with the quartic bound), whereas at unequal
+    probabilities its probability-weighted value can drop below what any
+    decomposition of the reduced state realizes. The endpoint quartic is solved once
     (inv.stars()): the quartic bound, the grid's seeds and the branch-pair
     bound all read its stars.
     """
     traced = traced_qubit_of(triple)
     inv = invariant_set(state, traced)
-    methods = [bound_cap(summary_from_set(inv))]
+    unit, e = inv.unit()
+    methods = [BoundWitness("cap", math.ldexp(bound_cap(summary_from_set(unit)).value, e))]
     closed = bound_closed_form(inv)
     if closed is not None:
         methods.append(closed)

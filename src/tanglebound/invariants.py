@@ -10,14 +10,15 @@ tangle bounds) is built from this set.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadQubitLabel
+from .errors import BadQubitLabel, OutOfRange
 from .fonts import compute_fonts4
 from .qstate import TRACE_PERMS, PureState3, PureState4, _finite_x, _for_traced, check_normalized
-from .quartic import roots
+from .quartic import _rescaled, roots
 
 #: triple of kept qubits -> label of the traced qubit
 TRIPLES = {"A1A2A3": "A4", "A1A2A4": "A3", "A1A3A4": "A2"}
@@ -99,6 +100,14 @@ class ThreeQubitInvariantSet:
         four-way content (scale() == 0), whose form has no stars.
         """
         return Stars(tuple(roots(_endpoint_coefficients(self)[1])))
+
+    @_kept
+    def unit(self) -> tuple[ThreeQubitInvariantSet, int]:
+        """(copy, e): the set times 2^-e, its largest modulus in [1/2, 1)
+        (quartic._rescaled). The copy of the set times 2^k is the same, so a
+        value read off it and multiplied back by 2^e is exactly equivariant."""
+        entries, k = _rescaled([self.i40, self.i31, self.i22, self.i13, self.i04], self.scale())
+        return ThreeQubitInvariantSet(self.traced, *entries), -k
 
 
 @dataclass(frozen=True)
@@ -219,16 +228,18 @@ def traced_qubit_of(triple: str) -> str:
 @_kept
 def summary_from_set(inv: ThreeQubitInvariantSet) -> CorrelationSummary:
     """N48, I48, tau48 and the three-way correlation measure of one invariant
-    set: the one coding of N48 and I48."""
-    n48 = float(
-        6.0 * abs(inv.i22) ** 2
-        + 4.0 * abs(inv.i31) ** 2
-        + 4.0 * abs(inv.i13) ** 2
-        + abs(inv.i40) ** 2
-        + abs(inv.i04) ** 2
-    )
-    i48 = 3.0 * inv.i22 * inv.i22 - 4.0 * inv.i31 * inv.i13 + inv.i40 * inv.i04
-    return CorrelationSummary(n48, i48, 16.0 * abs(12.0 * i48), 16.0 * (n48 - 2.0 * abs(i48)))
+    set: the one coding of N48 and I48. Raises OutOfRange, naming the set's
+    scale, where one of them is past the largest float."""
+    try:
+        n48 = float(6.0 * abs(inv.i22) ** 2 + 4.0 * abs(inv.i31) ** 2 + 4.0 * abs(inv.i13) ** 2
+                    + abs(inv.i40) ** 2 + abs(inv.i04) ** 2)
+        i48 = 3.0 * inv.i22 * inv.i22 - 4.0 * inv.i31 * inv.i13 + inv.i40 * inv.i04
+        tau48, three_way = 16.0 * abs(12.0 * i48), 16.0 * (n48 - 2.0 * abs(i48))
+        if math.isfinite(tau48) and math.isfinite(three_way):
+            return CorrelationSummary(n48, i48, tau48, three_way)
+    except OverflowError:    # float ** and a complex abs() raise where * gives inf
+        pass
+    raise OutOfRange(f"N48 and I48 of a set of scale {inv.scale():.3e} overflow")
 
 
 def correlation_summary(state: PureState4, triple: str) -> CorrelationSummary:

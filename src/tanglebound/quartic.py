@@ -38,11 +38,11 @@ def roots(c) -> list[complex]:
     roots sit at infinity), and exact zeros among the lowest are roots at 0.
     The other roots start from the closed forms and get up to three Newton
     steps, each kept only if it lowers |p|; where the polished root fails the
-    residual contract and its start meets it, the start is returned.
-    Coefficients with a nonzero modulus outside [2^-500, 2^500] are solved
-    _rescaled. Raises BadArity unless there are five coefficients, NonFinite
-    on a NaN or infinite one, ZeroPolynomial when every coefficient vanishes
-    and DidNotConverge if a root and its start fail the residual contract.
+    residual contract and its start meets it, the start is returned. Every
+    polynomial is solved _rescaled. Raises BadArity unless there are five
+    coefficients, NonFinite on a NaN or infinite one, ZeroPolynomial when
+    every coefficient vanishes and DidNotConverge if a root and its start
+    fail the residual contract.
     """
     try:
         c = list(map(complex, c))
@@ -52,15 +52,11 @@ def roots(c) -> list[complex]:
         raise BadArity(f"expected 5 coefficients, got {len(c)}")
     if not all(map(cmath.isfinite, c)):
         raise NonFinite(f"coefficients {c!r}")
-    moduli = list(map(abs, c))
-    scale = max(moduli)
+    scale = max(map(abs, c))
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients are zero")
-    if scale > 2.0 ** 500 or (
-            min(moduli) < 2.0 ** -500 and any(0.0 < m < 2.0 ** -500 for m in moduli)):
-        c = _rescaled(c, scale)
-        moduli = list(map(abs, c))
-        scale = max(moduli)
+    c = _rescaled(c, scale)[0]
+    moduli = list(map(abs, c))
     deg, low = _degree(moduli), 0
     while low < deg and moduli[low] == 0.0:
         low += 1
@@ -69,7 +65,7 @@ def roots(c) -> list[complex]:
     # guarded Newton polish on the full polynomial
     c0, c1, c2, c3, c4 = c
     d1, d2, d3 = c2 * 2, c3 * 3, c4 * 4
-    limit = RESIDUAL_TOL * scale    # the residual bound's least value, at |w| <= 1
+    limit = RESIDUAL_TOL * max(moduli)    # the residual bound's least value, at |w| <= 1
     out = []
     for start in found:
         # p(w) is evaluated once per point: its modulus is the residual and
@@ -108,19 +104,18 @@ def _weighted(r: float, w: complex) -> float:
     return r / m / m / m / m
 
 
-def _rescaled(c: list, scale: float) -> list:
-    """c times the power of two that puts the largest modulus ``scale`` in
-    [1/2, 1), with every part below _NORMAL then set to a zero of its sign.
+def _rescaled(c: list, scale: float) -> tuple[list, int]:
+    """(c times 2^k, k), 2^k putting the largest modulus ``scale`` in [1/2, 1),
+    with every part below _NORMAL then set to a zero of its sign: the one
+    scaling of roots and of ThreeQubitInvariantSet.unit.
 
     The scaling is exact and the closed forms and the polish are homogeneous
-    in c, so the roots do not change where no part is subnormal; the guard in
-    roots lets nonzero moduli in [2^-500, 2^500] skip it, as no product of
-    two of them leaves the normal range. Scaled, the products of the closed
-    forms (the quadratic formula's c1^2 and c2 c0, Ferrari's 4 b f) stay
-    normal where their terms count, and a subnormal part, which they would
-    flush in part, goes whole. The residual contract then holds for c too:
-    the parts set to 0 add at most 10 _NORMAL max(1, |w|)^4 to |p(w)|,
-    beside a bound of at least RESIDUAL_TOL / 2 max(1, |w|)^4.
+    in c, so the roots do not change where no part is subnormal. Scaled, the
+    products of the closed forms (the quadratic formula's c1^2 and c2 c0,
+    Ferrari's 4 b f) stay normal where their terms count, and a subnormal
+    part, which they would flush in part, goes whole. The residual contract
+    then holds for c too: with m = max(1, |w|), the parts set to 0 add at
+    most 10 _NORMAL m^4 to |p(w)|, beside a bound of at least RESIDUAL_TOL m^4 / 2.
     """
     k = -math.frexp(scale)[1]
     out = []
@@ -128,7 +123,7 @@ def _rescaled(c: list, scale: float) -> list:
         re, im = math.ldexp(z.real, k), math.ldexp(z.imag, k)
         out.append(complex(re if abs(re) >= _NORMAL else 0.0 * re,
                            im if abs(im) >= _NORMAL else 0.0 * im))
-    return out
+    return out, k
 
 
 def _degree(moduli) -> int:

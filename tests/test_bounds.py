@@ -1153,16 +1153,6 @@ class TestClosedForm:
         assert witness.group_case == "vi"
         assert witness.value == pytest.approx((4.0 / k) / (1.0 + 64.0 * abs(a) ** 4), rel=1e-10)
 
-    def test_case_vi_reads_through_an_underflowing_square(self):
-        # |i04|^3 and |4 i13|^2 + |i04|^2 underflow to 0 at 2^-600 times a
-        # case-vi set, where 0 / 0 raised a bare ZeroDivisionError
-        inv = synthetic_set(i13=0.2 - 0.1j, i04=0.3 + 0.4j)
-        value = bound_closed_form(inv).value
-        assert value == pytest.approx(4.0 * 0.125 / (16.0 * 0.05 + 0.25), rel=1e-15)
-        tiny = synthetic_set(i13=2.0 ** -600 * inv.i13, i04=2.0 ** -600 * inv.i04)
-        assert bound_closed_form(tiny) == BoundWitness("closed_form", math.ldexp(value, -600),
-                                                       None, "vi")
-
     def test_the_set_decides_its_own_case(self):
         # {i40, i04} fits no sparse pattern of cases ii-vi, but N48 = 2 and
         # |I48| = 1 make its three-way correlation vanish: it is case i, with
@@ -1267,16 +1257,22 @@ class TestBestBound:
 
     def test_a_case_vi_set_of_order_1e_240_is_bounded(self):
         # the A4 set is (0, 0, 0, 1e-240j, 4e-240j), case vi, whose closed form
-        # raised ZeroDivisionError; the A3 set is i40 = 1e-320 alone
+        # raised ZeroDivisionError; the A3 set is i40 = 1e-320 alone, which
+        # read "generic" with no closed form. The cap's N48 underflowed: it
+        # read 0.0 on A1A2A3 and 3.99998e-160 on A1A3A4, below the quartic
+        # values that their witnesses realize
         a = np.zeros(16, dtype=complex)
         a[11] = 1.0
         a[0] = a[1] = a[13] = 1e-80
         a[7] = 1e-80j
         state = qstate.normalize(PureState4(a))
         assert classify_group(invariant_set(state, "A4")) == "vi"
+        assert bound_closed_form(invariant_set(state, "A3")).group_case == "ii"
         for triple in SUPPORTED_TRIPLES:
             report = best_bound(state, triple)
             assert all(math.isfinite(m.value) for m in report.methods), report
+            values = {m.method: m.value for m in report.methods}
+            assert values["cap"] >= values["quartic_A4"] > 0.0, report
 
     def test_a_start_that_meets_the_residual_contract_is_kept(self):
         # the A3 endpoint quartic drops to degree 3 (roots, test_quartic); its

@@ -132,7 +132,9 @@ class TestBoundVerb:
         assert err.startswith("numerical failure:") and "residual" in err
 
     def test_case_vi_set_of_order_1e_240_is_reported(self, tmp_path, capsys):
-        # the A4 set's closed form divided by an underflowed square: exit 2
+        # the A4 set's closed form divided by an underflowed square: exit 2;
+        # then the cap's N48 underflowed and best read 0.0, below every
+        # value a witness realizes
         a = np.zeros(16, dtype=complex)
         a[11] = 1.0
         a[0] = a[1] = a[13] = 1e-80
@@ -140,7 +142,10 @@ class TestBoundVerb:
         path = write_state_json(tmp_path, a)
         code, out, err = run_cli(capsys, "bound", "--state", path, "--triple", "A1A2A3")
         assert code == 0 and err == ""
-        assert json.loads(out)["best"] == 0.0
+        report = json.loads(out)
+        values = {m["method"]: m["value"] for m in report["methods"]}
+        assert report["best"] == values["quartic_A4"] == pytest.approx(8e-240, rel=1e-15)
+        assert values["closed_form"] == pytest.approx(8e-240, rel=1e-15)
 
     @pytest.mark.parametrize("flag", ["--n-theta", "--n-phi", "--refine-iters", "--zero-tol"])
     def test_tuning_flag_rejected(self, tmp_path, capsys, flag):

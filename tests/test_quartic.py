@@ -135,8 +135,8 @@ class TestRoots:
 
     @pytest.mark.parametrize("k", [-700, -520, 520, 700])
     def test_rescaling_by_a_power_of_two_keeps_the_roots_bit_for_bit(self, k):
-        # outside [2^-500, 2^500] roots solves the coefficients times a power
-        # of two, which is exact where no part is subnormal
+        # roots solves every polynomial at the power of two that puts its
+        # largest modulus in [1/2, 1), which is exact where no part is subnormal
         for kind in REFERENCE_KINDS:
             for c in reference_cases(kind)[:20]:
                 scaled = np.asarray(c, dtype=complex) * 2.0 ** k

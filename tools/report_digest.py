@@ -2,11 +2,14 @@
 leaves every report bit for bit as it was, and the sizes of the moves where it
 does not.
 
-The corpus: random_state(1000 + k) for k < 200, and 20 draws of every class
+The corpus: random_state(1000 + k) for k < 200, 20 draws of every class
 I-IX (classes.representative) from default_rng(9), each parameter a modulus
 in [0.2, 2] times a phase in [0, 2 pi) (class I real, as its vanishing
-three-way correlation needs), every state on all three supported triples:
-(200 + 9 x 20) x 3 = 1,140 reports. Each report is serialized as
+three-way correlation needs), and 10 near-product states, |0101> (a[5] = 1)
+plus eps times complex Gaussian noise from default_rng(11), eps from 1e-60
+to 1e-150 in steps of ten decades, whose bounds span about 1e-120 to
+1e-300; every state on all three supported triples: (200 + 9 x 20 + 10) x 3
+= 1,170 reports. Each report is serialized as
 json.dumps(report_to_json(report)); the digest is taken over their
 concatenation, in corpus order.
 
@@ -31,9 +34,9 @@ Run from the repository root, against this checkout's src/:
     python tools/report_digest.py --compare PATH    # and the moves against PATH
 
 ``--dump`` writes one JSON line per report, {"group": ..., "report": ...},
-where the group is "random" or the class id, then one per decomposition,
-{"group": ..., "decomposition": ...}, where the group is "ghzw", "random",
-"real" or "classI". ``--compare`` reads such a file, made in another
+where the group is "random", the class id or "product", then one per
+decomposition, {"group": ..., "decomposition": ...}, where the group is
+"ghzw", "random", "real" or "classI". ``--compare`` reads such a file, made in another
 checkout, and prints how many reports changed, how many of them changed
 their method list (per group), and, per group and over all, the largest
 absolute and relative move of ``best``, of ``F``, of each method's value and
@@ -81,6 +84,7 @@ from tanglebound.qstate import (  # noqa: E402
 
 RANDOM_STATES = 200
 DRAWS_PER_CLASS = 20
+NEAR_PRODUCT_STATES = 10
 
 #: (class, --param-grid, --triple or None for the verb's default), every
 #: sweep against "regu"; equal ranges put cells on the a = b diagonals
@@ -93,9 +97,11 @@ SWEEPS = (
 )
 
 
-def corpus(random_states: int = RANDOM_STATES, draws_per_class: int = DRAWS_PER_CLASS):
+def corpus(random_states: int = RANDOM_STATES, draws_per_class: int = DRAWS_PER_CLASS,
+           near_product_states: int = NEAR_PRODUCT_STATES):
     """(group, state) for the corpus states, in order: the first
-    ``random_states`` random states and ``draws_per_class`` draws per class."""
+    ``random_states`` random states, ``draws_per_class`` draws per class and
+    the first ``near_product_states`` near-product states."""
     states = [("random", random_state(1000 + k)) for k in range(random_states)]
     rng = np.random.default_rng(9)
     for class_id in CLASS_IDS:
@@ -105,6 +111,11 @@ def corpus(random_states: int = RANDOM_STATES, draws_per_class: int = DRAWS_PER_
             phases = np.zeros(n) if class_id == "I" else rng.uniform(0.0, 2.0 * np.pi, n)
             values = [complex(m * np.exp(1j * p)) for m, p in zip(moduli, phases)]
             states.append((class_id, representative(spec_from_values(class_id, *values))))
+    rng = np.random.default_rng(11)
+    for k in range(near_product_states):
+        a = 10.0 ** (-60 - 10 * k) * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        a[5] += 1.0
+        states.append(("product", normalize(PureState4(a))))
     return states
 
 
