@@ -10,6 +10,7 @@ from .bounds import (
     bound_grid,
     bound_quartic_A4,
     bound_unitary_3q,
+    cap_of,
     classify_group,
 )
 from .classes import ClassSpec, literature_bound, paper_bound, representative, spec_from_values
@@ -67,6 +68,7 @@ __all__ = [
     "bound_grid",
     "bound_quartic_A4",
     "bound_unitary_3q",
+    "cap_of",
     "classify_group",
     "compute_fonts4",
     "correlation_summary",

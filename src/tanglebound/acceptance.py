@@ -265,7 +265,7 @@ def criterion_6(count: int = 500) -> dict:
     for idx, state in enumerate(states):
         for traced in invariants.TRIPLES.values():
             inv = invariants.invariant_set(state, traced)
-            cap = bounds.bound_cap(invariants.summary_from_set(inv)).value
+            cap = bounds.cap_of(inv).value
             q = bounds.bound_quartic_A4(inv).value
             g = bounds.bound_grid(inv).value
             if not (g <= q + 1e-8 and q <= cap + 1e-8):

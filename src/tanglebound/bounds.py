@@ -26,7 +26,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateProbability, NonFinite
+from .errors import DegenerateProbability, NonFinite, OutOfRange
 from .invariants import (
     CorrelationSummary,
     ThreeQubitInvariantSet,
@@ -555,7 +555,15 @@ def bound_closed_form(inv: ThreeQubitInvariantSet) -> BoundWitness | None:
         value = 4.0 * a04 * abs(a22 - a04) / (a22 + a04)
     else:  # vi
         value = 4.0 * a04 * (a04 / math.hypot(a13, a04)) ** 2
-    return BoundWitness("closed_form", math.ldexp(value, e), None, case)
+    return BoundWitness("closed_form", _scaled_back(value, e), None, case)
+
+
+def _scaled_back(value: float, e: int) -> float:
+    """A value read off a unit copy times 2^e; OutOfRange past the largest float."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        raise OutOfRange(f"a bound of {value!r} x 2^{e} is past the largest float") from None
 
 
 #: relative tolerance on N48 below which bound_cap reads N48 - 2|I48| as 0:
@@ -579,9 +587,19 @@ def bound_cap(summary: CorrelationSummary) -> BoundWitness:
     differences sit far above it: at least 0.08 N48 on the class draws and
     0.005 N48 on 9,000 sets of random states.
     """
+    return BoundWitness("cap", _cap(summary))
+
+
+def _cap(summary: CorrelationSummary) -> float:
     residual = summary.n48 - 2.0 * abs(summary.i48)
-    value = 4.0 * math.sqrt(residual) if residual > _CAP_TOL * summary.n48 else 0.0
-    return BoundWitness("cap", value)
+    return 4.0 * math.sqrt(residual) if residual > _CAP_TOL * summary.n48 else 0.0
+
+
+def cap_of(inv: ThreeQubitInvariantSet) -> BoundWitness:
+    """The cap best_bound reports: bound_cap read off the set's unit copy and
+    multiplied back, so exact where bound_cap on the set's summary is not."""
+    unit, e = inv.unit()
+    return BoundWitness("cap", _scaled_back(_cap(summary_from_set(unit)), e))
 
 
 # ---------------------------------------------------------------------------
@@ -591,20 +609,19 @@ def bound_cap(summary: CorrelationSummary) -> BoundWitness:
 def best_bound(state: PureState4, triple: str) -> BoundReport:
     """Run every applicable method for one triple and report the minimum.
 
-    Methods: cap (on the set's unit copy), classifier + closed form (sparse
-    patterns only), the quartic bound, the branch-pair bound, and the grid
-    minimization. The branch-pair method enters the comparison only when the
-    traced qubit's branch probabilities are equal: that is its regime of
-    validity (it then coincides with the quartic bound), whereas at unequal
-    probabilities its probability-weighted value can drop below what any
-    decomposition of the reduced state realizes. The endpoint quartic is solved once
+    Methods: cap (cap_of), classifier + closed form (sparse patterns only),
+    the quartic bound, the branch-pair bound, and the grid minimization. The
+    branch-pair method enters the comparison only when the traced qubit's
+    branch probabilities are equal: that is its regime of validity (it then
+    coincides with the quartic bound), whereas at unequal probabilities its
+    probability-weighted value can drop below what any decomposition of the
+    reduced state realizes. The endpoint quartic is solved once
     (inv.stars()): the quartic bound, the grid's seeds and the branch-pair
     bound all read its stars.
     """
     traced = traced_qubit_of(triple)
     inv = invariant_set(state, traced)
-    unit, e = inv.unit()
-    methods = [BoundWitness("cap", math.ldexp(bound_cap(summary_from_set(unit)).value, e))]
+    methods = [cap_of(inv)]
     closed = bound_closed_form(inv)
     if closed is not None:
         methods.append(closed)

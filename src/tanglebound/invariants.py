@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,9 +106,14 @@ class ThreeQubitInvariantSet:
     def unit(self) -> tuple[ThreeQubitInvariantSet, int]:
         """(copy, e): the set times 2^-e, its largest modulus in [1/2, 1)
         (quartic._rescaled). The copy of the set times 2^k is the same, so a
-        value read off it and multiplied back by 2^e is exactly equivariant."""
-        entries, k = _rescaled([self.i40, self.i31, self.i22, self.i13, self.i04], self.scale())
-        return ThreeQubitInvariantSet(self.traced, *entries), -k
+        value read off it and multiplied back by 2^e is exactly equivariant.
+        Where the set's scale is normal, the copy's is that times 2^-e, exactly."""
+        scale = self.scale()
+        entries, k = _rescaled([self.i40, self.i31, self.i22, self.i13, self.i04], scale)
+        copy = ThreeQubitInvariantSet(self.traced, *entries)
+        if scale >= sys.float_info.min:
+            copy.__dict__["_scale"] = math.ldexp(scale, k)
+        return copy, -k
 
 
 @dataclass(frozen=True)

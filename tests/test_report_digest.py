@@ -14,8 +14,8 @@ from tanglebound import rank2
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
 
-#: a corpus of (20 + 9 x 2 + 2) x 3 = 120 reports keeps the two runs short
-SIZES = {"random_states": 20, "draws_per_class": 2, "near_product_states": 2}
+#: a corpus of (20 + 9 x 2 + 10) x 3 = 144 reports keeps the two runs short
+SIZES = {"random_states": 20, "draws_per_class": 2}
 #: the rank-2 corpus: 99 GHZ/W mixtures, 30 random, 60 real-amplitude and
 #: 5 x 4 class I states
 DECOMPOSITIONS = 209
@@ -61,12 +61,12 @@ def move_in_dump(dump, key, change):
 def test_compare_against_its_own_dump_changes_nothing(report_digest, capsys, tmp_path):
     dump = tmp_path / "reports.jsonl"
     first = run(report_digest, capsys, "--dump", str(dump))
-    assert re.fullmatch(r"120 reports sha256 [0-9a-f]{64}", first[0]), first
+    assert re.fullmatch(r"144 reports sha256 [0-9a-f]{64}", first[0]), first
     assert re.fullmatch(rf"{DECOMPOSITIONS} decompositions sha256 [0-9a-f]{{64}}", first[2]), first
-    assert len(dump.read_text().splitlines()) == 120 + DECOMPOSITIONS
+    assert len(dump.read_text().splitlines()) == 144 + DECOMPOSITIONS
     second = run(report_digest, capsys, "--compare", str(dump))
     assert second[:3] == first[:3]
-    assert second[3] == "0 of 120 reports changed, 0 in method list"
+    assert second[3] == "0 of 144 reports changed, 0 in method list"
     assert second[5] == f"0 of {DECOMPOSITIONS} decompositions changed, 0 in method, 0 in member count"
     # both tables have their header and no rows, and no witness flipped
     assert len(second) == 8
@@ -83,7 +83,7 @@ def test_compare_reports_a_moved_value(report_digest, capsys, tmp_path):
 
     move_in_dump(dump, "report", change)
     out = run(report_digest, capsys, "--compare", str(dump))
-    assert out[3] == "1 of 120 reports changed, 0 in method list"
+    assert out[3] == "1 of 144 reports changed, 0 in method list"
     rows, decomposition_rows = tables(out)
     assert decomposition_rows == {}
     assert set(rows) == {("all", "best"), ("random", "best")}
@@ -110,7 +110,7 @@ def test_compare_counts_witnesses_flipped_to_the_twin_or_the_antipode(
 
     move_in_dump(dump, "report", change)
     out = run(report_digest, capsys, "--compare", str(dump))
-    assert out[3] == "1 of 120 reports changed, 0 in method list"
+    assert out[3] == "1 of 144 reports changed, 0 in method list"
     assert out[-1] == FLIPS.format(0, int(moved))
 
 

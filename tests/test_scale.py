@@ -2,9 +2,9 @@
 
 Each bound is of degree one in the invariant set, so on the set times 2^k it
 must read ldexp(value, k), bit for bit: the case (classify_group) unchanged,
-the closed form, the cap as best_bound computes it, quartic_A4's value and
-witness, unitary_3q's and transform_endpoints' values. The grid's f is a sum
-of square roots, so it is exact at even k only. The property is checked
+the closed form, the cap as best_bound computes it (cap_of), quartic_A4's
+value and witness, unitary_3q's and transform_endpoints' values. The grid's f
+is a sum of square roots, so it is exact at even k only. The property is checked
 wherever the scaling of the set is exact (every part comes back under
 ldexp(., -k)) and the scaled value is a normal float or 0.
 
@@ -21,13 +21,15 @@ import sys
 import numpy as np
 import pytest
 
-from tanglebound import bounds, errors
+from tanglebound import errors
 from tanglebound.acceptance import class_draws
 from tanglebound.bounds import (
     best_bound,
     bound_closed_form,
+    bound_grid,
     bound_quartic_A4,
     bound_unitary_3q,
+    cap_of,
     classify_group,
 )
 from tanglebound.classes import SUPPORTED_TRIPLES, representative
@@ -36,6 +38,7 @@ from tanglebound.invariants import (
     invariant_set,
     invariants_to_json,
     summary_from_set,
+    traced_qubit_of,
     transform_endpoints,
 )
 from tanglebound.qstate import PureState4, normalize, random_state
@@ -47,11 +50,6 @@ EXPONENTS = (-1000, -999, -640, -601, -520, -519, -2, -1, 1, 2, 519, 520, 601, 6
 PROBABILITIES = ((0.5, 0.5), (0.3, 0.7))
 #: points x of transform_endpoints, inside and outside the unit disk
 POINTS = (0.3 - 0.7j, 2.0 + 1.0j, -1e3j)
-#: the values that are exact at even k only: the grid's and best, which it can set
-ODD_K_INEXACT = ("best_bound grid", "best_bound best")
-#: a state whose branch probabilities differ on every triple, so that
-#: best_bound on a given set runs cap, closed form, quartic_A4 and the grid
-HOST = random_state(0)
 
 
 def corpus_sets() -> list[ThreeQubitInvariantSet]:
@@ -91,24 +89,16 @@ def normal(z) -> bool:
                           for p in (z.real, z.imag))
 
 
-def report_of(inv: ThreeQubitInvariantSet, monkeypatch) -> dict:
-    """best_bound's method values and witnesses on the set, by method name,
-    and its best."""
-    with monkeypatch.context() as m:
-        m.setattr(bounds, "invariant_set", lambda state, traced: inv)
-        report = best_bound(HOST, "A1A2A3")
-    return {"best": (report.best, None), **{w.method: (w.value, w.witness_x) for w in report.methods}}
-
-
-def values_of(inv: ThreeQubitInvariantSet, monkeypatch) -> dict:
-    """(value, witness or None) per name: every method of best_bound, case
-    and bound_closed_form's value standalone, quartic_A4's and unitary_3q's
-    values and witnesses, and transform_endpoints at POINTS."""
-    out = {f"best_bound {name}": v for name, v in report_of(inv, monkeypatch).items()}
-    out["case"] = classify_group(inv)
+def values_of(inv: ThreeQubitInvariantSet) -> dict:
+    """(value, witness or None) per name: the case, the cap, the closed form,
+    quartic_A4's, unitary_3q's and the grid's values and witnesses, and
+    transform_endpoints at POINTS."""
+    out = {"case": classify_group(inv), "cap": (cap_of(inv).value, None)}
     closed = bound_closed_form(inv)
     if closed is not None:
         out["closed_form"] = (closed.value, None)
+    grid = bound_grid(inv)
+    out["grid"] = (grid.value, grid.witness_x)
     quartic = bound_quartic_A4(inv)
     out["quartic_A4"] = (quartic.value, quartic.witness_x)
     for p in PROBABILITIES:
@@ -120,27 +110,26 @@ def values_of(inv: ThreeQubitInvariantSet, monkeypatch) -> dict:
     return out
 
 
-def scale_failures(sets, exponents, monkeypatch) -> tuple[list, int]:
+def scale_failures(sets, exponents) -> tuple[list, int]:
     """(failures, checks): every (set index, k, name) where the scaled set's
     value is not the set's times 2^k, bit for bit, or its witness moved,
     where that is a normal float, or a value 0 is not 0; checks counts the
-    values compared. The grid, and best, which it can set, are compared at
-    even k only."""
+    values compared. The grid is compared at even k only."""
     failures, checks = [], 0
     for i, inv in enumerate(sets):
-        base = values_of(inv, monkeypatch)
+        base = values_of(inv)
         case = base.pop("case")
         for k in exponents:
             big = scaled(inv, k)
             if big is None:
                 continue
-            mine = values_of(big, monkeypatch)
+            mine = values_of(big)
             if mine.pop("case") != case or mine.keys() != base.keys():
                 failures.append((i, k, "case"))
                 continue
             for name, (value, x) in base.items():
                 expected = times(value, k)
-                if k % 2 and name in ODD_K_INEXACT:
+                if k % 2 and name == "grid":
                     continue
                 if value == 0:
                     # 0 stays 0; the witness is not compared, as the tie
@@ -157,7 +146,7 @@ def scale_failures(sets, exponents, monkeypatch) -> tuple[list, int]:
     return failures, checks
 
 
-def test_every_method_scales_exactly_with_the_set(monkeypatch):
+def test_every_method_scales_exactly_with_the_set():
     # every tenth random set and the first class draw on every traced qubit,
     # which hold every case, at every exponent; the whole corpus is this
     # module's __main__. Before the sets had one scale owner, the cap was
@@ -167,12 +156,27 @@ def test_every_method_scales_exactly_with_the_set(monkeypatch):
     sets = corpus_sets()
     sets = sets[:300:10] + sets[300:318]
     assert {classify_group(inv) for inv in sets} == {"i", "ii", "iii", "iv", "v", "vi", "generic"}
-    failures, checks = scale_failures(sets, EXPONENTS, monkeypatch)
+    failures, checks = scale_failures(sets, EXPONENTS)
     assert failures == []
-    assert checks > 9000
+    assert checks > 8000
 
 
-def test_an_overflowing_summary_is_out_of_range(monkeypatch):
+def test_the_unit_copy_keeps_its_own_largest_modulus():
+    # unit() presets the copy's scale from the set's: it must be the largest
+    # modulus of the copy's own entries, bit for bit, also beside subnormal
+    # parts and on a set whose scale is subnormal (not preset)
+    edge = [ThreeQubitInvariantSet("A4", 2e-308 + 1e-309j, 0j, 3e-310j, 0j, 1e-308 + 0j),
+            ThreeQubitInvariantSet("A3", complex(1000 * 5e-324, 1001 * 5e-324), 0j, 0j, 0j, 0j),
+            ThreeQubitInvariantSet("A2", 0.5 + 1e-320j, 1e-300j, 0j, -1e-310 + 0j, 0j)]
+    for inv in corpus_sets()[::7] + edge:
+        for k in (0,) + EXPONENTS:
+            big = scaled(inv, k)
+            if big is not None:
+                copy = big.unit()[0]
+                assert copy.scale() == max(map(abs, entries(copy))), (inv, k)
+
+
+def test_an_overflowing_summary_is_out_of_range():
     # N48 of a set of scale 1e160 has no float: the summary, and what reads
     # it, raise OutOfRange; the bounds read the set's unit copy and return
     # 4e160, the value of case ii
@@ -182,12 +186,21 @@ def test_an_overflowing_summary_is_out_of_range(monkeypatch):
     with pytest.raises(errors.OutOfRange):
         invariants_to_json(inv)
     assert classify_group(inv) == "ii"
-    values = report_of(inv, monkeypatch)
-    assert values["cap"][0] == values["closed_form"][0] == values["quartic_A4"][0] == 4e160
-    assert values["best"][0] == values["grid"][0] == pytest.approx(4e160, rel=1e-15)
+    assert cap_of(inv).value == bound_closed_form(inv).value == bound_quartic_A4(inv).value == 4e160
+    assert bound_grid(inv).value == pytest.approx(4e160, rel=1e-15)
     # the same from its sums alone: 6 |i22|^2 past the largest float
     with pytest.raises(errors.OutOfRange):
         summary_from_set(ThreeQubitInvariantSet("A4", 0j, 0j, 1e154 + 0j, 0j, 0j))
+
+
+def test_a_bound_past_the_largest_float_is_out_of_range():
+    # case ii at 1e308 reads 4e308: the closed form and the cap, multiplied
+    # back from the set's unit copy, raise OutOfRange, not OverflowError
+    inv = ThreeQubitInvariantSet("A4", 1e308 + 0j, 0j, 0j, 0j, 0j)
+    with pytest.raises(errors.OutOfRange, match="past the largest float"):
+        bound_closed_form(inv)
+    with pytest.raises(errors.OutOfRange, match="past the largest float"):
+        cap_of(inv)
 
 
 @pytest.mark.parametrize("eps", [1e-60, 1e-85, 1e-100, 1e-150])
@@ -202,15 +215,15 @@ def test_near_product_states_read_their_quartic_value(eps):
     for triple in SUPPORTED_TRIPLES:
         report = best_bound(state, triple)
         values = {m.method: m.value for m in report.methods}
+        assert values["cap"] == cap_of(invariant_set(state, traced_qubit_of(triple))).value
         assert values["cap"] >= values["quartic_A4"] > 0.0, (triple, values)
         assert report.best == pytest.approx(values["quartic_A4"], rel=1e-12), triple
 
 
 def main() -> None:
     """The property on the whole corpus: print the failures and the counts."""
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        sets = corpus_sets()
-        failures, checks = scale_failures(sets, EXPONENTS, monkeypatch)
+    sets = corpus_sets()
+    failures, checks = scale_failures(sets, EXPONENTS)
     for failure in failures:
         print(*failure)
     print(f"{len(sets)} sets, {len(EXPONENTS)} exponents: {checks} values compared, "

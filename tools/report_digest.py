@@ -97,11 +97,10 @@ SWEEPS = (
 )
 
 
-def corpus(random_states: int = RANDOM_STATES, draws_per_class: int = DRAWS_PER_CLASS,
-           near_product_states: int = NEAR_PRODUCT_STATES):
+def corpus(random_states: int = RANDOM_STATES, draws_per_class: int = DRAWS_PER_CLASS):
     """(group, state) for the corpus states, in order: the first
     ``random_states`` random states, ``draws_per_class`` draws per class and
-    the first ``near_product_states`` near-product states."""
+    the near-product states."""
     states = [("random", random_state(1000 + k)) for k in range(random_states)]
     rng = np.random.default_rng(9)
     for class_id in CLASS_IDS:
@@ -112,7 +111,7 @@ def corpus(random_states: int = RANDOM_STATES, draws_per_class: int = DRAWS_PER_
             values = [complex(m * np.exp(1j * p)) for m, p in zip(moduli, phases)]
             states.append((class_id, representative(spec_from_values(class_id, *values))))
     rng = np.random.default_rng(11)
-    for k in range(near_product_states):
+    for k in range(NEAR_PRODUCT_STATES):
         a = 10.0 ** (-60 - 10 * k) * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
         a[5] += 1.0
         states.append(("product", normalize(PureState4(a))))
