@@ -1,9 +1,9 @@
 """Acceptance suite: every release criterion as an executable check.
 
 Each criterion function returns a dict with ``ok``, ``elapsed_s`` and a list of
-failure strings; ``run_acceptance`` executes all of them and prints one
-PASS/FAIL line per criterion. The CLI ``selftest`` verb and the pytest
-acceptance module both drive this code, with fixed seeds throughout.
+failure strings; ``run_acceptance`` runs them all, one PASS/FAIL line each. The
+CLI ``selftest`` verb and the pytest acceptance module drive it, with fixed seeds.
+Each criterion is Tier-1's one check of its property: no unit test re-runs it.
 """
 
 from __future__ import annotations
@@ -152,6 +152,8 @@ def criterion_4() -> dict:
     witness, deco = rank2.decompose_rank2(rank2.ghzw_rho(0.5))
     if witness.value >= 1e-6:
         failures.append(f"p=0.5 bound {witness.value:.3e} not < 1e-6")
+    if any(invariants.three_tangle_pure(s) >= 1e-9 for _, s in deco.members):
+        failures.append("p=0.5 root mixture: a member tangle not < 1e-9")
     err = np.max(np.abs(deco.reconstructed.rho - rank2.ghzw_rho(0.5).rho))
     if err > 1e-8:
         failures.append(f"p=0.5 decomposition reconstruction error {err:.3e}")

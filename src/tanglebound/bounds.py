@@ -153,7 +153,8 @@ def bound_quartic_A4(inv: ThreeQubitInvariantSet) -> BoundWitness:
     with no three- or four-way content yields zero directly.
     """
     candidates = quartic_root_candidates(inv)
-    return BoundWitness("quartic_A4", *(candidates[0] if candidates else (0.0, None)))
+    value, x = candidates[0] if candidates else (0.0, None)
+    return BoundWitness("quartic_A4", _scaled_back(value), x)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,8 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
             "use three_tangle_pure on the surviving branch"
         )
     candidates = _unitary_3q_candidates(inv, p0, p1)
-    return BoundWitness("unitary_3q", *(candidates[0] if candidates else (0.0, None)))
+    value, t = candidates[0] if candidates else (0.0, None)
+    return BoundWitness("unitary_3q", _scaled_back(value), t)
 
 
 def _unitary_3q_candidates(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> tuple:
@@ -493,7 +495,11 @@ def bound_grid(inv: ThreeQubitInvariantSet, *, candidates=None) -> BoundWitness:
         best_phi = cmath.phase(x) % (2.0 * math.pi)
 
     witness = math.tan(best_theta / 2.0) * cmath.exp(1j * best_phi)
-    return BoundWitness("grid", best ** 2, witness)
+    try:
+        value = best ** 2
+    except OverflowError:    # float ** raises where * gives inf
+        value = math.inf
+    return BoundWitness("grid", _scaled_back(value), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +564,14 @@ def bound_closed_form(inv: ThreeQubitInvariantSet) -> BoundWitness | None:
     return BoundWitness("closed_form", _scaled_back(value, e), None, case)
 
 
-def _scaled_back(value: float, e: int) -> float:
-    """A value read off a unit copy times 2^e; OutOfRange past the largest float."""
+def _scaled_back(value: float, e: int = 0) -> float:
+    """A value read off a unit copy (or, e = 0, the set) times 2^e; OutOfRange unless finite."""
     try:
-        return math.ldexp(value, e)
+        if math.isfinite(value):
+            return math.ldexp(value, e)
     except OverflowError:
-        raise OutOfRange(f"a bound of {value!r} x 2^{e} is past the largest float") from None
+        pass
+    raise OutOfRange(f"a bound of {value!r} x 2^{e} is past the largest float")
 
 
 #: relative tolerance on N48 below which bound_cap reads N48 - 2|I48| as 0:

@@ -1,8 +1,10 @@
 """tools/report_digest.py: the corpus digests and the comparisons."""
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import pathlib
 import re
@@ -14,8 +16,8 @@ from tanglebound import rank2
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
 
-#: a corpus of (20 + 9 x 2 + 10) x 3 = 144 reports keeps the two runs short
-SIZES = {"random_states": 20, "draws_per_class": 2}
+#: the corpus: (200 + 9 x 20 + 10) x 3 reports
+REPORTS = 1170
 #: the rank-2 corpus: 99 GHZ/W mixtures, 30 random, 60 real-amplitude and
 #: 5 x 4 class I states
 DECOMPOSITIONS = 209
@@ -31,9 +33,18 @@ def report_digest():
     return module
 
 
-def run(report_digest, capsys, *argv) -> list[str]:
-    report_digest.main(list(argv), **SIZES)
-    return capsys.readouterr().out.splitlines()
+@pytest.fixture(scope="module")
+def dumped(report_digest, tmp_path_factory):
+    """One ``--dump`` run on the corpus: (its output lines, the dump's path,
+    the dumped reports and decompositions as (group, JSON) pairs)."""
+    path = tmp_path_factory.mktemp("digest") / "reports.jsonl"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        report_digest.main(["--dump", str(path)])
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    reports = [(r["group"], r["report"]) for r in records if "report" in r]
+    decompositions = [(r["group"], r["decomposition"]) for r in records if "decomposition" in r]
+    return out.getvalue().splitlines(), path, reports, decompositions
 
 
 def table_rows(lines: list[str]) -> dict:
@@ -43,30 +54,35 @@ def table_rows(lines: list[str]) -> dict:
 
 
 def tables(out: list[str]) -> tuple[dict, dict]:
-    """The rows of --compare's report and decomposition tables."""
+    """The rows of compare's report and decomposition tables."""
     split = next(k for k, line in enumerate(out) if "decompositions changed" in line)
-    return table_rows(out[5:split]), table_rows(out[split + 2:-1])
+    return table_rows(out[2:split]), table_rows(out[split + 2:-1])
 
 
-def move_in_dump(dump, key, change):
-    """Apply change() to the first dumped line holding ``key``."""
-    lines = dump.read_text().splitlines()
+def compare_edited(report_digest, capsys, dumped, tmp_path, key, change) -> list[str]:
+    """compare's output lines for the dumped corpus against a copy of the dump
+    whose first line holding ``key`` change() edited."""
+    _, path, reports, decompositions = dumped
+    lines = path.read_text().splitlines()
     k = next(k for k, line in enumerate(lines) if f'"{key}"' in line)
     moved = json.loads(lines[k])
     change(moved[key])
     lines[k] = json.dumps(moved)
-    dump.write_text("\n".join(lines) + "\n")
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("\n".join(lines) + "\n")
+    report_digest.compare(str(edited), reports, decompositions)
+    return capsys.readouterr().out.splitlines()
 
 
-def test_compare_against_its_own_dump_changes_nothing(report_digest, capsys, tmp_path):
-    dump = tmp_path / "reports.jsonl"
-    first = run(report_digest, capsys, "--dump", str(dump))
-    assert re.fullmatch(r"144 reports sha256 [0-9a-f]{64}", first[0]), first
+def test_compare_against_its_own_dump_changes_nothing(report_digest, capsys, dumped):
+    first, path, _, _ = dumped
+    assert re.fullmatch(rf"{REPORTS} reports sha256 [0-9a-f]{{64}}", first[0]), first
     assert re.fullmatch(rf"{DECOMPOSITIONS} decompositions sha256 [0-9a-f]{{64}}", first[2]), first
-    assert len(dump.read_text().splitlines()) == 144 + DECOMPOSITIONS
-    second = run(report_digest, capsys, "--compare", str(dump))
+    assert len(path.read_text().splitlines()) == REPORTS + DECOMPOSITIONS
+    report_digest.main(["--compare", str(path)])
+    second = capsys.readouterr().out.splitlines()
     assert second[:3] == first[:3]
-    assert second[3] == "0 of 144 reports changed, 0 in method list"
+    assert second[3] == f"0 of {REPORTS} reports changed, 0 in method list"
     assert second[5] == f"0 of {DECOMPOSITIONS} decompositions changed, 0 in method, 0 in member count"
     # both tables have their header and no rows, and no witness flipped
     assert len(second) == 8
@@ -74,16 +90,12 @@ def test_compare_against_its_own_dump_changes_nothing(report_digest, capsys, tmp
     assert second[7] == FLIPS.format(0, 0)
 
 
-def test_compare_reports_a_moved_value(report_digest, capsys, tmp_path):
-    dump = tmp_path / "reports.jsonl"
-    run(report_digest, capsys, "--dump", str(dump))
-
+def test_compare_reports_a_moved_value(report_digest, capsys, dumped, tmp_path):
     def change(report):
         report["best"] *= 1.0 + 1e-9
 
-    move_in_dump(dump, "report", change)
-    out = run(report_digest, capsys, "--compare", str(dump))
-    assert out[3] == "1 of 144 reports changed, 0 in method list"
+    out = compare_edited(report_digest, capsys, dumped, tmp_path, "report", change)
+    assert out[0] == f"1 of {REPORTS} reports changed, 0 in method list"
     rows, decomposition_rows = tables(out)
     assert decomposition_rows == {}
     assert set(rows) == {("all", "best"), ("random", "best")}
@@ -97,35 +109,30 @@ def test_compare_reports_a_moved_value(report_digest, capsys, tmp_path):
     (lambda x: x * (1.0 + 1e-12), False),
 ], ids=["twin", "antipode", "rounding"])
 def test_compare_counts_witnesses_flipped_to_the_twin_or_the_antipode(
-        report_digest, capsys, tmp_path, flip, moved):
+        report_digest, capsys, dumped, tmp_path, flip, moved):
     # the first dumped report's quartic_A4 witness moved as ``flip`` says: to
     # its twin -x or its antipode -1/conj(x) counts, a rounding move does not
-    dump = tmp_path / "reports.jsonl"
-    run(report_digest, capsys, "--dump", str(dump))
-
     def change(report):
         method = next(m for m in report["methods"] if m["method"] == "quartic_A4")
         x = flip(complex(*method["x"]))
         method["x"] = [x.real, x.imag]
 
-    move_in_dump(dump, "report", change)
-    out = run(report_digest, capsys, "--compare", str(dump))
-    assert out[3] == "1 of 144 reports changed, 0 in method list"
+    out = compare_edited(report_digest, capsys, dumped, tmp_path, "report", change)
+    assert out[0] == f"1 of {REPORTS} reports changed, 0 in method list"
     assert out[-1] == FLIPS.format(0, int(moved))
 
 
 def test_near_product_group_closes_the_corpus(report_digest):
     # |0101> plus noise of 1e-60 to 1e-150: the one dominant amplitude a[5]
-    states = report_digest.corpus(0, 0)
-    assert [group for group, _ in states] == ["product"] * 10
-    for k, (_, state) in enumerate(states):
+    groups, states = zip(*report_digest.corpus())
+    assert groups.count("product") == 10 and set(groups[-10:]) == {"product"}
+    for k, state in enumerate(states[-10:]):
         noise = abs(state.amps[np.arange(16) != 5])
         assert 10.0 ** (-62 - 10 * k) < noise.max() < 10.0 ** (-58 - 10 * k), k
 
 
-def test_sweep_digest_line(report_digest, capsys):
-    out = run(report_digest, capsys)
-    assert out[1] == f"107 sweep cells sha256 {report_digest.sweep_digest()[1]}"
+def test_sweep_digest_line(report_digest, dumped):
+    assert dumped[0][1] == f"107 sweep cells sha256 {report_digest.sweep_digest()[1]}"
     # the five (class, triple) sweeps of the class_sweep workload, every cell counted
     assert [(cid, triple) for cid, _, triple in report_digest.SWEEPS] == [
         ("II", None), ("III", None), ("III", "A1A2A3"), ("IV", None), ("V", None)
@@ -154,8 +161,7 @@ def test_sweep_failure_stops_the_tool(report_digest):
         report_digest.sweep_digest([("V", "a=1:inf:2", None)])
 
 
-def test_decomposition_digest_line(report_digest, capsys):
-    out = run(report_digest, capsys)
+def test_decomposition_digest_line(report_digest, dumped):
     groups = [group for group, _ in report_digest.rank2_corpus()]
     assert [groups.count(g) for g in ("ghzw", "random", "real", "classI")] == [99, 30, 60, 20]
     digest = hashlib.sha256()
@@ -165,21 +171,17 @@ def test_decomposition_digest_line(report_digest, capsys):
         assert record["method"] == witness.method and record["value"] == witness.value
         assert [w for w, _, _ in record["members"]] == [w for w, _ in deco.members]
         digest.update(json.dumps(record).encode())
-    assert out[2] == f"{DECOMPOSITIONS} decompositions sha256 {digest.hexdigest()}"
+    assert dumped[0][2] == f"{DECOMPOSITIONS} decompositions sha256 {digest.hexdigest()}"
 
 
-def test_compare_reports_moved_decompositions(report_digest, capsys, tmp_path):
+def test_compare_reports_moved_decompositions(report_digest, capsys, dumped, tmp_path):
     # a weight moved by 1e-9 relative in the first (GHZ/W) decomposition is a
     # row of the table; a decomposition of another method is counted apart
-    dump = tmp_path / "reports.jsonl"
-    run(report_digest, capsys, "--dump", str(dump))
-
     def change(decomposition):
         decomposition["members"][0][0] *= 1.0 + 1e-9
 
-    move_in_dump(dump, "decomposition", change)
-    out = run(report_digest, capsys, "--compare", str(dump))
-    assert out[5] == f"1 of {DECOMPOSITIONS} decompositions changed, 0 in method, 0 in member count"
+    out = compare_edited(report_digest, capsys, dumped, tmp_path, "decomposition", change)
+    assert out[2] == f"1 of {DECOMPOSITIONS} decompositions changed, 0 in method, 0 in member count"
     rows, decomposition_rows = tables(out)
     assert rows == {}
     assert set(decomposition_rows) == {("all", "weight"), ("ghzw", "weight")}
@@ -189,9 +191,8 @@ def test_compare_reports_moved_decompositions(report_digest, capsys, tmp_path):
     def flip(decomposition):
         decomposition["method"] = "quartic_A4"
 
-    move_in_dump(dump, "decomposition", flip)
-    out = run(report_digest, capsys, "--compare", str(dump))
-    assert out[5] == f"1 of {DECOMPOSITIONS} decompositions changed, 1 in method, 0 in member count"
+    out = compare_edited(report_digest, capsys, dumped, tmp_path, "decomposition", flip)
+    assert out[2] == f"1 of {DECOMPOSITIONS} decompositions changed, 1 in method, 0 in member count"
     assert tables(out) == ({}, {})
 
 

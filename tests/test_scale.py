@@ -193,14 +193,31 @@ def test_an_overflowing_summary_is_out_of_range():
         summary_from_set(ThreeQubitInvariantSet("A4", 0j, 0j, 1e154 + 0j, 0j, 0j))
 
 
-def test_a_bound_past_the_largest_float_is_out_of_range():
-    # case ii at 1e308 reads 4e308: the closed form and the cap, multiplied
-    # back from the set's unit copy, raise OutOfRange, not OverflowError
-    inv = ThreeQubitInvariantSet("A4", 1e308 + 0j, 0j, 0j, 0j, 0j)
+#: case ii at 1e308 reads 4e308
+_CASE_II = ThreeQubitInvariantSet("A4", 1e308 + 0j, 0j, 0j, 0j, 0j)
+#: quartic_A4 reads 8.88e291, but unitary_3q at p0 = 0.1 reads the set itself,
+#: whose coefficient i40 / p0^2 overflows
+_WIDE = ThreeQubitInvariantSet("A4", 1e307 + 0j, 0j, 0j, 0j, 1e307 + 0j)
+#: (set, bound) where the value, or a term of it, is past the largest float
+_PAST_THE_FLOAT_RANGE = {
+    "closed_form": (_CASE_II, bound_closed_form),
+    "cap": (_CASE_II, cap_of),
+    "quartic_A4": (_CASE_II, bound_quartic_A4),
+    "grid": (_CASE_II, bound_grid),
+    "unitary_3q_equal": (_CASE_II, lambda inv: bound_unitary_3q(inv, 0.5, 0.5)),
+    "unitary_3q_unequal": (_CASE_II, lambda inv: bound_unitary_3q(inv, 0.1, 0.9)),
+    "unitary_3q_coefficient": (_WIDE, lambda inv: bound_unitary_3q(inv, 0.1, 0.9)),
+}
+
+
+@pytest.mark.parametrize("inv,bound", _PAST_THE_FLOAT_RANGE.values(),
+                         ids=_PAST_THE_FLOAT_RANGE.keys())
+def test_a_bound_past_the_largest_float_is_out_of_range(inv, bound):
+    # the closed form and the cap, multiplied back from the set's unit copy,
+    # and quartic_A4, unitary_3q and the grid, read off the set itself, raise
+    # OutOfRange, neither a bare OverflowError nor a value of inf
     with pytest.raises(errors.OutOfRange, match="past the largest float"):
-        bound_closed_form(inv)
-    with pytest.raises(errors.OutOfRange, match="past the largest float"):
-        cap_of(inv)
+        bound(inv)
 
 
 @pytest.mark.parametrize("eps", [1e-60, 1e-85, 1e-100, 1e-150])

@@ -97,15 +97,14 @@ SWEEPS = (
 )
 
 
-def corpus(random_states: int = RANDOM_STATES, draws_per_class: int = DRAWS_PER_CLASS):
-    """(group, state) for the corpus states, in order: the first
-    ``random_states`` random states, ``draws_per_class`` draws per class and
-    the near-product states."""
-    states = [("random", random_state(1000 + k)) for k in range(random_states)]
+def corpus():
+    """(group, state) for the corpus states, in order: the random states, the
+    class draws and the near-product states."""
+    states = [("random", random_state(1000 + k)) for k in range(RANDOM_STATES)]
     rng = np.random.default_rng(9)
     for class_id in CLASS_IDS:
         n = len(CLASS_PARAMS[class_id])
-        for _ in range(draws_per_class):
+        for _ in range(DRAWS_PER_CLASS):
             moduli = rng.uniform(0.2, 2.0, n)
             phases = np.zeros(n) if class_id == "I" else rng.uniform(0.0, 2.0 * np.pi, n)
             values = [complex(m * np.exp(1j * p)) for m, p in zip(moduli, phases)]
@@ -258,8 +257,8 @@ def compare(dump_path: str, reports: list, decompositions: list) -> None:
           + ", ".join(f"{method} {n}" for method, n in sorted(counts.items())))
 
 
-def main(argv=None, **sizes) -> None:
-    """Run the command line ``argv`` (default sys.argv) over corpus(**sizes)."""
+def main(argv=None) -> None:
+    """Run the command line ``argv`` (default sys.argv) over the corpus."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", metavar="PATH", help="write the reports to PATH")
     parser.add_argument("--compare", metavar="PATH",
@@ -267,7 +266,7 @@ def main(argv=None, **sizes) -> None:
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
     reports = []
-    for group, state in corpus(**sizes):
+    for group, state in corpus():
         for triple in SUPPORTED_TRIPLES:
             report = report_to_json(best_bound(state, triple))
             digest.update(json.dumps(report).encode())
