@@ -3,7 +3,7 @@
 Each criterion function returns a dict with ``ok``, ``elapsed_s`` and a list of
 failure strings; ``run_acceptance`` runs them all, one PASS/FAIL line each. The
 CLI ``selftest`` verb and the pytest acceptance module drive it, with fixed seeds.
-Each criterion is Tier-1's one check of its property: no unit test re-runs it.
+Each criterion is Tier-1's corpus-scale check of its property.
 """
 
 from __future__ import annotations

@@ -177,6 +177,39 @@ def test_bad_input_raises_its_error(call, error, fragment):
 
 
 class TestClassBehaviour:
+    def test_class_two_same_bound_on_all_supported_triples(self):
+        for _ in range(6):
+            state = representative(spec_from_values("II", *draw(3)))
+            values = [best_bound(state, t).best for t in SUPPORTED_TRIPLES]
+            assert max(values) - min(values) < 1e-8
+
+    def test_class_five_first_equals_third(self):
+        for _ in range(6):
+            state = representative(spec_from_values("V", *draw(1)))
+            v1 = best_bound(state, "A1A2A3").best
+            v3 = best_bound(state, "A1A3A4").best
+            assert v1 == pytest.approx(v3, abs=1e-8)
+
+    def test_classes_one_and_six_vanish(self):
+        for _ in range(6):
+            for spec in (spec_from_values("I", *draw(4, real=True)),
+                         spec_from_values("VI", *draw(1))):
+                state = representative(spec)
+                for triple in SUPPORTED_TRIPLES:
+                    assert best_bound(state, triple).best < 1e-10
+
+    def test_dominance_over_regu(self):
+        combos = {"II": SUPPORTED_TRIPLES, "III": ("A1A2A4",),
+                  "IV": SUPPORTED_TRIPLES, "V": ("A1A2A3", "A1A3A4")}
+        arity = {"II": 3, "III": 2, "IV": 2, "V": 1}
+        for cid, triples in combos.items():
+            for _ in range(5):
+                spec = spec_from_values(cid, *draw(arity[cid]))
+                state = representative(spec)
+                for triple in triples:
+                    ref = literature_bound(spec, triple, "regu")
+                    assert best_bound(state, triple).best <= ref + 1e-8
+
     def test_class_eight_and_nine(self):
         s8 = representative(ClassSpec("VIII"))
         for triple in SUPPORTED_TRIPLES:

@@ -70,12 +70,28 @@ class TestRoots:
         assert len(found) == 1
         assert abs(found[0] - 1.0) < 1e-12
 
+    def test_root_count_matches_effective_degree(self):
+        rng = np.random.default_rng(78)
+        for degree in (1, 2, 3, 4):
+            c = np.zeros(5, dtype=complex)
+            c[: degree + 1] = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            assert len(roots(c)) == degree
+
     def test_multiple_root_returned_with_multiplicity(self):
         # (w - 1)^4
         found = roots((1.0, -4.0, 6.0, -4.0, 1.0))
         assert len(found) == 4
         for w in found:
             assert abs(w - 1.0) < 2e-3  # quadruple root: accuracy ~ eps^{1/4}
+
+    def test_monic_reconstruction(self):
+        rng = np.random.default_rng(79)
+        for _ in range(50):
+            c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            found = roots(c)
+            monic = reconstruct_monic(found)
+            ref = c / c[4]
+            np.testing.assert_allclose(monic, ref, atol=1e-8 * max(1.0, np.max(np.abs(ref))))
 
     def test_residual_contract_failure_raises(self, monkeypatch):
         # starts far out: each guarded Newton step shrinks w by about a

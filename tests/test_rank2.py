@@ -76,6 +76,9 @@ class TestX0AndThreshold:
     def test_x0_is_one_at_threshold(self):
         assert ghzw_x0(ghzw_threshold()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_threshold_value(self):
+        assert ghzw_threshold() == pytest.approx(0.626851, abs=1e-5)
+
     def test_threshold_bracket(self):
         pstar = ghzw_threshold()
         assert ghzw_x0(pstar - 1e-6) < 1.0 < ghzw_x0(pstar + 1e-6)
@@ -117,13 +120,22 @@ class TestGhzwBound:
 
 
 class TestGhzwDecomposition:
-    def test_below_threshold_at_zero(self):
-        # the W state alone; criterion 4 checks p = 0.3 and 0.5
-        deco = ghzw_decomposition(0.0, "below")
-        np.testing.assert_allclose(deco.reconstructed.rho, ghzw_rho(0.0).rho, atol=1e-8)
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5])
+    def test_below_threshold(self, p):
+        deco = ghzw_decomposition(p, "below")
+        np.testing.assert_allclose(deco.reconstructed.rho, ghzw_rho(p).rho, atol=1e-8)
         assert sum(w for w, _ in deco.members) == pytest.approx(1.0, abs=1e-10)
         for _, member in deco.members:
             assert three_tangle_pure(member) < 1e-9
+
+    def test_above_threshold_member_tangles(self):
+        p = 0.8
+        deco = ghzw_decomposition(p, "above")
+        np.testing.assert_allclose(deco.reconstructed.rho, ghzw_rho(p).rho, atol=1e-8)
+        tangles = [three_tangle_pure(member) for _, member in deco.members]
+        # all three members share one tangle: four times the tabulated formula value
+        for t in tangles:
+            assert t == pytest.approx(4 * ghzw_bound(p), abs=1e-9)
 
     def test_branch_mismatch(self):
         with pytest.raises(errors.BranchMismatch):
@@ -191,6 +203,13 @@ class TestDecomposeRank2:
         assert witness.value == pytest.approx(1.0, abs=1e-9)
         assert len(deco.members) == 1
         assert deco.members[0][0] == pytest.approx(1.0)
+
+    def test_half_mixture_certified_zero(self):
+        witness, deco = decompose_rank2(ghzw_rho(0.5))
+        assert witness.value < 1e-6
+        np.testing.assert_allclose(deco.reconstructed.rho, ghzw_rho(0.5).rho, atol=1e-8)
+        for _, member in deco.members:
+            assert three_tangle_pure(member) < 1e-9
 
     def test_rounding_level_root_mixture_skips_the_bounds(self, monkeypatch):
         # below the GHZ/W threshold the root mixture realizes ~1e-16 and is
@@ -278,6 +297,11 @@ class TestDecomposeRank2:
             calls.clear()
             decompose_rank2(rho)
             assert len(calls) == 1
+
+    def test_point_eight_bounded_by_tabulated_value(self):
+        witness, deco = decompose_rank2(ghzw_rho(0.8))
+        assert witness.value <= ghzw_bound(0.8) + 1e-6
+        np.testing.assert_allclose(deco.reconstructed.rho, ghzw_rho(0.8).rho, atol=1e-8)
 
     def test_bound_below_purification_cap(self):
         rng = np.random.default_rng(55)
