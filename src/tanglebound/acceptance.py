@@ -1,9 +1,12 @@
 """Acceptance suite: every release criterion as an executable check.
 
-Each criterion function returns a dict with ``ok``, ``elapsed_s`` and a list of
-failure strings; ``run_acceptance`` runs them all, one PASS/FAIL line each. The
-CLI ``selftest`` verb and the pytest acceptance module drive it, with fixed seeds.
-Each criterion is Tier-1's corpus-scale check of its property.
+Each criterion states its number, name and any runtime limit once, to the
+``criterion`` harness, which times it and returns a dict with ``ok``,
+``elapsed_s``, a list of failure strings and the check's own fields, and keeps
+the criteria in ``ALL_CRITERIA``. ``run_acceptance`` runs them all, one
+PASS/FAIL line each. The CLI ``selftest`` verb and the pytest acceptance module
+drive it, with fixed seeds. Each criterion is Tier-1's corpus-scale check of
+its property.
 """
 
 from __future__ import annotations
@@ -18,6 +21,31 @@ from . import bounds, classes, invariants, qstate, quartic, rank2
 from .errors import NotPrinted
 
 BASE_SEED = 20240817
+
+#: every criterion's run, in declaration order (criterion() appends to it)
+ALL_CRITERIA: tuple = ()
+
+
+def criterion(number: int, name: str, limit_s: int | None = None):
+    """Declare ``check(failures, **options)`` as criterion ``number``: the
+    returned function runs and times it and returns its result dict, with
+    ``ok`` false on any failure, a runtime of ``limit_s`` or more among them."""
+    def declare(check):
+        @functools.wraps(check)
+        def run(*args, **options) -> dict:
+            failures = []
+            t0 = time.time()
+            details = check(failures, *args, **options) or {}
+            elapsed = time.time() - t0
+            if limit_s is not None and elapsed >= limit_s:
+                failures.append(f"runtime {elapsed:.1f}s exceeds {limit_s}s")
+            return {"criterion": number, "name": name, "ok": not failures,
+                    "elapsed_s": round(elapsed, 3), "failures": failures, **details}
+
+        global ALL_CRITERIA
+        ALL_CRITERIA += (run,)
+        return run
+    return declare
 
 
 def _rng(tag: int) -> np.random.Generator:
@@ -39,24 +67,16 @@ def _random_states(tag: int, count: int) -> list[qstate.PureState4]:
 
 
 def class_draws(draws: int = 50) -> list[list]:
-    """The shared per-class parameter draws used by criteria 1 and 2.
+    """Criteria 1 and 2's draws: per round, one spec of each class that takes parameters.
 
     Class I draws are real: its vanishing three-way correlation rests on the
     phase alignment of the degree-eight invariants, which generic complex
     parameters break.
     """
     rng = _rng(1)
-    rounds = []
-    for _ in range(draws):
-        rounds.append([
-            classes.spec_from_values("I", *_draw_params(rng, 4, real=True)),
-            classes.spec_from_values("II", *_draw_params(rng, 3)),
-            classes.spec_from_values("III", *_draw_params(rng, 2)),
-            classes.spec_from_values("IV", *_draw_params(rng, 2)),
-            classes.spec_from_values("V", *_draw_params(rng, 1)),
-            classes.spec_from_values("VI", *_draw_params(rng, 1)),
-        ])
-    return rounds
+    return [[classes.spec_from_values(cid, *_draw_params(rng, len(names), real=cid == "I"))
+             for cid, names in classes.CLASS_PARAMS.items() if names]
+            for _ in range(draws)]
 
 
 @functools.cache
@@ -69,16 +89,14 @@ def _class_reports(draws: int) -> tuple:
     )
 
 
-def criterion_1() -> dict:
+@criterion(1, "class closed forms", limit_s=60)
+def criterion_1(failures) -> dict:
     """Class closed forms: best_bound reproduces every printed (class, triple)
     value on 50 class draws.
 
     Classes I and VI (and the other printed zeros) must come out below 1e-10
-    absolute; nonzero values match to 1e-8 relative. Runtime must stay under
-    60 s.
+    absolute; nonzero values match to 1e-8 relative.
     """
-    t0 = time.time()
-    failures = []
     checked = 0
     for spec, triple, best in _class_reports(50):
         printed = classes.paper_bound(spec, triple)
@@ -90,18 +108,14 @@ def criterion_1() -> dict:
                 failures.append(f"{spec.id} {triple}: expected 0, got {best:.3e}")
         elif abs(best - printed) / printed > 1e-8:
             failures.append(f"{spec.id} {triple}: printed {printed:.12g}, best {best:.12g}")
-    elapsed = time.time() - t0
-    if elapsed >= 60.0:
-        failures.append(f"runtime {elapsed:.1f}s exceeds 60s")
-    return _result(1, "class closed forms", failures, elapsed, checked=checked)
+    return {"checked": checked}
 
 
-def criterion_2(draws: int = 50) -> dict:
+@criterion(2, "literature dominance")
+def criterion_2(failures, draws: int = 50) -> None:
     """Literature dominance on the same draws as criterion 1: best_bound never
     exceeds the quoted comparison values and strictly improves on them
     somewhere in classes II and III."""
-    t0 = time.time()
-    failures = []
     improved = {"II": False, "III": False}
     for spec, triple, best in _class_reports(draws):
         try:
@@ -115,14 +129,12 @@ def criterion_2(draws: int = 50) -> dict:
     for cid, seen in improved.items():
         if not seen:
             failures.append(f"class {cid}: no draw improved on the regu value by > 1e-6")
-    return _result(2, "literature dominance", failures, time.time() - t0)
 
 
-def criterion_3() -> dict:
+@criterion(3, "closed form vs quartic equivalence")
+def criterion_3(failures) -> None:
     """Quartic bound equals the closed form, read as its case, on 200 sets per case iv/v/vi."""
-    t0 = time.time()
     rng = _rng(3)
-    failures = []
     for case, slots in (("iv", ("i40", "i22")), ("v", ("i04", "i22")), ("vi", ("i04", "i13"))):
         for k in range(200):
             entries = {"i40": 0j, "i31": 0j, "i22": 0j, "i13": 0j, "i04": 0j}
@@ -138,13 +150,18 @@ def criterion_3() -> dict:
                 failures.append(
                     f"case {case} draw {k}: closed {closed:.12g}, quartic {quartic_value:.12g}"
                 )
-    return _result(3, "closed form vs quartic equivalence", failures, time.time() - t0)
 
 
-def criterion_4() -> dict:
-    """GHZ/W reference values, decomposition invariants, and runtime under 30 s."""
-    t0 = time.time()
-    failures = []
+def _check_reconstruction(failures, deco, p: float, label: str) -> None:
+    """A decomposition of the GHZ/W mixture at p must rebuild it to 1e-8."""
+    err = np.max(np.abs(deco.reconstructed.rho - rank2.ghzw_rho(p).rho))
+    if err > 1e-8:
+        failures.append(f"{label} reconstruction error {err:.3e}")
+
+
+@criterion(4, "GHZ/W reference", limit_s=30)
+def criterion_4(failures) -> None:
+    """GHZ/W reference values and decomposition invariants."""
     thr = rank2.ghzw_threshold()
     if abs(thr - 0.626851) > 1e-5:
         failures.append(f"threshold {thr!r} not within 1e-5 of 0.626851")
@@ -154,25 +171,19 @@ def criterion_4() -> dict:
         failures.append(f"p=0.5 bound {witness.value:.3e} not < 1e-6")
     if any(invariants.three_tangle_pure(s) >= 1e-9 for _, s in deco.members):
         failures.append("p=0.5 root mixture: a member tangle not < 1e-9")
-    err = np.max(np.abs(deco.reconstructed.rho - rank2.ghzw_rho(0.5).rho))
-    if err > 1e-8:
-        failures.append(f"p=0.5 decomposition reconstruction error {err:.3e}")
+    _check_reconstruction(failures, deco, 0.5, "p=0.5 decomposition")
 
     p = 0.8
     target = abs(p ** 2 / 4.0 - 4.0 * math.sqrt(p * (1 - p) ** 3) / (3.0 * math.sqrt(6.0)))
     witness, deco = rank2.decompose_rank2(rank2.ghzw_rho(p))
     if witness.value > target + 1e-6:
         failures.append(f"p=0.8 bound {witness.value:.6f} exceeds {target:.6f} + 1e-6")
-    err = np.max(np.abs(deco.reconstructed.rho - rank2.ghzw_rho(p).rho))
-    if err > 1e-8:
-        failures.append(f"p=0.8 decomposition reconstruction error {err:.3e}")
+    _check_reconstruction(failures, deco, p, "p=0.8 decomposition")
 
     for p in (0.3, 0.5, 0.8):
         branch = "below" if p <= thr else "above"
         deco = rank2.ghzw_decomposition(p, branch)
-        err = np.max(np.abs(deco.reconstructed.rho - rank2.ghzw_rho(p).rho))
-        if err > 1e-8:
-            failures.append(f"ghzw_decomposition p={p}: reconstruction error {err:.3e}")
+        _check_reconstruction(failures, deco, p, f"ghzw_decomposition p={p}:")
         tangles = [invariants.three_tangle_pure(s) for _, s in deco.members]
         if branch == "below":
             if any(t >= 1e-9 for t in tangles):
@@ -185,43 +196,36 @@ def criterion_4() -> dict:
                 failures.append(
                     f"ghzw_decomposition p={p}: member tangles {tangles} != {expected:.9f}"
                 )
-    elapsed = time.time() - t0
-    if elapsed >= 30.0:
-        failures.append(f"runtime {elapsed:.1f}s exceeds 30s")
-    return _result(4, "GHZ/W reference", failures, elapsed)
 
 
-def criterion_5() -> dict:
+def _rotated(state, rng, qubits, phased: bool = True) -> qstate.PureState4:
+    """The state under one random local unitary on each of ``qubits`` in turn:
+    an SU(2) draw, times a phase drawn just before it when ``phased``."""
+    for qubit in qubits:
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) if phased else 1.0
+        u = qstate.Qubit2Unitary(phase * qstate.random_special_unitary(rng).u)
+        state = qstate.apply_local_unitary(state, qubit, u)
+    return state
+
+
+@criterion(5, "invariance suites")
+def criterion_5(failures) -> None:
     """Invariance suites on 500 random states (tolerances relative to the set scale)."""
-    t0 = time.time()
     rng = _rng(5)
-    failures = []
     states = _random_states(50, 500)
     for idx, state in enumerate(states):
         base = invariants.invariant_set(state, "A4")
         scale = max(base.scale(), 1e-30)
 
-        rotated = state
-        for qubit in (1, 2, 3):
-            rotated = qstate.apply_local_unitary(rotated, qubit, qstate.random_special_unitary(rng))
-        special = invariants.invariant_set(rotated, "A4")
+        special = invariants.invariant_set(_rotated(state, rng, (1, 2, 3), phased=False), "A4")
         if np.max(np.abs(special.as_array() - base.as_array())) > 1e-10 * scale:
             failures.append(f"state {idx}: special-unitary invariance broken")
 
-        rotated = state
-        for qubit in (1, 2, 3):
-            phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            u = qstate.Qubit2Unitary(phase * qstate.random_special_unitary(rng).u)
-            rotated = qstate.apply_local_unitary(rotated, qubit, u)
-        general = invariants.invariant_set(rotated, "A4")
+        general = invariants.invariant_set(_rotated(state, rng, (1, 2, 3)), "A4")
         if np.max(np.abs(np.abs(general.as_array()) - np.abs(base.as_array()))) > 1e-10 * scale:
             failures.append(f"state {idx}: modulus invariance broken")
 
-        rotated = state
-        for qubit in (1, 2, 3, 4):
-            phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            u = qstate.Qubit2Unitary(phase * qstate.random_special_unitary(rng).u)
-            rotated = qstate.apply_local_unitary(rotated, qubit, u)
+        rotated = _rotated(state, rng, (1, 2, 3, 4))
         n48_base = invariants.summary_from_set(base).n48
         n48_rot = invariants.summary_from_set(invariants.invariant_set(rotated, "A4")).n48
         if abs(n48_rot - n48_base) > 1e-10 * max(n48_base, 1e-30):
@@ -231,7 +235,6 @@ def criterion_5() -> dict:
         mags = [abs(invariants.summary_from_set(inv).i48) for inv in sets]
         if max(mags) - min(mags) > 1e-9 * max(max(mags), 1e-30):
             failures.append(f"state {idx}: |I48| depends on the traced qubit: {mags}")
-    return _result(5, "invariance suites", failures, time.time() - t0)
 
 
 def branch_pair_value(state: qstate.PureState4, traced: str) -> float:
@@ -248,7 +251,8 @@ def branch_pair_value(state: qstate.PureState4, traced: str) -> float:
         rank2._two_member_decomposition(*qstate.branch_vectors(state, traced), None))
 
 
-def criterion_6(count: int = 500) -> dict:
+@criterion(6, "dominance chain and branch-pair value")
+def criterion_6(failures, count: int = 500) -> dict:
     """Dominance chain grid <= quartic <= cap, and the quartic bound never above
     the value the traced qubit's untransformed branch pair realizes.
 
@@ -259,8 +263,6 @@ def criterion_6(count: int = 500) -> dict:
     pair and agrees with it, and with the tabulated regu values, only where one
     endpoint vanishes, as on the class representatives.
     """
-    t0 = time.time()
-    failures = []
     chain_bad = 0
     upthree_bad = 0
     states = _random_states(50, count)
@@ -287,17 +289,15 @@ def criterion_6(count: int = 500) -> dict:
                     )
     if chain_bad > 5 or upthree_bad > 5:
         failures.append(f"chain violations: {chain_bad}, branch-pair violations: {upthree_bad}")
-    return _result(6, "dominance chain and branch-pair value", failures, time.time() - t0,
-                   chain_violations=chain_bad, endpoint_sum_violations=upthree_bad)
+    return {"chain_violations": chain_bad, "endpoint_sum_violations": upthree_bad}
 
 
-def criterion_7() -> dict:
+@criterion(7, "quartic solver contracts")
+def criterion_7(failures) -> None:
     """Quartic solver on 1000 random polynomials: residual contract on every
     root; monic reconstruction where the roots are well separated (skipped
     when the discriminant is tiny)."""
-    t0 = time.time()
     rng = _rng(7)
-    failures = []
     for k in range(1000):
         degree = int(rng.integers(1, 5))
         c = np.zeros(5, dtype=complex)
@@ -330,14 +330,12 @@ def criterion_7() -> dict:
             ref = c[: eff + 1] / lead
             if np.max(np.abs(monic - ref)) > 1e-8 * max(1.0, float(np.max(np.abs(ref)))):
                 failures.append(f"poly {k}: monic reconstruction off")
-    return _result(7, "quartic solver contracts", failures, time.time() - t0)
 
 
-def criterion_8() -> dict:
+@criterion(8, "endpoint transform end-to-end")
+def criterion_8(failures) -> None:
     """Endpoint transformation agrees with rotating qubit A4 and recomputing, on 200 states."""
-    t0 = time.time()
     rng = _rng(8)
-    failures = []
     states = _random_states(80, 200)
     for idx, state in enumerate(states):
         x = complex(rng.standard_normal() + 1j * rng.standard_normal())
@@ -350,30 +348,6 @@ def criterion_8() -> dict:
                 f"state {idx}, x={x:.4f}: endpoint mismatch "
                 f"({abs(i40x - direct.i40):.3e}, {abs(i04x - direct.i04):.3e})"
             )
-    return _result(8, "endpoint transform end-to-end", failures, time.time() - t0)
-
-
-def _result(number: int, name: str, failures: list, elapsed: float, **details) -> dict:
-    return {
-        "criterion": number,
-        "name": name,
-        "ok": not failures,
-        "elapsed_s": round(elapsed, 3),
-        "failures": failures,
-        **details,
-    }
-
-
-ALL_CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-)
 
 
 def run_acceptance(echo=print) -> list[dict]:

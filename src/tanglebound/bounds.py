@@ -173,7 +173,9 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
     at infinity gives t = 0 exactly, and a star at x = 0 gives no t (its t is
     at infinity), so a star that the set's quartic drops near a degree drop
     reaches the pair at t = 0, whose antipode is infinite, where the pair's
-    own solve would find a tiny root t with a finite antipode. Requires both
+    own solve would find a tiny root t with a finite antipode. The
+    coefficients are the set's unit copy's (inv.unit()) and the value is
+    multiplied back, as in bound_closed_form and cap_of. Requires both
     probabilities finite and at least PROB_FLOOR; coincides with
     bound_quartic_A4 when p0 = p1.
     """
@@ -186,16 +188,17 @@ def bound_unitary_3q(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> Bound
         )
     candidates = _unitary_3q_candidates(inv, p0, p1)
     value, t = candidates[0] if candidates else (0.0, None)
-    return BoundWitness("unitary_3q", _scaled_back(value), t)
+    return BoundWitness("unitary_3q", _scaled_back(value, inv.unit()[1]), t)
 
 
 def _unitary_3q_candidates(inv: ThreeQubitInvariantSet, p0: float, p1: float) -> tuple:
-    """bound_unitary_3q's (value, t) pairs, sorted by _star_candidates: the
-    first is its witness. A set with no content yields none."""
+    """bound_unitary_3q's (value, t) pairs, sorted by _star_candidates, with
+    values of the set's unit copy: the first is its witness. The stars are
+    the set's own. A set with no content yields none."""
     if inv.scale() == 0.0:
         return ()
     xs = inv.stars().xs
-    c04 = _endpoint_coefficients(inv)[1]
+    c04 = _endpoint_coefficients(inv.unit()[0])[1]
     c = [a / (math.sqrt(p0) ** (4 - m) * math.sqrt(p1) ** m) for m, a in enumerate(c04[::-1])]
     # the f40 quartic's own degree drop, as quartic.roots would take it
     d = _degree(list(map(abs, c)))

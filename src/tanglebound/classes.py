@@ -22,6 +22,8 @@ FIXTURE_TRIPLE = "A2A3A4"
 ALL_TRIPLES = SUPPORTED_TRIPLES + (FIXTURE_TRIPLE,)
 
 CLASS_IDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
+#: earlier work whose values literature_bound quotes
+SOURCES = ("regu", "osterloh")
 
 #: parameters each class accepts, in declaration order
 CLASS_PARAMS = {
@@ -182,9 +184,9 @@ def paper_bound(spec: ClassSpec, triple: str) -> float | None:
 
 @_in_range
 def literature_bound(spec: ClassSpec, triple: str, source: str) -> float:
-    """Comparison value quoted from earlier work ("regu" or "osterloh")."""
+    """Comparison value quoted from earlier work (one of SOURCES)."""
     _check_triple(triple)
-    if source not in ("regu", "osterloh"):
+    if source not in SOURCES:
         raise NotPrinted(f"unknown source {source!r}")
     a, b, c, d = spec.a, spec.b, spec.c, spec.d
     cid = spec.id

@@ -74,7 +74,7 @@ def _class_cell(spec: classes.ClassSpec, triple: str) -> dict:
     printed = classes.paper_bound(spec, triple)
     cell["paper_bound"] = printed
     literature = {}
-    for source in ("regu", "osterloh"):
+    for source in classes.SOURCES:
         try:
             literature[source] = classes.literature_bound(spec, triple, source)
         except NotPrinted:
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["II", "III", "IV", "V"])
     p.add_argument("--param-grid", required=True,
                    help="e.g. a=0.2:2:10,b=0.2:2:10 (real grids)")
-    p.add_argument("--compare", default="regu", choices=["regu", "osterloh"])
+    p.add_argument("--compare", default="regu", choices=list(classes.SOURCES))
     p.add_argument("--triple", choices=list(classes.SUPPORTED_TRIPLES))
     p.set_defaults(fn=_cmd_sweep)
 

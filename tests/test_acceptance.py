@@ -2,7 +2,8 @@
 
 The criteria live in tanglebound.acceptance so the CLI selftest runs exactly
 the same checks. They are executed once per test session here; each test
-asserts one criterion (criterion 6 is split into its two clauses).
+asserts one criterion (criterion 6 is split into its two clauses), and a few
+check the harness that times and registers them, on stubs.
 
 Expected outcome: everything passes. The second clause of criterion 6 holds
 the quartic bound to the value that the traced qubit's untransformed branch
@@ -12,6 +13,7 @@ computed from the branches' own three-tangles.
 
 import collections
 import hashlib
+import types
 
 import pytest
 
@@ -37,12 +39,43 @@ def acceptance_run():
         mp.setattr(qstate, "permute_qubits", counted(qstate, "permute_qubits"))
         mp.setattr(bounds, "best_bound", counted(bounds, "best_bound"))
         results = acceptance.run_acceptance()
-    return {res["criterion"]: res for res in results}, calls
+    return results, calls
 
 
 @pytest.fixture(scope="session")
 def results(acceptance_run):
-    return acceptance_run[0]
+    return {res["criterion"]: res for res in acceptance_run[0]}
+
+
+@pytest.mark.parametrize("elapsed,own,failures", [
+    (29.5, [], []),
+    (30.0, [], ["runtime 30.0s exceeds 30s"]),
+    (31.5, ["bad value"], ["bad value", "runtime 31.5s exceeds 30s"]),
+])
+def test_the_harness_times_a_criterion_against_its_limit(monkeypatch, elapsed, own, failures):
+    """On a faked clock: a run at or past its limit fails, its runtime after
+    the check's own failures; monkeypatch undoes the stub's registration."""
+    clock = iter([100.0, 100.0 + elapsed])
+    monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(time=lambda: next(clock)))
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", ())
+
+    @acceptance.criterion(9, "stub", limit_s=30)
+    def stub(found, extra="field"):
+        found.extend(own)
+        return {"extra": extra}
+
+    assert acceptance.ALL_CRITERIA == (stub,)
+    assert stub(extra="kept") == {
+        "criterion": 9, "name": "stub", "ok": not failures, "elapsed_s": elapsed,
+        "failures": failures, "extra": "kept",
+    }
+
+
+def test_all_criteria_run_once_each_in_order(acceptance_run):
+    # after the stubs above: their registrations are gone
+    names = [fn.__name__ for fn in acceptance.ALL_CRITERIA]
+    assert names == [f"criterion_{k}" for k in range(1, 9)]
+    assert [res["criterion"] for res in acceptance_run[0]] == list(range(1, 9))
 
 
 def test_one_run_builds_no_permuted_state(acceptance_run):

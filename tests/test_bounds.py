@@ -308,7 +308,8 @@ class TestOneEndpointSolve:
             wit = bound_unitary_3q(inv, p0, p1)
             abs_ = (1e-10 if near_drop(inv) else 1e-14) * inv.scale()
             used = bounds._unitary_3q_candidates(inv, p0, p1)
-            assert used[0] == (wit.value, wit.witness_x), inv
+            value, t = used[0]   # the unit copy's value
+            assert (math.ldexp(value, inv.unit()[1]), t) == (wit.value, wit.witness_x), inv
             assert len(used) == len(old) or near_drop(inv), inv
             assert values_agree(wit.value, min(old), abs_=abs_), (inv, wit.value, min(old))
 
