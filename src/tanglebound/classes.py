@@ -1,21 +1,20 @@
 """The nine four-qubit SLOCC class representatives and their tabulated bounds.
 
-``paper_bound`` evaluates the closed-form bound this package reproduces for a
-(class, triple) pair; ``literature_bound`` evaluates the comparison values
-quoted from earlier work. Values for the triple A2A3A4 (which excludes the
-focus qubit A1) are stored as fixtures only: they are surfaced but never
-computed by the bound pipeline.
+``printed_values`` evaluates, once for a (class, triple) pair, the closed-form
+bound this package reproduces and the comparison values quoted from earlier
+work; ``paper_bound`` and ``literature_bound`` read one entry of it. Values
+for the triple A2A3A4 (which excludes the focus qubit A1) are stored as
+fixtures only: they are surfaced but never computed by the bound pipeline.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 from .errors import BadArity, BadQubitLabel, NotPrinted, OutOfRange
 from .invariants import TRIPLES
-from .qstate import PureState4, normalize
+from .qstate import PureState4, _finite_x, normalize
 
 SUPPORTED_TRIPLES = tuple(TRIPLES)
 FIXTURE_TRIPLE = "A2A3A4"
@@ -41,7 +40,8 @@ CLASS_PARAMS = {
 
 @dataclass(frozen=True)
 class ClassSpec:
-    """One SLOCC class with its parameters (unused parameters stay None)."""
+    """One SLOCC class with its parameters, each stored as a finite Python
+    complex (NonFinite otherwise); unused parameters stay None."""
 
     id: str
     a: complex | None = None
@@ -59,6 +59,9 @@ class ClassSpec:
                 raise BadArity(f"class {self.id} requires parameter {name!r}")
             if name not in wanted and value is not None:
                 raise BadArity(f"class {self.id} does not take parameter {name!r}")
+            if value is not None:
+                value = _finite_x(value, f"class {self.id} parameter {name}")
+                object.__setattr__(self, name, value)
 
     def params(self) -> dict:
         return {name: getattr(self, name) for name in CLASS_PARAMS[self.id]}
@@ -124,93 +127,68 @@ def _check_triple(triple: str) -> None:
         raise BadQubitLabel(f"unknown triple {triple!r}")
 
 
-def _in_range(tabulated):
-    """tabulated(spec, triple, ...), raising OutOfRange, which names the class
-    and its parameters, where a power of a parameter overflows a float."""
+def printed_values(spec: ClassSpec, triple: str) -> dict:
+    """source -> tabulated value for (class, triple): "paper", the closed-form
+    bound this package reproduces, and each of SOURCES that prints a value.
+    A source that prints none is absent. OutOfRange, which names the class
+    and its parameters, where a power of a parameter overflows a float.
 
-    @functools.wraps(tabulated)
-    def checked(spec: ClassSpec, triple: str, *args):
-        try:
-            return tabulated(spec, triple, *args)
-        except OverflowError:
-            params = ", ".join(f"{k}={v!r}" for k, v in spec.params().items())
-            raise OutOfRange(f"class {spec.id} at {params}: the tabulated {triple} "
-                             f"value overflows") from None
-
-    return checked
-
-
-@_in_range
-def paper_bound(spec: ClassSpec, triple: str) -> float | None:
-    """Tabulated closed-form bound for (class, triple); None where not printed.
-
-    A2A3A4 entries are literature fixtures (the pipeline never computes them).
+    Each formula is written once; where one printed value is another times a
+    factor, it is computed as that product. A2A3A4 entries are literature
+    fixtures (the pipeline never computes them).
     """
     _check_triple(triple)
     a, b, c, d = spec.a, spec.b, spec.c, spec.d
     cid = spec.id
-    if cid == "I":
-        return 0.0
-    if cid == "II":
-        k = (abs(a) ** 2 + abs(d) ** 2 + 2 * abs(c) ** 2 + 1) ** 2
-        t = abs(c * (a ** 2 - d ** 2))
-        u = abs((a ** 2 - c ** 2) * (d ** 2 - c ** 2))
-        return (4.0 * t / k) * (abs(t - u) / (t + u)) if t + u > 0.0 else 0.0
-    if cid == "III":
-        if triple in ("A1A2A3", "A1A3A4"):
-            return 0.0
-        if triple == "A1A2A4":
-            k = (abs(a) ** 2 + abs(b) ** 2 + 1) ** 2
-            ab = abs(a * b)
-            w = abs(a ** 2 - b ** 2) ** 2
-            return (4.0 * ab / k) * (abs(4.0 * ab - w) / (4.0 * ab + w)) if ab + w > 0.0 else 0.0
-        return None
-    if cid == "IV":
-        return 2.0 * abs(a ** 2 - b ** 2) / (2 + 3 * abs(a) ** 2 + abs(b) ** 2) ** 2
-    if cid == "V":
-        k = (3 + 4 * abs(a) ** 2) ** 2
-        if triple in ("A1A2A3", "A1A3A4"):
-            return 16.0 * abs(a) ** 2 / k
-        if triple == "A1A2A4":
-            return (4.0 / k) * (1.0 / (1.0 + 64.0 * abs(a) ** 4))
-        return None
-    if cid == "VI":
-        return 0.0
-    if cid in ("VII", "VIII"):
-        return 0.25 if triple in SUPPORTED_TRIPLES else 0.0
-    # IX: only the A2A3A4 value is printed
-    return 0.25 if triple == FIXTURE_TRIPLE else None
-
-
-@_in_range
-def literature_bound(spec: ClassSpec, triple: str, source: str) -> float:
-    """Comparison value quoted from earlier work (one of SOURCES)."""
-    _check_triple(triple)
-    if source not in SOURCES:
-        raise NotPrinted(f"unknown source {source!r}")
-    a, b, c, d = spec.a, spec.b, spec.c, spec.d
-    cid = spec.id
-    if source == "regu":
+    try:
         if cid == "II":
             k = (abs(a) ** 2 + abs(d) ** 2 + 2 * abs(c) ** 2 + 1) ** 2
-            return 4.0 * abs(c * (a ** 2 - d ** 2)) / k
+            t = abs(c * (a ** 2 - d ** 2))
+            u = abs((a ** 2 - c ** 2) * (d ** 2 - c ** 2))
+            regu = 4.0 * t / k
+            return {"paper": regu * (abs(t - u) / (t + u)) if t + u > 0.0 else 0.0, "regu": regu}
         if cid == "III" and triple == "A1A2A4":
-            return 4.0 * abs(a * b) / (abs(a) ** 2 + abs(b) ** 2 + 1) ** 2
+            q = 4.0 * abs(a * b)
+            if q == 0.0:
+                return dict.fromkeys(("paper", *SOURCES), 0.0)
+            w = abs(a ** 2 - b ** 2) ** 2
+            regu = q / (abs(a) ** 2 + abs(b) ** 2 + 1) ** 2
+            return {"paper": regu * (abs(q - w) / (q + w)), "regu": regu,
+                    "osterloh": regu * (max(0.0, q - w) / q) ** 2}
         if cid == "IV":
-            return 2.0 * abs(a ** 2 - b ** 2) / (2 + 3 * abs(a) ** 2 + abs(b) ** 2) ** 2
-        if cid == "V" and triple in ("A1A2A3", "A1A3A4"):
-            return 16.0 * abs(a) ** 2 / (3 + 4 * abs(a) ** 2) ** 2
-    else:
-        if cid == "III" and triple == "A1A2A4":
-            ab = abs(a * b)
-            if ab == 0.0:
-                return 0.0
-            k = abs(a) ** 2 + abs(b) ** 2 + 1
-            root = (2.0 * math.sqrt(ab) / k) * (4.0 * ab - abs(a ** 2 - b ** 2) ** 2) / (4.0 * ab)
-            return max(0.0, root) ** 2
+            value = 2.0 * abs(a ** 2 - b ** 2) / (2 + 3 * abs(a) ** 2 + abs(b) ** 2) ** 2
+            return {"paper": value, "regu": value}
         if cid == "V" and triple == "A1A2A4":
-            k = (3 + 4 * abs(a) ** 2) ** 2
-            return (4.0 / k) * (1.0 + 64.0 * abs(a) ** 2) / (1.0 + 64.0 * abs(a) ** 4) ** 2
-        if cid == "V" and triple in ("A1A2A3", "A1A3A4"):
-            return 16.0 * abs(a) ** 2 / (3 + 4 * abs(a) ** 2) ** 2
-    raise NotPrinted(f"no {source} value for class {cid}, triple {triple}")
+            s = 1.0 + 64.0 * abs(a) ** 4
+            paper = (4.0 / (3 + 4 * abs(a) ** 2) ** 2) * (1.0 / s)
+            return {"paper": paper, "osterloh": paper * (1.0 + 64.0 * abs(a) ** 2) / s}
+        if cid == "V" and triple != FIXTURE_TRIPLE:
+            value = 16.0 * abs(a) ** 2 / (3 + 4 * abs(a) ** 2) ** 2
+            return dict.fromkeys(("paper", *SOURCES), value)
+    except OverflowError:
+        params = ", ".join(f"{k}={v!r}" for k, v in spec.params().items())
+        raise OutOfRange(f"class {spec.id} at {params}: the tabulated {triple} "
+                         f"value overflows") from None
+    if cid in ("I", "VI") or (cid == "III" and triple != FIXTURE_TRIPLE):
+        return {"paper": 0.0}
+    if cid in ("VII", "VIII"):
+        return {"paper": 0.25 if triple in SUPPORTED_TRIPLES else 0.0}
+    # III and V print nothing on the fixture triple, IX only there
+    return {"paper": 0.25} if cid == "IX" and triple == FIXTURE_TRIPLE else {}
+
+
+def paper_bound(spec: ClassSpec, triple: str) -> float | None:
+    """Tabulated closed-form bound for (class, triple); None where not printed."""
+    return printed_values(spec, triple).get("paper")
+
+
+def literature_bound(spec: ClassSpec, triple: str, source: str) -> float:
+    """Comparison value quoted from earlier work (one of SOURCES); NotPrinted
+    where that source prints none for (class, triple)."""
+    if source not in SOURCES:
+        _check_triple(triple)
+        raise NotPrinted(f"unknown source {source!r}")
+    value = printed_values(spec, triple).get(source)
+    if value is None:
+        raise NotPrinted(f"no {source} value for class {spec.id}, triple {triple}")
+    return value

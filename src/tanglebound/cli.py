@@ -47,39 +47,30 @@ def _emit(obj, output: str | None) -> None:
         print(text)
 
 
-def _load_state4(args) -> qstate.PureState4:
-    state = qstate.state_from_json(_load_json(args.state))
-    if not isinstance(state, qstate.PureState4):
-        raise TangleboundError(f"{args.verb} needs a four-qubit state")
-    return qstate.normalize(state)
+def _load_state(args):
+    return qstate.normalize(qstate.state_from_json(_load_json(args.state)))
 
 
 def _cmd_invariants(args) -> int:
-    inv = invariants.invariant_set(_load_state4(args), args.traced)
+    inv = invariants.invariant_set(_load_state(args), args.traced)
     _emit(invariants.invariants_to_json(inv), args.output)
     return 0
 
 
 def _cmd_bound(args) -> int:
-    _emit(bounds.report_to_json(bounds.best_bound(_load_state4(args), args.triple)), args.output)
+    _emit(bounds.report_to_json(bounds.best_bound(_load_state(args), args.triple)), args.output)
     return 0
 
 
 def _class_cell(spec: classes.ClassSpec, triple: str) -> dict:
+    values = classes.printed_values(spec, triple)
     cell: dict = {
         "class": spec.id,
         "triple": triple,
         "params": {k: [v.real, v.imag] for k, v in spec.params().items()},
+        "paper_bound": values.get("paper"),
+        "literature": {s: v for s, v in values.items() if s != "paper"},
     }
-    printed = classes.paper_bound(spec, triple)
-    cell["paper_bound"] = printed
-    literature = {}
-    for source in classes.SOURCES:
-        try:
-            literature[source] = classes.literature_bound(spec, triple, source)
-        except NotPrinted:
-            pass
-    cell["literature"] = literature
     if triple == classes.FIXTURE_TRIPLE:
         cell["source"] = "fixture"   # triple excludes the focus qubit: never computed
         return cell
@@ -87,9 +78,7 @@ def _class_cell(spec: classes.ClassSpec, triple: str) -> dict:
     cell["best_bound"] = report.best
     cell["F"] = report.tightness_f
     cell["methods"] = bounds.report_to_json(report)["methods"]
-    if printed is not None:
-        cell["delta_vs_paper"] = report.best - printed
-    for source, value in literature.items():
+    for source, value in values.items():
         cell[f"delta_vs_{source}"] = report.best - value
     return cell
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qstate import TRACED_LAST_INDEX, PureState4, _for_traced, _read_only
+from .qstate import TRACED_LAST_INDEX, PureState4, _for_traced, _of_kind, _read_only
 
 
 #: the flat indices of the factors a00, a11', a10, a01' (rows) of the 16
@@ -44,5 +44,6 @@ def compute_fonts4(state: PureState4, traced: str = "A4") -> np.ndarray:
     (nothing flips), d3_A4 (i3 flips), d3_A3 (i4 flips; labelled [i4, i3], so
     stored as its transpose) and d4 (both flip).
     """
+    _of_kind(state, PureState4)
     g = state.amps[_for_traced(_FONTS4_INDEX, traced)]
     return g[0] * g[1] - g[2] * g[3]

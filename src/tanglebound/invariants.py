@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import BadQubitLabel, OutOfRange
 from .fonts import compute_fonts4
-from .qstate import TRACE_PERMS, PureState3, PureState4, _finite_x, _for_traced, check_normalized
+from .qstate import (TRACE_PERMS, PureState3, PureState4, _finite_x, _for_traced, _of_kind,
+                     check_normalized)
 from .quartic import _rescaled, roots
 
 #: triple of kept qubits -> label of the traced qubit
@@ -134,6 +135,7 @@ def three_tangle_pure(state: PureState3) -> float:
     """Three-tangle of a normalized pure state: 4 |(D000 + D001)^2 - 4 D00_0 D00_1|,
     Cayley's hyperdeterminant in the fonts' grouping on Python complex, with
     D00_i = a00i a11i - a10i a01i and D00i = a00i a11j - a10i a01j, j = 1 - i."""
+    _of_kind(state, PureState3)
     check_normalized(state)
     a000, a001, a010, a011, a100, a101, a110, a111 = state.amps.tolist()
     d3 = a000 * a111 - a100 * a011 + (a001 * a110 - a101 * a010)
@@ -153,6 +155,7 @@ def invariant_set(state: PureState4, traced: str) -> ThreeQubitInvariantSet:
     never reach the font products, where they could overflow.
     """
     _for_traced(TRACE_PERMS, traced)
+    _of_kind(state, PureState4)
     check_normalized(state)
     return _set_from_fonts(compute_fonts4(state, traced), traced)
 

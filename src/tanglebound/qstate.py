@@ -182,14 +182,23 @@ def check_normalized(state) -> None:
         raise NotNormalized(f"norm^2 = {float(n2)!r}")
 
 
-def _finite_x(x) -> complex:
-    """x as a Python complex; NonFinite unless it is a finite number."""
+def _of_kind(state, kind: type) -> None:
+    """BadStateFormat unless state is a kind, PureState3 or PureState4."""
+    if not isinstance(state, kind):
+        qubits = "four" if kind is PureState4 else "three"
+        raise BadStateFormat(f"needs a {qubits}-qubit state, got {type(state).__name__}")
+
+
+def _finite_x(x, name: str = "x") -> complex:
+    """x as a Python complex; NonFinite, which names it, unless it is a finite number."""
     try:
         z = complex(x)
+    except OverflowError:
+        raise NonFinite(f"{name} is too large for a float") from None
     except (TypeError, ValueError):
-        raise NonFinite(f"x = {x!r} is not a number") from None
+        raise NonFinite(f"{name} = {x!r} is not a number") from None
     if not cmath.isfinite(z):
-        raise NonFinite(f"x = {z!r}")
+        raise NonFinite(f"{name} = {z!r}")
     return z
 
 
@@ -222,6 +231,7 @@ def permute_qubits(state: PureState4, perm) -> PureState4:
     equals the old amplitude at (i_1, i_2, i_3, i_4). ``perm`` is 1-based.
     Pure reindexing: exact, norm preserving, a group action.
     """
+    _of_kind(state, PureState4)
     perm = tuple(perm)
     if sorted(perm) != [1, 2, 3, 4]:
         raise BadPermutation(f"not a bijection of 1..4: {perm!r}")
@@ -271,6 +281,7 @@ def _for_traced(table: dict, traced: str):
 def branch_vectors(state: PureState4, traced: str = "A4") -> np.ndarray:
     """The traced qubit's subnormalized branches phi0, phi1, the rows of a (2, 8)
     array gathered on BRANCH_INDEX; BadQubitLabel unless traced is A2, A3 or A4."""
+    _of_kind(state, PureState4)
     return state.amps[_for_traced(BRANCH_INDEX, traced)]
 
 

@@ -148,13 +148,32 @@ class TestOverflow:
             paper_bound(spec, triple)
 
     @pytest.mark.parametrize("spec,triple,source", [
-        (ClassSpec("V", a=1e40 + 0j), "A1A2A4", "osterloh"),
+        (ClassSpec("V", a=1e80 + 0j), "A1A2A4", "osterloh"),
         (ClassSpec("V", a=1e140 + 0j), "A1A2A3", "regu"),
         (ClassSpec("II", a=1e80 + 0j, d=1 + 0j, c=1 + 0j), "A1A2A3", "regu"),
     ])
     def test_literature_bound_raises_out_of_range(self, spec, triple, source):
         with pytest.raises(errors.OutOfRange, match=rf"class {spec.id} at a=\(1e\+\d+\+0j\)"):
             literature_bound(spec, triple, source)
+
+    def test_osterloh_class_five_value_underflows_where_it_once_overflowed(self):
+        # its true value, about 4e-404, is past the smallest float; the paper
+        # value it is computed from is finite
+        assert literature_bound(ClassSpec("V", a=1e40 + 0j), "A1A2A4", "osterloh") == 0.0
+
+    def test_osterloh_class_three_value_past_a_subnormal_product(self):
+        # (2 sqrt|ab| / k) (4|ab| - w) underflowed to 0 on the way to 4e-280
+        spec = ClassSpec("III", a=1e-80 + 0j, b=1e-200 + 0j)
+        value = literature_bound(spec, "A1A2A4", "osterloh")
+        assert value == pytest.approx(4e-280, rel=1e-12, abs=0)
+
+    def test_unprinted_fixture_value_computes_nothing(self):
+        assert paper_bound(ClassSpec("V", a=1e160 + 0j), FIXTURE_TRIPLE) is None
+
+    def test_class_three_at_a_zero_product_prints_zeros(self):
+        # every printed value is a multiple of |ab|: no overflowing power is evaluated
+        values = classes.printed_values(ClassSpec("III", a=0j, b=1e200 + 0j), "A1A2A4")
+        assert values == {"paper": 0.0, "regu": 0.0, "osterloh": 0.0}
 
 
 #: (call, error, message fragment): one entry per input check of the module
@@ -166,6 +185,16 @@ _BAD_INPUTS = {
                        errors.BadQubitLabel, "unknown triple"),
     "unknown_source": (lambda: literature_bound(ClassSpec("VII"), "A1A2A3", "nature"),
                        errors.NotPrinted, "unknown source"),
+    "paper_is_no_literature_source": (lambda: literature_bound(ClassSpec("VII"), "A1A2A3", "paper"),
+                                      errors.NotPrinted, "unknown source"),
+    "nan_parameter": (lambda: ClassSpec("II", a=math.nan, d=1, c=1),
+                      errors.NonFinite, "class II parameter a = \\(nan\\+0j\\)"),
+    "inf_parameter": (lambda: ClassSpec("V", a=complex(math.inf)),
+                      errors.NonFinite, "class V parameter a = \\(inf\\+0j\\)"),
+    "parameter_not_a_number": (lambda: ClassSpec("V", a="x"),
+                               errors.NonFinite, "class V parameter a = 'x' is not a number"),
+    "parameter_too_large": (lambda: ClassSpec("V", a=10 ** 400),
+                            errors.NonFinite, "class V parameter a is too large for a float"),
 }
 
 
@@ -174,6 +203,24 @@ def test_bad_input_raises_its_error(call, error, fragment):
     with pytest.raises(error, match=fragment) as info:
         call()
     assert isinstance(info.value, errors.TangleboundError)
+
+
+def test_paper_bound_never_exceeds_regu():
+    # the abstract's claim on the tabulated values, exact: each paper value is
+    # its regu value times a factor of at most 1, or that value itself
+    compared = 0
+    specs = [spec_from_values(spec.id, *(v * scale for v in spec.params().values()))
+             for draw in class_draws(50) for spec in draw for scale in (1.0, 0.0, 1e-150, 1e70)]
+    for spec in specs:
+        for triple in classes.ALL_TRIPLES:
+            try:
+                regu = literature_bound(spec, triple, "regu")
+            except errors.NotPrinted:
+                continue
+            assert paper_bound(spec, triple) <= regu, (spec, triple)
+            compared += 1
+    # II and IV on all four triples, III on one, V on two
+    assert compared == 50 * 4 * (4 + 1 + 4 + 2)
 
 
 class TestClassBehaviour:

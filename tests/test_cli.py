@@ -167,9 +167,9 @@ class TestClassesVerb:
         assert cell["paper_bound"] == pytest.approx(16.0 / 49.0, abs=1e-12)
         assert cell["delta_vs_paper"] == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("a,triple", [("1e140", "A1A2A3"), ("1e40", "A1A2A4")])
+    @pytest.mark.parametrize("a,triple", [("1e140", "A1A2A3"), ("1e80", "A1A2A4")])
     def test_overflowing_tabulated_value_is_input_error(self, capsys, a, triple):
-        # the paper's value overflows at 1e140, osterloh's A1A2A4 value at 1e40
+        # the paper's value overflows at 1e140 on A1A2A3 and at 1e80 on A1A2A4
         code, out, err = run_cli(capsys, "classes", "--id", "V", "--a", a, "--triple", triple)
         assert code == 1
         assert out == ""
@@ -359,6 +359,10 @@ _BAD_INPUTS = {
     "osterloh_class_two_without_triple": (
         ["sweep", "--class", "II", "--param-grid", "a=1:2:2,d=1:2:2,c=1:2:2",
          "--compare", "osterloh"], "no default triple"),
+    # osterloh prints no class II value, but the cell's printed values overflow
+    "osterloh_class_two_past_the_float_range": (
+        ["sweep", "--class", "II", "--param-grid", "a=1:1:1,d=1:1:1,c=1e100:1e100:1",
+         "--compare", "osterloh", "--triple", "A1A2A3"], "value overflows"),
 }
 
 

@@ -22,7 +22,8 @@ def test_star_import_resolves_every_exported_name():
     (lambda: qstate.u_of_x("abc"), errors.NonFinite),
     (lambda: invariants.transform_endpoints(
         invariants.invariant_set(qstate.random_state(1), "A4"), "abc"), errors.NonFinite),
-], ids=["roots", "PureState4", "MixedState3", "u_of_x", "transform_endpoints"])
+    (lambda: tanglebound.ClassSpec("V", a="abc"), errors.NonFinite),
+], ids=["roots", "PureState4", "MixedState3", "u_of_x", "transform_endpoints", "ClassSpec"])
 def test_a_value_that_is_not_a_number_raises_a_package_error(call, error):
     with pytest.raises(error) as info:
         call()

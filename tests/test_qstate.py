@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tanglebound import errors, fonts, invariants, qstate
+from tanglebound import bounds, errors, fonts, invariants, qstate
 from tanglebound.qstate import (
     MixedState3,
     PureState3,
@@ -381,6 +381,7 @@ class TestNonFinite:
 
 _MIXED = np.eye(8, dtype=complex) / 8.0
 _PAIRS8 = [[[0.0, 0.0]] * 8] * 8
+_STATE3 = PureState3(np.full(8, 8 ** -0.5))
 
 #: (call, error, message fragment): one entry per input check of the module
 _BAD_INPUTS = {
@@ -422,6 +423,25 @@ _BAD_INPUTS = {
     "state_json_integer_too_large": (
         lambda: qstate.state_from_json({"n_qubits": 4, "amps": [[0, 10 ** 400]] + [[0, 0]] * 15}),
         errors.NonFinite, "too large for a float"),
+    # a normalized state of the wrong size, where a bare IndexError or
+    # ValueError escaped from the amplitude reads
+    "best_bound_on_three_qubits": (lambda: bounds.best_bound(_STATE3, "A1A2A3"),
+                                   errors.BadStateFormat, "four-qubit state, got PureState3"),
+    "invariant_set_on_three_qubits": (lambda: invariants.invariant_set(_STATE3, "A4"),
+                                      errors.BadStateFormat, "four-qubit state"),
+    "correlation_summary_on_three_qubits": (
+        lambda: invariants.correlation_summary(_STATE3, "A1A2A4"),
+        errors.BadStateFormat, "four-qubit state"),
+    "compute_fonts4_on_three_qubits": (lambda: fonts.compute_fonts4(_STATE3),
+                                       errors.BadStateFormat, "four-qubit state"),
+    "branch_vectors_on_three_qubits": (lambda: branch_vectors(_STATE3),
+                                       errors.BadStateFormat, "four-qubit state"),
+    "partial_trace_on_three_qubits": (lambda: partial_trace_last(_STATE3),
+                                      errors.BadStateFormat, "four-qubit state"),
+    "permute_three_qubits": (lambda: permute_qubits(_STATE3, (1, 2, 3, 4)),
+                             errors.BadStateFormat, "four-qubit state"),
+    "three_tangle_of_four_qubits": (lambda: invariants.three_tangle_pure(random_state(1)),
+                                    errors.BadStateFormat, "three-qubit state, got PureState4"),
 }
 
 

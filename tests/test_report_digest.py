@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import pathlib
 import re
@@ -12,7 +13,8 @@ import re
 import numpy as np
 import pytest
 
-from tanglebound import rank2
+from tanglebound import cli, rank2
+from tanglebound.classes import ALL_TRIPLES, CLASS_PARAMS
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
 
@@ -21,6 +23,8 @@ REPORTS = 1170
 #: the rank-2 corpus: 99 GHZ/W mixtures, 30 random, 60 real-amplitude and
 #: 5 x 4 class I states
 DECOMPOSITIONS = 209
+#: the classes verb's corpus: (6 x 5 + 3) x 4 cells
+CLASS_CELLS = 132
 #: --compare's last line, with the grid's and quartic_A4's flip counts
 FLIPS = "witnesses flipped to the twin or the antipode: grid {}, quartic_A4 {}, unitary_3q 0"
 
@@ -81,13 +85,13 @@ def test_compare_against_its_own_dump_changes_nothing(report_digest, capsys, dum
     assert len(path.read_text().splitlines()) == REPORTS + DECOMPOSITIONS
     report_digest.main(["--compare", str(path)])
     second = capsys.readouterr().out.splitlines()
-    assert second[:3] == first[:3]
-    assert second[3] == f"0 of {REPORTS} reports changed, 0 in method list"
-    assert second[5] == f"0 of {DECOMPOSITIONS} decompositions changed, 0 in method, 0 in member count"
+    assert second[:4] == first[:4]
+    assert second[4] == f"0 of {REPORTS} reports changed, 0 in method list"
+    assert second[6] == f"0 of {DECOMPOSITIONS} decompositions changed, 0 in method, 0 in member count"
     # both tables have their header and no rows, and no witness flipped
-    assert len(second) == 8
-    assert second[4].split()[:2] == second[6].split()[:2] == ["group", "field"]
-    assert second[7] == FLIPS.format(0, 0)
+    assert len(second) == 9
+    assert second[5].split()[:2] == second[7].split()[:2] == ["group", "field"]
+    assert second[8] == FLIPS.format(0, 0)
 
 
 def test_compare_reports_a_moved_value(report_digest, capsys, dumped, tmp_path):
@@ -172,6 +176,28 @@ def test_decomposition_digest_line(report_digest, dumped):
         assert [w for w, _, _ in record["members"]] == [w for w, _ in deco.members]
         digest.update(json.dumps(record).encode())
     assert dumped[0][2] == f"{DECOMPOSITIONS} decompositions sha256 {digest.hexdigest()}"
+
+
+def test_class_cells_digest_line(report_digest, dumped):
+    cells = report_digest.class_cells()
+    # every class on all four triples: 5 draws of I-VI, VII-IX once
+    assert [argv[2] for argv in cells[::4]] == [cid for cid, names in CLASS_PARAMS.items()
+                                                for _ in range(5 if names else 1)]
+    assert all(argv[-1] == triple for argv, triple in zip(cells, itertools.cycle(ALL_TRIPLES)))
+    rng = np.random.default_rng(13)
+    digest = hashlib.sha256()
+    for k, argv in enumerate(cells):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0, argv
+        digest.update(out.getvalue().encode())
+        if k % 4 == 0:
+            values = report_digest.draw_values(rng, argv[2])
+        # every parameter reads back exactly as drawn
+        params = json.loads(out.getvalue())["params"]
+        assert {name: complex(*v) for name, v in params.items()} == dict(
+            zip(CLASS_PARAMS[argv[2]], values)), argv
+    assert dumped[0][3] == f"{CLASS_CELLS} class cells sha256 {digest.hexdigest()}"
 
 
 def test_compare_reports_moved_decompositions(report_digest, capsys, dumped, tmp_path):

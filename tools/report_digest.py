@@ -27,6 +27,13 @@ default_rng(5) (real amplitudes and class I put the stars on one circle). Each
 output is serialized as json.dumps(decomposition_to_json(...)): the method,
 the value and every member's weight and amplitudes.
 
+A fourth line gives the sha256 of the ``classes`` verb's JSON over the nine
+classes on all four triples (class_cells): 5 draws of each class that takes
+parameters, from default_rng(13), moduli in [0.2, 2] times phases in
+[0, 2 pi) (class I real), and VII, VIII and IX once, (6 x 5 + 3) x 4 = 132
+cells. Each cell is one in-process ``cli.main`` call whose stdout is
+captured, and the digest is taken over their concatenation, in order.
+
 Run from the repository root, against this checkout's src/:
 
     python tools/report_digest.py                   # the digests
@@ -68,6 +75,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from tanglebound import cli, rank2  # noqa: E402
 from tanglebound.bounds import best_bound, report_to_json  # noqa: E402
 from tanglebound.classes import (  # noqa: E402
+    ALL_TRIPLES,
     CLASS_IDS,
     CLASS_PARAMS,
     SUPPORTED_TRIPLES,
@@ -85,6 +93,7 @@ from tanglebound.qstate import (  # noqa: E402
 RANDOM_STATES = 200
 DRAWS_PER_CLASS = 20
 NEAR_PRODUCT_STATES = 10
+CLASS_CELL_DRAWS = 5
 
 #: (class, --param-grid, --triple or None for the verb's default), every
 #: sweep against "regu"; equal ranges put cells on the a = b diagonals
@@ -97,18 +106,24 @@ SWEEPS = (
 )
 
 
+def draw_values(rng, class_id: str) -> list[complex]:
+    """One draw of the class's parameters: moduli in [0.2, 2] times phases in
+    [0, 2 pi), class I real."""
+    n = len(CLASS_PARAMS[class_id])
+    moduli = rng.uniform(0.2, 2.0, n)
+    phases = np.zeros(n) if class_id == "I" else rng.uniform(0.0, 2.0 * np.pi, n)
+    return [complex(m * np.exp(1j * p)) for m, p in zip(moduli, phases)]
+
+
 def corpus():
     """(group, state) for the corpus states, in order: the random states, the
     class draws and the near-product states."""
     states = [("random", random_state(1000 + k)) for k in range(RANDOM_STATES)]
     rng = np.random.default_rng(9)
     for class_id in CLASS_IDS:
-        n = len(CLASS_PARAMS[class_id])
         for _ in range(DRAWS_PER_CLASS):
-            moduli = rng.uniform(0.2, 2.0, n)
-            phases = np.zeros(n) if class_id == "I" else rng.uniform(0.0, 2.0 * np.pi, n)
-            values = [complex(m * np.exp(1j * p)) for m, p in zip(moduli, phases)]
-            states.append((class_id, representative(spec_from_values(class_id, *values))))
+            spec = spec_from_values(class_id, *draw_values(rng, class_id))
+            states.append((class_id, representative(spec)))
     rng = np.random.default_rng(11)
     for k in range(NEAR_PRODUCT_STATES):
         a = 10.0 ** (-60 - 10 * k) * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
@@ -141,22 +156,45 @@ def decomposition_to_json(witness, deco) -> dict:
     }
 
 
-def sweep_digest(sweeps=SWEEPS) -> tuple[int, str]:
-    """(cell count, sha256) of the sweep verb's stdout over ``sweeps``."""
+def stdout_digest(argvs) -> tuple[list[str], str]:
+    """(stdout of each argv's in-process ``cli.main`` call, sha256 of their
+    concatenation, in order); SystemExit where a call exits nonzero."""
     digest = hashlib.sha256()
-    cells = 0
-    for class_id, grid, triple in sweeps:
-        argv = ["sweep", "--class", class_id, "--param-grid", grid, "--compare", "regu"]
-        if triple is not None:
-            argv += ["--triple", triple]
+    outs = []
+    for argv in argvs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
         if code != 0:
             raise SystemExit(f"{' '.join(argv)} exited with {code}")
-        digest.update(out.getvalue().encode())
-        cells += len(json.loads(out.getvalue())["cells"])
-    return cells, digest.hexdigest()
+        outs.append(out.getvalue())
+        digest.update(outs[-1].encode())
+    return outs, digest.hexdigest()
+
+
+def sweep_digest(sweeps=SWEEPS) -> tuple[int, str]:
+    """(cell count, sha256) of the sweep verb's stdout over ``sweeps``."""
+    argvs = [["sweep", "--class", class_id, "--param-grid", grid, "--compare", "regu"]
+             + (["--triple", triple] if triple is not None else [])
+             for class_id, grid, triple in sweeps]
+    outs, digest = stdout_digest(argvs)
+    return sum(len(json.loads(out)["cells"]) for out in outs), digest
+
+
+def class_cells() -> list[list[str]]:
+    """The classes verb's command lines: every class on every triple, with
+    CLASS_CELL_DRAWS draws (draw_values, default_rng(13)) of each class that
+    takes parameters, each parameter written so that it reads back exactly."""
+    rng = np.random.default_rng(13)
+    argvs = []
+    for class_id in CLASS_IDS:
+        names = CLASS_PARAMS[class_id]
+        for _ in range(CLASS_CELL_DRAWS if names else 1):
+            params = [f"--{name}={v.real:.17g}{v.imag:+.17g}i"
+                      for name, v in zip(names, draw_values(rng, class_id))]
+            argvs += [["classes", "--id", class_id, *params, "--triple", triple]
+                      for triple in ALL_TRIPLES]
+    return argvs
 
 
 def matched(old: dict, new: dict):
@@ -281,6 +319,8 @@ def main(argv=None) -> None:
         digest.update(json.dumps(decomposition).encode())
         decompositions.append((group, decomposition))
     print(f"{len(decompositions)} decompositions sha256 {digest.hexdigest()}")
+    cells = class_cells()
+    print(f"{len(cells)} class cells sha256 {stdout_digest(cells)[1]}")
     if args.dump:
         with open(args.dump, "w") as fh:
             for group, report in reports:
